@@ -37,7 +37,8 @@ from .catalog import TestFunction, type_for
 from .errors import AngularMarginTooSmall, OutsideSector, SectorLapError
 from .geometry import ContourGamma, SectorSpec, build_gamma, sector_contains
 from .indicator import indicator_value
-from .laplace import DELTA_MIN_DEFAULT, _ray_transform
+from .laplace import _RATE_HAIRCUT, DELTA_MIN_DEFAULT, _ray_transform_values
+from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import DecayModel, IntegralResult, QuadratureBudget, integrate_ray
 
 __all__ = [
@@ -76,16 +77,9 @@ def _g_evaluator(q: ReconstructionQuery, leg_theta: float):
     if q.g_source == "oracle":
         raise ValueError(f"entry {fn.id!r} has no transform oracle")
     inner = q.budget.tighten(q.inner_factor)
-    ind, exact = indicator_value(fn, leg_theta)
 
     def g(ws):
-        arr = np.atleast_1d(np.asarray(ws, dtype=complex))
-        out = np.array(
-            [
-                _ray_transform(fn, leg_theta, complex(w), inner, ind, exact, DELTA_MIN_DEFAULT).value
-                for w in arr
-            ]
-        )
+        out = _ray_transform_values(fn, leg_theta, np.atleast_1d(ws), inner, DELTA_MIN_DEFAULT)
         return out if np.ndim(ws) else out[0]
 
     return g
@@ -241,7 +235,7 @@ def cauchy_path_check(
         ind, exact = indicator_value(fn, theta_ray)
         rate = -(ind + p * math.cos(spec.alpha))
         if not exact:
-            rate *= 0.9
+            rate *= _RATE_HAIRCUT
         dist = _ray_distance(z, theta_ray)
         amp = fn.envelope_const * math.exp(-p * z.real) / dist
         epz = cmath.exp(-p * z)

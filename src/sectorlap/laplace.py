@@ -90,6 +90,13 @@ def _ray_transform(
     return integrate_ray(integrand, decay, budget, osc_freq=abs((omega * direction).imag))
 
 
+def _ray_transform_values(fn: TestFunction, theta: float, omegas, budget: QuadratureBudget, delta_min: float):
+    """g_theta at each omega in turn, one ray transform apiece, values only."""
+    ind, exact = indicator_value(fn, theta)
+    values = [_ray_transform(fn, theta, complex(w), budget, ind, exact, delta_min).value for w in omegas]
+    return np.array(values, dtype=complex)
+
+
 def directional_transform(query: TransformQuery) -> IntegralResult:
     """g_theta(omega) by adaptive ray quadrature; OutsideDomain below delta_min margin."""
     ind, exact = indicator_value(query.fn, query.theta, query.indicator_source)
@@ -273,9 +280,6 @@ def gamma_bound_check(
         (-gamma.alpha, gamma.lower_direction),
         (gamma.alpha, gamma.upper_direction),
     ):
-        ind, exact = indicator_value(fn, leg_theta)
-        for t in ts:
-            omega = gamma.p + leg_dir * float(t)
-            res = _ray_transform(fn, leg_theta, omega, budget, ind, exact, DELTA_MIN_DEFAULT)
-            worst = max(worst, abs(res.value) - bound)
+        g = _ray_transform_values(fn, leg_theta, gamma.p + leg_dir * ts, budget, DELTA_MIN_DEFAULT)
+        worst = max(worst, float(np.max(np.abs(g))) - bound)
     return worst

@@ -35,7 +35,8 @@ import numpy as np
 from .catalog import TestFunction
 from .errors import IllConditioned
 from .indicator import OFFSET_CAP, indicator_value
-from .laplace import DELTA_MIN_DEFAULT, _ray_transform
+from .laplace import DELTA_MIN_DEFAULT, _ray_transform_values
+from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import DecayModel, QuadratureBudget, integrate_ray, integrate_segment
 
 __all__ = [
@@ -97,10 +98,7 @@ def _g_values(fn, theta, omegas, budget, g_source, delta_min):
         return np.asarray(fn.transform_oracle(np.asarray(omegas, dtype=complex)), dtype=complex)
     if g_source == "oracle":
         raise ValueError(f"entry {fn.id!r} has no transform oracle")
-    ind, exact = indicator_value(fn, theta)
-    return np.array(
-        [_ray_transform(fn, theta, complex(w), budget, ind, exact, delta_min).value for w in omegas]
-    )
+    return _ray_transform_values(fn, theta, omegas, budget, delta_min)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

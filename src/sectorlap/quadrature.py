@@ -2,11 +2,20 @@
 
 The scheme is fixed-order Gauss-Legendre per panel with bisection refinement.
 Each panel carries a two-level error estimate |GL(halves) - GL(panel)|; the
-worst panel is split until the summed estimate meets
+worst panel (the older one on ties) is split until the summed estimate meets
 
     est_error <= rel_tol * |value| + abs_floor
 
 or the panel budget runs out (BudgetExceeded, never silent degradation).
+
+Panels are evaluated in batches, so integrands must accept a 1-D array of
+any length.  One integrand call takes the coarse, left-half and right-half
+nodes of up to _CHUNK_PANELS initial panels; one call per split takes the
+four half-panels of both children.  Panel state lives in numpy arrays whose
+row order is creation order.  Sums are checked for finite values before they
+are used: a NaN or infinite integrand value raises IllConditioned naming the
+first affected panel, instead of a NaN estimate ending refinement as if it
+had converged.
 
 Ray integrals over [0, inf) are truncated analytically: given a certified
 envelope |f(t)| <= A e^{-m t}, the tail beyond T is bounded by A e^{-m T}/m
@@ -19,14 +28,13 @@ lengths are capped at one period so the two-level estimate cannot alias a
 rapidly rotating phase into false convergence.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidDecay
+from .errors import BudgetExceeded, IllConditioned, InvalidDecay
 
 __all__ = [
     "QuadratureBudget",
@@ -38,6 +46,8 @@ __all__ = [
 ]
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# initial panels per integrand call: 3 * 64 GL panels, about 3k points at order 16
+_CHUNK_PANELS = 64
 
 
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,74 +119,92 @@ def _eval_vector(fn: Callable, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _gl_panel(fn, a: float, b: float, x: np.ndarray, w: np.ndarray) -> complex:
+def _gl_sums(fn, a: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """GL sums over the intervals [a[i], b[i]] from one integrand call on all their nodes."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = _eval_vector(fn, mid + half * x)
-    return half * complex(np.dot(w, vals))
+    pts = (mid[:, None] + half[:, None] * x).ravel()
+    return half * (_eval_vector(fn, pts).reshape(len(a), len(x)) @ w)
 
 
-class _Panel:
-    __slots__ = ("a", "b", "coarse", "left", "right", "fine", "err")
-
-    def __init__(self, fn, a, b, x, w, coarse=None):
-        self.a = a
-        self.b = b
-        mid = 0.5 * (a + b)
-        self.coarse = _gl_panel(fn, a, b, x, w) if coarse is None else coarse
-        self.left = _gl_panel(fn, a, mid, x, w)
-        self.right = _gl_panel(fn, mid, b, x, w)
-        self.fine = self.left + self.right
-        self.err = abs(self.fine - self.coarse)
-
-
-def _adaptive(fn, breakpoints, budget: QuadratureBudget) -> tuple[complex, float, int]:
-    x, w = _gl_nodes(budget.panel_order)
-    panels = [_Panel(fn, breakpoints[i], breakpoints[i + 1], x, w) for i in range(len(breakpoints) - 1)]
-    if len(panels) > budget.max_panels:
-        raise BudgetExceeded(
-            f"initial subdivision needs {len(panels)} panels, budget allows {budget.max_panels}"
+def _check_finite(sums: np.ndarray, a, b) -> None:
+    """Raise IllConditioned unless all sums are finite; column i belongs to panel [a[i], b[i]]."""
+    finite = np.isfinite(sums)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=0)))
+        raise IllConditioned(
+            f"non-finite integrand value on [{float(a[i])!r}, {float(b[i])!r}]; "
+            "the integrand overflows or is undefined there"
         )
-    heap = []
-    seq = 0
-    for pan in panels:
-        heapq.heappush(heap, (-pan.err, seq, pan))
-        seq += 1
-    total = sum(pan.fine for pan in panels)
-    total_err = math.fsum(pan.err for pan in panels)
 
+
+def _adaptive(fn, breakpoints: list[float], budget: QuadratureBudget) -> tuple[complex, float, int]:
+    n = len(breakpoints) - 1
+    if n > budget.max_panels:
+        raise BudgetExceeded(f"initial subdivision needs {n} panels, budget allows {budget.max_panels}")
+    x, w = _gl_nodes(budget.panel_order)
+    # Panel k spans [lo[k], hi[k]] with half-panel sums left[k], right[k].
+    # Rows are appended in creation order, so the smaller index is the older
+    # panel; a split panel's err is set to -1 to retire it.  The arrays grow
+    # on the first split, which most integrals never make.
+    edges = np.asarray(breakpoints, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    starts, ends = np.array((lo, lo, mid)), np.array((hi, mid, hi))  # rows: whole panel, left, right half
+    chunks = [slice(s, s + _CHUNK_PANELS) for s in range(0, n, _CHUNK_PANELS)]
+    sums = np.concatenate(
+        [_gl_sums(fn, starts[:, c].ravel(), ends[:, c].ravel(), x, w).reshape(3, -1) for c in chunks], axis=1
+    )
+    _check_finite(sums, lo, hi)
+    coarse, left, right = sums
+    err = np.abs(left + right - coarse)
+
+    count = live = n
+    total = sum((left + right).tolist())
+    total_err = math.fsum(err.tolist())
     while total_err > budget.rel_tol * abs(total) + budget.abs_floor:
-        if len(heap) >= budget.max_panels:
+        if live >= budget.max_panels:
             raise BudgetExceeded(
                 f"panel budget {budget.max_panels} exhausted with est_error={total_err:.3e} "
                 f"(target {budget.rel_tol * abs(total) + budget.abs_floor:.3e}); "
                 "the integrand is harder than the budget allows"
             )
-        neg_err, _, worst = heapq.heappop(heap)
-        if neg_err == 0.0:
+        worst = int(np.argmax(err[:count]))  # first maximum: the oldest of equally bad panels
+        if err[worst] == 0.0:
             # every remaining estimate is exactly zero yet the floor is unmet;
             # nothing further to refine
-            heapq.heappush(heap, (neg_err, seq, worst))
-            seq += 1
             break
-        mid = 0.5 * (worst.a + worst.b)
-        kids = (
-            _Panel(fn, worst.a, mid, x, w, coarse=worst.left),
-            _Panel(fn, mid, worst.b, x, w, coarse=worst.right),
-        )
-        total += kids[0].fine + kids[1].fine - worst.fine
-        total_err += kids[0].err + kids[1].err - worst.err
-        for kid in kids:
-            heapq.heappush(heap, (-kid.err, seq, kid))
-            seq += 1
+        if count + 2 > len(err):
+            extra = max(count, 2 * _CHUNK_PANELS)
+            lo, hi, left, right, err = (
+                np.concatenate((v, np.empty(extra, v.dtype))) for v in (lo, hi, left, right, err)
+            )
+        # the children's coarse sums are the parent's half-panel sums
+        a, b, coarse0, coarse1 = lo[worst].item(), hi[worst].item(), left[worst].item(), right[worst].item()
+        mid = 0.5 * (a + b)
+        mid0, mid1 = 0.5 * (a + mid), 0.5 * (mid + b)
+        starts, ends = np.array((a, mid, mid0, mid1)), np.array((mid0, mid1, mid, b))
+        sums = _gl_sums(fn, starts, ends, x, w).reshape(2, 2)  # rows: left halves, right halves
+        _check_finite(sums, (a, mid), (mid, b))
+        (left0, left1), (right0, right1) = sums.tolist()
+        fine0, fine1 = left0 + right0, left1 + right1
+        err0, err1 = abs(fine0 - coarse0), abs(fine1 - coarse1)
+        kids = slice(count, count + 2)
+        lo[kids] = a, mid
+        hi[kids] = mid, b
+        left[kids] = left0, left1
+        right[kids] = right0, right1
+        err[kids] = err0, err1
+        total += fine0 + fine1 - (coarse0 + coarse1)
+        total_err += err0 + err1 - err[worst].item()
+        err[worst] = -1.0
+        count += 2
+        live += 1
 
-    final = sorted((item[2] for item in heap), key=lambda pan: pan.a)
-    value = complex(
-        math.fsum(pan.fine.real for pan in final),
-        math.fsum(pan.fine.imag for pan in final),
-    )
-    err = math.fsum(pan.err for pan in final)
-    return value, err, len(final)
+    keep = err[:count] >= 0.0
+    fine = left[:count][keep] + right[:count][keep]
+    value = complex(math.fsum(fine.real.tolist()), math.fsum(fine.imag.tolist()))
+    return value, math.fsum(err[:count][keep].tolist()), live
 
 
 def _cap_breakpoints(breakpoints: list[float], osc_freq: float, limit: int) -> list[float]:

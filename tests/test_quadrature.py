@@ -1,5 +1,7 @@
 """Quadrature layer against closed-form antiderivatives."""
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -9,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from sectorlap import (
     BudgetExceeded,
     DecayModel,
+    IllConditioned,
     InvalidDecay,
     QuadratureBudget,
     cauchy_kernel_check,
     integrate_ray,
     integrate_segment,
 )
+from sectorlap import quadrature
 
 TIGHT = QuadratureBudget(rel_tol=1e-12, abs_floor=1e-14)
 
@@ -95,6 +99,96 @@ def test_budget_exhaustion_reports():
     budget = QuadratureBudget(rel_tol=1e-12, abs_floor=1e-14, max_panels=8)
     with pytest.raises(BudgetExceeded):
         integrate_segment(lambda t: np.exp(100j * t), 0.0, 50.0, budget, osc_freq=100.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 inside a GL sum
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_integrand_raises(bad):
+    with pytest.raises(IllConditioned, match=r"non-finite integrand value on \[0\.0, 1\.0\]"):
+        integrate_segment(lambda t: np.where(t > 0.5, bad, 1.0), 0.0, 1.0)
+    # seed panels [0, 1, 2, 4, ...]: the first one with a node beyond t = 2 is [2, 4]
+    with pytest.raises(IllConditioned, match=r"\[2\.0, 4\.0\]"):
+        integrate_ray(lambda t: np.where(t > 2.0, bad, np.exp(-t)), DecayModel(rate=1.0, amplitude=1.0))
+
+
+def test_non_finite_value_while_refining_raises():
+    calls = []
+
+    def poisoned_after_seeding(t):
+        calls.append(len(t))
+        vals = np.exp(20j * t)
+        return vals if len(calls) == 1 else vals * np.nan
+
+    # one seed panel far too long for the oscillation, so the first split is certain
+    with pytest.raises(IllConditioned, match=r"\[0\.0, 5\.0\]"):
+        integrate_segment(poisoned_after_seeding, 0.0, 10.0, TIGHT)
+    assert len(calls) == 2
+
+
+def test_initial_panels_are_evaluated_in_chunks():
+    # the integrand of cauchy_kernel_check at an oscillatory z, with a call log
+    z = -0.02 + 5j
+    sizes = []
+
+    def kernel(t):
+        sizes.append(len(t))
+        return np.exp(t * z)
+
+    budget = QuadratureBudget(rel_tol=1e-12, abs_floor=5e-14)
+    res = integrate_ray(kernel, DecayModel(rate=-z.real, amplitude=1.0), budget, osc_freq=abs(z.imag))
+    seed = quadrature._cap_breakpoints(
+        quadrature._ray_breakpoints(res.truncation_T, -z.real), abs(z.imag), budget.max_panels
+    )
+    n_initial = len(seed) - 1
+    order = budget.panel_order
+    seeding = math.ceil(n_initial / quadrature._CHUNK_PANELS)
+    # the same subdivision and refinement as evaluating one half-panel per call
+    assert (n_initial, res.panels_used) == (1405, 1406)
+    assert sum(sizes[:seeding]) == 3 * order * n_initial
+    assert max(sizes) <= 3 * order * quadrature._CHUNK_PANELS
+    # each split evaluates the four half-panels of its two children in one call
+    assert sizes[seeding:] == [4 * order] * (res.panels_used - n_initial)
+    assert abs(1.0 / z + res.value) <= 1e-10
+
+
+def _per_panel_reference(fn, a, b, budget):
+    """The engine on [a, b] with one integrand call per half-panel and a heap of panels."""
+    x, w = np.polynomial.legendre.leggauss(budget.panel_order)
+    ages = itertools.count()
+
+    def gl(lo, hi):
+        return 0.5 * (hi - lo) * complex(np.dot(w, fn(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)))
+
+    def panel(lo, hi, coarse):
+        mid = 0.5 * (lo + hi)
+        left, right = gl(lo, mid), gl(mid, hi)
+        # heap order: worst error first, then the older panel
+        return (-abs(left + right - coarse), next(ages), lo, hi, left + right, left, right)
+
+    heap = [panel(a, b, gl(a, b))]
+    while -math.fsum(p[0] for p in heap) > budget.rel_tol * abs(sum(p[4] for p in heap)) + budget.abs_floor:
+        _, _, lo, hi, _, left, right = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        heapq.heappush(heap, panel(lo, mid, left))
+        heapq.heappush(heap, panel(mid, hi, right))
+    return complex(math.fsum(p[4].real for p in heap), math.fsum(p[4].imag for p in heap)), len(heap)
+
+
+@pytest.mark.parametrize(
+    "fn, b",
+    [
+        (lambda t: np.exp(200j * t), 10.0),
+        (lambda t: np.exp(50j * t) * np.sqrt(t), 30.0),
+        (lambda t: np.abs(t - 0.3) ** 0.1 + 1j * np.abs(t - 0.71) ** 0.3, 1.0),
+        (lambda t: 1.0 / (1e-4 + (t - 0.5) ** 2), 1.0),
+    ],
+)
+def test_refinement_matches_per_panel_reference(fn, b):
+    budget = QuadratureBudget()
+    want_value, want_panels = _per_panel_reference(fn, 0.0, b, budget)
+    res = integrate_segment(fn, 0.0, b, budget)
+    assert res.panels_used == want_panels > 1
+    assert abs(res.value - want_value) <= 1e-13 * abs(want_value) + 1e-15
 
 
 def test_kernel_identity_grid():

@@ -11,7 +11,6 @@ from .catalog import (
     TestFunction,
     builtin_catalog,
     check_growth,
-    clamp_alpha,
     format_complex,
     make_exp,
     make_sum,
@@ -124,7 +123,6 @@ __all__ = [
     "cauchy_kernel_check",
     "cauchy_path_check",
     "check_growth",
-    "clamp_alpha",
     "concatenated_transform",
     "consistency_residual",
     "directional_transform",

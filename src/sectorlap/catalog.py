@@ -38,7 +38,6 @@ __all__ = [
     "format_complex",
     "check_growth",
     "type_for",
-    "clamp_alpha",
 ]
 
 # entries that are analytic on every sub-pi/2 sector declare (just under) the cap
@@ -266,11 +265,3 @@ def type_for(fn: TestFunction, alpha: float) -> float:
         return fn.type_oracle(alpha)
     return fn.spec.h
 
-
-def clamp_alpha(fn: TestFunction, alpha: float | None) -> float:
-    """Effective half-angle: requested alpha clamped to what the entry supports."""
-    if alpha is None:
-        return fn.spec.alpha
-    if not (0.0 < alpha < math.pi / 2):
-        raise ValueError(f"alpha must satisfy 0 < alpha < pi/2, got {alpha}")
-    return min(alpha, fn.spec.alpha)

@@ -32,7 +32,6 @@ __all__ = [
     "ContourGamma",
     "sector_contains",
     "build_gamma",
-    "halfplane_contains",
     "omega_margin",
 ]
 
@@ -148,10 +147,6 @@ def build_gamma(spec: SectorSpec, p: float) -> ContourGamma:
             f"got p*cos(alpha)={gate!r} >= {-spec.h!r}"
         )
     return ContourGamma(p=p, alpha=spec.alpha)
-
-
-def halfplane_contains(hp: HalfPlane, omega: complex) -> bool:
-    return hp.contains(omega)
 
 
 def omega_margin(hp: HalfPlane, omega: complex) -> float:

@@ -15,7 +15,14 @@ margin min(alpha - phi, alpha + phi) >= delta_ang is enforced.
 g comes either from the entry's transform oracle or from nested numeric
 transforms along theta = -+ alpha with a budget 100x tighter than the outer
 one.  |g| is bounded on the legs by (K / 2 pi) / -(h + p cos alpha), which
-feeds the outer truncation.
+feeds the outer truncation.  Both legs are integrated in one engine pass;
+with a numeric g, each outer integrand call computes g on each leg as one
+batch of inner transforms.  Their error is part of est_error: with
+max|delta g| the largest inner est_error on a leg, the leg adds
+
+    max|delta g| int |e^{-w z}| |dw| = max|delta g| e^{-p Re z} / (|z| sin(alpha +- phi)),
+
+the outer integral in closed form, its rate being the leg's decay rate.
 
 ``cauchy_path_check`` verifies the same identity in its pre-interchange form,
 
@@ -39,7 +46,7 @@ from .geometry import ContourGamma, SectorSpec, build_gamma, sector_contains
 from .indicator import indicator_value
 from .laplace import _RATE_HAIRCUT, DELTA_MIN_DEFAULT, _ray_transform_values
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
-from .quadrature import DecayModel, IntegralResult, QuadratureBudget, integrate_ray
+from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate_rays, integrate_ray
 
 __all__ = [
     "DELTA_ANG_DEFAULT",
@@ -69,24 +76,38 @@ class ReconstructionQuery:
             raise ValueError(f"g_source must be auto|oracle|numeric, got {self.g_source!r}")
 
 
-def _g_evaluator(q: ReconstructionQuery, leg_theta: float):
-    """Vectorized w -> g(w) for one leg, oracle-backed or nested-numeric."""
+def _g_evaluator(q: ReconstructionQuery):
+    """Vectorized (w, leg) -> g(w) on both legs, oracle-backed or nested-numeric.
+
+    Leg 0 is the lower leg (theta = -alpha), leg 1 the upper one; the nested
+    numeric g makes one batched inner transform per leg and call.  Also
+    returns a list holding, per leg, the largest inner est_error g has
+    returned so far (it stays 0 for the oracle).
+    """
     fn = q.fn
+    inner_err = [0.0, 0.0]
     if q.g_source != "numeric" and fn.transform_oracle is not None:
-        return fn.transform_oracle
+        return lambda ws, legs: fn.transform_oracle(ws), inner_err
     if q.g_source == "oracle":
         raise ValueError(f"entry {fn.id!r} has no transform oracle")
     inner = q.budget.tighten(q.inner_factor)
+    thetas = (-q.gamma.alpha, q.gamma.alpha)
 
-    def g(ws):
-        out = _ray_transform_values(fn, leg_theta, np.atleast_1d(ws), inner, DELTA_MIN_DEFAULT)
-        return out if np.ndim(ws) else out[0]
+    def g(ws, legs):
+        out = np.empty(ws.shape, dtype=complex)
+        for leg, theta in enumerate(thetas):
+            rows = legs[:, 0] == leg
+            if rows.any():
+                values, errors = _ray_transform_values(fn, theta, ws[rows].ravel(), inner, DELTA_MIN_DEFAULT)
+                out[rows] = values.reshape(-1, ws.shape[1])
+                inner_err[leg] = max(inner_err[leg], float(errors.max()))
+        return out
 
-    return g
+    return g, inner_err
 
 
 def reconstruct(q: ReconstructionQuery) -> IntegralResult:
-    """f(z) from g by the two-leg contour integral; result sums both legs."""
+    """f(z) from g by the two-leg contour integral, both legs in one engine pass."""
     z = complex(q.z)
     alpha, p = q.gamma.alpha, q.gamma.p
     spec = SectorSpec(alpha=alpha, h=0.0)
@@ -109,31 +130,30 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
     g_bound = q.fn.envelope_const / (2.0 * math.pi) / leg_gap
     amp = g_bound * math.exp(-p * z.real)
 
+    # integral 0 is the lower leg, 1 the upper one
+    dirs = np.array([q.gamma.lower_direction, q.gamma.upper_direction])
+    jacs = np.array([1j * cmath.exp(1j * alpha), 1j * cmath.exp(-1j * alpha)])
+    rates = [abs(z) * math.sin(alpha + phi), abs(z) * math.sin(alpha + -phi)]
+    for rate in rates:
+        DecayModel(rate=rate, amplitude=amp)  # InvalidDecay unless both envelopes are valid
+    # the exponent of e^{-w(t) z} is -p z - leg_dir z t
+    osc = [abs((-leg_dir * z).imag) for leg_dir in dirs.tolist()]
+    g, inner_err = _g_evaluator(q)
+
+    def integrand(ts, legs):
+        ws = p + dirs[legs] * ts
+        return jacs[legs] * g(ws, legs) * np.exp(-ws * z)
+
+    values, errors, ts, used = _integrate_rays(
+        integrand, np.array(rates), np.array([amp, amp]), q.budget, np.array(osc)
+    )
     total = 0j
     err = 0.0
-    t_max = 0.0
-    panels = 0
-    for leg_theta, leg_dir in ((-alpha, q.gamma.lower_direction), (alpha, q.gamma.upper_direction)):
-        g = _g_evaluator(q, leg_theta)
-        rate = abs(z) * math.sin(alpha + (phi if leg_theta < 0 else -phi))
-        jac = 1j * cmath.exp(1j * alpha) if leg_theta < 0 else 1j * cmath.exp(-1j * alpha)
-        coeff = -leg_dir * z  # exponent of e^{-w(t) z} is -p z + coeff * t
-
-        def integrand(ts, _dir=leg_dir, _g=g, _jac=jac):
-            ws = p + _dir * ts
-            return _jac * _g(ws) * np.exp(-ws * z)
-
-        res = integrate_ray(
-            integrand,
-            DecayModel(rate=rate, amplitude=amp),
-            q.budget,
-            osc_freq=abs(coeff.imag),
-        )
-        total += res.value
-        err += res.est_error
-        t_max = max(t_max, res.truncation_T)
-        panels += res.panels_used
-    return IntegralResult(total, err, t_max, panels)
+    for leg, rate in enumerate(rates):
+        total += complex(values[leg])
+        # g's inner error enters weighted by |e^{-wz}|, whose integral along the leg is e^{-p Re z} / rate
+        err += float(errors[leg]) + inner_err[leg] * math.exp(-p * z.real) / rate
+    return IntegralResult(total, err, max(0.0, *ts.tolist()), int(used.sum()))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,14 @@ direction of largest margin.
 Margins are computed from the indicator oracle when one exists; otherwise
 from the numeric estimate with a 10% haircut on the decay rate, since an
 estimated indicator can be slightly low.
+
+A numeric g at many omegas along one direction (the inversion legs, the
+probe scans, the contour-bound check) is one batch: ``_ray_transform_values``
+puts the ray integrals of all of them in a single quadrature engine pass.
+They share the direction and differ in margin and oscillation frequency, and
+each omega still gets the panels, value and est_error of its transform
+alone.  An entry's ``weighted_eval(z, w)`` then receives one omega per row
+of points z and must broadcast over them elementwise.
 """
 
 import cmath
@@ -30,7 +38,7 @@ from .catalog import TestFunction, type_for
 from .errors import OutsideDomain, OutsideUnion
 from .geometry import ContourGamma, GrowthCertificate, HalfPlane
 from .indicator import OFFSET_CAP, estimate_indicator, indicator_value
-from .quadrature import DecayModel, IntegralResult, QuadratureBudget, integrate_ray
+from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate_rays, integrate_ray
 
 __all__ = [
     "DELTA_MIN_DEFAULT",
@@ -67,6 +75,37 @@ class TransformQuery:
             raise ValueError(f"delta_min must be positive, got {self.delta_min}")
 
 
+def _ray_integrands(
+    fn: TestFunction, theta: float, omegas, indicator: float, exact_indicator: bool, delta_min: float
+):
+    """The ray integrals of g_theta at a 1-D sequence of omegas, as one batch.
+
+    Returns (integrand, rate, amplitude, osc_freq): g_theta(omegas[k]) is the
+    integral of integrand(t, k) over [0, inf), with envelope
+    amplitude * e^{-rate[k] t} and oscillation frequency osc_freq[k].  Raises
+    OutsideDomain for the first omega, in input order, whose margin is below
+    delta_min.  ``fn.weighted_eval(z, w)`` gets an array w of the omegas
+    owning the points z and must broadcast over them elementwise.
+    """
+    om = np.asarray(omegas, dtype=complex)
+    direction = cmath.exp(1j * theta)
+    # Re and Im of omega * direction, written out as Python's complex product computes them
+    proj_re = om.real * direction.real - om.imag * direction.imag
+    proj_im = om.real * direction.imag + om.imag * direction.real
+    margin = np.minimum(-indicator - proj_re, OFFSET_CAP)
+    outside = ~(margin >= delta_min)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutsideDomain(
+            f"omega={omegas[i]} has margin {margin[i]:.3e} < delta_min={delta_min:.3e} "
+            f"in Omega_theta at theta={theta}"
+        )
+    rate = margin if exact_indicator else _RATE_HAIRCUT * margin
+    prefactor = direction / (2j * math.pi)
+    integrand = lambda t, k: prefactor * fn.weighted_eval(t * direction, om[k])
+    return integrand, rate, fn.envelope_const / (2.0 * math.pi), np.abs(proj_im)
+
+
 def _ray_transform(
     fn: TestFunction,
     theta: float,
@@ -76,25 +115,25 @@ def _ray_transform(
     exact_indicator: bool,
     delta_min: float,
 ) -> IntegralResult:
-    direction = cmath.exp(1j * theta)
-    margin = min(-indicator - (omega * direction).real, OFFSET_CAP)
-    if not margin >= delta_min:
-        raise OutsideDomain(
-            f"omega={omega} has margin {margin:.3e} < delta_min={delta_min:.3e} "
-            f"in Omega_theta at theta={theta}"
-        )
-    rate = margin if exact_indicator else _RATE_HAIRCUT * margin
-    prefactor = direction / (2j * math.pi)
-    integrand = lambda t: prefactor * fn.weighted_eval(t * direction, omega)
-    decay = DecayModel(rate=rate, amplitude=fn.envelope_const / (2.0 * math.pi))
-    return integrate_ray(integrand, decay, budget, osc_freq=abs((omega * direction).imag))
+    """g_theta(omega) at one omega, with the indicator given."""
+    integrand, rate, amplitude, osc = _ray_integrands(fn, theta, (omega,), indicator, exact_indicator, delta_min)
+    decay = DecayModel(rate=float(rate[0]), amplitude=amplitude)
+    return integrate_ray(lambda t: integrand(t, 0), decay, budget, osc_freq=float(osc[0]))
 
 
 def _ray_transform_values(fn: TestFunction, theta: float, omegas, budget: QuadratureBudget, delta_min: float):
-    """g_theta at each omega in turn, one ray transform apiece, values only."""
+    """g_theta at a 1-D array of omegas in one engine pass: (values, est_errors).
+
+    Each omega gets the value, est_error and panels of ``_ray_transform`` at that omega alone.
+    """
     ind, exact = indicator_value(fn, theta)
-    values = [_ray_transform(fn, theta, complex(w), budget, ind, exact, delta_min).value for w in omegas]
-    return np.array(values, dtype=complex)
+    om = np.asarray(omegas, dtype=complex)
+    integrand, rate, amplitude, osc = _ray_integrands(fn, theta, om, ind, exact, delta_min)
+    if len(om):
+        # InvalidDecay unless the envelope constant is valid; every rate is at least the smallest
+        DecayModel(rate=float(rate.min()), amplitude=amplitude)
+    values, errors, _, _ = _integrate_rays(integrand, rate, np.full(len(om), amplitude), budget, osc)
+    return values, errors
 
 
 def directional_transform(query: TransformQuery) -> IntegralResult:
@@ -166,6 +205,24 @@ class ConcatenatedTransform:
         return self.offset(theta) - (omega * cmath.exp(1j * theta)).real
 
 
+def _golden_section_max(fun, lo: float, hi: float, iters: int) -> float:
+    """Golden-section maximizer of ``fun`` over [lo, hi]; assumes a single peak inside."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
 def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
     """Direction of largest margin, via coarse scan plus golden-section refinement.
 
@@ -186,20 +243,7 @@ def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
     step = thetas[1] - thetas[0]
     a = max(lo, theta0 - step)
     b = min(hi, theta0 + step)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = ct.margin(omega, c)
-    fd = ct.margin(omega, d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = ct.margin(omega, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = ct.margin(omega, d)
-    theta_g = 0.5 * (a + b)
+    theta_g = _golden_section_max(lambda t: ct.margin(omega, t), a, b, _GOLDEN_ITERS)
     m_g = ct.margin(omega, theta_g)
     m_0 = ct.margin(omega, theta0)
 
@@ -280,6 +324,6 @@ def gamma_bound_check(
         (-gamma.alpha, gamma.lower_direction),
         (gamma.alpha, gamma.upper_direction),
     ):
-        g = _ray_transform_values(fn, leg_theta, gamma.p + leg_dir * ts, budget, DELTA_MIN_DEFAULT)
+        g, _ = _ray_transform_values(fn, leg_theta, gamma.p + leg_dir * ts, budget, DELTA_MIN_DEFAULT)
         worst = max(worst, float(np.max(np.abs(g))) - bound)
     return worst

@@ -35,9 +35,11 @@ import numpy as np
 from .catalog import TestFunction
 from .errors import IllConditioned
 from .indicator import OFFSET_CAP, indicator_value
-from .laplace import DELTA_MIN_DEFAULT, _ray_transform_values
+from .laplace import DELTA_MIN_DEFAULT, _golden_section_max, _ray_transform_values
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
-from .quadrature import DecayModel, QuadratureBudget, integrate_ray, integrate_segment
+from .quadrature import DecayModel, QuadratureBudget, _integrate_rays, _integrate_segments
+# unused here; bench/tracer.py wraps these bindings
+from .quadrature import integrate_ray, integrate_segment  # noqa: F401
 
 __all__ = [
     "BlowupScan",
@@ -52,6 +54,7 @@ __all__ = [
 ]
 
 J_SLOPE_SENTINEL = -1e9
+_PEAK_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -98,28 +101,7 @@ def _g_values(fn, theta, omegas, budget, g_source, delta_min):
         return np.asarray(fn.transform_oracle(np.asarray(omegas, dtype=complex)), dtype=complex)
     if g_source == "oracle":
         raise ValueError(f"entry {fn.id!r} has no transform oracle")
-    return _ray_transform_values(fn, theta, omegas, budget, delta_min)
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _refine_peak(fun, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section maximizer; assumes a single peak inside [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+    return _ray_transform_values(fn, theta, omegas, budget, delta_min)[0]
 
 
 def blowup_scan(
@@ -160,12 +142,13 @@ def blowup_scan(
     j = int(np.argmax(far_mags))
     lo = taus[max(j - 1, 0)]
     hi = taus[min(j + 1, len(taus) - 1)]
-    tau_star = _refine_peak(
+    tau_star = _golden_section_max(
         lambda t: float(
             np.abs(_g_values(fn, theta, [boundary(t) - deltas[0] * back], budget, g_source, delta_min / 2))[0]
         ),
         lo,
         hi,
+        _PEAK_ITERS,
     )
     point = boundary(tau_star)
 
@@ -299,30 +282,36 @@ def gamma_prime_diagnostics(
     sup_up = 3.0 * float(np.max(np.abs(g(r + up * probe_t))))
     sup_down = 3.0 * float(np.max(np.abs(g(q + down * probe_t))))
 
-    j1 = np.empty(len(s_grid))
-    j2 = np.empty(len(s_grid))
-    j3 = np.empty(len(s_grid))
+    # one engine pass for the chord integrals J1, one for the rays: J2 on even, J3 on odd owners
     chord = r - q
-    for k, s in enumerate(s_grid):
-        seg = integrate_segment(
-            lambda u: np.abs(g(q + chord * u)) * np.exp(-s * ((q + chord * u) * phase).real) * abs(chord),
-            0.0,
-            1.0,
-            budget,
-        )
-        j1[k] = abs(seg.value)
-        ray_up = integrate_ray(
-            lambda t: np.abs(g(r + up * t)) * np.exp(-s * ((r + up * t) * phase).real),
+    zeros, ones = np.zeros(len(s_grid)), np.ones(len(s_grid))
+    chords, _, _ = _integrate_segments(
+        lambda u, k: np.abs(g(q + chord * u)) * np.exp(-s_grid[k] * ((q + chord * u) * phase).real) * abs(chord),
+        zeros,
+        ones,
+        budget,
+        zeros,
+    )
+    j1 = np.array([abs(v) for v in chords])
+    decays = [
+        decay
+        for s in s_grid
+        for decay in (
             DecayModel(rate=s * math.sin(alpha - theta), amplitude=sup_up * math.exp(-s * (r * phase).real)),
-            budget,
-        )
-        j2[k] = abs(ray_up.value)
-        ray_down = integrate_ray(
-            lambda t: np.abs(g(q + down * t)) * np.exp(-s * ((q + down * t) * phase).real),
             DecayModel(rate=s * math.sin(alpha + theta), amplitude=sup_down * math.exp(-s * (q * phase).real)),
-            budget,
         )
-        j3[k] = abs(ray_down.value)
+    ]
+    starts, heads, s_rays = np.array([r, q] * len(s_grid)), np.array([up, down] * len(s_grid)), s_grid.repeat(2)
+    rays, _, _, _ = _integrate_rays(
+        lambda t, k: np.abs(g(starts[k] + heads[k] * t))
+        * np.exp(-s_rays[k] * ((starts[k] + heads[k] * t) * phase).real),
+        np.array([d.rate for d in decays]),
+        np.array([d.amplitude for d in decays]),
+        budget,
+        np.zeros(len(decays)),
+    )
+    j2 = np.array([abs(complex(v)) for v in rays[0::2]])
+    j3 = np.array([abs(complex(v)) for v in rays[1::2]])
 
     slopes = (_fit_slope(s_grid, j1), _fit_slope(s_grid, j2), _fit_slope(s_grid, j3))
     return GammaPrimeDiagnostics(theta, q, r, slopes, inf_proj)

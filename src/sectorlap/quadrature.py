@@ -1,21 +1,41 @@
 """Adaptive Gauss-Legendre quadrature for complex integrands on segments and rays.
 
 The scheme is fixed-order Gauss-Legendre per panel with bisection refinement.
-Each panel carries a two-level error estimate |GL(halves) - GL(panel)|; the
-worst panel (the older one on ties) is split until the summed estimate meets
+Each panel carries a two-level error estimate |GL(halves) - GL(panel)|.
+
+One engine pass computes many independent integrals.  Every seed panel has
+an owner, the index of the integral it belongs to, and the engine calls its
+integrand as ``fn(t, k)``: ``t`` holds the Gauss-Legendre nodes of one
+interval per row and the column ``k`` the owner of each row, so one call can
+hold panels of many integrals.  Seeding evaluates the coarse, left-half and
+right-half nodes of up to _CHUNK_PANELS panels per call, across integral
+boundaries, and sums panel values and estimates per owner.  Each integral is
+then checked against its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
-or the panel budget runs out (BudgetExceeded, never silent degradation).
+and one that misses it is refined on its own, from the panel state seeding
+left: its worst panel (the older one on ties) is split, with one call for
+the four half-panels of both children, until the target is met or the panel
+budget runs out (BudgetExceeded, never silent degradation).  The running
+estimate is updated per split; if rounding leaves it above the target after
+every panel estimate has dropped to exactly 0, no panel can usefully be
+split, so refinement stops there and reports the re-summed estimate, 0.
 
-Panels are evaluated in batches, so integrands must accept a 1-D array of
-any length.  One integrand call takes the coarse, left-half and right-half
-nodes of up to _CHUNK_PANELS initial panels; one call per split takes the
-four half-panels of both children.  Panel state lives in numpy arrays whose
-row order is creation order.  Sums are checked for finite values before they
-are used: a NaN or infinite integrand value raises IllConditioned naming the
-first affected panel, instead of a NaN estimate ending refinement as if it
-had converged.
+A panel's GL sums come out the same whichever panels share its integrand
+call (the matrix-vector product over two or more rows computes each row on
+its own), so every integral gets the same panels, values and estimates as
+when integrated alone.  Integrals are seeded
+in groups of consecutive owners holding about _GROUP_PANELS seed panels,
+which bounds the panel state however many integrals one pass is given; a
+refined integral's state lives in numpy arrays whose row order is creation
+order.  Sums are checked for finite values before they are used: a NaN or
+infinite integrand value raises IllConditioned naming the first affected
+panel, instead of a NaN estimate ending refinement as if it had converged.
+Failures surface in owner order: the integrals before a failing one are
+finished first, as if the integrals were computed one after another.
+``integrate_segment`` and ``integrate_ray`` are the one-integral case, and
+hand their integrands a 1-D array of points.
 
 Ray integrals over [0, inf) are truncated analytically: given a certified
 envelope |f(t)| <= A e^{-m t}, the tail beyond T is bounded by A e^{-m T}/m
@@ -28,6 +48,8 @@ lengths are capped at one period so the two-level estimate cannot alias a
 rapidly rotating phase into false convergence.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -48,6 +70,10 @@ __all__ = [
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # initial panels per integrand call: 3 * 64 GL panels, about 3k points at order 16
 _CHUNK_PANELS = 64
+# seed panels held at once when seeding many integrals; bounds the panel state
+_GROUP_PANELS = 2048
+# rays whose seed intervals are built at once, at most about 11 intervals each
+_BLOCK_RAYS = 256
 
 
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -112,19 +138,23 @@ class IntegralResult:
     panels_used: int
 
 
-def _eval_vector(fn: Callable, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(fn(pts), dtype=complex)
+def _eval_vector(fn: Callable, pts: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    vals = np.asarray(fn(pts, owners), dtype=complex)
     if vals.shape != pts.shape:
-        vals = np.broadcast_to(vals, pts.shape)
+        vals = vals.reshape(pts.shape) if vals.size == pts.size else np.broadcast_to(vals, pts.shape)
     return vals
 
 
-def _gl_sums(fn, a: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """GL sums over the intervals [a[i], b[i]] from one integrand call on all their nodes."""
+def _gl_sums(fn, a: np.ndarray, b: np.ndarray, owners: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """GL sums over the intervals [a[i], b[i]] of integrals owners[i], from one integrand call on all their nodes.
+
+    The call gets the nodes as rows, one interval per row, and the owners as a column.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    pts = (mid[:, None] + half[:, None] * x).ravel()
-    return half * (_eval_vector(fn, pts).reshape(len(a), len(x)) @ w)
+    vals = _eval_vector(fn, mid[:, None] + half[:, None] * x, owners[:, None])
+    with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
+        return half * (vals @ w)
 
 
 def _check_finite(sums: np.ndarray, a, b) -> None:
@@ -138,30 +168,14 @@ def _check_finite(sums: np.ndarray, a, b) -> None:
         )
 
 
-def _adaptive(fn, breakpoints: list[float], budget: QuadratureBudget) -> tuple[complex, float, int]:
-    n = len(breakpoints) - 1
-    if n > budget.max_panels:
-        raise BudgetExceeded(f"initial subdivision needs {n} panels, budget allows {budget.max_panels}")
+def _refine(fn, owner, lo, hi, left, right, err, total, total_err, budget) -> tuple[complex, float, int]:
+    """Split the worst panel of one integral until its estimate meets the target."""
     x, w = _gl_nodes(budget.panel_order)
     # Panel k spans [lo[k], hi[k]] with half-panel sums left[k], right[k].
     # Rows are appended in creation order, so the smaller index is the older
-    # panel; a split panel's err is set to -1 to retire it.  The arrays grow
-    # on the first split, which most integrals never make.
-    edges = np.asarray(breakpoints, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    starts, ends = np.array((lo, lo, mid)), np.array((hi, mid, hi))  # rows: whole panel, left, right half
-    chunks = [slice(s, s + _CHUNK_PANELS) for s in range(0, n, _CHUNK_PANELS)]
-    sums = np.concatenate(
-        [_gl_sums(fn, starts[:, c].ravel(), ends[:, c].ravel(), x, w).reshape(3, -1) for c in chunks], axis=1
-    )
-    _check_finite(sums, lo, hi)
-    coarse, left, right = sums
-    err = np.abs(left + right - coarse)
-
-    count = live = n
-    total = sum((left + right).tolist())
-    total_err = math.fsum(err.tolist())
+    # panel; a split panel's err is set to -1 to retire it.  The arrays are
+    # copied on the first split, which grows them.
+    count = live = len(err)
     while total_err > budget.rel_tol * abs(total) + budget.abs_floor:
         if live >= budget.max_panels:
             raise BudgetExceeded(
@@ -171,8 +185,8 @@ def _adaptive(fn, breakpoints: list[float], budget: QuadratureBudget) -> tuple[c
             )
         worst = int(np.argmax(err[:count]))  # first maximum: the oldest of equally bad panels
         if err[worst] == 0.0:
-            # every remaining estimate is exactly zero yet the floor is unmet;
-            # nothing further to refine
+            # every remaining estimate is exactly zero: the running total is
+            # rounding residue, and no split can lower it
             break
         if count + 2 > len(err):
             extra = max(count, 2 * _CHUNK_PANELS)
@@ -184,7 +198,7 @@ def _adaptive(fn, breakpoints: list[float], budget: QuadratureBudget) -> tuple[c
         mid = 0.5 * (a + b)
         mid0, mid1 = 0.5 * (a + mid), 0.5 * (mid + b)
         starts, ends = np.array((a, mid, mid0, mid1)), np.array((mid0, mid1, mid, b))
-        sums = _gl_sums(fn, starts, ends, x, w).reshape(2, 2)  # rows: left halves, right halves
+        sums = _gl_sums(fn, starts, ends, np.full(4, owner), x, w).reshape(2, 2)  # rows: left halves, right halves
         _check_finite(sums, (a, mid), (mid, b))
         (left0, left1), (right0, right1) = sums.tolist()
         fine0, fine1 = left0 + right0, left1 + right1
@@ -207,21 +221,112 @@ def _adaptive(fn, breakpoints: list[float], budget: QuadratureBudget) -> tuple[c
     return value, math.fsum(err[:count][keep].tolist()), live
 
 
-def _cap_breakpoints(breakpoints: list[float], osc_freq: float, limit: int) -> list[float]:
-    """Split intervals so no initial panel exceeds one oscillation period."""
-    if osc_freq <= 0.0:
-        return breakpoints
-    period = 2.0 * math.pi / osc_freq
-    out = [breakpoints[0]]
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        pieces = min(max(1, math.ceil((b - a) / period)), limit)
-        for k in range(1, pieces + 1):
-            out.append(a + (b - a) * k / pieces)
-    if len(out) - 1 > limit:
-        raise BudgetExceeded(
-            f"oscillation cap requires {len(out) - 1} initial panels, budget allows {limit}"
-        )
-    return out
+def _adaptive(fn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, counts: list[int], budget: QuadratureBudget):
+    """Integrals over the seed panels [lo[i], hi[i]] of owner[i]; integral j owns the next counts[j] panels.
+
+    Returns value, est_error and panels used for each integral, in order.
+    """
+    x, w = _gl_nodes(budget.panel_order)
+    n = len(lo)
+    sums = np.empty((3, n), dtype=complex)  # rows: whole panel, left half, right half
+    for s in range(0, n, _CHUNK_PANELS):
+        c = slice(s, s + _CHUNK_PANELS)
+        a, b, k = lo[c], hi[c], owner[c]
+        mid = 0.5 * (a + b)
+        sums[:, c] = _gl_sums(
+            fn, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)), np.concatenate((k, k, k)), x, w
+        ).reshape(3, -1)
+    ends = list(itertools.accumulate(counts))
+    done = len(counts)
+    if not np.isfinite(sums).all():
+        # the integrals before the first one with a non-finite panel are finished, then it is reported
+        done = bisect.bisect_right(ends, int(np.isfinite(sums).all(axis=0).argmin()))
+    m = ends[done - 1] if done else 0
+    coarse, left, right = sums[:, :m]
+    fine = left + right
+    err = np.abs(fine - coarse)
+    # running totals per integral, summed in panel order as for one integral alone
+    run = np.arange(done).repeat(counts[:done])
+    totals = zip(np.bincount(run, fine.real, done).tolist(), np.bincount(run, fine.imag, done).tolist())
+
+    values, errors, used = [], [], []
+    fine_re, fine_im, err_list = fine.real.tolist(), fine.imag.tolist(), err.tolist()
+    s = 0
+    for e, (total_re, total_im) in zip(ends, totals):
+        total, total_err = complex(total_re, total_im), math.fsum(err_list[s:e])
+        if total_err > budget.rel_tol * abs(total) + budget.abs_floor:
+            value, total_err, count = _refine(
+                fn, owner[s], lo[s:e], hi[s:e], left[s:e], right[s:e], err[s:e], total, total_err, budget
+            )
+        else:
+            value, count = complex(math.fsum(fine_re[s:e]), math.fsum(fine_im[s:e])), e - s
+        values.append(value)
+        errors.append(total_err)
+        used.append(count)
+        s = e
+    if done < len(counts):
+        e = ends[done]
+        _check_finite(sums[:, s:e], lo[s:e], hi[s:e])
+    return values, errors, used
+
+
+def _integrate_seeds(fn, a, b, integral, first, owners, osc_freq, budget: QuadratureBudget):
+    """Integrals of fn(t, k) over seed intervals [a[i], b[i]], interval i belonging to integral[i].
+
+    ``integral`` is sorted and ``first[j]`` is the first interval of integral j,
+    which is passed to fn as ``owners[j]``.  Where its oscillation frequency
+    ``osc_freq[j]`` is positive, each of its intervals is cut into equal
+    panels no longer than one period.  Returns value, est_error and panels
+    used for each integral, in order.
+    """
+    limit = budget.max_panels
+    freqs = osc_freq.tolist()
+    capped = np.array([w > 0.0 for w in freqs])[integral]
+    # an uncapped integral has an infinite period, and so one panel per interval
+    period = np.array([2.0 * math.pi / w if w > 0.0 else math.inf for w in freqs])[integral]
+    span = b - a
+    pieces = np.minimum(np.maximum(np.ceil(span / period), 1.0), limit).astype(np.int64)
+    counts = np.add.reduceat(pieces, first).tolist()
+    stop = next((j for j, count in enumerate(counts) if count > limit), len(counts))
+    # groups of consecutive integrals, each closed once it holds _GROUP_PANELS seed panels
+    edges, filled = [], _GROUP_PANELS
+    for j, count in enumerate(counts[:stop]):
+        if filled >= _GROUP_PANELS:
+            edges.append(j)
+            filled = 0
+        filled += count
+    edges.append(stop)
+    bounds = first.tolist() + [len(a)]
+    values, errors, used = [], [], []
+    for g0, g1 in zip(edges, edges[1:]):
+        i = slice(bounds[g0], bounds[g1])
+        p = pieces[i]
+        # interval [a, b] is cut at a + (b - a) * k / pieces, k = 1..pieces; uncapped ones keep b exactly
+        k = np.arange(1, sum(counts[g0:g1]) + 1) - (p.cumsum() - p).repeat(p)
+        hi = a[i].repeat(p) + span[i].repeat(p) * k / p.repeat(p)
+        if not capped[i].all():
+            hi = np.where(capped[i].repeat(p), hi, b[i].repeat(p))
+        lo = np.empty_like(hi)
+        lo[1:] = hi[:-1]
+        lo[[0, *itertools.accumulate(counts[g0 : g1 - 1])]] = a[first[g0:g1]]
+        group = _adaptive(fn, lo, hi, owners[g0:g1].repeat(counts[g0:g1]), counts[g0:g1], budget)
+        for out, part in zip((values, errors, used), group):
+            out.extend(part)
+    if stop < len(counts):
+        if capped[first[stop]]:
+            raise BudgetExceeded(f"oscillation cap requires {counts[stop]} initial panels, budget allows {limit}")
+        raise BudgetExceeded(f"initial subdivision needs {counts[stop]} panels, budget allows {limit}")
+    return values, errors, used
+
+
+def _integrate_segments(fn, a: np.ndarray, b: np.ndarray, budget: QuadratureBudget, osc_freq: np.ndarray):
+    """Integrals j of fn(t, j) over [a[j], b[j]] (a[j] < b[j]), each with oscillation frequency osc_freq[j].
+
+    Returns value, est_error and panels used per integral, each as
+    ``integrate_segment`` computes it alone.
+    """
+    j = np.arange(len(a))
+    return _integrate_seeds(fn, a, b, j, j, j, osc_freq, budget)
 
 
 def integrate_segment(
@@ -237,21 +342,61 @@ def integrate_segment(
         raise ValueError(f"segment endpoints must be finite with a <= b, got [{a}, {b}]")
     if a == b:
         return IntegralResult(0j, 0.0, 0.0, 0)
-    pts = _cap_breakpoints([a, b], osc_freq, budget.max_panels)
-    value, err, used = _adaptive(fn, pts, budget)
+    (value,), (err,), (used,) = _integrate_segments(
+        lambda t, k: fn(t.ravel()), np.array([a], float), np.array([b], float), budget, np.array([osc_freq])
+    )
     return IntegralResult(value, err, 0.0, used)
 
 
-def _ray_breakpoints(T: float, rate: float) -> list[float]:
-    """Geometric seed panels: dense near 0 where the integrand lives."""
-    pts = [0.0]
-    step = min(1.0 / rate, T)
-    t = step
-    while t < T:
-        pts.append(t)
-        t *= 2.0
-    pts.append(T)
-    return pts
+def _ray_breakpoints(T: list[float], rate: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Geometric seed intervals of each ray [0, T[j]], dense near 0 where the integrand lives.
+
+    Ray j gets [0, s], [s, 2s], [2s, 4s], ... up to T[j], with s = min(1/rate[j], T[j]).
+    Returns the interval ends a, b, the ray of each interval and the first interval of each ray.
+    """
+    step = [min(1.0 / m, T_j) for T_j, m in zip(T, rate)]
+    # intervals per ray: 1 + the least d with s * 2^d >= T, exactly, from binary exponents and mantissas
+    frexps = zip(map(math.frexp, T), map(math.frexp, step))
+    count = np.array([e_T - e_s + (m_s < m_T) + 1 for (m_T, e_T), (m_s, e_s) in frexps])
+    ends = count.cumsum()
+    first = ends - count
+    ray = np.arange(len(T)).repeat(count)
+    b = np.ldexp(np.array(step)[ray], np.arange(ends[-1]) - first[ray])
+    a = 0.5 * b
+    a[first] = 0.0
+    b[ends - 1] = T
+    return a, b, ray, first
+
+
+def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: QuadratureBudget, osc_freq: np.ndarray):
+    """Integrals j of fn(t, j) over [0, inf), given |fn(t, j)| <= amplitude[j] e^{-rate[j] t}.
+
+    Each envelope must be one DecayModel accepts; ``osc_freq[j]`` is the
+    dominant oscillation frequency of integral j.  Returns value, est_error,
+    truncation_T and panels used per integral, each as ``integrate_ray``
+    computes it alone.
+    """
+    rates, amplitudes = rate.tolist(), amplitude.tolist()
+    # A e^{-m T} / m <= abs_floor / 2, in math.log and math.exp as for one integral (numpy's
+    # can differ in the last bit); where arg <= 1 the whole integral is below half the floor
+    args = [2.0 * A / (m * budget.abs_floor) for m, A in zip(rates, amplitudes)]
+    live = [j for j, arg in enumerate(args) if arg > 1.0]
+    T_live = [math.log(args[j]) / rates[j] for j in live]
+    values, errors, used = [], [], []
+    for s in range(0, len(live), _BLOCK_RAYS):
+        rays = live[s : s + _BLOCK_RAYS]
+        a, b, ray, first = _ray_breakpoints(T_live[s : s + _BLOCK_RAYS], [rates[j] for j in rays])
+        owners = np.array(rays)
+        block = _integrate_seeds(fn, a, b, ray, first, owners, osc_freq[owners], budget)
+        for out, part in zip((values, errors, used), block):
+            out.extend(part)
+    # integrals below the floor: 0, with est_error A / m and no panels
+    n = len(rates)
+    value, err, T, panels = [0j] * n, [A / m for m, A in zip(rates, amplitudes)], [0.0] * n, [0] * n
+    for j, v, e, T_j, u in zip(live, values, errors, T_live, used):
+        value[j], T[j], panels[j] = v, T_j, u
+        err[j] = e + amplitudes[j] * math.exp(-rates[j] * T_j) / rates[j]  # plus the tail bound
+    return np.array(value, dtype=complex), np.array(err), np.array(T), np.array(panels, dtype=np.int64)
 
 
 def integrate_ray(
@@ -266,16 +411,14 @@ def integrate_ray(
     the analytic tail bound at the chosen truncation point.
     """
     budget = budget or QuadratureBudget()
-    m, A = decay.rate, decay.amplitude
-    # A e^{-m T} / m <= abs_floor / 2
-    arg = 2.0 * A / (m * budget.abs_floor)
-    if arg <= 1.0:
-        # the whole integral is already below half the floor
-        return IntegralResult(0j, A / m, 0.0, 0)
-    T = math.log(arg) / m
-    pts = _cap_breakpoints(_ray_breakpoints(T, m), osc_freq, budget.max_panels)
-    value, err, used = _adaptive(fn, pts, budget)
-    return IntegralResult(value, err + decay.tail_bound(T), T, used)
+    value, err, T, used = _integrate_rays(
+        lambda t, k: fn(t.ravel()),
+        np.array([decay.rate]),
+        np.array([decay.amplitude]),
+        budget,
+        np.array([osc_freq]),
+    )
+    return IntegralResult(complex(value[0]), float(err[0]), float(T[0]), int(used[0]))
 
 
 def cauchy_kernel_check(z: complex, budget: QuadratureBudget | None = None) -> IntegralResult:

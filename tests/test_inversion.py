@@ -18,6 +18,7 @@ from sectorlap import (
     roundtrip_report,
     zero_function,
 )
+from sectorlap import inversion
 
 BUDGET = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13)
 SPEC = SectorSpec(alpha=math.pi / 4, h=0.0)
@@ -118,3 +119,21 @@ def test_roundtrip_sum_entry():
     report = roundtrip_report(fn, SPEC, -1.0, [0.5, 1.0, 2.0], BUDGET, "oracle")
     assert report.failures == 0
     assert report.max_rel <= 1e-8
+
+
+def test_numeric_g_est_error_counts_the_inner_error(monkeypatch):
+    fn = make_exp(-1)
+    gamma = build_gamma(SPEC, -1.0)
+    budget = QuadratureBudget(rel_tol=1e-7, abs_floor=1e-10)
+    zs = [0.5, 0.8 + 0.2j, 1.2 - 0.3j]
+    with_inner = [reconstruct(ReconstructionQuery(fn, gamma, z, budget, "numeric")) for z in zs]
+    # the same reconstruction with every inner est_error reported as 0
+    values = inversion._ray_transform_values
+    monkeypatch.setattr(
+        inversion, "_ray_transform_values", lambda *args: (values(*args)[0], np.zeros(len(args[2])))
+    )
+    outer_only = [reconstruct(ReconstructionQuery(fn, gamma, z, budget, "numeric")) for z in zs]
+    for z, new, old in zip(zs, with_inner, outer_only):
+        assert new.value == old.value
+        assert new.est_error > old.est_error
+        assert abs(new.value - cmath.exp(-z)) <= new.est_error

@@ -11,13 +11,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sectorlap import (
+    BudgetExceeded,
     ConcatenatedTransform,
     GrowthCertificate,
     OutsideDomain,
     OutsideUnion,
     QuadratureBudget,
+    SectorLapError,
     SectorSpec,
     TransformQuery,
     build_gamma,
@@ -25,11 +28,16 @@ from sectorlap import (
     consistency_residual,
     directional_transform,
     gamma_bound_check,
+    indicator_value,
     make_exp,
     make_sum,
+    rational_function,
     select_direction,
+    trig_decay,
     zero_function,
 )
+from sectorlap import laplace, quadrature
+from sectorlap.laplace import DELTA_MIN_DEFAULT
 
 BUDGET = QuadratureBudget(rel_tol=1e-11, abs_floor=1e-14)
 
@@ -157,3 +165,121 @@ def test_sum_entry_transform():
     fn = make_sum([(1, -1), (2, -2)])
     res = directional_transform(TransformQuery(fn, 0.0, -0.5, BUDGET))
     np.testing.assert_allclose(res.value, fn.transform_oracle(-0.5), rtol=1e-10)
+
+
+# -- batched transforms ---------------------------------------------------------
+
+BATCH_ENTRIES = {
+    "exp": make_exp(-1 + 0.5j),
+    "sum": make_sum([(1, -1), (2, -2)]),
+    "trig": trig_decay(),
+    "rational": rational_function(),
+}
+BATCH_BUDGETS = [
+    QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13),
+    # half the floor above most integrals: the arg <= 1 shortcut, no panels at all
+    QuadratureBudget(rel_tol=1e-8, abs_floor=0.5),
+    # six-point panels miss the target on their seeds, so integrals refine
+    QuadratureBudget(rel_tol=1e-8, abs_floor=1e-11, max_panels=2000, panel_order=6),
+]
+
+
+def _omega_at(fn, theta, margin, freq):
+    """The omega with the given margin and oscillation frequency Im(omega e^{i theta}) on the ray theta."""
+    ind, _ = indicator_value(fn, theta)
+    return complex((-ind - margin + 1j * freq) * cmath.exp(-1j * theta))
+
+
+def _single_or_error(fn, theta, omega, budget):
+    ind, exact = indicator_value(fn, theta)
+    try:
+        return laplace._ray_transform(fn, theta, omega, budget, ind, exact, DELTA_MIN_DEFAULT)
+    except SectorLapError as exc:
+        return exc
+
+
+def _batch(fn_id, theta, margins_and_freqs, budget_index):
+    fn = BATCH_ENTRIES[fn_id]
+    return fn, theta, [_omega_at(fn, theta, m, f) for m, f in margins_and_freqs], BATCH_BUDGETS[budget_index]
+
+
+@st.composite
+def _batches(draw):
+    fn_id = draw(st.sampled_from(sorted(BATCH_ENTRIES)))
+    theta = draw(st.floats(-0.6, 0.6))
+    size = draw(st.integers(1, 8))
+    # margins down to delta_min (kept a hair above it against rounding), frequencies mixed with zeros
+    margins = draw(st.lists(st.floats(1.000001 * DELTA_MIN_DEFAULT, 4.0), min_size=size, max_size=size))
+    freqs = draw(st.lists(st.one_of(st.just(0.0), st.floats(-30.0, 30.0)), min_size=size, max_size=size))
+    return _batch(fn_id, theta, zip(margins, freqs), draw(st.integers(0, len(BATCH_BUDGETS) - 1)))
+
+
+@given(_batches())
+@example(_batch("exp", 0.2, [(0.5, 3.0), (2.0, 0.0), (1.000001e-3, 0.0), (0.3, -12.0)], 2))
+@example(_batch("sum", -0.3, [(3.0, 1.0), (0.05, 2.0), (2.5, 0.0)], 1))
+# a subnormal oscillation frequency: the one-period cap is an infinite period, one panel per interval
+@example(_batch("exp", 0.0, [(1.0, 0.0), (1.0, 1.1125369292536007e-308)], 0))
+@settings(max_examples=40, deadline=None)
+def test_batched_transform_matches_each_omega_alone(batch):
+    fn, theta, omegas, budget = batch
+    singles = [_single_or_error(fn, theta, w, budget) for w in omegas]
+    failed = [s for s in singles if isinstance(s, SectorLapError)]
+    if failed:
+        # the batch reports what the first failing omega reports alone
+        with pytest.raises(type(failed[0])) as caught:
+            laplace._ray_transform_values(fn, theta, omegas, budget, DELTA_MIN_DEFAULT)
+        assert str(caught.value) == str(failed[0])
+        return
+    ind, exact = indicator_value(fn, theta)
+    integrand, rate, amplitude, osc = laplace._ray_integrands(fn, theta, omegas, ind, exact, DELTA_MIN_DEFAULT)
+    values, errors, T, used = quadrature._integrate_rays(
+        integrand, rate, np.full(len(omegas), amplitude), budget, osc
+    )
+    for k, single in enumerate(singles):
+        assert (int(used[k]), float(T[k]), float(errors[k])) == (
+            single.panels_used,
+            single.truncation_T,
+            single.est_error,
+        )
+        assert abs(values[k] - single.value) <= 4 * np.finfo(float).eps * abs(single.value)
+    assert np.array_equal(laplace._ray_transform_values(fn, theta, omegas, budget, DELTA_MIN_DEFAULT)[0], values)
+
+
+def test_batched_transform_covers_shortcut_and_refinement():
+    fn, theta = BATCH_ENTRIES["exp"], 0.2
+    shortcut = _single_or_error(fn, theta, _omega_at(fn, theta, 2.0, 0.0), BATCH_BUDGETS[1])
+    assert shortcut.panels_used == 0 and shortcut.value == 0
+    # the seed intervals of this ray are uncapped, so every panel past them is a split
+    refined = _single_or_error(fn, theta, _omega_at(fn, theta, 0.2, 0.0), BATCH_BUDGETS[2])
+    a, _, _, _ = quadrature._ray_breakpoints([refined.truncation_T], [0.2])
+    assert refined.panels_used > len(a)
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("kind", ["margin", "cap"])
+def test_batch_with_one_bad_omega_raises_its_error(position, kind):
+    fn, theta = BATCH_ENTRIES["trig"], 0.1
+    budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13, max_panels=200)
+    omegas = [_omega_at(fn, theta, m, f) for m, f in [(0.4, 1.0), (1.5, -2.0), (0.9, 0.0), (2.0, 3.0)]]
+    # a margin below delta_min, or an oscillation cap needing more panels than the budget allows
+    bad = _omega_at(fn, theta, -0.5, 1.0) if kind == "margin" else _omega_at(fn, theta, 0.01, 25.0)
+    omegas.insert(position, bad)
+    alone = _single_or_error(fn, theta, bad, budget)
+    assert isinstance(alone, OutsideDomain if kind == "margin" else BudgetExceeded)
+    with pytest.raises(type(alone)) as caught:
+        laplace._ray_transform_values(fn, theta, omegas, budget, DELTA_MIN_DEFAULT)
+    assert str(caught.value) == str(alone)
+
+
+def test_large_batch_spans_several_groups_and_blocks():
+    fn, theta = BATCH_ENTRIES["trig"], 0.1
+    budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13)
+    count = quadrature._BLOCK_RAYS + 44
+    margins, freqs = np.linspace(0.2, 3.0, count), 8.0 * np.sin(np.arange(count))
+    omegas = [_omega_at(fn, theta, m, f) for m, f in zip(margins, freqs)]
+    values, errors = laplace._ray_transform_values(fn, theta, omegas, budget, DELTA_MIN_DEFAULT)
+    singles = [_single_or_error(fn, theta, w, budget) for w in omegas]
+    assert sum(s.panels_used for s in singles) > 2 * quadrature._GROUP_PANELS
+    assert errors.tolist() == [s.est_error for s in singles]
+    for value, single in zip(values, singles):
+        assert abs(value - single.value) <= 4 * np.finfo(float).eps * abs(single.value)

@@ -10,7 +10,6 @@ module maps out where the transform stops being analytic.
 from .catalog import (
     TestFunction,
     builtin_catalog,
-    check_growth,
     format_complex,
     make_exp,
     make_sum,
@@ -35,11 +34,8 @@ from .errors import (
 from .geometry import (
     ContourGamma,
     GrowthCertificate,
-    HalfPlane,
-    Ray,
     SectorSpec,
     build_gamma,
-    omega_margin,
     sector_contains,
 )
 from .indicator import (
@@ -47,7 +43,6 @@ from .indicator import (
     IndicatorEstimate,
     estimate_indicator,
     indicator_value,
-    omega_theta,
 )
 from .inversion import (
     ReconstructionQuery,
@@ -96,7 +91,6 @@ __all__ = [
     "DecayModel",
     "GammaPrimeDiagnostics",
     "GrowthCertificate",
-    "HalfPlane",
     "IllConditioned",
     "INDICATOR_SENTINEL",
     "IndicatorEstimate",
@@ -109,7 +103,6 @@ __all__ = [
     "ProbeReport",
     "QuadratureBudget",
     "RadiusScan",
-    "Ray",
     "ReconstructionQuery",
     "RoundtripReport",
     "RoundtripRow",
@@ -122,7 +115,6 @@ __all__ = [
     "builtin_catalog",
     "cauchy_kernel_check",
     "cauchy_path_check",
-    "check_growth",
     "concatenated_transform",
     "consistency_residual",
     "directional_transform",
@@ -135,8 +127,6 @@ __all__ = [
     "integrate_segment",
     "make_exp",
     "make_sum",
-    "omega_margin",
-    "omega_theta",
     "parse_complex",
     "probe_report",
     "radius_scan",

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import GrowthCertificate, SectorSpec
+from .geometry import SectorSpec
 
 __all__ = [
     "TestFunction",
@@ -36,7 +36,6 @@ __all__ = [
     "resolve",
     "parse_complex",
     "format_complex",
-    "check_growth",
     "type_for",
 ]
 
@@ -244,19 +243,6 @@ def resolve(spec_str: str) -> TestFunction:
             raise ValueError(f"{name} entry takes no parameters, got {sorted(kv)}")
         return simple[name]()
     raise ValueError(f"unknown catalog entry {name!r}; known: exp, sum, zero, rational, trig")
-
-
-def check_growth(fn: TestFunction, cert: GrowthCertificate, grid: Sequence[complex]) -> float:
-    """Worst ratio |f(z)| / (c_eps e^{(h+eps)|z|}) over the grid; <= 1 certifies the bound there."""
-    worst = 0.0
-    rate = fn.spec.h + cert.epsilon
-    for z in grid:
-        z = complex(z)
-        bound = cert.c_epsilon * math.exp(rate * abs(z))
-        if bound == 0.0:
-            return math.inf
-        worst = max(worst, abs(complex(fn.evaluate(z))) / bound)
-    return worst
 
 
 def type_for(fn: TestFunction, alpha: float) -> float:

@@ -2,14 +2,17 @@
 
 Every subcommand writes CSV (UTF-8, LF line endings, one header row, complex
 quantities split into _re/_im columns, floats at 17 significant digits) either
-to --out or to stdout.  Exit codes: 0 success, 2 invalid request (bad flags,
-config, geometry, or domain), 3 numeric failure (budget exhausted or an
-ill-conditioned fit).
+to --out or to stdout.  Exit codes: 0 success, 2 configuration or usage error,
+3 numeric failure (a sample point outside the admissible domain, an exhausted
+quadrature budget, a non-finite integrand value, or a residual above the
+configured threshold).
 """
 
 import argparse
 import cmath
+import contextlib
 import csv
+import functools
 import math
 import sys
 from typing import Optional
@@ -34,11 +37,12 @@ from .laplace import (
     ConcatenatedTransform,
     DELTA_MIN_DEFAULT,
     TransformQuery,
-    concatenated_transform,
+    _transform_along,
     directional_transform,
     gamma_bound_check,
     select_direction,
 )
+from .laplace import concatenated_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .probe import probe_report
 from .quadrature import QuadratureBudget
 from .selftest import run_criteria
@@ -51,6 +55,8 @@ _SKIPPABLE = (OutsideDomain, OutsideUnion, OutsideSector, AngularMarginTooSmall)
 _NUMERIC_ERRORS = (BudgetExceeded, IllConditioned) + _SKIPPABLE
 _REQUEST_ERRORS = (InvalidApex, InvalidDecay, ValueError)
 _BOOL_KEYS = {"skip_invalid", "check_bound"}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
 def _float_list(text: str) -> list[float]:
@@ -77,12 +83,8 @@ def _fmt(value) -> str:
 
 def _write_csv(out: Optional[str], header: list[str], rows: list[list]) -> None:
     formatted = [[_fmt(cell) if not isinstance(cell, str) else cell for cell in row] for row in rows]
-    if out in (None, "-"):
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(formatted)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with (contextlib.nullcontext(sys.stdout) if out in (None, "-")
+          else open(out, "w", encoding="utf-8", newline="")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(formatted)
@@ -103,20 +105,25 @@ def _load_config(path: str) -> dict[str, str]:
     return pairs
 
 
-def _coerce_config(pairs: dict[str, str]) -> dict:
-    typed = {}
+def _config_tokens(path: str, command: str, sp) -> list[str]:
+    """A config file as ``--flag=value`` tokens for ``sp``, checked by argparse like the flags.
+
+    A true bool key becomes the bare flag, a false one nothing.  ValueError
+    for a malformed line, then a bad bool, then keys that are not flags of ``sp``.
+    """
+    pairs = _load_config(path)
     for key, value in pairs.items():
-        if key in _BOOL_KEYS:
-            low = value.lower()
-            if low in ("1", "true", "yes", "on"):
-                typed[key] = True
-            elif low in ("0", "false", "no", "off"):
-                typed[key] = False
-            else:
-                raise ValueError(f"config key {key!r} expects a boolean, got {value!r}")
-        else:
-            typed[key] = value  # argparse re-parses string defaults with the flag's type
-    return typed
+        if key in _BOOL_KEYS and value.lower() not in _TRUE + _FALSE:
+            raise ValueError(f"config key {key!r} expects a boolean, got {value!r}")
+    flags = {a.dest: a.option_strings[0] for a in sp._actions if a.dest not in ("help", "config")}
+    unknown = set(pairs) - set(flags)
+    if unknown:
+        raise ValueError(f"unknown config key(s) for {command}: {', '.join(sorted(unknown))}")
+    return [
+        flags[key] if key in _BOOL_KEYS else f"{flags[key]}={value}"
+        for key, value in pairs.items()
+        if key not in _BOOL_KEYS or value.lower() in _TRUE
+    ]
 
 
 def _budget(args) -> QuadratureBudget:
@@ -157,7 +164,7 @@ def _cmd_transform(args, parser) -> int:
             else:
                 theta = select_direction(ct, omega)
                 margin = ct.margin(omega, theta)
-                res = concatenated_transform(ct, omega, budget)
+                res = _transform_along(ct, omega, theta, budget)
         except _SKIPPABLE as exc:
             if args.skip_invalid:
                 skipped += 1
@@ -330,7 +337,12 @@ def _cmd_selftest(args, parser) -> int:
     return 1 if failed else 0
 
 
-def _add_output_flags(sp):
+def _add_output_flags(sp, check_bound=False):
+    if check_bound:
+        sp.add_argument("--epsilon", type=float, default=0.1,
+                        help="growth slack for --check-bound")
+        sp.add_argument("--check-bound", dest="check_bound", action="store_true",
+                        help="verify the uniform |g| bound on the contour before inverting")
     sp.add_argument("--config", help="flat key=value file; explicit flags override it")
     sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9,
                     help="relative quadrature tolerance (default 1e-9)")
@@ -341,13 +353,20 @@ def _add_output_flags(sp):
                     help="skip points that violate domain constraints instead of aborting")
 
 
-def _add_fn_flags(sp):
+def _add_fn_flags(sp, apex=False):
     sp.add_argument("--fn", help="catalog id, e.g. exp:a=-1 | sum:a1=-1,c1=1,a2=-2,c2=2 "
                                  "| zero | rational | trig")
     sp.add_argument("--alpha", type=float, default=None,
                     help="sector half-opening in (0, pi/2); defaults to the entry's own")
     sp.add_argument("--h", type=float, default=None,
                     help="exponential type bound; defaults to the entry's value at alpha")
+    if apex:
+        sp.add_argument("--p", type=float, default=None, help="contour apex (real)")
+
+
+def _add_g_source_flag(sp):
+    sp.add_argument("--g-source", dest="g_source", choices=("auto", "oracle", "numeric"),
+                    default="auto")
 
 
 def build_parser():
@@ -357,7 +376,6 @@ def build_parser():
                     "and analyticity probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     sp = sub.add_parser("transform", help="evaluate the transform g at given omega points")
     _add_fn_flags(sp)
@@ -371,40 +389,27 @@ def build_parser():
                     choices=("auto", "oracle", "numeric"), default="auto")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_transform)
-    registry["transform"] = sp
 
     sp = sub.add_parser("invert", help="reconstruct f from g over the unbounded contour")
-    _add_fn_flags(sp)
-    sp.add_argument("--p", type=float, required=False, default=None, help="contour apex (real)")
+    _add_fn_flags(sp, apex=True)
     sp.add_argument("--z", type=_complex_list, default=None,
                     help="comma separated evaluation points inside the sector")
-    sp.add_argument("--g-source", dest="g_source", choices=("auto", "oracle", "numeric"),
-                    default="auto")
-    sp.add_argument("--epsilon", type=float, default=0.1,
-                    help="growth slack for --check-bound")
-    sp.add_argument("--check-bound", dest="check_bound", action="store_true",
-                    help="verify the uniform |g| bound on the contour before inverting")
-    _add_output_flags(sp)
+    _add_g_source_flag(sp)
+    _add_output_flags(sp, check_bound=True)
     sp.set_defaults(func=_cmd_invert)
-    registry["invert"] = sp
 
     sp = sub.add_parser("roundtrip", help="transform then invert on a polar grid, with residuals")
-    _add_fn_flags(sp)
-    sp.add_argument("--p", type=float, default=None, help="contour apex (real)")
-    sp.add_argument("--radii", type=_float_list, default=[0.5, 1.0, 2.0],
+    _add_fn_flags(sp, apex=True)
+    # a tuple: the parser and so its defaults are shared by every call in the process
+    sp.add_argument("--radii", type=_float_list, default=(0.5, 1.0, 2.0),
                     help="comma separated grid radii")
     sp.add_argument("--angles", type=_float_list, default=None,
                     help="comma separated grid angles (default -alpha/2,0,alpha/2)")
-    sp.add_argument("--g-source", dest="g_source", choices=("auto", "oracle", "numeric"),
-                    default="auto")
+    _add_g_source_flag(sp)
     sp.add_argument("--max-rel", dest="max_rel", type=float, default=1e-4,
                     help="largest acceptable relative residual; exceeding it exits 3")
-    sp.add_argument("--epsilon", type=float, default=0.1,
-                    help="growth slack for --check-bound")
-    sp.add_argument("--check-bound", dest="check_bound", action="store_true")
-    _add_output_flags(sp)
+    _add_output_flags(sp, check_bound=True)
     sp.set_defaults(func=_cmd_roundtrip)
-    registry["roundtrip"] = sp
 
     sp = sub.add_parser("indicator", help="estimate the directional growth indicator")
     _add_fn_flags(sp)
@@ -418,7 +423,6 @@ def build_parser():
                     help="geometric sample count per ray")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_indicator)
-    registry["indicator"] = sp
 
     sp = sub.add_parser("probe", help="boundary blow-up sweep, radius scan, slope diagnostics")
     _add_fn_flags(sp)
@@ -429,19 +433,22 @@ def build_parser():
                     help="chord start for truncated-contour diagnostics")
     sp.add_argument("--r", type=parse_complex, default=None,
                     help="chord end for truncated-contour diagnostics")
-    sp.add_argument("--g-source", dest="g_source", choices=("auto", "oracle", "numeric"),
-                    default="auto")
+    _add_g_source_flag(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_probe)
-    registry["probe"] = sp
 
     sp = sub.add_parser("selftest", help="run the acceptance criteria")
     sp.add_argument("--only", type=_int_list, default=None,
                     help="comma separated criterion numbers, e.g. 1,4,11")
     sp.set_defaults(func=_cmd_selftest)
-    registry["selftest"] = sp
 
-    return parser, registry
+    return parser, sub.choices  # subcommand name -> its parser
+
+
+@functools.cache
+def _shared_parser():
+    """The one (parser, registry) pair of the process; parsing never changes it."""
+    return build_parser()
 
 
 # flags whose values are often negative numbers, which bare argparse would
@@ -468,28 +475,20 @@ def _normalize_argv(argv) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _normalize_argv(list(sys.argv[1:] if argv is None else argv))
-    parser, registry = build_parser()
+    parser, registry = _shared_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:
-            pairs = _coerce_config(_load_config(args.config))
+            tokens = _config_tokens(args.config, args.command, registry[args.command])
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        sp = registry[args.command]
-        known = {action.dest for action in sp._actions} - {"help", "config", "func"}
-        unknown = set(pairs) - known
-        if unknown:
-            print(
-                f"error: unknown config key(s) for {args.command}: {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-        sp.set_defaults(**pairs)
-        args = parser.parse_args(argv)  # explicit flags still win over config defaults
+        # right after the subcommand: argparse keeps an option's last value, so explicit flags win
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
 
     if args.command in ("invert", "roundtrip") and args.p is None:
         parser.error(f"{args.command}: --p is required (flag or config)")

@@ -1,4 +1,4 @@
-"""Sectors, rays, half-planes, and the V-shaped inversion contour.
+"""Sectors, growth certificates, and the V-shaped inversion contour.
 
 Conventions used throughout the package:
 
@@ -27,12 +27,9 @@ from .errors import InvalidApex
 __all__ = [
     "SectorSpec",
     "GrowthCertificate",
-    "Ray",
-    "HalfPlane",
     "ContourGamma",
     "sector_contains",
     "build_gamma",
-    "omega_margin",
 ]
 
 
@@ -62,35 +59,6 @@ class GrowthCertificate:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.c_epsilon >= 0.0 and math.isfinite(self.c_epsilon)):
             raise ValueError(f"c_epsilon must be finite and >= 0, got {self.c_epsilon}")
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Ray from the origin in direction e^{i theta}, parameterized by t >= 0."""
-
-    theta: float
-
-    @property
-    def direction(self) -> complex:
-        return cmath.exp(1j * self.theta)
-
-    def point(self, t: float) -> complex:
-        return t * self.direction
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """Half-plane {w : Re(w e^{i theta}) < offset}."""
-
-    theta: float
-    offset: float
-
-    def contains(self, omega: complex) -> bool:
-        return (omega * cmath.exp(1j * self.theta)).real < self.offset
-
-    def margin(self, omega: complex) -> float:
-        """Signed distance to the boundary line; positive inside."""
-        return self.offset - (omega * cmath.exp(1j * self.theta)).real
 
 
 @dataclass(frozen=True)
@@ -147,7 +115,3 @@ def build_gamma(spec: SectorSpec, p: float) -> ContourGamma:
             f"got p*cos(alpha)={gate!r} >= {-spec.h!r}"
         )
     return ContourGamma(p=p, alpha=spec.alpha)
-
-
-def omega_margin(hp: HalfPlane, omega: complex) -> float:
-    return hp.margin(omega)

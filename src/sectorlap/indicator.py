@@ -17,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import TestFunction
-from .geometry import HalfPlane
 
 __all__ = [
     "IndicatorEstimate",
     "estimate_indicator",
-    "omega_theta",
     "default_s_grid",
     "INDICATOR_SENTINEL",
     "OFFSET_CAP",
@@ -96,12 +94,3 @@ def indicator_value(fn: TestFunction, theta: float, source: str = "auto") -> tup
         raise ValueError(f"entry {fn.id!r} has no indicator oracle")
     return estimate_indicator(fn, theta).value, False
 
-
-def omega_theta(fn: TestFunction, theta: float, source: str = "auto") -> HalfPlane:
-    """The admissible half-plane Omega_theta = {w : Re(w e^{i theta}) < -I(theta)}.
-
-    Offsets are capped at +1e9 so the identically-zero entry yields a
-    well-defined (effectively unconstrained) half-plane.
-    """
-    value, _ = indicator_value(fn, theta, source)
-    return HalfPlane(theta=theta, offset=min(-value, OFFSET_CAP))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .catalog import TestFunction, type_for
 from .errors import OutsideDomain, OutsideUnion
-from .geometry import ContourGamma, GrowthCertificate, HalfPlane
+from .geometry import ContourGamma, GrowthCertificate
 from .indicator import OFFSET_CAP, estimate_indicator, indicator_value
 from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate_rays, integrate_ray
 
@@ -198,9 +198,6 @@ class ConcatenatedTransform:
             return min(-max(self.fn.indicator_oracle(theta), -OFFSET_CAP), OFFSET_CAP)
         return float(np.interp(theta, self._grid_thetas, self._grid_offsets))
 
-    def halfplane(self, theta: float) -> HalfPlane:
-        return HalfPlane(theta=theta, offset=self.offset(theta))
-
     def margin(self, omega: complex, theta: float) -> float:
         return self.offset(theta) - (omega * cmath.exp(1j * theta)).real
 
@@ -263,7 +260,13 @@ def concatenated_transform(
 ) -> IntegralResult:
     """g(omega) evaluated along the best direction of the fan."""
     budget = budget or QuadratureBudget()
-    theta = select_direction(ct, omega)
+    return _transform_along(ct, omega, select_direction(ct, omega), budget)
+
+
+def _transform_along(
+    ct: ConcatenatedTransform, omega: complex, theta: float, budget: QuadratureBudget
+) -> IntegralResult:
+    """g(omega) along the fan's direction theta, for a caller that already selected it."""
     return _ray_transform(
         ct.fn,
         theta,

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sectorlap import cli, laplace
 from sectorlap.cli import main
 
 
@@ -188,6 +189,62 @@ def test_config_errors(tmp_path, capsys):
     broken = tmp_path / "broken.cfg"
     broken.write_text("just some words\n", encoding="utf-8")
     assert main(["invert", "--config", str(broken), "--p", "-1", "--z", "1+0i"]) == 2
+
+
+def test_config_values_get_the_flags_choices_check(tmp_path, capsys):
+    cases = (
+        ("probe", "fn = exp:a=1\ng-source = bogus\n"),
+        ("transform", "fn = exp:a=1\nomega = -2+0i\nindicator-source = bogus\n"),
+    )
+    for command, text in cases:
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._shared_parser.cache_clear()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fn = exp:a=-1\nrel-tol = 1e-8\n", encoding="utf-8")
+    for extra in ([], ["--config", str(cfg)], []):
+        rc = main(["transform", "--fn", "exp:a=-1", "--theta", "0", "--omega", "-1+0i",
+                   "--out", str(tmp_path / "g.csv")] + extra)
+        assert rc == 0
+    assert len(builds) == 1
+
+
+def test_config_values_do_not_outlive_their_run(tmp_path):
+    out = str(tmp_path / "f.csv")
+    cfg = tmp_path / "invert.cfg"
+    cfg.write_text("fn = exp:a=-1\np = -1\nz = 1+0i\n", encoding="utf-8")
+    assert main(["invert", "--config", str(cfg), "--out", out]) == 0
+    with pytest.raises(SystemExit) as exc:  # --z is required again
+        main(["invert", "--fn", "exp:a=-1", "--p", "-1", "--out", out])
+    assert exc.value.code == 2
+    cfg = tmp_path / "transform.cfg"
+    cfg.write_text("skip-invalid = true\n", encoding="utf-8")
+    argv = ["transform", "--fn", "exp:a=1", "--theta", "0", "--omega", "0+0i,-2+0i", "--out", out]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert main(argv) == 3  # 0+0i lies outside the domain and is no longer skipped
+
+
+@pytest.mark.parametrize("source", ["auto", "numeric"])
+def test_transform_selects_each_direction_once(monkeypatch, tmp_path, source):
+    omegas = []
+    real = laplace.select_direction
+    counting = lambda ct, omega: omegas.append(omega) or real(ct, omega)
+    monkeypatch.setattr(laplace, "select_direction", counting)
+    monkeypatch.setattr(cli, "select_direction", counting)
+    rc = main(["transform", "--fn", "exp:a=1", "--omega", "-2+0i,-3+0i,-1.5+0.5i",
+               "--indicator-source", source, "--out", str(tmp_path / "g.csv")])
+    assert rc == 0
+    assert omegas == [-2, -3, -1.5 + 0.5j]
 
 
 def test_missing_required_pieces_exit_code():

@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 
 from sectorlap import (
     ContourGamma,
-    HalfPlane,
     InvalidApex,
-    Ray,
     SectorSpec,
     build_gamma,
-    omega_margin,
     sector_contains,
 )
 
@@ -44,24 +41,6 @@ def test_sector_boundary_point_exact_phase():
     spec = SectorSpec(alpha=math.atan2(1.0, 1.0))
     assert not sector_contains(spec, 1 + 1j)
     assert sector_contains(spec, 1 + 1j, closed=True)
-
-
-def test_ray_geometry():
-    ray = Ray(theta=math.pi / 6)
-    assert cmath.isclose(ray.direction, cmath.exp(1j * math.pi / 6))
-    assert cmath.isclose(ray.point(2.0), 2.0 * cmath.exp(1j * math.pi / 6))
-
-
-def test_halfplane_membership_and_margin():
-    hp = HalfPlane(theta=0.0, offset=1.0)
-    assert hp.contains(0.0)
-    assert not hp.contains(2.0)
-    assert math.isclose(hp.margin(0.0), 1.0)
-    assert math.isclose(omega_margin(hp, 2.0), -1.0)
-    # rotated half-plane: membership tests Re(omega e^{i theta}) < offset
-    hp90 = HalfPlane(theta=math.pi / 2, offset=1.0)
-    assert math.isclose(hp90.margin(-3j), -2.0)
-    assert hp90.contains(3j)
 
 
 def test_build_gamma_legs():

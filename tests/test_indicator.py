@@ -7,7 +7,6 @@ from sectorlap import (
     estimate_indicator,
     indicator_value,
     make_exp,
-    omega_theta,
     rational_function,
     trig_decay,
     zero_function,
@@ -84,11 +83,3 @@ def test_indicator_value_without_oracle():
     assert not is_exact
     assert math.isclose(value, -1.0, abs_tol=0.02)
 
-
-def test_omega_theta_halfplane():
-    hp = omega_theta(make_exp(1), 0.0)
-    assert math.isclose(hp.offset, -1.0)
-    assert hp.contains(-1.5)
-    assert not hp.contains(-0.5)
-    # sentinel indicator maps to the capped offset
-    assert omega_theta(zero_function(), 0.0).offset == 1e9

@@ -139,6 +139,17 @@ def test_concatenated_numeric_offsets_interpolate():
         assert math.isclose(ct.offset(theta), math.cos(theta), abs_tol=0.02)
 
 
+def test_fan_offsets_and_zero_entry_cap():
+    # Omega_theta = {w : Re(w e^{i theta}) < -I(theta)}: Re w < -1 for e^z at theta = 0
+    ct = ConcatenatedTransform.build(make_exp(1), alpha=math.pi / 4)
+    assert math.isclose(ct.offset(0.0), -1.0)
+    assert ct.margin(-1.5, 0.0) > 0.0 > ct.margin(-0.5, 0.0)
+    # the zero entry's sentinel indicator maps to the capped offset, from the oracle or an estimate
+    for source in ("oracle", "numeric"):
+        ct = ConcatenatedTransform.build(zero_function(), alpha=math.pi / 4, indicator_source=source)
+        assert ct.offset(0.0) == 1e9
+
+
 def test_consistency_between_directions():
     fn = make_exp(-1 + 1j)
     residual, combined = consistency_residual(fn, -math.pi / 8, math.pi / 8, -2.5 + 0.5j, BUDGET)

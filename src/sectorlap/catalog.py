@@ -37,10 +37,14 @@ __all__ = [
     "parse_complex",
     "format_complex",
     "type_for",
+    "ORACLE_SOURCES",
+    "pick_oracle",
 ]
 
 # entries that are analytic on every sub-pi/2 sector declare (just under) the cap
 ALPHA_CAP = math.pi / 2 * (1.0 - 1e-12)
+# where an indicator or a transform comes from: pick_oracle says what each name selects
+ORACLE_SOURCES = ("auto", "oracle", "numeric")
 
 
 @dataclass(frozen=True)
@@ -251,3 +255,18 @@ def type_for(fn: TestFunction, alpha: float) -> float:
         return fn.type_oracle(alpha)
     return fn.spec.h
 
+
+def pick_oracle(fn: TestFunction, kind: str, source: str) -> Optional[Callable]:
+    """The entry's ``kind`` oracle ("indicator" or "transform") that ``source`` selects.
+
+    "auto" takes the oracle when the entry has one, "oracle" requires it and
+    "numeric" never takes it; None means the value is computed numerically.
+    ValueError for a source outside ORACLE_SOURCES, or for "oracle" when the
+    entry has no such oracle.
+    """
+    if source not in ORACLE_SOURCES:
+        raise ValueError(f"{kind} source must be auto|oracle|numeric, got {source!r}")
+    oracle = getattr(fn, f"{kind}_oracle")
+    if source == "oracle" and oracle is None:
+        raise ValueError(f"entry {fn.id!r} has no {kind} oracle")
+    return None if source == "numeric" else oracle

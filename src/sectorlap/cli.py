@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import parse_complex, resolve, type_for
+from .catalog import ORACLE_SOURCES, parse_complex, resolve, type_for
 from .errors import (
     AngularMarginTooSmall,
     BudgetExceeded,
@@ -152,11 +152,12 @@ def _cmd_transform(args, parser) -> int:
         ct = ConcatenatedTransform.build(
             fn, alpha=args.alpha, indicator_source=args.indicator_source, min_margin=args.delta_min
         )
+    else:
+        ind, _ = indicator_value(fn, args.theta, args.indicator_source)  # theta is fixed for every omega
     for omega in args.omega:
         try:
             if ct is None:
                 theta = args.theta
-                ind, _ = indicator_value(fn, theta, args.indicator_source)
                 margin = -ind - (omega * cmath.exp(1j * theta)).real
                 res = directional_transform(
                     TransformQuery(fn, theta, omega, budget, args.delta_min, args.indicator_source)
@@ -365,8 +366,7 @@ def _add_fn_flags(sp, apex=False):
 
 
 def _add_g_source_flag(sp):
-    sp.add_argument("--g-source", dest="g_source", choices=("auto", "oracle", "numeric"),
-                    default="auto")
+    sp.add_argument("--g-source", dest="g_source", choices=ORACLE_SOURCES, default="auto")
 
 
 def build_parser():
@@ -385,8 +385,7 @@ def build_parser():
                     help="comma separated complex points, e.g. -2+0i,-1.5+0.3i")
     sp.add_argument("--delta-min", dest="delta_min", type=float, default=DELTA_MIN_DEFAULT,
                     help="smallest admissible margin to the half-plane boundary")
-    sp.add_argument("--indicator-source", dest="indicator_source",
-                    choices=("auto", "oracle", "numeric"), default="auto")
+    sp.add_argument("--indicator-source", dest="indicator_source", choices=ORACLE_SOURCES, default="auto")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_transform)
 

@@ -11,12 +11,11 @@ width.
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import TestFunction
+from .catalog import TestFunction, pick_oracle
 
 __all__ = [
     "IndicatorEstimate",
@@ -29,6 +28,7 @@ __all__ = [
 INDICATOR_SENTINEL = -1e9
 OFFSET_CAP = 1e9
 _UNDERFLOW = 1e-300
+_WINDOW = 8
 
 
 def default_s_grid(s_min: float = 1.0, s_max: float = 2.0**16, count: int = 64) -> np.ndarray:
@@ -43,24 +43,17 @@ class IndicatorEstimate:
     s_max: float
 
 
-def estimate_indicator(
-    fn: TestFunction,
-    theta: float,
-    s_grid: np.ndarray | None = None,
-    window: int = 8,
-) -> IndicatorEstimate:
-    """Numeric indicator estimate at direction theta.
+def estimate_indicator(fn: TestFunction, theta: float, s_grid: np.ndarray | None = None) -> IndicatorEstimate:
+    """Numeric indicator estimate at direction theta, from sliding windows of _WINDOW slopes.
 
     Requires |theta| <= fn.spec.alpha and an increasing radius grid of at
-    least 3*window points.
+    least 3*_WINDOW points.
     """
     if not abs(theta) <= fn.spec.alpha + 1e-12:
         raise ValueError(f"direction theta={theta} outside the closed sector |theta| <= {fn.spec.alpha}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     s = np.asarray(default_s_grid() if s_grid is None else s_grid, dtype=float)
-    if s.ndim != 1 or len(s) < 3 * window:
-        raise ValueError(f"s_grid needs at least 3*window={3 * window} increasing points, got {len(s)}")
+    if s.ndim != 1 or len(s) < 3 * _WINDOW:
+        raise ValueError(f"s_grid needs at least 3*window={3 * _WINDOW} increasing points, got {len(s)}")
     if not (np.all(np.diff(s) > 0) and s[0] > 0):
         raise ValueError("s_grid must be positive and strictly increasing")
 
@@ -72,7 +65,7 @@ def estimate_indicator(
         return IndicatorEstimate(theta=theta, value=INDICATOR_SENTINEL, ci_width=0.0, s_max=0.0)
     r = np.log(mags[keep]) / s_ok
 
-    w = min(window, len(r))
+    w = min(_WINDOW, len(r))
     means = np.convolve(r, np.ones(w) / w, mode="valid")
     tail = means[len(means) // 2 :]
     value = float(np.max(tail))
@@ -86,11 +79,8 @@ def indicator_value(fn: TestFunction, theta: float, source: str = "auto") -> tup
     source: "auto" prefers the oracle, "oracle" requires it, "numeric"
     forces estimation.  Values are floored at the -1e9 sentinel.
     """
-    if source not in ("auto", "oracle", "numeric"):
-        raise ValueError(f"indicator source must be auto|oracle|numeric, got {source!r}")
-    if source != "numeric" and fn.indicator_oracle is not None:
-        return max(fn.indicator_oracle(theta), INDICATOR_SENTINEL), True
-    if source == "oracle":
-        raise ValueError(f"entry {fn.id!r} has no indicator oracle")
+    oracle = pick_oracle(fn, "indicator", source)
+    if oracle is not None:
+        return max(oracle(theta), INDICATOR_SENTINEL), True
     return estimate_indicator(fn, theta).value, False
 

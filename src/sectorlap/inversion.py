@@ -10,7 +10,7 @@ out along the upper), the inversion integral splits into two ray integrals:
 opposite to the leg parameter there).  For z = |z| e^{i phi} inside the open
 sector the integrand decays like e^{-u |z| sin(alpha + phi)} on the lower leg
 and e^{-t |z| sin(alpha - phi)} on the upper one, which is why an angular
-margin min(alpha - phi, alpha + phi) >= delta_ang is enforced.
+margin min(alpha - phi, alpha + phi) >= delta_ang = DELTA_ANG_DEFAULT is enforced.
 
 g comes either from the entry's transform oracle or from nested numeric
 transforms along theta = -+ alpha with a budget 100x tighter than the outer
@@ -40,11 +40,11 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import TestFunction, type_for
+from .catalog import ORACLE_SOURCES, TestFunction, pick_oracle, type_for
 from .errors import AngularMarginTooSmall, OutsideSector, SectorLapError
 from .geometry import ContourGamma, SectorSpec, build_gamma, sector_contains
 from .indicator import indicator_value
-from .laplace import _RATE_HAIRCUT, DELTA_MIN_DEFAULT, _ray_transform_values
+from .laplace import DELTA_MIN_DEFAULT, _decay_rate, _ray_transform_values
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate_rays, integrate_ray
 
@@ -63,16 +63,16 @@ DELTA_ANG_DEFAULT = 0.05
 
 @dataclass(frozen=True)
 class ReconstructionQuery:
+    """f(z) from g on the contour gamma; ``g_source`` is a name ``pick_oracle`` takes."""
+
     fn: TestFunction
     gamma: ContourGamma
     z: complex
     budget: QuadratureBudget = QuadratureBudget()
     g_source: str = "auto"
-    delta_ang: float = DELTA_ANG_DEFAULT
-    inner_factor: float = 100.0
 
     def __post_init__(self):
-        if self.g_source not in ("auto", "oracle", "numeric"):
+        if self.g_source not in ORACLE_SOURCES:
             raise ValueError(f"g_source must be auto|oracle|numeric, got {self.g_source!r}")
 
 
@@ -86,11 +86,10 @@ def _g_evaluator(q: ReconstructionQuery):
     """
     fn = q.fn
     inner_err = [0.0, 0.0]
-    if q.g_source != "numeric" and fn.transform_oracle is not None:
-        return lambda ws, legs: fn.transform_oracle(ws), inner_err
-    if q.g_source == "oracle":
-        raise ValueError(f"entry {fn.id!r} has no transform oracle")
-    inner = q.budget.tighten(q.inner_factor)
+    oracle = pick_oracle(fn, "transform", q.g_source)
+    if oracle is not None:
+        return lambda ws, legs: oracle(ws), inner_err
+    inner = q.budget.tighten()
     thetas = (-q.gamma.alpha, q.gamma.alpha)
 
     def g(ws, legs):
@@ -115,9 +114,9 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
         raise OutsideSector(f"z={z} is not inside the open sector of half-angle {alpha}")
     phi = cmath.phase(z)
     ang = min(alpha - phi, alpha + phi)
-    if not ang >= q.delta_ang:
+    if not ang >= DELTA_ANG_DEFAULT:
         raise AngularMarginTooSmall(
-            f"z={z} has angular margin {ang:.4f} < delta_ang={q.delta_ang}; "
+            f"z={z} has angular margin {ang:.4f} < delta_ang={DELTA_ANG_DEFAULT}; "
             "the leg integrals would decay too slowly"
         )
 
@@ -229,14 +228,14 @@ def cauchy_path_check(
     p: float,
     z: complex,
     budget: QuadratureBudget | None = None,
-    delta_ang: float = DELTA_ANG_DEFAULT,
 ) -> tuple[float, float]:
     """Residual |2 pi i f(z) - (R1 - R2)| of the boundary-ray identity.
 
     R1 and R2 integrate f(zeta) e^{p(zeta-z)} / (zeta - z) over the lower
     (theta = -alpha) and upper (theta = +alpha) boundary rays.  Returns
     (residual, combined est_error); the residual should sit at quadrature
-    tolerance for admissible (spec, p, z).
+    tolerance for admissible (spec, p, z), which includes an angular margin
+    of at least DELTA_ANG_DEFAULT from both rays.
     """
     budget = budget or QuadratureBudget()
     gamma = build_gamma(spec, p)  # validates the apex gate
@@ -244,8 +243,8 @@ def cauchy_path_check(
     if not sector_contains(spec, z, closed=False):
         raise OutsideSector(f"z={z} is not inside the open sector of half-angle {spec.alpha}")
     phi = cmath.phase(z)
-    if not min(spec.alpha - phi, spec.alpha + phi) >= delta_ang:
-        raise AngularMarginTooSmall(f"z={z} is within {delta_ang} of a boundary ray")
+    if not min(spec.alpha - phi, spec.alpha + phi) >= DELTA_ANG_DEFAULT:
+        raise AngularMarginTooSmall(f"z={z} is within {DELTA_ANG_DEFAULT} of a boundary ray")
 
     total = 0j
     err = 0.0
@@ -253,9 +252,7 @@ def cauchy_path_check(
         theta_ray = sign * spec.alpha
         d = cmath.exp(1j * theta_ray)
         ind, exact = indicator_value(fn, theta_ray)
-        rate = -(ind + p * math.cos(spec.alpha))
-        if not exact:
-            rate *= _RATE_HAIRCUT
+        rate = _decay_rate(-(ind + p * math.cos(spec.alpha)), exact)
         dist = _ray_distance(z, theta_ray)
         amp = fn.envelope_const * math.exp(-p * z.real) / dist
         epz = cmath.exp(-p * z)

@@ -15,8 +15,8 @@ agree on overlaps, so the concatenated transform simply evaluates along the
 direction of largest margin.
 
 Margins are computed from the indicator oracle when one exists; otherwise
-from the numeric estimate with a 10% haircut on the decay rate, since an
-estimated indicator can be slightly low.
+from the numeric estimate, and ``_decay_rate`` then takes 10% off the decay
+rate, since an estimated indicator can be slightly low.
 
 A numeric g at many omegas along one direction (the inversion legs, the
 probe scans, the contour-bound check) is one batch: ``_ray_transform_values``
@@ -34,10 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import TestFunction, type_for
+from .catalog import TestFunction, pick_oracle, type_for
 from .errors import OutsideDomain, OutsideUnion
 from .geometry import ContourGamma, GrowthCertificate
-from .indicator import OFFSET_CAP, estimate_indicator, indicator_value
+from .indicator import INDICATOR_SENTINEL, OFFSET_CAP, estimate_indicator, indicator_value
 from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate_rays, integrate_ray
 
 __all__ = [
@@ -75,6 +75,11 @@ class TransformQuery:
             raise ValueError(f"delta_min must be positive, got {self.delta_min}")
 
 
+def _decay_rate(margin, exact_indicator: bool):
+    """Decay rate of a ray integrand with this margin: 10% less when the indicator was estimated."""
+    return margin if exact_indicator else _RATE_HAIRCUT * margin
+
+
 def _ray_integrands(
     fn: TestFunction, theta: float, omegas, indicator: float, exact_indicator: bool, delta_min: float
 ):
@@ -100,7 +105,7 @@ def _ray_integrands(
             f"omega={omegas[i]} has margin {margin[i]:.3e} < delta_min={delta_min:.3e} "
             f"in Omega_theta at theta={theta}"
         )
-    rate = margin if exact_indicator else _RATE_HAIRCUT * margin
+    rate = _decay_rate(margin, exact_indicator)
     prefactor = direction / (2j * math.pi)
     integrand = lambda t, k: prefactor * fn.weighted_eval(t * direction, om[k])
     return integrand, rate, fn.envelope_const / (2.0 * math.pi), np.abs(proj_im)
@@ -148,10 +153,10 @@ def directional_transform(query: TransformQuery) -> IntegralResult:
 class ConcatenatedTransform:
     """Immutable bundle of an entry with its fan of half-planes on [-alpha, alpha].
 
-    When the entry has an indicator oracle the offsets come from it directly;
-    otherwise they are interpolated from numeric estimates precomputed on a
-    theta grid at construction, so the object stays immutable and cheap to
-    query afterwards.
+    When the indicator source picks the entry's oracle the offsets come from
+    it directly; otherwise they are interpolated from numeric estimates
+    precomputed on a 65-point theta grid at construction, so the object stays
+    immutable and cheap to query afterwards.
     """
 
     fn: TestFunction
@@ -167,20 +172,14 @@ class ConcatenatedTransform:
         alpha: float | None = None,
         indicator_source: str = "auto",
         min_margin: float = DELTA_MIN_DEFAULT,
-        grid_points: int = 65,
     ) -> "ConcatenatedTransform":
         eff = min(alpha, fn.spec.alpha) if alpha is not None else fn.spec.alpha
         if not (0.0 < eff < math.pi / 2):
             raise ValueError(f"effective alpha must lie in (0, pi/2), got {eff}")
-        use_oracle = indicator_source != "numeric" and fn.indicator_oracle is not None
-        if indicator_source == "oracle" and fn.indicator_oracle is None:
-            raise ValueError(f"entry {fn.id!r} has no indicator oracle")
-        if use_oracle:
+        if pick_oracle(fn, "indicator", indicator_source) is not None:
             return cls(fn=fn, alpha=eff, min_margin=min_margin)
-        thetas = np.linspace(-eff, eff, grid_points)
-        offsets = tuple(
-            min(-estimate_indicator(fn, float(t)).value, OFFSET_CAP) for t in thetas
-        )
+        thetas = np.linspace(-eff, eff, 65)
+        offsets = tuple(-estimate_indicator(fn, float(t)).value for t in thetas)
         return cls(
             fn=fn,
             alpha=eff,
@@ -195,7 +194,7 @@ class ConcatenatedTransform:
 
     def offset(self, theta: float) -> float:
         if self.exact:
-            return min(-max(self.fn.indicator_oracle(theta), -OFFSET_CAP), OFFSET_CAP)
+            return -max(self.fn.indicator_oracle(theta), INDICATOR_SENTINEL)
         return float(np.interp(theta, self._grid_thetas, self._grid_offsets))
 
     def margin(self, omega: complex, theta: float) -> float:
@@ -303,14 +302,13 @@ def gamma_bound_check(
     gamma: ContourGamma,
     samples: int = 200,
     budget: QuadratureBudget | None = None,
-    t_range: tuple[float, float] = (1e-2, 1e2),
 ) -> float:
     """Worst excess of |g| over the uniform contour bound c_eps / -(h+eps+p cos(alpha)).
 
-    Samples both legs of the contour at geometrically spaced leg parameters,
-    computing g numerically along the leg's natural direction (theta = -alpha
-    on the lower leg, +alpha on the upper); a nonpositive return certifies
-    the bound at every sample.
+    Samples both legs of the contour at ``samples`` leg parameters spaced
+    geometrically over [1e-2, 1e2], computing g numerically along the leg's
+    natural direction (theta = -alpha on the lower leg, +alpha on the upper);
+    a nonpositive return certifies the bound at every sample.
     """
     budget = budget or QuadratureBudget()
     h = type_for(fn, gamma.alpha)
@@ -321,7 +319,7 @@ def gamma_bound_check(
             "tighten epsilon or move the apex left"
         )
     bound = -cert.c_epsilon / denom
-    ts = np.geomspace(t_range[0], t_range[1], samples)
+    ts = np.geomspace(1e-2, 1e2, samples)
     worst = -math.inf
     for leg_theta, leg_dir in (
         (-gamma.alpha, gamma.lower_direction),

@@ -32,9 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import TestFunction
+from .catalog import TestFunction, pick_oracle
 from .errors import IllConditioned
-from .indicator import OFFSET_CAP, indicator_value
+from .indicator import indicator_value
 from .laplace import DELTA_MIN_DEFAULT, _golden_section_max, _ray_transform_values
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import DecayModel, QuadratureBudget, _integrate_rays, _integrate_segments
@@ -97,36 +97,35 @@ class ProbeReport:
 
 
 def _g_values(fn, theta, omegas, budget, g_source, delta_min):
-    if g_source != "numeric" and fn.transform_oracle is not None:
-        return np.asarray(fn.transform_oracle(np.asarray(omegas, dtype=complex)), dtype=complex)
-    if g_source == "oracle":
-        raise ValueError(f"entry {fn.id!r} has no transform oracle")
+    oracle = pick_oracle(fn, "transform", g_source)
+    if oracle is not None:
+        return np.asarray(oracle(np.asarray(omegas, dtype=complex)), dtype=complex)
     return _ray_transform_values(fn, theta, omegas, budget, delta_min)[0]
 
 
 def blowup_scan(
     fn: TestFunction,
     theta: float,
-    delta_grid: np.ndarray | None = None,
-    sweep_halfwidth: float = 4.0,
-    sweep_points: int = 128,
     budget: QuadratureBudget | None = None,
     g_source: str = "auto",
-    detection_ratio: float = 10.0,
 ) -> BlowupScan:
-    """Sweep the boundary of Omega_theta for blow-up of |g| along inward normals."""
+    """Sweep the boundary of Omega_theta for blow-up of |g| along inward normals.
+
+    The sweep covers 128 boundary points over [-4, 4] about the closest
+    point to the origin; the margins descend geometrically from 0.1 to 1e-4
+    (13 levels) with an oracle g, to 1e-3 (7 levels) with a numeric one, and
+    a blow-up counts as detected once |g| grows at least 10-fold over them.
+    """
     budget = budget or QuadratureBudget()
-    has_oracle = g_source != "numeric" and fn.transform_oracle is not None
-    if delta_grid is None:
-        # numeric transforms cannot go below the default admission margin
-        delta_grid = np.geomspace(1e-1, 1e-4 if has_oracle else 1e-3, 13 if has_oracle else 7)
-    deltas = np.sort(np.asarray(delta_grid, dtype=float))[::-1]
+    has_oracle = pick_oracle(fn, "transform", g_source) is not None
+    # numeric transforms cannot go below the default admission margin
+    deltas = np.geomspace(1e-1, 1e-4 if has_oracle else 1e-3, 13 if has_oracle else 7)
     delta_min = float(deltas[-1])
 
     ind, _ = indicator_value(fn, theta)
-    offset = min(-ind, OFFSET_CAP)
+    offset = -ind
     back = cmath.exp(-1j * theta)
-    taus = np.linspace(-sweep_halfwidth, sweep_halfwidth, sweep_points)
+    taus = np.linspace(-4.0, 4.0, 128)
 
     def boundary(tau):
         return (offset + 1j * tau) * back
@@ -156,7 +155,7 @@ def blowup_scan(
         _g_values(fn, theta, [point - d * back for d in deltas], budget, g_source, delta_min / 2)
     )
     ratio = float(mags[-1] / mags[0]) if mags[0] > 0 else 0.0
-    if ratio < detection_ratio:
+    if ratio < 10.0:
         return BlowupScan(theta, False, None, None, ratio, offset)
     ok = mags > 0
     slope = float(np.polyfit(np.log(deltas[ok]), np.log(mags[ok]), 1)[0]) if ok.sum() >= 2 else math.nan
@@ -170,9 +169,12 @@ def radius_scan(
     budget: QuadratureBudget | None = None,
     theta: float | None = None,
     g_source: str = "auto",
-    circle_points: int = 256,
 ) -> RadiusScan:
-    """Distance to the nearest singularity of g from Taylor coefficients at ``center``."""
+    """Distance to the nearest singularity of g from Taylor coefficients at ``center``.
+
+    The coefficients come from the FFT of g at 256 points on a circle of
+    radius 0.8x the margin of ``center``.
+    """
     budget = budget or QuadratureBudget()
     center = complex(center)
     if degree < 8:
@@ -181,21 +183,19 @@ def radius_scan(
         # direction of largest margin, scanned over the entry's admissible fan
         thetas = np.linspace(-fn.spec.alpha, fn.spec.alpha, 129)
         margins = [
-            min(-indicator_value(fn, float(t))[0], OFFSET_CAP)
-            - (center * cmath.exp(1j * float(t))).real
-            for t in thetas
+            -indicator_value(fn, float(t))[0] - (center * cmath.exp(1j * float(t))).real for t in thetas
         ]
         theta = float(thetas[int(np.argmax(margins))])
     ind, _ = indicator_value(fn, theta)
-    margin = min(-ind, OFFSET_CAP) - (center * cmath.exp(1j * theta)).real
+    margin = -ind - (center * cmath.exp(1j * theta)).real
     if not margin > 0:
         raise ValueError(f"center {center} lies outside Omega_theta at theta={theta}")
 
     rho = 0.8 * margin
-    phis = 2.0 * math.pi * np.arange(circle_points) / circle_points
+    phis = 2.0 * math.pi * np.arange(256) / 256
     ring = center + rho * np.exp(1j * phis)
     vals = _g_values(fn, theta, ring, budget, g_source, min(DELTA_MIN_DEFAULT, 0.1 * margin))
-    coeffs = np.fft.fft(vals) / circle_points
+    coeffs = np.fft.fft(vals) / 256
     n = np.arange(degree + 1)
     cn = np.abs(coeffs[: degree + 1]) / rho**n
 
@@ -232,7 +232,6 @@ def gamma_prime_diagnostics(
     theta: float,
     q: complex,
     r: complex,
-    s_grid: np.ndarray | None = None,
     budget: QuadratureBudget | None = None,
 ) -> GammaPrimeDiagnostics:
     """Growth rates of the chord-plus-rays pieces against the geometric bound.
@@ -241,12 +240,13 @@ def gamma_prime_diagnostics(
     rays r + i e^{-i alpha} [0, inf) and q - i e^{i alpha} [0, inf); its three
     absolute leg integrals at z = s e^{i theta} are
 
-        J_i(s) = int |g(w)| e^{-s Re(w e^{i theta})} |dw|.
+        J_i(s) = int |g(w)| e^{-s Re(w e^{i theta})} |dw|,
 
-    Each fitted slope of ln J_i against s must stay at or below
-    -inf Re(w e^{i theta}) over the truncated contour; an indicator strictly
-    above that infimum therefore rules the representation out.  Requires a
-    transform oracle, pieces clear of its singularities, and |theta| < alpha.
+    computed at s = 4, 7, ..., 28.  Each fitted slope of ln J_i against s
+    must stay at or below -inf Re(w e^{i theta}) over the truncated contour;
+    an indicator strictly above that infimum therefore rules the
+    representation out.  Requires a transform oracle, pieces clear of its
+    singularities, and |theta| < alpha.
     """
     budget = budget or QuadratureBudget()
     if fn.transform_oracle is None:
@@ -256,9 +256,7 @@ def gamma_prime_diagnostics(
     if not abs(theta) < alpha:
         raise ValueError(f"need |theta| < alpha for positive ray decay, got theta={theta}")
     q, r = complex(q), complex(r)
-    if s_grid is None:
-        s_grid = np.linspace(4.0, 28.0, 9)
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = np.linspace(4.0, 28.0, 9)
 
     phase = cmath.exp(1j * theta)
     down = -1j * cmath.exp(1j * alpha)

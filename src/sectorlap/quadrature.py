@@ -72,8 +72,6 @@ _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _CHUNK_PANELS = 64
 # seed panels held at once when seeding many integrals; bounds the panel state
 _GROUP_PANELS = 2048
-# rays whose seed intervals are built at once, at most about 11 intervals each
-_BLOCK_RAYS = 256
 
 
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -383,13 +381,10 @@ def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: Quadrat
     live = [j for j, arg in enumerate(args) if arg > 1.0]
     T_live = [math.log(args[j]) / rates[j] for j in live]
     values, errors, used = [], [], []
-    for s in range(0, len(live), _BLOCK_RAYS):
-        rays = live[s : s + _BLOCK_RAYS]
-        a, b, ray, first = _ray_breakpoints(T_live[s : s + _BLOCK_RAYS], [rates[j] for j in rays])
-        owners = np.array(rays)
-        block = _integrate_seeds(fn, a, b, ray, first, owners, osc_freq[owners], budget)
-        for out, part in zip((values, errors, used), block):
-            out.extend(part)
+    if live:
+        a, b, ray, first = _ray_breakpoints(T_live, [rates[j] for j in live])
+        owners = np.array(live)
+        values, errors, used = _integrate_seeds(fn, a, b, ray, first, owners, osc_freq[owners], budget)
     # integrals below the floor: 0, with est_error A / m and no panels
     n = len(rates)
     value, err, T, panels = [0j] * n, [A / m for m, A in zip(rates, amplitudes)], [0.0] * n, [0] * n

@@ -249,10 +249,8 @@ CRITERIA: tuple[tuple[int, str, Callable], ...] = (
 )
 
 
-def run_criteria(
-    numbers: Optional[Iterable[int]] = None,
-    echo: Callable[[str], None] = print,
-) -> list[CriterionResult]:
+def run_criteria(numbers: Optional[Iterable[int]] = None) -> list[CriterionResult]:
+    """Run the criteria numbered ``numbers`` (all when None), printing one line per criterion."""
     wanted = set(numbers) if numbers is not None else None
     results = []
     for number, name, func in CRITERIA:
@@ -266,5 +264,5 @@ def run_criteria(
         elapsed = time.perf_counter() - start
         results.append(CriterionResult(number, name, passed, detail, elapsed))
         status = "PASS" if passed else "FAIL"
-        echo(f"{status} criterion {number:02d} [{name}]: {detail} ({elapsed:.1f}s)")
+        print(f"{status} criterion {number:02d} [{name}]: {detail} ({elapsed:.1f}s)")
     return results

@@ -5,18 +5,22 @@ import numpy as np
 import pytest
 
 from sectorlap import (
+    ConcatenatedTransform,
     GrowthCertificate,
+    blowup_scan,
     builtin_catalog,
     format_complex,
     make_exp,
     make_sum,
     parse_complex,
+    radius_scan,
     rational_function,
     resolve,
     trig_decay,
     type_for,
     zero_function,
 )
+from sectorlap.catalog import pick_oracle
 
 # residue of -1/(2 pi i (w + a)) at distance 1 from the pole
 MINUS_I_OVER_2PI = -0.15915494309189535j
@@ -141,3 +145,29 @@ def test_builtin_catalog_distinct_ids():
     ids = [fn.id for fn in cat]
     assert len(ids) == len(set(ids))
     assert len(cat) == 8
+
+
+def test_pick_oracle_selects_or_rejects():
+    fn, rational = make_exp(-1), rational_function()
+    assert pick_oracle(fn, "transform", "auto") is fn.transform_oracle
+    assert pick_oracle(fn, "indicator", "oracle") is fn.indicator_oracle
+    assert pick_oracle(fn, "transform", "numeric") is None
+    assert pick_oracle(rational, "transform", "auto") is None
+    with pytest.raises(ValueError, match=r"^entry 'rational' has no transform oracle$"):
+        pick_oracle(rational, "transform", "oracle")
+    with pytest.raises(ValueError, match=r"^indicator source must be auto\|oracle\|numeric, got 'bogus'$"):
+        pick_oracle(fn, "indicator", "bogus")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fn: ConcatenatedTransform.build(fn, indicator_source="bogus"),
+        lambda fn: blowup_scan(fn, 0.0, g_source="bogus"),
+        lambda fn: radius_scan(fn, -2.0, g_source="bogus"),
+    ],
+    ids=["fan", "blowup_scan", "radius_scan"],
+)
+def test_unknown_source_names_are_rejected(call):
+    with pytest.raises(ValueError, match=r"source must be auto\|oracle\|numeric, got 'bogus'$"):
+        call(make_exp(1))

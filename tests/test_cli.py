@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sectorlap import cli, laplace
+from sectorlap import cli, indicator, laplace
 from sectorlap.cli import main
 
 
@@ -245,6 +245,17 @@ def test_transform_selects_each_direction_once(monkeypatch, tmp_path, source):
                "--indicator-source", source, "--out", str(tmp_path / "g.csv")])
     assert rc == 0
     assert omegas == [-2, -3, -1.5 + 0.5j]
+
+
+def test_transform_at_fixed_theta_estimates_the_indicator_n_plus_one_times(monkeypatch, tmp_path):
+    thetas = []
+    real = indicator.estimate_indicator
+    monkeypatch.setattr(indicator, "estimate_indicator", lambda fn, theta: thetas.append(theta) or real(fn, theta))
+    rc = main(["transform", "--fn", "exp:a=1", "--theta", "0.3", "--omega", "-2+0i,-3+0i,-1.5+0.5i,-2-1i",
+               "--indicator-source", "numeric", "--out", str(tmp_path / "g.csv")])
+    assert rc == 0
+    # once for the margin column, then once inside each omega's directional_transform
+    assert thetas == [0.3] * 5
 
 
 def test_missing_required_pieces_exit_code():

@@ -65,7 +65,7 @@ def test_indicator_value_sources():
     numeric, is_exact_n = indicator_value(fn, 0.0, "numeric")
     assert not is_exact_n
     assert math.isclose(numeric, -1.0, abs_tol=0.02)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^indicator source must be auto\|oracle\|numeric, got 'sometimes'$"):
         indicator_value(fn, 0.0, "sometimes")
 
 

@@ -14,6 +14,7 @@ from sectorlap import (
     cauchy_path_check,
     make_exp,
     make_sum,
+    rational_function,
     reconstruct,
     roundtrip_report,
     zero_function,
@@ -68,8 +69,10 @@ def test_reconstruct_rejects_bad_points():
 
 def test_query_validation():
     gamma = build_gamma(SPEC, -1.0)
-    with pytest.raises(ValueError, match="g_source"):
+    with pytest.raises(ValueError, match=r"^g_source must be auto\|oracle\|numeric, got 'guess'$"):
         ReconstructionQuery(make_exp(-1), gamma, 1.0, BUDGET, "guess")
+    with pytest.raises(ValueError, match=r"^entry 'rational' has no transform oracle$"):
+        reconstruct(ReconstructionQuery(rational_function(), gamma, 1.0, BUDGET, "oracle"))
 
 
 def test_apex_choice_does_not_matter():

@@ -282,10 +282,10 @@ def test_batch_with_one_bad_omega_raises_its_error(position, kind):
     assert str(caught.value) == str(alone)
 
 
-def test_large_batch_spans_several_groups_and_blocks():
+def test_large_batch_spans_several_groups():
     fn, theta = BATCH_ENTRIES["trig"], 0.1
     budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13)
-    count = quadrature._BLOCK_RAYS + 44
+    count = 300
     margins, freqs = np.linspace(0.2, 3.0, count), 8.0 * np.sin(np.arange(count))
     omegas = [_omega_at(fn, theta, m, f) for m, f in zip(margins, freqs)]
     values, errors = laplace._ray_transform_values(fn, theta, omegas, budget, DELTA_MIN_DEFAULT)

@@ -283,7 +283,7 @@ def _cmd_indicator(args, parser) -> int:
         thetas = args.thetas
     else:
         thetas = list(np.linspace(-alpha, alpha, args.theta_grid))
-    s_grid = default_s_grid(1.0, args.s_max, args.s_points)
+    s_grid = default_s_grid(args.s_max, args.s_points)
     header = ["theta", "estimate", "ci_width", "s_max", "oracle", "deviation"]
     rows = []
     for theta in thetas:

@@ -31,8 +31,8 @@ _UNDERFLOW = 1e-300
 _WINDOW = 8
 
 
-def default_s_grid(s_min: float = 1.0, s_max: float = 2.0**16, count: int = 64) -> np.ndarray:
-    return np.geomspace(s_min, s_max, count)
+def default_s_grid(s_max: float = 2.0**16, count: int = 64) -> np.ndarray:
+    return np.geomspace(1.0, s_max, count)
 
 
 @dataclass(frozen=True)

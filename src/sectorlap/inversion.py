@@ -12,13 +12,13 @@ sector the integrand decays like e^{-u |z| sin(alpha + phi)} on the lower leg
 and e^{-t |z| sin(alpha - phi)} on the upper one, which is why an angular
 margin min(alpha - phi, alpha + phi) >= delta_ang = DELTA_ANG_DEFAULT is enforced.
 
-g comes either from the entry's transform oracle or from nested numeric
-transforms along theta = -+ alpha with a budget 100x tighter than the outer
-one.  |g| is bounded on the legs by (K / 2 pi) / -(h + p cos alpha), which
-feeds the outer truncation.  Both legs are integrated in one engine pass;
-with a numeric g, each outer integrand call computes g on each leg as one
-batch of inner transforms.  Their error is part of est_error: with
-max|delta g| the largest inner est_error on a leg, the leg adds
+g comes from ``laplace._g_values``: each outer integrand call gets g on
+each leg as one batch, from the entry's transform oracle or from nested
+numeric transforms along theta = -+ alpha with a budget 100x tighter than
+the outer one.  |g| is bounded on the legs by (K / 2 pi) / -(h + p cos alpha),
+which feeds the outer truncation.  Both legs are integrated in one engine
+pass, and the inner error is part of est_error: with max|delta g| the
+largest inner est_error on a leg (0 for the oracle), the leg adds
 
     max|delta g| int |e^{-w z}| |dw| = max|delta g| e^{-p Re z} / (|z| sin(alpha +- phi)),
 
@@ -44,7 +44,7 @@ from .catalog import ORACLE_SOURCES, TestFunction, pick_oracle, type_for
 from .errors import AngularMarginTooSmall, OutsideSector, SectorLapError
 from .geometry import ContourGamma, SectorSpec, build_gamma, sector_contains
 from .indicator import indicator_value
-from .laplace import DELTA_MIN_DEFAULT, _decay_rate, _ray_transform_values
+from .laplace import DELTA_MIN_DEFAULT, _decay_rate, _g_values
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate_rays, integrate_ray
 
@@ -77,18 +77,15 @@ class ReconstructionQuery:
 
 
 def _g_evaluator(q: ReconstructionQuery):
-    """Vectorized (w, leg) -> g(w) on both legs, oracle-backed or nested-numeric.
+    """Vectorized (w, leg) -> g(w) on both legs, one ``_g_values`` batch per leg and call.
 
-    Leg 0 is the lower leg (theta = -alpha), leg 1 the upper one; the nested
-    numeric g makes one batched inner transform per leg and call.  Also
+    Leg 0 is the lower leg (theta = -alpha), leg 1 the upper one.  Also
     returns a list holding, per leg, the largest inner est_error g has
-    returned so far (it stays 0 for the oracle).
+    returned so far.
     """
     fn = q.fn
+    pick_oracle(fn, "transform", q.g_source)  # a missing oracle raises ValueError here, before any quadrature
     inner_err = [0.0, 0.0]
-    oracle = pick_oracle(fn, "transform", q.g_source)
-    if oracle is not None:
-        return lambda ws, legs: oracle(ws), inner_err
     inner = q.budget.tighten()
     thetas = (-q.gamma.alpha, q.gamma.alpha)
 
@@ -97,7 +94,7 @@ def _g_evaluator(q: ReconstructionQuery):
         for leg, theta in enumerate(thetas):
             rows = legs[:, 0] == leg
             if rows.any():
-                values, errors = _ray_transform_values(fn, theta, ws[rows].ravel(), inner, DELTA_MIN_DEFAULT)
+                values, errors = _g_values(fn, theta, ws[rows].ravel(), inner, q.g_source, DELTA_MIN_DEFAULT)
                 out[rows] = values.reshape(-1, ws.shape[1])
                 inner_err[leg] = max(inner_err[leg], float(errors.max()))
         return out
@@ -133,8 +130,6 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
     dirs = np.array([q.gamma.lower_direction, q.gamma.upper_direction])
     jacs = np.array([1j * cmath.exp(1j * alpha), 1j * cmath.exp(-1j * alpha)])
     rates = [abs(z) * math.sin(alpha + phi), abs(z) * math.sin(alpha + -phi)]
-    for rate in rates:
-        DecayModel(rate=rate, amplitude=amp)  # InvalidDecay unless both envelopes are valid
     # the exponent of e^{-w(t) z} is -p z - leg_dir z t
     osc = [abs((-leg_dir * z).imag) for leg_dir in dirs.tolist()]
     g, inner_err = _g_evaluator(q)

@@ -18,13 +18,16 @@ Margins are computed from the indicator oracle when one exists; otherwise
 from the numeric estimate, and ``_decay_rate`` then takes 10% off the decay
 rate, since an estimated indicator can be slightly low.
 
-A numeric g at many omegas along one direction (the inversion legs, the
-probe scans, the contour-bound check) is one batch: ``_ray_transform_values``
-puts the ray integrals of all of them in a single quadrature engine pass.
-They share the direction and differ in margin and oscillation frequency, and
-each omega still gets the panels, value and est_error of its transform
-alone.  An entry's ``weighted_eval(z, w)`` then receives one omega per row
-of points z and must broadcast over them elementwise.
+``_g_values`` is the one primitive that turns a batch of omegas along one
+direction into g, for the inversion legs, the probe scans and the
+contour-bound check: it returns (values, est_errors), from the entry's
+transform oracle (est_errors all 0) or numerically, as the source picks.  A
+numeric batch is a single quadrature engine pass over the ray integrals of
+all its omegas.  They share the direction and differ in margin and
+oscillation frequency, and each omega still gets the panels, value and
+est_error of its transform alone.  An entry's ``weighted_eval(z, w)`` then
+receives one omega per row of points z and must broadcast over them
+elementwise.
 """
 
 import cmath
@@ -126,17 +129,19 @@ def _ray_transform(
     return integrate_ray(lambda t: integrand(t, 0), decay, budget, osc_freq=float(osc[0]))
 
 
-def _ray_transform_values(fn: TestFunction, theta: float, omegas, budget: QuadratureBudget, delta_min: float):
-    """g_theta at a 1-D array of omegas in one engine pass: (values, est_errors).
+def _g_values(fn: TestFunction, theta: float, omegas, budget: QuadratureBudget, source: str, delta_min: float):
+    """g at a 1-D sequence of omegas: (values, est_errors), from the oracle ``source`` picks or numerically.
 
-    Each omega gets the value, est_error and panels of ``_ray_transform`` at that omega alone.
+    The oracle's values come with est_errors of 0.  Numeric values are
+    g_theta in one engine pass, each omega with the value, est_error and
+    panels of ``_ray_transform`` at that omega alone.
     """
-    ind, exact = indicator_value(fn, theta)
     om = np.asarray(omegas, dtype=complex)
+    oracle = pick_oracle(fn, "transform", source)
+    if oracle is not None:
+        return np.asarray(oracle(om), dtype=complex), np.zeros(len(om))
+    ind, exact = indicator_value(fn, theta)
     integrand, rate, amplitude, osc = _ray_integrands(fn, theta, om, ind, exact, delta_min)
-    if len(om):
-        # InvalidDecay unless the envelope constant is valid; every rate is at least the smallest
-        DecayModel(rate=float(rate.min()), amplitude=amplitude)
     values, errors, _, _ = _integrate_rays(integrand, rate, np.full(len(om), amplitude), budget, osc)
     return values, errors
 
@@ -283,7 +288,6 @@ def consistency_residual(
     theta2: float,
     omega: complex,
     budget: QuadratureBudget | None = None,
-    delta_min: float = DELTA_MIN_DEFAULT,
 ) -> tuple[float, float]:
     """|g_theta1(w) - g_theta2(w)| on an overlap, with the combined error estimate.
 
@@ -291,8 +295,8 @@ def consistency_residual(
     tolerance; returns (residual, est_error_1 + est_error_2).
     """
     budget = budget or QuadratureBudget()
-    r1 = directional_transform(TransformQuery(fn, theta1, omega, budget, delta_min))
-    r2 = directional_transform(TransformQuery(fn, theta2, omega, budget, delta_min))
+    r1 = directional_transform(TransformQuery(fn, theta1, omega, budget))
+    r2 = directional_transform(TransformQuery(fn, theta2, omega, budget))
     return abs(r1.value - r2.value), r1.est_error + r2.est_error
 
 
@@ -325,6 +329,6 @@ def gamma_bound_check(
         (-gamma.alpha, gamma.lower_direction),
         (gamma.alpha, gamma.upper_direction),
     ):
-        g, _ = _ray_transform_values(fn, leg_theta, gamma.p + leg_dir * ts, budget, DELTA_MIN_DEFAULT)
+        g, _ = _g_values(fn, leg_theta, gamma.p + leg_dir * ts, budget, "numeric", DELTA_MIN_DEFAULT)
         worst = max(worst, float(np.max(np.abs(g))) - bound)
     return worst

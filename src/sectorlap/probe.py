@@ -1,18 +1,21 @@
 """Probes of the transform's boundary behaviour.
 
-Three independent experiments, all built on the transform machinery:
+Three independent experiments, all built on the transform machinery.  The
+two scans get g from ``laplace._g_values``, the oracle or the numeric
+transform as their ``g_source`` picks, one batch of omegas per call:
 
 * ``blowup_scan`` walks the boundary line of Omega_theta through a window
   centered on its closest point to the origin and approaches it along the
   inward normal w(delta) = w_b - delta e^{-i theta}, whose margin is exactly
   delta.  A singularity on the boundary shows up as |g| growing like
-  delta^{-1}; the scan reports the location (refined by a parabola vertex on
-  1/|g|^2, exact for simple poles), the fitted growth exponent, and whether
+  delta^{-1}; the scan reports the location (the peak of |g| on the outermost
+  level, refined by golden-section search), the fitted growth exponent, and whether
   any blow-up was seen at all (quiet boundaries are reported, not raised).
 
 * ``radius_scan`` fits the distance from an interior point to the nearest
   singularity of g out of Taylor coefficients computed by discrete Cauchy
-  integrals on a circle of radius 0.8x the margin.  The fit regresses
+  integrals on a circle of radius 0.8x the margin, which comes from the
+  entry's fan of half-planes (``ConcatenatedTransform``).  The fit regresses
   ln|c_n| against n over the trailing half of the coefficients; for a simple
   pole at distance R the slope is exactly -ln R.
 
@@ -22,7 +25,8 @@ Three independent experiments, all built on the transform machinery:
   rates against -inf_{contour} Re(w e^{i theta}).  If the indicator exceeds
   that infimum, f grows strictly faster than any such representation allows,
   which is the contradiction the diagnostics make quantitative.  Oracle
-  entries only.
+  entries only.  A piece that is 0 everywhere (the zero entry) gets the
+  slope J_SLOPE_SENTINEL.
 """
 
 import cmath
@@ -35,9 +39,9 @@ import numpy as np
 from .catalog import TestFunction, pick_oracle
 from .errors import IllConditioned
 from .indicator import indicator_value
-from .laplace import DELTA_MIN_DEFAULT, _golden_section_max, _ray_transform_values
+from .laplace import DELTA_MIN_DEFAULT, ConcatenatedTransform, _g_values, _golden_section_max
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
-from .quadrature import DecayModel, QuadratureBudget, _integrate_rays, _integrate_segments
+from .quadrature import QuadratureBudget, _integrate_rays, _integrate_segments
 # unused here; bench/tracer.py wraps these bindings
 from .quadrature import integrate_ray, integrate_segment  # noqa: F401
 
@@ -55,6 +59,7 @@ __all__ = [
 
 J_SLOPE_SENTINEL = -1e9
 _PEAK_ITERS = 60
+_DEGREE = 24  # Taylor coefficients used by the radius fit
 
 
 @dataclass(frozen=True)
@@ -96,13 +101,6 @@ class ProbeReport:
     J_slopes: Optional[tuple[float, float, float]] = None
 
 
-def _g_values(fn, theta, omegas, budget, g_source, delta_min):
-    oracle = pick_oracle(fn, "transform", g_source)
-    if oracle is not None:
-        return np.asarray(oracle(np.asarray(omegas, dtype=complex)), dtype=complex)
-    return _ray_transform_values(fn, theta, omegas, budget, delta_min)[0]
-
-
 def blowup_scan(
     fn: TestFunction,
     theta: float,
@@ -130,7 +128,7 @@ def blowup_scan(
     def boundary(tau):
         return (offset + 1j * tau) * back
 
-    far = _g_values(fn, theta, [boundary(t) - deltas[0] * back for t in taus], budget, g_source, delta_min / 2)
+    far, _ = _g_values(fn, theta, [boundary(t) - deltas[0] * back for t in taus], budget, g_source, delta_min / 2)
     far_mags = np.abs(far)
     if float(np.max(far_mags)) == 0.0:
         return BlowupScan(theta, False, None, None, 0.0, offset)
@@ -143,7 +141,7 @@ def blowup_scan(
     hi = taus[min(j + 1, len(taus) - 1)]
     tau_star = _golden_section_max(
         lambda t: float(
-            np.abs(_g_values(fn, theta, [boundary(t) - deltas[0] * back], budget, g_source, delta_min / 2))[0]
+            np.abs(_g_values(fn, theta, [boundary(t) - deltas[0] * back], budget, g_source, delta_min / 2)[0])[0]
         ),
         lo,
         hi,
@@ -151,9 +149,7 @@ def blowup_scan(
     )
     point = boundary(tau_star)
 
-    mags = np.abs(
-        _g_values(fn, theta, [point - d * back for d in deltas], budget, g_source, delta_min / 2)
-    )
+    mags = np.abs(_g_values(fn, theta, [point - d * back for d in deltas], budget, g_source, delta_min / 2)[0])
     ratio = float(mags[-1] / mags[0]) if mags[0] > 0 else 0.0
     if ratio < 10.0:
         return BlowupScan(theta, False, None, None, ratio, offset)
@@ -165,7 +161,6 @@ def blowup_scan(
 def radius_scan(
     fn: TestFunction,
     center: complex,
-    degree: int = 24,
     budget: QuadratureBudget | None = None,
     theta: float | None = None,
     g_source: str = "auto",
@@ -173,37 +168,33 @@ def radius_scan(
     """Distance to the nearest singularity of g from Taylor coefficients at ``center``.
 
     The coefficients come from the FFT of g at 256 points on a circle of
-    radius 0.8x the margin of ``center``.
+    radius 0.8x the margin of ``center``; the fit uses those of degree 12
+    to 24.  Without ``theta``, the direction is the one of largest margin
+    on a 129-point scan of the entry's fan.
     """
     budget = budget or QuadratureBudget()
     center = complex(center)
-    if degree < 8:
-        raise ValueError(f"degree must be >= 8 for a stable fit, got {degree}")
+    fan = ConcatenatedTransform.build(fn)
     if theta is None:
-        # direction of largest margin, scanned over the entry's admissible fan
-        thetas = np.linspace(-fn.spec.alpha, fn.spec.alpha, 129)
-        margins = [
-            -indicator_value(fn, float(t))[0] - (center * cmath.exp(1j * float(t))).real for t in thetas
-        ]
-        theta = float(thetas[int(np.argmax(margins))])
-    ind, _ = indicator_value(fn, theta)
-    margin = -ind - (center * cmath.exp(1j * theta)).real
+        thetas = np.linspace(-fan.alpha, fan.alpha, 129)
+        theta = float(thetas[int(np.argmax([fan.margin(center, float(t)) for t in thetas]))])
+    margin = fan.margin(center, theta)
     if not margin > 0:
         raise ValueError(f"center {center} lies outside Omega_theta at theta={theta}")
 
     rho = 0.8 * margin
     phis = 2.0 * math.pi * np.arange(256) / 256
     ring = center + rho * np.exp(1j * phis)
-    vals = _g_values(fn, theta, ring, budget, g_source, min(DELTA_MIN_DEFAULT, 0.1 * margin))
+    vals, _ = _g_values(fn, theta, ring, budget, g_source, min(DELTA_MIN_DEFAULT, 0.1 * margin))
     coeffs = np.fft.fft(vals) / 256
-    n = np.arange(degree + 1)
-    cn = np.abs(coeffs[: degree + 1]) / rho**n
+    n = np.arange(_DEGREE + 1)
+    cn = np.abs(coeffs[: _DEGREE + 1]) / rho**n
 
-    lo = degree // 2
+    lo = _DEGREE // 2
     used = cn[lo:]
     if np.any(used < 1e-280) or not np.all(np.isfinite(used)):
         raise IllConditioned(
-            f"Taylor coefficients underflow before degree {degree}; "
+            f"Taylor coefficients underflow before degree {_DEGREE}; "
             "g is too flat at this center for a radius fit"
         )
     slope = float(np.polyfit(n[lo:], np.log(used), 1)[0])
@@ -291,25 +282,24 @@ def gamma_prime_diagnostics(
         zeros,
     )
     j1 = np.array([abs(v) for v in chords])
-    decays = [
-        decay
-        for s in s_grid
-        for decay in (
-            DecayModel(rate=s * math.sin(alpha - theta), amplitude=sup_up * math.exp(-s * (r * phase).real)),
-            DecayModel(rate=s * math.sin(alpha + theta), amplitude=sup_down * math.exp(-s * (q * phase).real)),
-        )
-    ]
-    starts, heads, s_rays = np.array([r, q] * len(s_grid)), np.array([up, down] * len(s_grid)), s_grid.repeat(2)
-    rays, _, _, _ = _integrate_rays(
+    # a ray with envelope amplitude 0 (a sampled sup|g| of 0, or e^{-s Re(w e^{i theta})} underflowing) has J = 0
+    rate = np.ravel([(s * math.sin(alpha - theta), s * math.sin(alpha + theta)) for s in s_grid])
+    amplitude = np.ravel(
+        [(sup_up * math.exp(-s * (r * phase).real), sup_down * math.exp(-s * (q * phase).real)) for s in s_grid]
+    )
+    live = np.flatnonzero(amplitude != 0.0)
+    starts, heads = np.array([r, q] * len(s_grid))[live], np.array([up, down] * len(s_grid))[live]
+    s_rays = s_grid.repeat(2)[live]
+    rays = np.zeros(len(rate), dtype=complex)
+    rays[live], _, _, _ = _integrate_rays(
         lambda t, k: np.abs(g(starts[k] + heads[k] * t))
         * np.exp(-s_rays[k] * ((starts[k] + heads[k] * t) * phase).real),
-        np.array([d.rate for d in decays]),
-        np.array([d.amplitude for d in decays]),
+        rate[live],
+        amplitude[live],
         budget,
-        np.zeros(len(decays)),
+        np.zeros(len(live)),
     )
-    j2 = np.array([abs(complex(v)) for v in rays[0::2]])
-    j3 = np.array([abs(complex(v)) for v in rays[1::2]])
+    j2, j3 = np.abs(rays[0::2]), np.abs(rays[1::2])
 
     slopes = (_fit_slope(s_grid, j1), _fit_slope(s_grid, j2), _fit_slope(s_grid, j3))
     return GammaPrimeDiagnostics(theta, q, r, slopes, inf_proj)

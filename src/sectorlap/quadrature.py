@@ -101,11 +101,11 @@ class QuadratureBudget:
                 f"max_panels*panel_order={self.max_panels * self.panel_order} exceeds the 1e7 evaluation guard"
             )
 
-    def tighten(self, factor: float = 100.0) -> "QuadratureBudget":
-        """Budget for nested (inner) quadratures, ``factor`` times tighter."""
+    def tighten(self) -> "QuadratureBudget":
+        """Budget for nested (inner) quadratures, 100 times tighter."""
         return QuadratureBudget(
-            rel_tol=max(1e-14, self.rel_tol / factor),
-            abs_floor=max(1e-15, self.abs_floor / factor),
+            rel_tol=max(1e-14, self.rel_tol / 100.0),
+            abs_floor=max(1e-15, self.abs_floor / 100.0),
             max_panels=self.max_panels,
             panel_order=self.panel_order,
         )
@@ -369,11 +369,16 @@ def _ray_breakpoints(T: list[float], rate: list[float]) -> tuple[np.ndarray, np.
 def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: QuadratureBudget, osc_freq: np.ndarray):
     """Integrals j of fn(t, j) over [0, inf), given |fn(t, j)| <= amplitude[j] e^{-rate[j] t}.
 
-    Each envelope must be one DecayModel accepts; ``osc_freq[j]`` is the
-    dominant oscillation frequency of integral j.  Returns value, est_error,
-    truncation_T and panels used per integral, each as ``integrate_ray``
-    computes it alone.
+    ``osc_freq[j]`` is the dominant oscillation frequency of integral j.
+    Validates every envelope first: for the first integral, in input order,
+    whose rate or amplitude is not finite and positive, raises InvalidDecay
+    with DecayModel's message.  Returns value, est_error, truncation_T and
+    panels used per integral, each as ``integrate_ray`` computes it alone.
     """
+    bad = ~(np.isfinite(rate) & (rate > 0.0) & np.isfinite(amplitude) & (amplitude > 0.0))
+    if bad.any():
+        j = int(np.argmax(bad))
+        DecayModel(rate=float(rate[j]), amplitude=float(amplitude[j]))  # raises InvalidDecay
     rates, amplitudes = rate.tolist(), amplitude.tolist()
     # A e^{-m T} / m <= abs_floor / 2, in math.log and math.exp as for one integral (numpy's
     # can differ in the last bit); where arg <= 1 the whole integral is below half the floor

@@ -38,12 +38,12 @@ class CriterionResult:
     seconds: float
 
 
-def _z_grid(alpha: float = _ALPHA):
+def _z_grid():
     """Nine points spread over the open sector: 3 radii x 3 angles."""
     return [
         radius * cmath.exp(1j * angle)
         for radius in (0.5, 1.0, 2.0)
-        for angle in (-alpha / 2, 0.0, alpha / 2)
+        for angle in (-_ALPHA / 2, 0.0, _ALPHA / 2)
     ]
 
 

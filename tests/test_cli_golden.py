@@ -35,6 +35,7 @@ CASES = {
                               "--check-bound"],
     "indicator": ["indicator", "--fn", "sum:a1=-1,c1=1,a2=-2,c2=2", "--thetas", "-0.5,0,0.7"],
     "probe-q-r": ["probe", "--fn", "exp:a=1", "--theta", "0", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
+    "probe-zero-q-r": ["probe", "--fn", "zero", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
     "probe-missing-oracle": ["probe", "--fn", "rational", "--g-source", "oracle"],
     "unknown-fn": ["transform", "--fn", "gauss", "--theta", "0", "--omega", "-1+0i"],
 }

@@ -131,9 +131,9 @@ def test_numeric_g_est_error_counts_the_inner_error(monkeypatch):
     zs = [0.5, 0.8 + 0.2j, 1.2 - 0.3j]
     with_inner = [reconstruct(ReconstructionQuery(fn, gamma, z, budget, "numeric")) for z in zs]
     # the same reconstruction with every inner est_error reported as 0
-    values = inversion._ray_transform_values
+    values = inversion._g_values
     monkeypatch.setattr(
-        inversion, "_ray_transform_values", lambda *args: (values(*args)[0], np.zeros(len(args[2])))
+        inversion, "_g_values", lambda *args: (values(*args)[0], np.zeros(len(args[2])))
     )
     outer_only = [reconstruct(ReconstructionQuery(fn, gamma, z, budget, "numeric")) for z in zs]
     for z, new, old in zip(zs, with_inner, outer_only):

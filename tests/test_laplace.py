@@ -238,7 +238,7 @@ def test_batched_transform_matches_each_omega_alone(batch):
     if failed:
         # the batch reports what the first failing omega reports alone
         with pytest.raises(type(failed[0])) as caught:
-            laplace._ray_transform_values(fn, theta, omegas, budget, DELTA_MIN_DEFAULT)
+            laplace._g_values(fn, theta, omegas, budget, "numeric", DELTA_MIN_DEFAULT)
         assert str(caught.value) == str(failed[0])
         return
     ind, exact = indicator_value(fn, theta)
@@ -253,7 +253,7 @@ def test_batched_transform_matches_each_omega_alone(batch):
             single.est_error,
         )
         assert abs(values[k] - single.value) <= 4 * np.finfo(float).eps * abs(single.value)
-    assert np.array_equal(laplace._ray_transform_values(fn, theta, omegas, budget, DELTA_MIN_DEFAULT)[0], values)
+    assert np.array_equal(laplace._g_values(fn, theta, omegas, budget, "numeric", DELTA_MIN_DEFAULT)[0], values)
 
 
 def test_batched_transform_covers_shortcut_and_refinement():
@@ -278,7 +278,7 @@ def test_batch_with_one_bad_omega_raises_its_error(position, kind):
     alone = _single_or_error(fn, theta, bad, budget)
     assert isinstance(alone, OutsideDomain if kind == "margin" else BudgetExceeded)
     with pytest.raises(type(alone)) as caught:
-        laplace._ray_transform_values(fn, theta, omegas, budget, DELTA_MIN_DEFAULT)
+        laplace._g_values(fn, theta, omegas, budget, "numeric", DELTA_MIN_DEFAULT)
     assert str(caught.value) == str(alone)
 
 
@@ -288,9 +288,19 @@ def test_large_batch_spans_several_groups():
     count = 300
     margins, freqs = np.linspace(0.2, 3.0, count), 8.0 * np.sin(np.arange(count))
     omegas = [_omega_at(fn, theta, m, f) for m, f in zip(margins, freqs)]
-    values, errors = laplace._ray_transform_values(fn, theta, omegas, budget, DELTA_MIN_DEFAULT)
+    values, errors = laplace._g_values(fn, theta, omegas, budget, "numeric", DELTA_MIN_DEFAULT)
     singles = [_single_or_error(fn, theta, w, budget) for w in omegas]
     assert sum(s.panels_used for s in singles) > 2 * quadrature._GROUP_PANELS
     assert errors.tolist() == [s.est_error for s in singles]
     for value, single in zip(values, singles):
         assert abs(value - single.value) <= 4 * np.finfo(float).eps * abs(single.value)
+
+
+@pytest.mark.parametrize("source", ["auto", "oracle"])
+def test_g_values_from_the_oracle(source):
+    fn, theta = BATCH_ENTRIES["exp"], 0.2
+    # one omega per kind: plain, oscillating, near the boundary, and outside Omega_theta
+    omegas = [_omega_at(fn, theta, m, f) for m, f in [(1.0, 0.0), (0.5, 20.0), (1e-4, 0.0), (-0.5, 1.0)]]
+    values, errors = laplace._g_values(fn, theta, omegas, BUDGET, source, DELTA_MIN_DEFAULT)
+    assert np.array_equal(values, fn.transform_oracle(np.array(omegas)))
+    assert errors.tolist() == [0.0] * len(omegas)

@@ -17,6 +17,7 @@ from sectorlap import (
     rational_function,
     zero_function,
 )
+from sectorlap.probe import J_SLOPE_SENTINEL
 
 
 def test_blowup_locates_boundary_pole():
@@ -69,8 +70,6 @@ def test_radius_scan_numeric_transform():
 def test_radius_scan_rejects_outside_center():
     with pytest.raises(ValueError, match="outside"):
         radius_scan(make_exp(1), -0.5)
-    with pytest.raises(ValueError, match="degree"):
-        radius_scan(make_exp(1), -2.0, degree=4)
 
 
 def test_radius_scan_flat_transform_ill_conditioned():
@@ -90,6 +89,12 @@ def test_truncated_contour_slopes():
     # all three stay below the indicator 1.0: truncation cannot reproduce
     # the true growth, which is the point of the diagnostic
     assert max(diag.slopes) < 1.0
+
+
+def test_truncated_contour_slopes_of_a_zero_transform():
+    # every piece is 0, including the rays whose sampled sup|g| is 0: each slope is the sentinel
+    diag = gamma_prime_diagnostics(zero_function(), math.pi / 4, 0.0, -0.5 - 1.2j, -0.5 + 1.2j)
+    assert diag.slopes == (J_SLOPE_SENTINEL,) * 3
 
 
 def test_truncated_contour_input_checks():

@@ -34,9 +34,10 @@ def test_budget_validation():
 
 def test_budget_tighten_floors():
     b = QuadratureBudget(rel_tol=1e-8, abs_floor=1e-10)
-    t = b.tighten(100.0)
+    t = b.tighten()
     assert t.rel_tol == 1e-10 and t.abs_floor == 1e-12
-    assert b.tighten(1e12).rel_tol == 1e-14  # floored, not zero
+    t = QuadratureBudget(rel_tol=1e-13, abs_floor=1e-14).tighten()
+    assert t.rel_tol == 1e-14 and t.abs_floor == 1e-15  # floored, not zero
 
 
 def test_decay_model_validation():
@@ -45,6 +46,25 @@ def test_decay_model_validation():
     with pytest.raises(InvalidDecay):
         DecayModel(rate=1.0, amplitude=0.0)
     assert math.isclose(DecayModel(rate=2.0, amplitude=3.0).tail_bound(1.0), 1.5 * math.exp(-2.0))
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("bad", [(0.0, 1.0), (math.nan, 1.0), (1.0, 0.0), (1.0, math.inf)])
+def test_ray_batch_rejects_the_first_bad_envelope(position, bad):
+    rate, amplitude = np.full(5, 2.0), np.full(5, 3.0)
+    rate[position], amplitude[position] = bad
+    # a later bad envelope of the other kind is not the one reported
+    if position < 4:
+        rate[4], amplitude[4] = (1.0, 0.0) if bad[0] != 1.0 else (0.0, 1.0)
+    with pytest.raises(InvalidDecay) as alone:
+        DecayModel(*bad)
+
+    def never_called(t, k):
+        raise AssertionError("an envelope is validated before any quadrature")
+
+    with pytest.raises(InvalidDecay) as caught:
+        quadrature._integrate_rays(never_called, rate, amplitude, TIGHT, np.zeros(5))
+    assert str(caught.value) == str(alone.value)
 
 
 def test_segment_polynomial():

@@ -4,8 +4,8 @@ Every subcommand writes CSV (UTF-8, LF line endings, one header row, complex
 quantities split into _re/_im columns, floats at 17 significant digits) either
 to --out or to stdout.  Exit codes: 0 success, 2 configuration or usage error,
 3 numeric failure (a sample point outside the admissible domain, an exhausted
-quadrature budget, a non-finite integrand value, or a residual above the
-configured threshold).
+quadrature budget, a non-finite integrand value or integrand envelope, or a
+residual above the configured threshold).
 """
 
 import argparse
@@ -49,11 +49,12 @@ from .selftest import run_criteria
 
 __all__ = ["main", "console_main", "build_parser"]
 
-# per-sample domain violations count as numeric failures (exit 3); config
-# problems caught up front (bad ids, ranges, apex gate) exit 2
+# per-sample domain violations and ray envelopes that are not finite count as
+# numeric failures (exit 3); config problems caught up front (bad ids,
+# ranges, apex gate) exit 2
 _SKIPPABLE = (OutsideDomain, OutsideUnion, OutsideSector, AngularMarginTooSmall)
-_NUMERIC_ERRORS = (BudgetExceeded, IllConditioned) + _SKIPPABLE
-_REQUEST_ERRORS = (InvalidApex, InvalidDecay, ValueError)
+_NUMERIC_ERRORS = (BudgetExceeded, IllConditioned, InvalidDecay) + _SKIPPABLE
+_REQUEST_ERRORS = (InvalidApex, ValueError)
 _BOOL_KEYS = {"skip_invalid", "check_bound"}
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")

@@ -13,12 +13,14 @@ and e^{-t |z| sin(alpha - phi)} on the upper one, which is why an angular
 margin min(alpha - phi, alpha + phi) >= delta_ang = DELTA_ANG_DEFAULT is enforced.
 
 g comes from ``laplace._g_values``: each outer integrand call gets g on
-each leg as one batch, from the entry's transform oracle or from nested
+both legs as one batch, from the entry's transform oracle or from nested
 numeric transforms along theta = -+ alpha with a budget 100x tighter than
-the outer one.  |g| is bounded on the legs by (K / 2 pi) / -(h + p cos alpha),
-which feeds the outer truncation.  Both legs are integrated in one engine
-pass, and the inner error is part of est_error: with max|delta g| the
-largest inner est_error on a leg (0 for the oracle), the leg adds
+the outer one.  On each leg the kernel's rotation e^{-i Im(leg_dir z) t} is
+the quadrature's carrier, and the integrand hands over the rest.  |g| is
+bounded on the legs by (K / 2 pi) / -(h + p cos alpha), which feeds the
+outer truncation.  Both legs are integrated in one engine pass, and the
+inner error is part of est_error: with max|delta g| the largest inner
+est_error on a leg (0 for the oracle), the leg adds
 
     max|delta g| int |e^{-w z}| |dw| = max|delta g| e^{-p Re z} / (|z| sin(alpha +- phi)),
 
@@ -77,27 +79,25 @@ class ReconstructionQuery:
 
 
 def _g_evaluator(q: ReconstructionQuery):
-    """Vectorized (w, leg) -> g(w) on both legs, one ``_g_values`` batch per leg and call.
+    """Vectorized (w, leg) -> g(w) on both legs, one ``_g_values`` batch per call.
 
     Leg 0 is the lower leg (theta = -alpha), leg 1 the upper one.  Also
-    returns a list holding, per leg, the largest inner est_error g has
+    returns an array holding, per leg, the largest inner est_error g has
     returned so far.
     """
     fn = q.fn
     pick_oracle(fn, "transform", q.g_source)  # a missing oracle raises ValueError here, before any quadrature
-    inner_err = [0.0, 0.0]
+    inner_err = np.zeros(2)
     inner = q.budget.tighten()
-    thetas = (-q.gamma.alpha, q.gamma.alpha)
+    thetas = np.array([-q.gamma.alpha, q.gamma.alpha])
 
     def g(ws, legs):
-        out = np.empty(ws.shape, dtype=complex)
-        for leg, theta in enumerate(thetas):
-            rows = legs[:, 0] == leg
-            if rows.any():
-                values, errors = _g_values(fn, theta, ws[rows].ravel(), inner, q.g_source, DELTA_MIN_DEFAULT)
-                out[rows] = values.reshape(-1, ws.shape[1])
-                inner_err[leg] = max(inner_err[leg], float(errors.max()))
-        return out
+        values, errors = _g_values(
+            fn, thetas[legs].repeat(ws.shape[1]), ws.ravel(), inner, q.g_source, DELTA_MIN_DEFAULT
+        )
+        if errors.any():
+            np.maximum.at(inner_err, legs[:, 0], errors.reshape(ws.shape).max(axis=1))
+        return values.reshape(ws.shape)
 
     return g, inner_err
 
@@ -124,29 +124,33 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
             f"contour apex violates p*cos(alpha) < -h for this entry (gap {leg_gap!r})"
         )
     g_bound = q.fn.envelope_const / (2.0 * math.pi) / leg_gap
-    amp = g_bound * math.exp(-p * z.real)
+    try:
+        weight = math.exp(-p * z.real)
+    except OverflowError:
+        weight = math.inf  # an envelope amplitude the engine rejects with InvalidDecay
+    amp = g_bound * weight
 
     # integral 0 is the lower leg, 1 the upper one
     dirs = np.array([q.gamma.lower_direction, q.gamma.upper_direction])
     jacs = np.array([1j * cmath.exp(1j * alpha), 1j * cmath.exp(-1j * alpha)])
     rates = [abs(z) * math.sin(alpha + phi), abs(z) * math.sin(alpha + -phi)]
-    # the exponent of e^{-w(t) z} is -p z - leg_dir z t
-    osc = [abs((-leg_dir * z).imag) for leg_dir in dirs.tolist()]
+    # e^{-w(t) z} = e^{-p z - Re(leg_dir z) t} times the carrier e^{i Im(-leg_dir z) t}
+    dz = dirs * z
+    pz = -p * z
     g, inner_err = _g_evaluator(q)
 
     def integrand(ts, legs):
-        ws = p + dirs[legs] * ts
-        return jacs[legs] * g(ws, legs) * np.exp(-ws * z)
+        return jacs[legs] * g(p + dirs[legs] * ts, legs) * np.exp(pz - dz.real[legs] * ts)
 
     values, errors, ts, used = _integrate_rays(
-        integrand, np.array(rates), np.array([amp, amp]), q.budget, np.array(osc)
+        integrand, np.array(rates), np.array([amp, amp]), q.budget, -dz.imag
     )
     total = 0j
     err = 0.0
     for leg, rate in enumerate(rates):
         total += complex(values[leg])
         # g's inner error enters weighted by |e^{-wz}|, whose integral along the leg is e^{-p Re z} / rate
-        err += float(errors[leg]) + inner_err[leg] * math.exp(-p * z.real) / rate
+        err += float(errors[leg]) + float(inner_err[leg]) * weight / rate
     return IntegralResult(total, err, max(0.0, *ts.tolist()), int(used.sum()))
 
 
@@ -251,16 +255,15 @@ def cauchy_path_check(
         dist = _ray_distance(z, theta_ray)
         amp = fn.envelope_const * math.exp(-p * z.real) / dist
         epz = cmath.exp(-p * z)
+        # e^{p zeta} = e^{p cos(theta) t} times the carrier e^{i p sin(theta) t}
+        w = p * math.cos(theta_ray) * d.conjugate()
 
-        def integrand(ts, _d=d, _epz=epz):
+        def integrand(ts, _d=d, _epz=epz, _w=w):
             zeta = ts * _d
-            return fn.weighted_eval(zeta, p) * _epz / (zeta - z) * _d
+            return fn.weighted_eval(zeta, _w) * _epz / (zeta - z) * _d
 
         res = integrate_ray(
-            integrand,
-            DecayModel(rate=rate, amplitude=amp),
-            budget,
-            osc_freq=abs(p) * math.sin(spec.alpha),
+            integrand, DecayModel(rate=rate, amplitude=amp), budget, freq=p * math.sin(theta_ray)
         )
         total += -sign * res.value  # lower ray enters with +, upper with -
         err += res.est_error

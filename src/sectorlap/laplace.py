@@ -18,16 +18,29 @@ Margins are computed from the indicator oracle when one exists; otherwise
 from the numeric estimate, and ``_decay_rate`` then takes 10% off the decay
 rate, since an estimated indicator can be slightly low.
 
-``_g_values`` is the one primitive that turns a batch of omegas along one
-direction into g, for the inversion legs, the probe scans and the
+On the ray theta the kernel e^{w t e^{i theta}} turns at the known rate
+Im(w e^{i theta}), and f's own phase at the rate nu(theta) = -Im(s* e^{i theta}),
+where s* is the singularity of g with the least Re(s e^{i theta}): -s* is
+the exponent that dominates f along theta, the point of Polya's conjugate
+indicator diagram that supports theta (``_phase_rate``; nu = 0 for an entry
+without known singularities, or with none).  The ray integrand is handed to
+the quadrature as the carrier e^{i kappa t}, kappa = Im(w e^{i theta}) + nu,
+times the smooth factor
+
+    F(t) = e^{i theta} / (2 pi i) weighted_eval(t e^{i theta}, (Re(w e^{i theta}) - i nu) e^{-i theta}),
+
+which the engine integrates against the carrier exactly, so neither
+rotation costs panels.
+
+``_g_values`` is the one primitive that turns a batch of omegas, each with
+its direction, into g, for the inversion legs, the probe scans and the
 contour-bound check: it returns (values, est_errors), from the entry's
 transform oracle (est_errors all 0) or numerically, as the source picks.  A
 numeric batch is a single quadrature engine pass over the ray integrals of
-all its omegas.  They share the direction and differ in margin and
-oscillation frequency, and each omega still gets the panels, value and
-est_error of its transform alone.  An entry's ``weighted_eval(z, w)`` then
-receives one omega per row of points z and must broadcast over them
-elementwise.
+all its omegas; the indicator and nu are computed once per distinct
+direction.  Each omega still gets the panels, value and est_error of its
+transform alone.  An entry's ``weighted_eval(z, w)`` then receives one omega
+per row of points z and must broadcast over them elementwise.
 """
 
 import cmath
@@ -83,35 +96,47 @@ def _decay_rate(margin, exact_indicator: bool):
     return margin if exact_indicator else _RATE_HAIRCUT * margin
 
 
-def _ray_integrands(
-    fn: TestFunction, theta: float, omegas, indicator: float, exact_indicator: bool, delta_min: float
-):
+def _phase_rate(fn: TestFunction, theta: float) -> float:
+    """nu(theta) = -Im(s e^{i theta}), s the singularity of g of least Re(s e^{i theta}); 0 without one.
+
+    ``_ray_integrands`` moves this rotation from F into the carrier.  Any
+    value gives the same integral; this one leaves F free of f's dominant
+    rotation, so that F needs few panels.
+    """
+    if not fn.singularities_of_g:
+        return 0.0
+    direction = cmath.exp(1j * theta)
+    return -min((s * direction for s in fn.singularities_of_g), key=lambda v: v.real).imag
+
+
+def _ray_integrands(fn: TestFunction, theta, omegas, indicator, nu, exact_indicator: bool, delta_min: float):
     """The ray integrals of g_theta at a 1-D sequence of omegas, as one batch.
 
-    Returns (integrand, rate, amplitude, osc_freq): g_theta(omegas[k]) is the
-    integral of integrand(t, k) over [0, inf), with envelope
-    amplitude * e^{-rate[k] t} and oscillation frequency osc_freq[k].  Raises
-    OutsideDomain for the first omega, in input order, whose margin is below
-    delta_min.  ``fn.weighted_eval(z, w)`` gets an array w of the omegas
-    owning the points z and must broadcast over them elementwise.
+    ``theta``, ``indicator`` and ``nu`` are scalars or hold one value per
+    omega.  Returns (integrand, rate, amplitude, freq): g_theta(omegas[k]) is
+    the integral of integrand(t, k) e^{i freq[k] t} over [0, inf), with
+    envelope amplitude * e^{-rate[k] t}.  Raises OutsideDomain for the first
+    omega, in input order, whose margin is below delta_min.
+    ``fn.weighted_eval(z, w)`` gets an array w of the omegas owning the
+    points z and must broadcast over them elementwise.
     """
     om = np.asarray(omegas, dtype=complex)
-    direction = cmath.exp(1j * theta)
-    # Re and Im of omega * direction, written out as Python's complex product computes them
-    proj_re = om.real * direction.real - om.imag * direction.imag
-    proj_im = om.real * direction.imag + om.imag * direction.real
-    margin = np.minimum(-indicator - proj_re, OFFSET_CAP)
-    outside = ~(margin >= delta_min)
-    if outside.any():
-        i = int(np.argmax(outside))
+    th = np.asarray(theta, dtype=float)
+    direction = np.exp(1j * th) if th.ndim else np.full(len(om), cmath.exp(1j * theta))
+    proj = om * direction
+    margin = np.minimum(-indicator - proj.real, OFFSET_CAP)
+    inside = margin >= delta_min
+    if np.count_nonzero(inside) < len(om):
+        i = int(np.argmin(inside))
         raise OutsideDomain(
             f"omega={omegas[i]} has margin {margin[i]:.3e} < delta_min={delta_min:.3e} "
-            f"in Omega_theta at theta={theta}"
+            f"in Omega_theta at theta={float(th[i] if th.ndim else th)}"
         )
     rate = _decay_rate(margin, exact_indicator)
+    weight = (proj.real - 1j * nu) * direction.conjugate()
     prefactor = direction / (2j * math.pi)
-    integrand = lambda t, k: prefactor * fn.weighted_eval(t * direction, om[k])
-    return integrand, rate, fn.envelope_const / (2.0 * math.pi), np.abs(proj_im)
+    integrand = lambda t, k: prefactor[k] * fn.weighted_eval(t * direction[k], weight[k])
+    return integrand, rate, fn.envelope_const / (2.0 * math.pi), proj.imag + nu
 
 
 def _ray_transform(
@@ -124,25 +149,33 @@ def _ray_transform(
     delta_min: float,
 ) -> IntegralResult:
     """g_theta(omega) at one omega, with the indicator given."""
-    integrand, rate, amplitude, osc = _ray_integrands(fn, theta, (omega,), indicator, exact_indicator, delta_min)
+    integrand, rate, amplitude, freq = _ray_integrands(
+        fn, theta, (omega,), indicator, _phase_rate(fn, theta), exact_indicator, delta_min
+    )
     decay = DecayModel(rate=float(rate[0]), amplitude=amplitude)
-    return integrate_ray(lambda t: integrand(t, 0), decay, budget, osc_freq=float(osc[0]))
+    return integrate_ray(lambda t: integrand(t, 0), decay, budget, freq=float(freq[0]))
 
 
-def _g_values(fn: TestFunction, theta: float, omegas, budget: QuadratureBudget, source: str, delta_min: float):
+def _g_values(fn: TestFunction, theta, omegas, budget: QuadratureBudget, source: str, delta_min: float):
     """g at a 1-D sequence of omegas: (values, est_errors), from the oracle ``source`` picks or numerically.
 
-    The oracle's values come with est_errors of 0.  Numeric values are
-    g_theta in one engine pass, each omega with the value, est_error and
-    panels of ``_ray_transform`` at that omega alone.
+    ``theta`` is one direction for every omega or one per omega.  The
+    oracle's values come with est_errors of 0.  Numeric values are g_theta in
+    one engine pass, each omega with the value, est_error and panels of
+    ``_ray_transform`` at that omega alone.
     """
     om = np.asarray(omegas, dtype=complex)
     oracle = pick_oracle(fn, "transform", source)
     if oracle is not None:
         return np.asarray(oracle(om), dtype=complex), np.zeros(len(om))
-    ind, exact = indicator_value(fn, theta)
-    integrand, rate, amplitude, osc = _ray_integrands(fn, theta, om, ind, exact, delta_min)
-    values, errors, _, _ = _integrate_rays(integrand, rate, np.full(len(om), amplitude), budget, osc)
+    th = np.asarray(theta, dtype=float)
+    thetas, which = np.unique(th, return_inverse=True) if th.ndim else (th[None], 0)
+    per_theta = [indicator_value(fn, t) for t in thetas.tolist()]
+    indicator = np.array([value for value, _ in per_theta])[which]
+    nu = np.array([_phase_rate(fn, t) for t in thetas.tolist()])[which]
+    exact = all(flag for _, flag in per_theta)
+    integrand, rate, amplitude, freq = _ray_integrands(fn, th, om, indicator, nu, exact, delta_min)
+    values, errors, _, _ = _integrate_rays(integrand, rate, np.full(len(om), amplitude), budget, freq)
     return values, errors
 
 
@@ -311,8 +344,8 @@ def gamma_bound_check(
 
     Samples both legs of the contour at ``samples`` leg parameters spaced
     geometrically over [1e-2, 1e2], computing g numerically along the leg's
-    natural direction (theta = -alpha on the lower leg, +alpha on the upper);
-    a nonpositive return certifies the bound at every sample.
+    natural direction (theta = -alpha on the lower leg, +alpha on the upper),
+    both legs in one batch; a nonpositive return certifies the bound at every sample.
     """
     budget = budget or QuadratureBudget()
     h = type_for(fn, gamma.alpha)
@@ -324,11 +357,7 @@ def gamma_bound_check(
         )
     bound = -cert.c_epsilon / denom
     ts = np.geomspace(1e-2, 1e2, samples)
-    worst = -math.inf
-    for leg_theta, leg_dir in (
-        (-gamma.alpha, gamma.lower_direction),
-        (gamma.alpha, gamma.upper_direction),
-    ):
-        g, _ = _g_values(fn, leg_theta, gamma.p + leg_dir * ts, budget, "numeric", DELTA_MIN_DEFAULT)
-        worst = max(worst, float(np.max(np.abs(g))) - bound)
-    return worst
+    thetas = np.repeat([-gamma.alpha, gamma.alpha], samples)
+    omegas = np.concatenate((gamma.p + gamma.lower_direction * ts, gamma.p + gamma.upper_direction * ts))
+    g, _ = _g_values(fn, thetas, omegas, budget, "numeric", DELTA_MIN_DEFAULT)
+    return float(np.max(np.abs(g))) - bound

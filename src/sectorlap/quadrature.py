@@ -1,16 +1,32 @@
-"""Adaptive Gauss-Legendre quadrature for complex integrands on segments and rays.
+"""Adaptive Filon-Gauss-Legendre quadrature for complex integrands on segments and rays.
 
-The scheme is fixed-order Gauss-Legendre per panel with bisection refinement.
-Each panel carries a two-level error estimate |GL(halves) - GL(panel)|.
+Every integral carries a signed carrier frequency kappa, and the engine
+computes int F(t) e^{i kappa t} dt from values of the smooth factor F alone.
+On a panel [m - h, m + h] the rule integrates the degree-15 Legendre
+projection of F on the 16 Gauss-Legendre nodes against the carrier exactly
+(Filon's rule, in the form of Iserles and Norsett, Proc. R. Soc. A 461, 2005):
+
+    h e^{i kappa m} sum_n c_n M_n(kappa h),   c_n = (2n+1)/2 sum_j w_j P_n(x_j) F_j,
+
+    M_n(x) = int_{-1}^{1} P_n(u) e^{i x u} du = 2 i^n j_n(x).
+
+At kappa h = 0 this is the plain Gauss-Legendre sum, which such panels use
+directly.  A panel's accuracy depends on how well a polynomial fits F, not
+on how many periods of the carrier it spans, so a rapidly rotating carrier
+costs no extra panels.  The moments come from a 40-point Gauss-Legendre rule
+for |x| < 12 and from Rayleigh's closed form of j_n beyond.
+
+Each panel carries a two-level error estimate |sum(halves) - sum(panel)|.
 
 One engine pass computes many independent integrals.  Every seed panel has
 an owner, the index of the integral it belongs to, and the engine calls its
 integrand as ``fn(t, k)``: ``t`` holds the Gauss-Legendre nodes of one
 interval per row and the column ``k`` the owner of each row, so one call can
-hold panels of many integrals.  Seeding evaluates the coarse, left-half and
-right-half nodes of up to _CHUNK_PANELS panels per call, across integral
-boundaries, and sums panel values and estimates per owner.  Each integral is
-then checked against its own target
+hold panels of many integrals.  A segment's seed panel is the segment
+itself; a ray's seed panels are geometric intervals (below).  Seeding
+evaluates the coarse, left-half and right-half nodes of up to _CHUNK_PANELS
+panels per call, across integral boundaries, and sums panel values and
+estimates per owner.  Each integral is then checked against its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
@@ -22,12 +38,13 @@ estimate is updated per split; if rounding leaves it above the target after
 every panel estimate has dropped to exactly 0, no panel can usefully be
 split, so refinement stops there and reports the re-summed estimate, 0.
 
-A panel's GL sums come out the same whichever panels share its integrand
-call (the matrix-vector product over two or more rows computes each row on
-its own), so every integral gets the same panels, values and estimates as
-when integrated alone.  Integrals are seeded
-in groups of consecutive owners holding about _GROUP_PANELS seed panels,
-which bounds the panel state however many integrals one pass is given; a
+A panel's sums come out the same whichever panels share its integrand call
+(every integrand call holds at least three panels, numpy's matrix products
+over two or more rows compute each row on its own, and each panel's moments
+depend on its own kappa h alone), so every integral gets the same panels,
+values and estimates as when integrated alone.  Integrals are seeded in
+groups of consecutive owners holding about _GROUP_PANELS seed panels, which
+bounds the panel state however many integrals one pass is given; a
 refined integral's state lives in numpy arrays whose row order is creation
 order.  Sums are checked for finite values before they are used: a NaN or
 infinite integrand value raises IllConditioned naming the first affected
@@ -38,21 +55,19 @@ finished first, as if the integrals were computed one after another.
 hand their integrands a 1-D array of points.
 
 Ray integrals over [0, inf) are truncated analytically: given a certified
-envelope |f(t)| <= A e^{-m t}, the tail beyond T is bounded by A e^{-m T}/m
+envelope |F(t)| <= A e^{-m t}, the tail beyond T is bounded by A e^{-m T}/m
 and T is chosen so that this bound is at most half of abs_floor.  The tail
 bound is added to est_error, so doubling T never moves the result by more
-than est_error.
-
-When the integrand's dominant oscillation frequency is known, initial panel
-lengths are capped at one period so the two-level estimate cannot alias a
-rapidly rotating phase into false convergence.
+than est_error.  The seed panels of a ray are [0, s], [s, 2s], [2s, 4s], ...
+up to T with s = min(1/m, T), dense near 0 where the integrand lives.
 """
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,17 +82,90 @@ __all__ = [
     "cauchy_kernel_check",
 ]
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-# initial panels per integrand call: 3 * 64 GL panels, about 3k points at order 16
+# initial panels per integrand call: 3 * 64 panels, about 3k points
 _CHUNK_PANELS = 64
 # seed panels held at once when seeding many integrals; bounds the panel state
 _GROUP_PANELS = 2048
 
+_ORDER = 16  # Gauss-Legendre nodes per panel
+_RAYLEIGH_FROM = 12.0  # |kappa h| from which the moments take Rayleigh's closed form
 
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _NODE_CACHE:
-        _NODE_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _NODE_CACHE[order]
+
+class _Rule(NamedTuple):
+    nodes: np.ndarray
+    weights: np.ndarray
+    project: np.ndarray
+    near_nodes: np.ndarray
+    near_cos: np.ndarray
+    near_sin: np.ndarray
+    far: np.ndarray
+
+
+@functools.cache
+def _rule() -> _Rule:
+    """The panel rule's tables, built on first use, as importing numpy.polynomial takes milliseconds."""
+    from numpy.polynomial.legendre import leggauss, legvander
+
+    nodes, weights = leggauss(_ORDER)
+    degrees = np.arange(_ORDER)
+    i_powers = np.array([1, 1j, -1, -1j])[degrees % 4]
+    # F at the nodes -> i^n c_n: the Legendre coefficients, with the moments' factor i^n folded in
+    project = legvander(nodes, _ORDER - 1) * weights[:, None] * (degrees + 0.5) * i_powers
+    # m_n(x) = M_n(x) / i^n = 2 j_n(x) is real.  Below |x| = _RAYLEIGH_FROM it is a 40-point
+    # Gauss-Legendre sum folded by parity onto the 20 positive nodes u: cos(x u) for the even
+    # degrees, sin(x u) for the odd ones.
+    near_nodes, near_weights = (half[20:] for half in leggauss(40))
+    near = legvander(near_nodes, _ORDER - 1) * 2.0 * near_weights[:, None] * (-1.0) ** (degrees // 2)
+    # From there on, Rayleigh's closed form m_n(x) = Re(e^{ix} sum_k R[k, n] x^{-k-1}) with
+    # R[k, n] = 2 (-i)^{n+1} (n+k)! / (k! (n-k)!) (i/2)^k, 0 for k > n; far holds Re R, then Im R.
+    counts = np.array(
+        [[math.comb(n + k, k) * math.perm(n, k) for n in range(_ORDER)] for k in range(_ORDER)], dtype=float
+    )
+    k, n = np.indices((_ORDER, _ORDER))
+    rayleigh = 2.0 * 0.5**k * counts * i_powers[(3 * n + 3 + k) % 4]
+    return _Rule(
+        nodes,
+        weights,
+        project,
+        near_nodes,
+        np.where(degrees % 2 == 0, near, 0.0),
+        np.where(degrees % 2 == 1, near, 0.0),
+        np.concatenate((rayleigh.real, rayleigh.imag), axis=1),
+    )
+
+
+def _near_moments(x: np.ndarray) -> np.ndarray:
+    rule = _rule()
+    ux = np.multiply.outer(x, rule.near_nodes)
+    return np.cos(ux) @ rule.near_cos + np.sin(ux) @ rule.near_sin
+
+
+def _far_moments(x: np.ndarray) -> np.ndarray:
+    rayleigh = np.cumprod(np.repeat((1.0 / x)[:, None], _ORDER, axis=1), axis=1) @ _rule().far
+    return np.cos(x)[:, None] * rayleigh[:, :_ORDER] - np.sin(x)[:, None] * rayleigh[:, _ORDER:]
+
+
+def _moments(x: np.ndarray) -> np.ndarray:
+    """m_n(x) = 2 j_n(x) for n < 16, one row per x, so that int_{-1}^{1} P_n(u) e^{ixu} du = i^n m_n(x).
+
+    Each row depends on its own x only, whichever rows share the call.
+    """
+    near = np.abs(x) < _RAYLEIGH_FROM
+    count = np.count_nonzero(near)
+    if count == len(x):
+        return _near_moments(x)
+    if not count:
+        return _far_moments(x)
+    if min(count, len(x) - count) < 2:
+        # a one-row matrix product can round differently from the same row among others, so a lone
+        # row of either kind is computed among all rows; the far form is discarded where x is near 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(near[:, None], _near_moments(x), _far_moments(x))
+    moments = np.empty((len(x), _ORDER))
+    moments[near] = _near_moments(x[near])
+    far = ~near
+    moments[far] = _far_moments(x[far])
+    return moments
 
 
 @dataclass(frozen=True)
@@ -85,7 +173,6 @@ class QuadratureBudget:
     rel_tol: float = 1e-10
     abs_floor: float = 1e-12
     max_panels: int = 4000
-    panel_order: int = 16
 
     def __post_init__(self):
         if not (self.rel_tol >= 1e-14):
@@ -94,11 +181,9 @@ class QuadratureBudget:
             raise ValueError(f"abs_floor must be positive, got {self.abs_floor}")
         if not (isinstance(self.max_panels, int) and self.max_panels >= 1):
             raise ValueError(f"max_panels must be a positive integer, got {self.max_panels}")
-        if not (isinstance(self.panel_order, int) and 2 <= self.panel_order <= 64):
-            raise ValueError(f"panel_order must be an integer in [2, 64], got {self.panel_order}")
-        if self.max_panels * self.panel_order > 10**7:
+        if self.max_panels * _ORDER > 10**7:
             raise ValueError(
-                f"max_panels*panel_order={self.max_panels * self.panel_order} exceeds the 1e7 evaluation guard"
+                f"max_panels*{_ORDER} nodes={self.max_panels * _ORDER} exceeds the 1e7 evaluation guard"
             )
 
     def tighten(self) -> "QuadratureBudget":
@@ -107,7 +192,6 @@ class QuadratureBudget:
             rel_tol=max(1e-14, self.rel_tol / 100.0),
             abs_floor=max(1e-15, self.abs_floor / 100.0),
             max_panels=self.max_panels,
-            panel_order=self.panel_order,
         )
 
 
@@ -120,9 +204,9 @@ class DecayModel:
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise InvalidDecay(f"ray integration requires a positive decay rate, got {self.rate}")
+            raise InvalidDecay(f"ray integration requires a finite positive decay rate, got {self.rate}")
         if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
-            raise InvalidDecay(f"decay amplitude must be positive, got {self.amplitude}")
+            raise InvalidDecay(f"decay amplitude must be finite and positive, got {self.amplitude}")
 
     def tail_bound(self, T: float) -> float:
         return self.amplitude * math.exp(-self.rate * T) / self.rate
@@ -143,16 +227,23 @@ def _eval_vector(fn: Callable, pts: np.ndarray, owners: np.ndarray) -> np.ndarra
     return vals
 
 
-def _gl_sums(fn, a: np.ndarray, b: np.ndarray, owners: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """GL sums over the intervals [a[i], b[i]] of integrals owners[i], from one integrand call on all their nodes.
+def _panel_sums(fn, a: np.ndarray, b: np.ndarray, owners: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """Sums of F e^{i freq[i] t} over the panels [a[i], b[i]] of integrals owners[i], from one integrand call.
 
-    The call gets the nodes as rows, one interval per row, and the owners as a column.
+    The call gets the nodes as rows, one panel per row, and the owners as a
+    column, and returns F there.
     """
+    rule = _rule()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = _eval_vector(fn, mid[:, None] + half[:, None] * x, owners[:, None])
+    vals = _eval_vector(fn, mid[:, None] + half[:, None] * rule.nodes, owners[:, None])
+    x = freq * half
+    carried = np.count_nonzero(x)
     with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
-        return half * (vals @ w)
+        if not carried:
+            return half * (vals @ rule.weights)
+        filon = half * np.exp(1j * (freq * mid)) * ((vals @ rule.project) * _moments(x)).sum(axis=1)
+        return filon if carried == len(x) else np.where(x == 0.0, half * (vals @ rule.weights), filon)
 
 
 def _check_finite(sums: np.ndarray, a, b) -> None:
@@ -166,9 +257,8 @@ def _check_finite(sums: np.ndarray, a, b) -> None:
         )
 
 
-def _refine(fn, owner, lo, hi, left, right, err, total, total_err, budget) -> tuple[complex, float, int]:
-    """Split the worst panel of one integral until its estimate meets the target."""
-    x, w = _gl_nodes(budget.panel_order)
+def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget) -> tuple[complex, float, int]:
+    """Split the worst panel of one integral, of carrier frequency freq, until its estimate meets the target."""
     # Panel k spans [lo[k], hi[k]] with half-panel sums left[k], right[k].
     # Rows are appended in creation order, so the smaller index is the older
     # panel; a split panel's err is set to -1 to retire it.  The arrays are
@@ -196,7 +286,8 @@ def _refine(fn, owner, lo, hi, left, right, err, total, total_err, budget) -> tu
         mid = 0.5 * (a + b)
         mid0, mid1 = 0.5 * (a + mid), 0.5 * (mid + b)
         starts, ends = np.array((a, mid, mid0, mid1)), np.array((mid0, mid1, mid, b))
-        sums = _gl_sums(fn, starts, ends, np.full(4, owner), x, w).reshape(2, 2)  # rows: left halves, right halves
+        # rows: left halves, right halves
+        sums = _panel_sums(fn, starts, ends, np.full(4, owner), np.full(4, freq)).reshape(2, 2)
         _check_finite(sums, (a, mid), (mid, b))
         (left0, left1), (right0, right1) = sums.tolist()
         fine0, fine1 = left0 + right0, left1 + right1
@@ -219,21 +310,20 @@ def _refine(fn, owner, lo, hi, left, right, err, total, total_err, budget) -> tu
     return value, math.fsum(err[:count][keep].tolist()), live
 
 
-def _adaptive(fn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, counts: list[int], budget: QuadratureBudget):
+def _adaptive(fn, lo, hi, owner: np.ndarray, freq: np.ndarray, counts: list[int], budget: QuadratureBudget):
     """Integrals over the seed panels [lo[i], hi[i]] of owner[i]; integral j owns the next counts[j] panels.
 
-    Returns value, est_error and panels used for each integral, in order.
+    ``freq[i]`` is the carrier frequency of panel i's integral.  Returns
+    value, est_error and panels used for each integral, in order.
     """
-    x, w = _gl_nodes(budget.panel_order)
     n = len(lo)
     sums = np.empty((3, n), dtype=complex)  # rows: whole panel, left half, right half
     for s in range(0, n, _CHUNK_PANELS):
         c = slice(s, s + _CHUNK_PANELS)
-        a, b, k = lo[c], hi[c], owner[c]
+        a, b, k, f = lo[c], hi[c], owner[c], freq[c]
         mid = 0.5 * (a + b)
-        sums[:, c] = _gl_sums(
-            fn, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)), np.concatenate((k, k, k)), x, w
-        ).reshape(3, -1)
+        rows = (np.concatenate(v) for v in ((a, a, mid), (b, mid, b), (k, k, k), (f, f, f)))
+        sums[:, c] = _panel_sums(fn, *rows).reshape(3, -1)
     ends = list(itertools.accumulate(counts))
     done = len(counts)
     if not np.isfinite(sums).all():
@@ -243,18 +333,17 @@ def _adaptive(fn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, counts: lis
     coarse, left, right = sums[:, :m]
     fine = left + right
     err = np.abs(fine - coarse)
-    # running totals per integral, summed in panel order as for one integral alone
-    run = np.arange(done).repeat(counts[:done])
-    totals = zip(np.bincount(run, fine.real, done).tolist(), np.bincount(run, fine.imag, done).tolist())
+    # running totals per integral, each summed over its own panels alone
+    totals = np.add.reduceat(fine, [0, *ends[: done - 1]]).tolist() if done else []
 
     values, errors, used = [], [], []
     fine_re, fine_im, err_list = fine.real.tolist(), fine.imag.tolist(), err.tolist()
     s = 0
-    for e, (total_re, total_im) in zip(ends, totals):
-        total, total_err = complex(total_re, total_im), math.fsum(err_list[s:e])
+    for e, total in zip(ends, totals):
+        total_err = math.fsum(err_list[s:e])
         if total_err > budget.rel_tol * abs(total) + budget.abs_floor:
             value, total_err, count = _refine(
-                fn, owner[s], lo[s:e], hi[s:e], left[s:e], right[s:e], err[s:e], total, total_err, budget
+                fn, owner[s], freq[s], lo[s:e], hi[s:e], left[s:e], right[s:e], err[s:e], total, total_err, budget
             )
         else:
             value, count = complex(math.fsum(fine_re[s:e]), math.fsum(fine_im[s:e])), e - s
@@ -268,23 +357,16 @@ def _adaptive(fn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, counts: lis
     return values, errors, used
 
 
-def _integrate_seeds(fn, a, b, integral, first, owners, osc_freq, budget: QuadratureBudget):
-    """Integrals of fn(t, k) over seed intervals [a[i], b[i]], interval i belonging to integral[i].
+def _integrate_seeds(fn, a, b, first, owners, freq, budget: QuadratureBudget):
+    """Integrals of fn(t, k) e^{i freq t} over seed panels [a[i], b[i]], integral j's starting at first[j].
 
-    ``integral`` is sorted and ``first[j]`` is the first interval of integral j,
-    which is passed to fn as ``owners[j]``.  Where its oscillation frequency
-    ``osc_freq[j]`` is positive, each of its intervals is cut into equal
-    panels no longer than one period.  Returns value, est_error and panels
-    used for each integral, in order.
+    ``first`` is increasing, and integral j is passed to fn as ``owners[j]``
+    and has carrier frequency ``freq[j]``.  Returns value, est_error and
+    panels used for each integral, in order.
     """
     limit = budget.max_panels
-    freqs = osc_freq.tolist()
-    capped = np.array([w > 0.0 for w in freqs])[integral]
-    # an uncapped integral has an infinite period, and so one panel per interval
-    period = np.array([2.0 * math.pi / w if w > 0.0 else math.inf for w in freqs])[integral]
-    span = b - a
-    pieces = np.minimum(np.maximum(np.ceil(span / period), 1.0), limit).astype(np.int64)
-    counts = np.add.reduceat(pieces, first).tolist()
+    bounds = first.tolist() + [len(a)]
+    counts = [end - start for start, end in zip(bounds, bounds[1:])]
     stop = next((j for j, count in enumerate(counts) if count > limit), len(counts))
     # groups of consecutive integrals, each closed once it holds _GROUP_PANELS seed panels
     edges, filled = [], _GROUP_PANELS
@@ -294,37 +376,25 @@ def _integrate_seeds(fn, a, b, integral, first, owners, osc_freq, budget: Quadra
             filled = 0
         filled += count
     edges.append(stop)
-    bounds = first.tolist() + [len(a)]
     values, errors, used = [], [], []
     for g0, g1 in zip(edges, edges[1:]):
-        i = slice(bounds[g0], bounds[g1])
-        p = pieces[i]
-        # interval [a, b] is cut at a + (b - a) * k / pieces, k = 1..pieces; uncapped ones keep b exactly
-        k = np.arange(1, sum(counts[g0:g1]) + 1) - (p.cumsum() - p).repeat(p)
-        hi = a[i].repeat(p) + span[i].repeat(p) * k / p.repeat(p)
-        if not capped[i].all():
-            hi = np.where(capped[i].repeat(p), hi, b[i].repeat(p))
-        lo = np.empty_like(hi)
-        lo[1:] = hi[:-1]
-        lo[[0, *itertools.accumulate(counts[g0 : g1 - 1])]] = a[first[g0:g1]]
-        group = _adaptive(fn, lo, hi, owners[g0:g1].repeat(counts[g0:g1]), counts[g0:g1], budget)
+        i, k = slice(bounds[g0], bounds[g1]), counts[g0:g1]
+        group = _adaptive(fn, a[i], b[i], owners[g0:g1].repeat(k), freq[g0:g1].repeat(k), k, budget)
         for out, part in zip((values, errors, used), group):
             out.extend(part)
     if stop < len(counts):
-        if capped[first[stop]]:
-            raise BudgetExceeded(f"oscillation cap requires {counts[stop]} initial panels, budget allows {limit}")
         raise BudgetExceeded(f"initial subdivision needs {counts[stop]} panels, budget allows {limit}")
     return values, errors, used
 
 
-def _integrate_segments(fn, a: np.ndarray, b: np.ndarray, budget: QuadratureBudget, osc_freq: np.ndarray):
-    """Integrals j of fn(t, j) over [a[j], b[j]] (a[j] < b[j]), each with oscillation frequency osc_freq[j].
+def _integrate_segments(fn, a: np.ndarray, b: np.ndarray, budget: QuadratureBudget, freq: np.ndarray):
+    """Integrals j of fn(t, j) e^{i freq[j] t} over [a[j], b[j]] (a[j] < b[j]).
 
     Returns value, est_error and panels used per integral, each as
     ``integrate_segment`` computes it alone.
     """
     j = np.arange(len(a))
-    return _integrate_seeds(fn, a, b, j, j, j, osc_freq, budget)
+    return _integrate_seeds(fn, a, b, j, j, freq, budget)
 
 
 def integrate_segment(
@@ -332,25 +402,25 @@ def integrate_segment(
     a: float,
     b: float,
     budget: QuadratureBudget | None = None,
-    osc_freq: float = 0.0,
+    freq: float = 0.0,
 ) -> IntegralResult:
-    """Integrate a complex-valued ``fn`` (vectorized over numpy arrays) on [a, b]."""
+    """Integrate fn(t) e^{i freq t} on [a, b]; ``fn`` is complex-valued and vectorized over numpy arrays."""
     budget = budget or QuadratureBudget()
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise ValueError(f"segment endpoints must be finite with a <= b, got [{a}, {b}]")
     if a == b:
         return IntegralResult(0j, 0.0, 0.0, 0)
     (value,), (err,), (used,) = _integrate_segments(
-        lambda t, k: fn(t.ravel()), np.array([a], float), np.array([b], float), budget, np.array([osc_freq])
+        lambda t, k: fn(t.ravel()), np.array([a], float), np.array([b], float), budget, np.array([freq])
     )
     return IntegralResult(value, err, 0.0, used)
 
 
-def _ray_breakpoints(T: list[float], rate: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _ray_breakpoints(T: list[float], rate: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Geometric seed intervals of each ray [0, T[j]], dense near 0 where the integrand lives.
 
     Ray j gets [0, s], [s, 2s], [2s, 4s], ... up to T[j], with s = min(1/rate[j], T[j]).
-    Returns the interval ends a, b, the ray of each interval and the first interval of each ray.
+    Returns the interval ends a, b and the first interval of each ray.
     """
     step = [min(1.0 / m, T_j) for T_j, m in zip(T, rate)]
     # intervals per ray: 1 + the least d with s * 2^d >= T, exactly, from binary exponents and mantissas
@@ -363,21 +433,20 @@ def _ray_breakpoints(T: list[float], rate: list[float]) -> tuple[np.ndarray, np.
     a = 0.5 * b
     a[first] = 0.0
     b[ends - 1] = T
-    return a, b, ray, first
+    return a, b, first
 
 
-def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: QuadratureBudget, osc_freq: np.ndarray):
-    """Integrals j of fn(t, j) over [0, inf), given |fn(t, j)| <= amplitude[j] e^{-rate[j] t}.
+def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: QuadratureBudget, freq: np.ndarray):
+    """Integrals j of fn(t, j) e^{i freq[j] t} over [0, inf), given |fn(t, j)| <= amplitude[j] e^{-rate[j] t}.
 
-    ``osc_freq[j]`` is the dominant oscillation frequency of integral j.
     Validates every envelope first: for the first integral, in input order,
     whose rate or amplitude is not finite and positive, raises InvalidDecay
     with DecayModel's message.  Returns value, est_error, truncation_T and
     panels used per integral, each as ``integrate_ray`` computes it alone.
     """
-    bad = ~(np.isfinite(rate) & (rate > 0.0) & np.isfinite(amplitude) & (amplitude > 0.0))
-    if bad.any():
-        j = int(np.argmax(bad))
+    good = np.isfinite(rate) & (rate > 0.0) & np.isfinite(amplitude) & (amplitude > 0.0)
+    if np.count_nonzero(good) < len(good):
+        j = int(np.argmin(good))
         DecayModel(rate=float(rate[j]), amplitude=float(amplitude[j]))  # raises InvalidDecay
     rates, amplitudes = rate.tolist(), amplitude.tolist()
     # A e^{-m T} / m <= abs_floor / 2, in math.log and math.exp as for one integral (numpy's
@@ -387,9 +456,9 @@ def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: Quadrat
     T_live = [math.log(args[j]) / rates[j] for j in live]
     values, errors, used = [], [], []
     if live:
-        a, b, ray, first = _ray_breakpoints(T_live, [rates[j] for j in live])
+        a, b, first = _ray_breakpoints(T_live, [rates[j] for j in live])
         owners = np.array(live)
-        values, errors, used = _integrate_seeds(fn, a, b, ray, first, owners, osc_freq[owners], budget)
+        values, errors, used = _integrate_seeds(fn, a, b, first, owners, freq[owners], budget)
     # integrals below the floor: 0, with est_error A / m and no panels
     n = len(rates)
     value, err, T, panels = [0j] * n, [A / m for m, A in zip(rates, amplitudes)], [0.0] * n, [0] * n
@@ -403,9 +472,9 @@ def integrate_ray(
     fn: Callable,
     decay: DecayModel,
     budget: QuadratureBudget | None = None,
-    osc_freq: float = 0.0,
+    freq: float = 0.0,
 ) -> IntegralResult:
-    """Integrate ``fn`` on [0, inf) given a certified exponential envelope.
+    """Integrate fn(t) e^{i freq t} on [0, inf) given a certified envelope |fn(t)| <= decay's.
 
     The result's est_error includes both the adaptive two-level estimate and
     the analytic tail bound at the chosen truncation point.
@@ -416,7 +485,7 @@ def integrate_ray(
         np.array([decay.rate]),
         np.array([decay.amplitude]),
         budget,
-        np.array([osc_freq]),
+        np.array([freq]),
     )
     return IntegralResult(complex(value[0]), float(err[0]), float(T[0]), int(used[0]))
 
@@ -430,10 +499,5 @@ def cauchy_kernel_check(z: complex, budget: QuadratureBudget | None = None) -> I
     z = complex(z)
     if not z.real < 0.0:
         raise InvalidDecay(f"kernel identity requires Re z < 0, got Re z = {z.real}")
-    res = integrate_ray(
-        lambda t: np.exp(t * z),
-        DecayModel(rate=-z.real, amplitude=1.0),
-        budget,
-        osc_freq=abs(z.imag),
-    )
+    res = integrate_ray(lambda t: np.exp(t * z.real), DecayModel(rate=-z.real, amplitude=1.0), budget, freq=z.imag)
     return IntegralResult(1.0 / z + res.value, res.est_error, res.truncation_T, res.panels_used)

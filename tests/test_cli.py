@@ -64,8 +64,9 @@ def test_transform_skip_invalid(tmp_path, capsys):
 
 
 def test_transform_numeric_failure_exit_code(capsys):
-    # far-out oscillation: the one-period panel cap exceeds the panel budget
-    rc = main(["transform", "--fn", "exp:a=-1", "--theta", "0", "--omega", "-1+5000i"])
+    # a second exponential rotating at 30000 relative to the dominant one: the carrier removes only one
+    # rotation, and resolving the other on the ray takes more panels than the budget allows
+    rc = main(["transform", "--fn", "sum:a1=-1,c1=1,a2=-1.001+30000i,c2=1", "--theta", "0", "--omega", "-1+0i"])
     assert rc == 3
     assert "BudgetExceeded" in capsys.readouterr().err
 
@@ -73,6 +74,16 @@ def test_transform_numeric_failure_exit_code(capsys):
 def test_unknown_entry_exit_code(capsys):
     rc = main(["transform", "--fn", "gauss", "--theta", "0", "--omega", "-1+0i"])
     assert rc == 2
+
+
+def test_invert_far_point_is_a_numeric_failure(capsys):
+    # e^{-p Re z} = e^{1000} overflows the leg envelope: a typed numeric failure, not a traceback
+    rc = main(["invert", "--fn", "exp:a=-1", "--p", "-1", "--z", "1000"])
+    assert rc == 3
+    assert "InvalidDecay: decay amplitude must be finite and positive, got inf" in capsys.readouterr().err
+    rc = main(["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1000"])
+    assert rc == 3
+    assert "InvalidDecay" in capsys.readouterr().err
 
 
 def test_invert_and_apex_rejection(tmp_path, capsys):

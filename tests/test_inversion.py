@@ -6,6 +6,7 @@ import pytest
 
 from sectorlap import (
     AngularMarginTooSmall,
+    InvalidDecay,
     OutsideSector,
     QuadratureBudget,
     ReconstructionQuery,
@@ -65,6 +66,9 @@ def test_reconstruct_rejects_bad_points():
     edge = cmath.exp(1j * (math.pi / 4 - 0.01))
     with pytest.raises(AngularMarginTooSmall, match="angular margin"):
         reconstruct(ReconstructionQuery(make_exp(-1), gamma, edge, BUDGET))
+    # the leg envelope g_bound e^{-p Re z} overflows
+    with pytest.raises(InvalidDecay, match="got inf"):
+        reconstruct(ReconstructionQuery(make_exp(-1), gamma, 1000.0, BUDGET))
 
 
 def test_query_validation():
@@ -122,6 +126,31 @@ def test_roundtrip_sum_entry():
     report = roundtrip_report(fn, SPEC, -1.0, [0.5, 1.0, 2.0], BUDGET, "oracle")
     assert report.failures == 0
     assert report.max_rel <= 1e-8
+
+
+@pytest.mark.parametrize("source", ["oracle", "numeric"])
+def test_one_g_batch_per_outer_integrand_call(monkeypatch, source):
+    gamma = build_gamma(SPEC, -1.0)
+    calls = {"g": 0, "outer": 0}
+    g_values, integrate_rays = inversion._g_values, inversion._integrate_rays
+
+    def counted_g(fn, thetas, omegas, *rest):
+        calls["g"] += 1
+        assert set(np.unique(thetas).tolist()) <= {-gamma.alpha, gamma.alpha}
+        return g_values(fn, thetas, omegas, *rest)
+
+    def counted_rays(integrand, *rest):
+        def outer(t, k):
+            calls["outer"] += 1
+            return integrand(t, k)
+
+        return integrate_rays(outer, *rest)
+
+    monkeypatch.setattr(inversion, "_g_values", counted_g)
+    monkeypatch.setattr(inversion, "_integrate_rays", counted_rays)
+    res = reconstruct(ReconstructionQuery(make_exp(-1), gamma, 0.8 + 0.2j, BUDGET, source))
+    assert calls["g"] == calls["outer"] > 0
+    assert abs(res.value - cmath.exp(-(0.8 + 0.2j))) <= res.est_error
 
 
 def test_numeric_g_est_error_counts_the_inner_error(monkeypatch):

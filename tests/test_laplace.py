@@ -190,8 +190,8 @@ BATCH_BUDGETS = [
     QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13),
     # half the floor above most integrals: the arg <= 1 shortcut, no panels at all
     QuadratureBudget(rel_tol=1e-8, abs_floor=0.5),
-    # six-point panels miss the target on their seeds, so integrals refine
-    QuadratureBudget(rel_tol=1e-8, abs_floor=1e-11, max_panels=2000, panel_order=6),
+    # a target near rounding level: seeds miss it, so integrals refine, and some exhaust the budget
+    QuadratureBudget(rel_tol=1e-13, abs_floor=1e-16, max_panels=2000),
 ]
 
 
@@ -228,7 +228,7 @@ def _batches(draw):
 @given(_batches())
 @example(_batch("exp", 0.2, [(0.5, 3.0), (2.0, 0.0), (1.000001e-3, 0.0), (0.3, -12.0)], 2))
 @example(_batch("sum", -0.3, [(3.0, 1.0), (0.05, 2.0), (2.5, 0.0)], 1))
-# a subnormal oscillation frequency: the one-period cap is an infinite period, one panel per interval
+# a subnormal carrier frequency: kappa h underflows to 0 on the first panels, the plain Gauss-Legendre sum
 @example(_batch("exp", 0.0, [(1.0, 0.0), (1.0, 1.1125369292536007e-308)], 0))
 @settings(max_examples=40, deadline=None)
 def test_batched_transform_matches_each_omega_alone(batch):
@@ -242,9 +242,12 @@ def test_batched_transform_matches_each_omega_alone(batch):
         assert str(caught.value) == str(failed[0])
         return
     ind, exact = indicator_value(fn, theta)
-    integrand, rate, amplitude, osc = laplace._ray_integrands(fn, theta, omegas, ind, exact, DELTA_MIN_DEFAULT)
+    nu = laplace._phase_rate(fn, theta)
+    integrand, rate, amplitude, freq = laplace._ray_integrands(
+        fn, theta, omegas, ind, nu, exact, DELTA_MIN_DEFAULT
+    )
     values, errors, T, used = quadrature._integrate_rays(
-        integrand, rate, np.full(len(omegas), amplitude), budget, osc
+        integrand, rate, np.full(len(omegas), amplitude), budget, freq
     )
     for k, single in enumerate(singles):
         assert (int(used[k]), float(T[k]), float(errors[k])) == (
@@ -260,9 +263,9 @@ def test_batched_transform_covers_shortcut_and_refinement():
     fn, theta = BATCH_ENTRIES["exp"], 0.2
     shortcut = _single_or_error(fn, theta, _omega_at(fn, theta, 2.0, 0.0), BATCH_BUDGETS[1])
     assert shortcut.panels_used == 0 and shortcut.value == 0
-    # the seed intervals of this ray are uncapped, so every panel past them is a split
-    refined = _single_or_error(fn, theta, _omega_at(fn, theta, 0.2, 0.0), BATCH_BUDGETS[2])
-    a, _, _, _ = quadrature._ray_breakpoints([refined.truncation_T], [0.2])
+    # every panel past the seed intervals is a split
+    refined = _single_or_error(fn, theta, _omega_at(fn, theta, 1.0, 3.0), BATCH_BUDGETS[2])
+    a, _, _ = quadrature._ray_breakpoints([refined.truncation_T], [1.0])
     assert refined.panels_used > len(a)
 
 
@@ -270,9 +273,10 @@ def test_batched_transform_covers_shortcut_and_refinement():
 @pytest.mark.parametrize("kind", ["margin", "cap"])
 def test_batch_with_one_bad_omega_raises_its_error(position, kind):
     fn, theta = BATCH_ENTRIES["trig"], 0.1
-    budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13, max_panels=200)
+    # these four rays take 6 seed intervals and no split
+    budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13, max_panels=6)
     omegas = [_omega_at(fn, theta, m, f) for m, f in [(0.4, 1.0), (1.5, -2.0), (0.9, 0.0), (2.0, 3.0)]]
-    # a margin below delta_min, or an oscillation cap needing more panels than the budget allows
+    # a margin below delta_min, or a ray long enough that its 7 seed intervals exceed the panel cap
     bad = _omega_at(fn, theta, -0.5, 1.0) if kind == "margin" else _omega_at(fn, theta, 0.01, 25.0)
     omegas.insert(position, bad)
     alone = _single_or_error(fn, theta, bad, budget)
@@ -285,7 +289,7 @@ def test_batch_with_one_bad_omega_raises_its_error(position, kind):
 def test_large_batch_spans_several_groups():
     fn, theta = BATCH_ENTRIES["trig"], 0.1
     budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13)
-    count = 300
+    count = 1000
     margins, freqs = np.linspace(0.2, 3.0, count), 8.0 * np.sin(np.arange(count))
     omegas = [_omega_at(fn, theta, m, f) for m, f in zip(margins, freqs)]
     values, errors = laplace._g_values(fn, theta, omegas, budget, "numeric", DELTA_MIN_DEFAULT)
@@ -294,6 +298,25 @@ def test_large_batch_spans_several_groups():
     assert errors.tolist() == [s.est_error for s in singles]
     for value, single in zip(values, singles):
         assert abs(value - single.value) <= 4 * np.finfo(float).eps * abs(single.value)
+
+
+def test_g_values_with_a_direction_per_omega(monkeypatch):
+    fn = BATCH_ENTRIES["sum"]
+    thetas, margins, freqs = [0.3, -0.2, 0.3, -0.2, 0.3], [1.0, 0.5, 2.0, 0.3, 0.05], [0.0, 3.0, -4.0, 1.0, 9.0]
+    omegas = [_omega_at(fn, t, m, f) for t, m, f in zip(thetas, margins, freqs)]
+    lookups = []
+    indicator = laplace.indicator_value
+    monkeypatch.setattr(laplace, "indicator_value", lambda fn, t: lookups.append(t) or indicator(fn, t))
+    values, errors = laplace._g_values(fn, thetas, omegas, BUDGET, "numeric", DELTA_MIN_DEFAULT)
+    # one indicator per distinct direction, and each omega as in a batch along its own direction
+    assert sorted(lookups) == [-0.2, 0.3]
+    for theta in (0.3, -0.2):
+        mine = [k for k, t in enumerate(thetas) if t == theta]
+        alone, alone_errors = laplace._g_values(
+            fn, theta, [omegas[k] for k in mine], BUDGET, "numeric", DELTA_MIN_DEFAULT
+        )
+        assert errors[mine].tolist() == alone_errors.tolist()
+        assert np.abs(values[mine] - alone).max() <= 4 * np.finfo(float).eps * np.abs(alone).max()
 
 
 @pytest.mark.parametrize("source", ["auto", "oracle"])

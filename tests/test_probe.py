@@ -15,6 +15,7 @@ from sectorlap import (
     probe_report,
     radius_scan,
     rational_function,
+    trig_decay,
     zero_function,
 )
 from sectorlap.probe import J_SLOPE_SENTINEL
@@ -40,6 +41,16 @@ def test_blowup_with_numeric_transform():
     scan = blowup_scan(make_exp(1), 0.0, g_source="numeric")
     assert scan.detected
     assert abs(scan.boundary_point - (-1.0)) <= 1e-3
+    assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.1)
+
+
+@pytest.mark.parametrize("fn, theta", [(make_exp(-1 + 1j), -0.4916), (trig_decay(), 0.1343)])
+def test_numeric_blowup_off_axis(fn, theta):
+    # the rays reach T of about 3e4 at margin 1e-3 while turning at the kernel's and f's rates:
+    # criterion 9's location and exponent tolerances
+    scan = blowup_scan(fn, theta, g_source="numeric")
+    assert scan.detected
+    assert abs(scan.boundary_point - fn.singularities_of_g[0]) <= 1e-3
     assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.1)
 
 

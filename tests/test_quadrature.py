@@ -27,9 +27,7 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         QuadratureBudget(rel_tol=1e-15)
     with pytest.raises(ValueError):
-        QuadratureBudget(panel_order=1)
-    with pytest.raises(ValueError):
-        QuadratureBudget(max_panels=10**6, panel_order=64)
+        QuadratureBudget(max_panels=10**6)  # 16 nodes per panel: beyond the 1e7 evaluation guard
 
 
 def test_budget_tighten_floors():
@@ -75,9 +73,13 @@ def test_segment_polynomial():
 
 
 def test_segment_oscillatory():
-    # antiderivative: -i e^{i t} over [0, pi] gives exactly 2i
-    res = integrate_segment(lambda t: np.exp(1j * t), 0.0, math.pi, TIGHT, osc_freq=1.0)
+    # antiderivative: -i e^{i t} over [0, pi] gives exactly 2i; F = e^{i t / 4} times the carrier e^{3i t / 4}
+    res = integrate_segment(lambda t: np.exp(0.25j * t), 0.0, math.pi, TIGHT, freq=0.75)
     np.testing.assert_allclose(res.value, 2.0j, rtol=1e-13, atol=1e-14)
+    # the whole rotation as the carrier: F = 1
+    res = integrate_segment(lambda t: np.ones_like(t), 0.0, math.pi, TIGHT, freq=-1.0)
+    np.testing.assert_allclose(res.value, -2.0j, rtol=1e-13, atol=1e-14)
+    assert res.panels_used == 1
 
 
 def test_ray_real_exponential():
@@ -89,11 +91,54 @@ def test_ray_real_exponential():
 
 def test_ray_oscillatory_exponential():
     # int_0^inf e^{-(1-i)t} dt = 1/(1-i) = 0.5 + 0.5i
-    res = integrate_ray(
-        lambda t: np.exp(-(1 - 1j) * t), DecayModel(rate=1.0, amplitude=1.0), TIGHT, osc_freq=1.0
-    )
+    res = integrate_ray(lambda t: np.exp(-t), DecayModel(rate=1.0, amplitude=1.0), TIGHT, freq=1.0)
     np.testing.assert_allclose(res.value, 0.5 + 0.5j, rtol=1e-12)
     assert abs(res.value - (0.5 + 0.5j)) <= res.est_error
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ray_carrier_costs_no_panels(sign):
+    # int_0^inf e^{-t} e^{i kappa t} dt = 1 / (1 - i kappa), with F = e^{-t} for every kappa
+    panels = []
+    for kappa in sign * np.geomspace(1e-3, 1e4, 15):
+        res = integrate_ray(lambda t: np.exp(-t), DecayModel(rate=1.0, amplitude=1.0), TIGHT, freq=kappa)
+        exact = 1.0 / (1.0 - 1j * kappa)
+        assert abs(res.value - exact) <= res.est_error
+        panels.append(res.panels_used)
+    plain = integrate_ray(lambda t: np.exp(-t), DecayModel(rate=1.0, amplitude=1.0), TIGHT)
+    assert max(panels) <= plain.panels_used
+
+
+def _reference_moments(x: float) -> np.ndarray:
+    """int_{-1}^{1} P_n(u) e^{i x u} du for n < 16, by composite 30-point Gauss-Legendre on many panels."""
+    count = 16 + int(abs(x) / 2)
+    u, w = np.polynomial.legendre.leggauss(30)
+    edges = np.linspace(-1.0, 1.0, count + 1)
+    half = 0.5 * np.diff(edges)
+    t = ((edges[:-1] + half)[:, None] + half[:, None] * u).ravel()
+    return (np.repeat(half, 30) * np.tile(w, count) * np.exp(1j * x * t)) @ np.polynomial.legendre.legvander(t, 15)
+
+
+def _legendre_owner(t, k):
+    """P_k(t), the owner k choosing the degree."""
+    return np.take_along_axis(np.polynomial.legendre.legvander(t, 15), k[:, :, None], axis=2)[..., 0]
+
+
+def test_panel_rule_matches_reference_moments():
+    # F = P_n on the panel [-1, 1] with carrier frequency x: the panel sum is M_n(x) = int P_n(u) e^{ixu} du
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, tiny, -tiny, 1e-300, 1e-8, 0.5, 11.999999999, 12.0, -12.0, 12.000000001, 1e4, -1e4]
+    far = np.geomspace(40.0, 1e4, 25)
+    xs = np.concatenate((special, np.linspace(-40.0, 40.0, 97), far, -far))
+    degrees, ones = np.arange(16), np.ones(16)
+    every = quadrature._panel_sums(
+        _legendre_owner, -np.tile(ones, len(xs)), np.tile(ones, len(xs)), np.tile(degrees, len(xs)), xs.repeat(16)
+    ).reshape(len(xs), 16)
+    for x, row in zip(xs.tolist(), every):
+        alone = quadrature._panel_sums(_legendre_owner, -ones, ones, degrees, np.full(16, x))
+        assert np.abs(alone - _reference_moments(x)).max() <= 1e-13, x
+        # each panel's sum depends on its own panel alone, whatever else shares the call
+        assert np.array_equal(alone, row)
 
 
 def test_ray_negligible_tail_shortcut():
@@ -105,20 +150,24 @@ def test_ray_negligible_tail_shortcut():
 
 
 def test_conjugate_symmetry():
-    res_plus = integrate_ray(
-        lambda t: np.exp(-(1 - 1j) * t), DecayModel(1.0, 1.0), TIGHT, osc_freq=1.0
-    )
-    res_minus = integrate_ray(
-        lambda t: np.exp(-(1 + 1j) * t), DecayModel(1.0, 1.0), TIGHT, osc_freq=1.0
-    )
+    # int_0^inf e^{-(1 -+ i) t} dt = 1 / (1 -+ i), as F = e^{-(1 -+ i/2) t} times the carrier e^{+- i t / 2}
+    res_plus = integrate_ray(lambda t: np.exp(-(1 - 0.5j) * t), DecayModel(1.0, 1.0), TIGHT, freq=0.5)
+    res_minus = integrate_ray(lambda t: np.exp(-(1 + 0.5j) * t), DecayModel(1.0, 1.0), TIGHT, freq=-0.5)
+    np.testing.assert_allclose(res_plus.value, 0.5 + 0.5j, rtol=1e-12)
     # mirrored integrands refine identically, so the values conjugate exactly
     assert res_plus.value == res_minus.value.conjugate()
+    assert res_plus.panels_used == res_minus.panels_used
 
 
 def test_budget_exhaustion_reports():
     budget = QuadratureBudget(rel_tol=1e-12, abs_floor=1e-14, max_panels=8)
-    with pytest.raises(BudgetExceeded):
-        integrate_segment(lambda t: np.exp(100j * t), 0.0, 50.0, budget, osc_freq=100.0)
+    # 800 periods of a rotation the integrand computes itself: far more than 8 panels
+    with pytest.raises(BudgetExceeded, match="panel budget 8 exhausted"):
+        integrate_segment(lambda t: np.exp(100j * t), 0.0, 50.0, budget)
+    # the same integral with the rotation as the carrier is one panel
+    res = integrate_segment(lambda t: np.ones_like(t), 0.0, 50.0, budget, freq=100.0)
+    np.testing.assert_allclose(res.value, (np.exp(5000j) - 1.0) / 100j, rtol=1e-12)
+    assert res.panels_used == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -145,32 +194,34 @@ def test_non_finite_value_while_refining_raises():
 
 
 def test_initial_panels_are_evaluated_in_chunks():
-    # the integrand of cauchy_kernel_check at an oscillatory z, with a call log
-    z = -0.02 + 5j
+    # the kernel integrals of cauchy_kernel_check at 40 values of z, with a call log; the last one keeps
+    # its rotation inside F (carrier frequency 0), so it refines
+    zs = np.append(-0.02 * (1.0 + np.arange(39) / 4.0) + 5j, -0.5 + 2j)
+    freq = np.append(zs.imag[:-1], 0.0)
+    exponent = np.append(zs.real[:-1], zs[-1])
     sizes = []
 
-    def kernel(t):
-        sizes.append(len(t))
-        return np.exp(t * z)
+    def kernels(t, k):
+        sizes.append(t.size)
+        return np.exp(t * exponent[k])
 
     budget = QuadratureBudget(rel_tol=1e-12, abs_floor=5e-14)
-    res = integrate_ray(kernel, DecayModel(rate=-z.real, amplitude=1.0), budget, osc_freq=abs(z.imag))
-    a, b, _, _ = quadrature._ray_breakpoints([res.truncation_T], [-z.real])
-    n_initial = int(np.ceil((b - a) / (2.0 * math.pi / abs(z.imag))).sum())
-    order = budget.panel_order
+    values, _, T, used = quadrature._integrate_rays(kernels, -zs.real, np.ones(len(zs)), budget, freq)
+    a, _, _ = quadrature._ray_breakpoints(T.tolist(), (-zs.real).tolist())
+    n_initial, order = len(a), 16
     seeding = math.ceil(n_initial / quadrature._CHUNK_PANELS)
-    # the same subdivision and refinement as evaluating one half-panel per call
-    assert (n_initial, res.panels_used) == (1405, 1406)
+    assert (n_initial, int(used.sum())) == (280, 282)
+    assert seeding > 1 and used[-1] > len(quadrature._ray_breakpoints([T[-1]], [0.5])[0])
     assert sum(sizes[:seeding]) == 3 * order * n_initial
     assert max(sizes) <= 3 * order * quadrature._CHUNK_PANELS
     # each split evaluates the four half-panels of its two children in one call
-    assert sizes[seeding:] == [4 * order] * (res.panels_used - n_initial)
-    assert abs(1.0 / z + res.value) <= 1e-10
+    assert sizes[seeding:] == [4 * order] * (int(used.sum()) - n_initial)
+    assert np.abs(1.0 / zs + values).max() <= 1e-10
 
 
 def _per_panel_reference(fn, a, b, budget):
     """The engine on [a, b] with one integrand call per half-panel and a heap of panels."""
-    x, w = np.polynomial.legendre.leggauss(budget.panel_order)
+    x, w = np.polynomial.legendre.leggauss(16)
     ages = itertools.count()
 
     def gl(lo, hi):
@@ -244,7 +295,7 @@ def test_segment_matches_antiderivative(coeffs, upper):
 def test_segment_linearity(a, b):
     f = lambda t: np.exp(1j * t)
     g = lambda t: np.asarray(t) ** 2
-    combined = integrate_segment(lambda t: a * f(t) + b * g(t), 0.0, 2.0, TIGHT, osc_freq=1.0)
-    parts = a * integrate_segment(f, 0.0, 2.0, TIGHT, osc_freq=1.0).value
+    combined = integrate_segment(lambda t: a * f(t) + b * g(t), 0.0, 2.0, TIGHT)
+    parts = a * integrate_segment(f, 0.0, 2.0, TIGHT).value
     parts += b * integrate_segment(g, 0.0, 2.0, TIGHT).value
     assert abs(combined.value - parts) <= 1e-10 * max(1.0, abs(parts))

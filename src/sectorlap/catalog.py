@@ -51,6 +51,7 @@ ORACLE_SOURCES = ("auto", "oracle", "numeric")
 class TestFunction:
     """A catalog entry: evaluator plus whatever oracles are known exactly.
 
+    ``indicator_oracle`` maps a float or an array theta to the same kind.
     ``transform_oracle`` maps w to the concatenated transform g(w); it does
     not depend on the direction used to compute g, so it takes w alone.
     ``singularities_of_g`` is None when unknown, a (possibly empty) tuple
@@ -96,6 +97,13 @@ def parse_complex(text: str) -> complex:
     return value
 
 
+def _rotated(w: complex, theta: float | np.ndarray):
+    """Re(w e^{i theta}), rounded as (w * cmath.exp(1j * theta)).real, at a float theta or an array theta."""
+    if isinstance(theta, np.ndarray):  # spelled out: numpy's complex product fuses multiply-adds
+        return w.real * np.cos(theta) - w.imag * np.sin(theta)
+    return w.real * math.cos(theta) - w.imag * math.sin(theta)  # a float stays in Python floats
+
+
 def _exp_growth(a: complex, alpha: float) -> float:
     """max over |theta| <= alpha of Re(a e^{i theta}); may be negative."""
     if a == 0:
@@ -112,7 +120,7 @@ def make_exp(a: complex, id: str | None = None) -> TestFunction:
         id=id or f"exp:a={format_complex(a)}",
         evaluate=lambda z: np.exp(a * z),
         spec=SectorSpec(alpha=ALPHA_CAP, h=max(0.0, _exp_growth(a, ALPHA_CAP))),
-        indicator_oracle=lambda theta: (a * cmath.exp(1j * theta)).real,
+        indicator_oracle=lambda theta: _rotated(a, theta),
         transform_oracle=lambda w: -1.0 / (two_pi_i * (w + a)),
         singularities_of_g=(-a,),
         envelope_const=1.0,
@@ -144,7 +152,9 @@ def make_sum(terms: Sequence[tuple[complex, complex]], id: str | None = None) ->
             alpha=ALPHA_CAP,
             h=max(0.0, max(_exp_growth(a, ALPHA_CAP) for _, a in pairs)),
         ),
-        indicator_oracle=lambda theta: max((a * cmath.exp(1j * theta)).real for _, a in pairs),
+        indicator_oracle=lambda theta: (np.maximum.reduce if isinstance(theta, np.ndarray) else max)(
+            [_rotated(a, theta) for _, a in pairs]
+        ),
         transform_oracle=lambda w: sum(-c / (two_pi_i * (w + a)) for c, a in pairs),
         singularities_of_g=tuple(-a for c, a in pairs if c != 0),
         envelope_const=float(sum(abs(c) for c, _ in pairs)),
@@ -159,7 +169,7 @@ def zero_function() -> TestFunction:
         id="zero",
         evaluate=lambda z: 0.0 * z,
         spec=SectorSpec(alpha=ALPHA_CAP, h=0.0),
-        indicator_oracle=lambda theta: -math.inf,
+        indicator_oracle=lambda theta: 0.0 * abs(theta) - math.inf,  # a float or an array, like theta
         transform_oracle=lambda w: 0.0 * w,
         singularities_of_g=(),
         envelope_const=1.0,
@@ -178,7 +188,7 @@ def rational_function() -> TestFunction:
         id="rational",
         evaluate=lambda z: 1.0 / (z + 1.0),
         spec=SectorSpec(alpha=ALPHA_CAP, h=0.0),
-        indicator_oracle=lambda theta: 0.0,
+        indicator_oracle=lambda theta: 0.0 * abs(theta),  # a float or an array, like theta
         transform_oracle=None,
         singularities_of_g=None,
         envelope_const=1.0,

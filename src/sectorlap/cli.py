@@ -31,7 +31,7 @@ from .errors import (
     OutsideUnion,
 )
 from .geometry import GrowthCertificate, SectorSpec, build_gamma
-from .indicator import default_s_grid, estimate_indicator, indicator_value
+from .indicator import estimate_indicator, indicator_value
 from .inversion import ReconstructionQuery, reconstruct, roundtrip_report
 from .laplace import (
     ConcatenatedTransform,
@@ -280,21 +280,15 @@ def _cmd_roundtrip(args, parser) -> int:
 def _cmd_indicator(args, parser) -> int:
     fn = _require_fn(args, parser)
     alpha = args.alpha if args.alpha is not None else fn.spec.alpha
-    if args.thetas is not None:
-        thetas = args.thetas
+    thetas = np.array(args.thetas) if args.thetas is not None else np.linspace(-alpha, alpha, args.theta_grid)
+    est = estimate_indicator(fn, thetas, s_grid=np.geomspace(1.0, args.s_max, args.s_points))
+    if fn.indicator_oracle is not None:
+        exact = fn.indicator_oracle(thetas)
+        deviation = np.abs(est.value - exact)
     else:
-        thetas = list(np.linspace(-alpha, alpha, args.theta_grid))
-    s_grid = default_s_grid(args.s_max, args.s_points)
+        exact = deviation = [None] * len(thetas)
     header = ["theta", "estimate", "ci_width", "s_max", "oracle", "deviation"]
-    rows = []
-    for theta in thetas:
-        est = estimate_indicator(fn, float(theta), s_grid=s_grid)
-        if fn.indicator_oracle is not None:
-            exact = fn.indicator_oracle(float(theta))
-            rows.append([theta, est.value, est.ci_width, est.s_max, exact, abs(est.value - exact)])
-        else:
-            rows.append([theta, est.value, est.ci_width, est.s_max, None, None])
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, list(zip(thetas, est.value, est.ci_width, est.s_max, exact, deviation)))
     return 0
 
 

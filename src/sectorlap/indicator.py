@@ -1,16 +1,15 @@
 """Growth-rate (indicator) estimation along rays of the sector.
 
-The indicator I(theta) = limsup_{s -> inf} ln|f(s e^{i theta})| / s is
-estimated from samples on a geometric radius grid.  Zeros and underflowed
-samples (|f| below 1e-300) are skipped; if every sample underflows, the
+The indicator I(theta) = limsup_{s -> inf} ln|f(s e^{i theta})| / s is estimated
+from samples on a geometric radius grid, at a float theta or at an array of
+them (one call of f on the directions x radii grid).  Zeros and underflowed
+samples (|f| below 1e-300) are skipped; if every sample of a direction underflows, its
 indicator is certified to lie below a -1e9 sentinel (the identically-zero
 case).  The limsup surrogate is the maximum of sliding-window means of the
 per-sample slopes r_k = ln|f(s_k e^{i theta})| / s_k, restricted to the
-trailing half of the windows; their spread doubles as a crude confidence
-width.
+trailing half of the windows; their spread doubles as a crude confidence width.
 """
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .catalog import TestFunction, pick_oracle
 __all__ = [
     "IndicatorEstimate",
     "estimate_indicator",
-    "default_s_grid",
+    "S_GRID",
     "INDICATOR_SENTINEL",
     "OFFSET_CAP",
 ]
@@ -29,10 +28,8 @@ INDICATOR_SENTINEL = -1e9
 OFFSET_CAP = 1e9
 _UNDERFLOW = 1e-300
 _WINDOW = 8
-
-
-def default_s_grid(s_max: float = 2.0**16, count: int = 64) -> np.ndarray:
-    return np.geomspace(1.0, s_max, count)
+S_GRID = np.geomspace(1.0, 2.0**16, 64)  # the radius grid of an estimate given none
+S_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -43,34 +40,38 @@ class IndicatorEstimate:
     s_max: float
 
 
-def estimate_indicator(fn: TestFunction, theta: float, s_grid: np.ndarray | None = None) -> IndicatorEstimate:
+def estimate_indicator(fn: TestFunction, theta, s_grid: np.ndarray | None = None) -> IndicatorEstimate:
     """Numeric indicator estimate at direction theta, from sliding windows of _WINDOW slopes.
 
-    Requires |theta| <= fn.spec.alpha and an increasing radius grid of at
-    least 3*_WINDOW points.
+    Requires |theta| <= fn.spec.alpha and an increasing radius grid of at least
+    3*_WINDOW points.  For an array theta every field is an array of its shape.
     """
-    if not abs(theta) <= fn.spec.alpha + 1e-12:
-        raise ValueError(f"direction theta={theta} outside the closed sector |theta| <= {fn.spec.alpha}")
-    s = np.asarray(default_s_grid() if s_grid is None else s_grid, dtype=float)
+    th = np.asarray(theta, dtype=float)
+    outside = th[~(np.abs(th) <= fn.spec.alpha + 1e-12)].tolist()
+    if outside:
+        raise ValueError(f"direction theta={outside[0]} outside the closed sector |theta| <= {fn.spec.alpha}")
+    s = S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
     if s.ndim != 1 or len(s) < 3 * _WINDOW:
         raise ValueError(f"s_grid needs at least 3*window={3 * _WINDOW} increasing points, got {len(s)}")
-    if not (np.all(np.diff(s) > 0) and s[0] > 0):
+    if s_grid is not None and not (np.all(np.diff(s) > 0) and s[0] > 0):
         raise ValueError("s_grid must be positive and strictly increasing")
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mags = np.abs(np.asarray(fn.evaluate(s * cmath.exp(1j * theta)), dtype=complex))
-    keep = np.isfinite(mags) & (mags >= _UNDERFLOW)
-    s_ok = s[keep]
-    if len(s_ok) == 0:
-        return IndicatorEstimate(theta=theta, value=INDICATOR_SENTINEL, ci_width=0.0, s_max=0.0)
-    r = np.log(mags[keep]) / s_ok
-
-    w = min(_WINDOW, len(r))
-    means = np.convolve(r, np.ones(w) / w, mode="valid")
-    tail = means[len(means) // 2 :]
-    value = float(np.max(tail))
-    ci = float(np.max(tail) - np.min(tail))
-    return IndicatorEstimate(theta=theta, value=value, ci_width=ci, s_max=float(s_ok[-1]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # one row of samples per direction
+        mags = np.abs(np.asarray(fn.evaluate(s * np.exp(1j * th.reshape(-1, 1))), dtype=complex))
+        keep = np.isfinite(mags) & (mags >= _UNDERFLOW)
+        kept = keep.sum(axis=1)
+        w = np.minimum(kept, _WINDOW)[:, None]  # fewer than _WINDOW samples make one window of them all
+        weighted = np.where(keep, np.log(mags) / s * (1.0 / w), 0.0)
+    # window means as np.convolve rounds them: the kept slopes times 1/w, moved to the front, summed in order
+    width = len(s) - _WINDOW + 1
+    r = np.take_along_axis(weighted, np.argsort(~keep, kind="stable"), axis=1)
+    means = sum(r[:, j : j + width] for j in range(_WINDOW))
+    windows = kept[:, None] - w + 1
+    tail = (np.arange(width) >= windows // 2) & (np.arange(width) < windows)
+    hi = np.max(means, axis=1, where=tail, initial=-np.inf)  # a row with no sample has one window of zeros
+    ci = hi - np.min(means, axis=1, where=tail, initial=np.inf)
+    fields = (np.where(kept > 0, hi, INDICATOR_SENTINEL), ci, np.max(keep * s, axis=1))
+    return IndicatorEstimate(theta, *(field.reshape(th.shape) if th.ndim else float(field[0]) for field in fields))
 
 
 def indicator_value(fn: TestFunction, theta: float, source: str = "auto") -> tuple[float, bool]:

@@ -245,6 +245,10 @@ def cauchy_path_check(
     if not min(spec.alpha - phi, spec.alpha + phi) >= DELTA_ANG_DEFAULT:
         raise AngularMarginTooSmall(f"z={z} is within {DELTA_ANG_DEFAULT} of a boundary ray")
 
+    try:
+        weight = math.exp(-p * z.real)
+    except OverflowError:
+        weight = math.inf  # an envelope amplitude DecayModel rejects with InvalidDecay
     total = 0j
     err = 0.0
     for sign in (-1.0, +1.0):
@@ -253,8 +257,8 @@ def cauchy_path_check(
         ind, exact = indicator_value(fn, theta_ray)
         rate = _decay_rate(-(ind + p * math.cos(spec.alpha)), exact)
         dist = _ray_distance(z, theta_ray)
-        amp = fn.envelope_const * math.exp(-p * z.real) / dist
-        epz = cmath.exp(-p * z)
+        decay = DecayModel(rate=rate, amplitude=fn.envelope_const * weight / dist)
+        epz = cmath.exp(-p * z)  # finite once the envelope is
         # e^{p zeta} = e^{p cos(theta) t} times the carrier e^{i p sin(theta) t}
         w = p * math.cos(theta_ray) * d.conjugate()
 
@@ -262,9 +266,7 @@ def cauchy_path_check(
             zeta = ts * _d
             return fn.weighted_eval(zeta, _w) * _epz / (zeta - z) * _d
 
-        res = integrate_ray(
-            integrand, DecayModel(rate=rate, amplitude=amp), budget, freq=p * math.sin(theta_ray)
-        )
+        res = integrate_ray(integrand, decay, budget, freq=p * math.sin(theta_ray))
         total += -sign * res.value  # lower ray enters with +, upper with -
         err += res.est_error
     lhs = 2j * math.pi * complex(fn.evaluate(z))

@@ -14,9 +14,11 @@ ray quadrature's analytic truncation uses.  Different admissible directions
 agree on overlaps, so the concatenated transform simply evaluates along the
 direction of largest margin.
 
-Margins are computed from the indicator oracle when one exists; otherwise
-from the numeric estimate, and ``_decay_rate`` then takes 10% off the decay
-rate, since an estimated indicator can be slightly low.
+The fan's offsets -I(theta) and margins take a float theta or an array of
+directions, which ``select_direction`` scans in one call.  They come from the
+indicator oracle when one exists; otherwise from the numeric estimate, and
+``_decay_rate`` then takes 10% off the decay rate, since an estimated
+indicator can be slightly low.
 
 On the ray theta the kernel e^{w t e^{i theta}} turns at the known rate
 Im(w e^{i theta}), and f's own phase at the rate nu(theta) = -Im(s* e^{i theta}),
@@ -50,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import TestFunction, pick_oracle, type_for
+from .catalog import TestFunction, _rotated, pick_oracle, type_for
 from .errors import OutsideDomain, OutsideUnion
 from .geometry import ContourGamma, GrowthCertificate
 from .indicator import INDICATOR_SENTINEL, OFFSET_CAP, estimate_indicator, indicator_value
@@ -83,12 +85,15 @@ class TransformQuery:
     indicator_source: str = "auto"
 
     def __post_init__(self):
-        if not abs(self.theta) <= self.fn.spec.alpha + 1e-12:
-            raise ValueError(
-                f"theta={self.theta} outside the entry's sector |theta| <= {self.fn.spec.alpha}"
-            )
+        _check_direction(self.fn, self.theta)
         if not self.delta_min > 0:
             raise ValueError(f"delta_min must be positive, got {self.delta_min}")
+
+
+def _check_direction(fn: TestFunction, theta: float) -> None:
+    """ValueError unless theta lies in the entry's closed sector (up to 1e-12)."""
+    if not abs(theta) <= fn.spec.alpha + 1e-12:
+        raise ValueError(f"theta={theta} outside the entry's sector |theta| <= {fn.spec.alpha}")
 
 
 def _decay_rate(margin, exact_indicator: bool):
@@ -193,8 +198,8 @@ class ConcatenatedTransform:
 
     When the indicator source picks the entry's oracle the offsets come from
     it directly; otherwise they are interpolated from numeric estimates
-    precomputed on a 65-point theta grid at construction, so the object stays
-    immutable and cheap to query afterwards.
+    precomputed on a 65-point theta grid at construction (one estimate call),
+    so the object stays immutable and cheap to query afterwards.
     """
 
     fn: TestFunction
@@ -217,26 +222,26 @@ class ConcatenatedTransform:
         if pick_oracle(fn, "indicator", indicator_source) is not None:
             return cls(fn=fn, alpha=eff, min_margin=min_margin)
         thetas = np.linspace(-eff, eff, 65)
-        offsets = tuple(-estimate_indicator(fn, float(t)).value for t in thetas)
         return cls(
             fn=fn,
             alpha=eff,
             min_margin=min_margin,
-            _grid_thetas=tuple(float(t) for t in thetas),
-            _grid_offsets=offsets,
+            _grid_thetas=tuple(thetas.tolist()),
+            _grid_offsets=tuple((-estimate_indicator(fn, thetas).value).tolist()),
         )
 
     @property
     def exact(self) -> bool:
         return self._grid_thetas is None
 
-    def offset(self, theta: float) -> float:
-        if self.exact:
-            return -max(self.fn.indicator_oracle(theta), INDICATOR_SENTINEL)
-        return float(np.interp(theta, self._grid_thetas, self._grid_offsets))
+    def offset(self, theta: float | np.ndarray):
+        if not self.exact:
+            return np.interp(theta, self._grid_thetas, self._grid_offsets)
+        floor = np.maximum if isinstance(theta, np.ndarray) else max
+        return -floor(self.fn.indicator_oracle(theta), INDICATOR_SENTINEL)
 
-    def margin(self, omega: complex, theta: float) -> float:
-        return self.offset(theta) - (omega * cmath.exp(1j * theta)).real
+    def margin(self, omega: complex, theta: float | np.ndarray):
+        return self.offset(theta) - _rotated(omega, theta)
 
 
 def _golden_section_max(fun, lo: float, hi: float, iters: int) -> float:
@@ -267,7 +272,7 @@ def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
     thetas = np.linspace(lo, hi, 65)
     if 0.0 not in thetas:
         thetas = np.sort(np.append(thetas, 0.0))
-    margins = np.array([ct.margin(omega, float(t)) for t in thetas])
+    margins = ct.margin(omega, thetas)
     best = float(np.max(margins))
     tol = 1e-9 * (1.0 + abs(best))
     tied = thetas[margins >= best - tol]

@@ -39,7 +39,7 @@ import numpy as np
 from .catalog import TestFunction, pick_oracle
 from .errors import IllConditioned
 from .indicator import indicator_value
-from .laplace import DELTA_MIN_DEFAULT, ConcatenatedTransform, _g_values, _golden_section_max
+from .laplace import DELTA_MIN_DEFAULT, ConcatenatedTransform, _check_direction, _g_values, _golden_section_max
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import QuadratureBudget, _integrate_rays, _integrate_segments
 # unused here; bench/tracer.py wraps these bindings
@@ -113,7 +113,9 @@ def blowup_scan(
     point to the origin; the margins descend geometrically from 0.1 to 1e-4
     (13 levels) with an oracle g, to 1e-3 (7 levels) with a numeric one, and
     a blow-up counts as detected once |g| grows at least 10-fold over them.
+    ValueError for a theta outside the entry's sector.
     """
+    _check_direction(fn, theta)
     budget = budget or QuadratureBudget()
     has_oracle = pick_oracle(fn, "transform", g_source) is not None
     # numeric transforms cannot go below the default admission margin
@@ -170,14 +172,16 @@ def radius_scan(
     The coefficients come from the FFT of g at 256 points on a circle of
     radius 0.8x the margin of ``center``; the fit uses those of degree 12
     to 24.  Without ``theta``, the direction is the one of largest margin
-    on a 129-point scan of the entry's fan.
+    on a 129-point scan of the entry's fan; ValueError for a theta outside it.
     """
+    if theta is not None:
+        _check_direction(fn, theta)
     budget = budget or QuadratureBudget()
     center = complex(center)
     fan = ConcatenatedTransform.build(fn)
     if theta is None:
         thetas = np.linspace(-fan.alpha, fan.alpha, 129)
-        theta = float(thetas[int(np.argmax([fan.margin(center, float(t)) for t in thetas]))])
+        theta = float(thetas[np.argmax(fan.margin(center, thetas))])
     margin = fan.margin(center, theta)
     if not margin > 0:
         raise ValueError(f"center {center} lies outside Omega_theta at theta={theta}")
@@ -200,10 +204,7 @@ def radius_scan(
     slope = float(np.polyfit(n[lo:], np.log(used), 1)[0])
     radius = math.exp(-slope)
 
-    if fn.singularities_of_g is not None and len(fn.singularities_of_g) > 0:
-        predicted = min(abs(center - s) for s in fn.singularities_of_g)
-    else:
-        predicted = margin
+    predicted = min((abs(center - s) for s in fn.singularities_of_g or ()), default=margin)
     return RadiusScan(center, theta, radius, predicted, margin)
 
 

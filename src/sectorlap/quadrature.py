@@ -453,7 +453,12 @@ def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: Quadrat
     # can differ in the last bit); where arg <= 1 the whole integral is below half the floor
     args = [2.0 * A / (m * budget.abs_floor) for m, A in zip(rates, amplitudes)]
     live = [j for j, arg in enumerate(args) if arg > 1.0]
-    T_live = [math.log(args[j]) / rates[j] for j in live]
+    T_live = [
+        # where the quotient overflows (a huge A), its logarithm term by term
+        (math.log(args[j]) if args[j] < math.inf
+         else math.log(2.0) + math.log(amplitudes[j]) - math.log(rates[j]) - math.log(budget.abs_floor)) / rates[j]
+        for j in live
+    ]
     values, errors, used = [], [], []
     if live:
         a, b, first = _ray_breakpoints(T_live, [rates[j] for j in live])

@@ -86,6 +86,17 @@ def test_invert_far_point_is_a_numeric_failure(capsys):
     assert "InvalidDecay" in capsys.readouterr().err
 
 
+def test_invert_with_a_huge_leg_envelope(tmp_path, capsys):
+    # e^{-p Re z} = e^{700} is finite, but the truncation quotient 2 A / (m abs_floor) overflows
+    out = tmp_path / "f.csv"
+    rc = main(["invert", "--fn", "exp:a=-1", "--p", "-1", "--z", "700", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    row = read_csv(out)[0]
+    assert math.isfinite(float(row["truncation_T"]))
+    assert float(row["abs_residual"]) <= float(row["est_error"])
+
+
 def test_invert_and_apex_rejection(tmp_path, capsys):
     out = tmp_path / "f.csv"
     rc = main(["invert", "--fn", "exp:a=-1", "--p", "-1", "--z", "1+0i", "--out", str(out)])
@@ -166,6 +177,12 @@ def test_probe_csv(tmp_path):
     assert math.isclose(float(row["singularity_re"]), -1.0, abs_tol=1e-6)
     assert math.isclose(float(row["radius_estimate"]), 1.0, rel_tol=5e-3)
     assert math.isclose(float(row["j_slope_chord"]), 0.5, abs_tol=1e-6)
+
+
+def test_probe_rejects_a_direction_outside_the_sector(capsys):
+    rc = main(["probe", "--fn", "rational", "--theta", "3", "--g-source", "numeric"])
+    assert rc == 2
+    assert "ValueError: theta=3.0 outside the entry's sector" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(tmp_path):

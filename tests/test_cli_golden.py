@@ -25,6 +25,8 @@ CASES = {
     "transform-select-oracle": ["transform", "--fn", "exp:a=-1+1i", "--omega", "0+0i,-1+0.5i,0.5-2i"],
     "transform-select-numeric": ["transform", "--fn", "exp:a=1", "--omega", "-2+0i,-1.5+0.5i",
                                  "--indicator-source", "numeric"],
+    "transform-select-numeric-complex-exponent": ["transform", "--fn", "exp:a=-0.8+0.3i", "--omega",
+                                                  "0.2-0.4i,-0.5+1i", "--indicator-source", "numeric"],
     "transform-skip-invalid": ["transform", "--fn", "exp:a=1", "--theta", "0", "--omega",
                                "0+0i,-2+0i,1+1i", "--skip-invalid"],
     "transform-outside-domain": ["transform", "--fn", "exp:a=1", "--theta", "0", "--omega", "-2+0i,0+0i"],
@@ -34,6 +36,7 @@ CASES = {
     "roundtrip-check-bound": ["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1",
                               "--check-bound"],
     "indicator": ["indicator", "--fn", "sum:a1=-1,c1=1,a2=-2,c2=2", "--thetas", "-0.5,0,0.7"],
+    "indicator-complex-exponent": ["indicator", "--fn", "exp:a=-0.8+0.3i", "--thetas", "-0.3,0.1,0.4"],
     "probe-q-r": ["probe", "--fn", "exp:a=1", "--theta", "0", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
     "probe-zero-q-r": ["probe", "--fn", "zero", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
     "probe-missing-oracle": ["probe", "--fn", "rational", "--g-source", "oracle"],

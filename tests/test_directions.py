@@ -1,0 +1,180 @@
+"""Functions of a direction give, on an array of theta, their values at each float theta bit for bit.
+
+The references are the per-direction formulas that the array code replaced:
+np.convolve window means of one direction's samples for the indicator
+estimate, (a * cmath.exp(1j * theta)).real for the indicator oracles, and
+offset - (omega * cmath.exp(1j * theta)).real, one float theta at a time, for
+the fan's margins and ``select_direction``'s coarse scan.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from sectorlap import (
+    ConcatenatedTransform,
+    OutsideUnion,
+    builtin_catalog,
+    estimate_indicator,
+    make_exp,
+    make_sum,
+    rational_function,
+    select_direction,
+    trig_decay,
+    zero_function,
+)
+from sectorlap.indicator import INDICATOR_SENTINEL, S_GRID
+from sectorlap.laplace import _GOLDEN_ITERS, _golden_section_max
+
+# exponents a_k of sum_k c_k e^{a_k z}, non-integer, with a complex coefficient
+SUM_TERMS = [(1, -1.3 + 0.7j), (2.5, 0.4 - 1.1j), (-0.3j, 2.2)]
+# rows with fewer kept samples than one window: e^{-300 s} underflows and e^{500 s} overflows past s = 2.4
+FEW_SAMPLES = [make_exp(-300), make_exp(500)]
+ENTRIES = builtin_catalog() + FEW_SAMPLES + [make_exp(-80 + 3j), make_exp(-0.8 + 0.3j), make_sum(SUM_TERMS)]
+CUSTOM_GRID = np.geomspace(0.5, 3000.0, 37)
+
+
+def _thetas(alpha: float) -> np.ndarray:
+    rng = np.random.default_rng(8)
+    return np.concatenate([np.linspace(-alpha, alpha, 25), rng.uniform(-alpha, alpha, 40)])
+
+
+def _reference_estimate(fn, theta: float, s: np.ndarray) -> tuple[float, float, float, int]:
+    """(value, ci_width, s_max, kept samples) at one direction, by np.convolve."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mags = np.abs(np.asarray(fn.evaluate(s * cmath.exp(1j * theta)), dtype=complex))
+    keep = np.isfinite(mags) & (mags >= 1e-300)
+    if not keep.any():
+        return INDICATOR_SENTINEL, 0.0, 0.0, 0
+    r = np.log(mags[keep]) / s[keep]
+    w = min(8, len(r))
+    tail = np.convolve(r, np.ones(w) / w, mode="valid")
+    tail = tail[len(tail) // 2 :]
+    return float(np.max(tail)), float(np.max(tail) - np.min(tail)), float(s[keep][-1]), len(r)
+
+
+def _reference_oracle(exponents, theta: float) -> float:
+    return max((a * cmath.exp(1j * theta)).real for a in exponents)
+
+
+@pytest.mark.parametrize("s_grid", [None, CUSTOM_GRID], ids=["default-grid", "custom-grid"])
+@pytest.mark.parametrize("fn", ENTRIES, ids=lambda fn: fn.id)
+def test_estimate_on_an_array_equals_each_direction(fn, s_grid):
+    thetas = _thetas(fn.spec.alpha)
+    est = estimate_indicator(fn, thetas, s_grid)
+    assert est.value.shape == est.ci_width.shape == est.s_max.shape == thetas.shape
+    kept = []
+    for k, theta in enumerate(thetas.tolist()):
+        ref = _reference_estimate(fn, theta, S_GRID if s_grid is None else CUSTOM_GRID)
+        one = estimate_indicator(fn, theta, s_grid)
+        assert (est.value[k], est.ci_width[k], est.s_max[k]) == ref[:3]
+        assert (one.theta, one.value, one.ci_width, one.s_max) == (theta,) + ref[:3]
+        assert type(one.value) is float
+        kept.append(ref[3])
+    if fn in FEW_SAMPLES:
+        assert sum(0 < n < 8 for n in kept) >= 20
+
+
+def test_estimate_keeps_the_shape_of_theta():
+    thetas = np.array([[-0.5, 0.0], [0.25, 0.7]])
+    est = estimate_indicator(make_sum(SUM_TERMS), thetas)
+    assert est.value.shape == (2, 2)
+    assert est.value[1, 0] == estimate_indicator(make_sum(SUM_TERMS), 0.25).value
+    zero = estimate_indicator(zero_function(), thetas)
+    assert np.all(zero.value == INDICATOR_SENTINEL) and np.all(zero.s_max == 0.0) and np.all(zero.ci_width == 0.0)
+    assert estimate_indicator(make_exp(1), np.array([])).value.shape == (0,)
+
+
+def test_estimate_names_the_first_direction_outside_the_sector():
+    with pytest.raises(ValueError, match=r"^direction theta=-2\.0 outside the closed sector"):
+        estimate_indicator(make_exp(1), np.array([0.1, -2.0, 3.0]))
+
+
+@pytest.mark.parametrize(
+    "fn, exponents",
+    [(make_exp(-80 + 3j), [-80 + 3j]), (make_sum(SUM_TERMS), [a for _, a in SUM_TERMS]), (trig_decay(), [1j])],
+    ids=["exp:a=-80+3i", "sum", "trig"],
+)
+def test_oracle_on_an_array_equals_each_direction(fn, exponents):
+    thetas = np.random.default_rng(9).uniform(-1.5, 1.5, 5000)
+    values = fn.indicator_oracle(thetas)
+    assert values.shape == thetas.shape
+    for k, theta in enumerate(thetas.tolist()):
+        assert values[k] == fn.indicator_oracle(theta) == _reference_oracle(exponents, theta)
+        assert type(fn.indicator_oracle(theta)) is float
+
+
+def test_constant_oracles_on_an_array():
+    thetas = np.array([-0.5, 0.0, 0.5])
+    assert np.all(zero_function().indicator_oracle(thetas) == -math.inf)
+    rational = rational_function().indicator_oracle(thetas)
+    assert np.all(rational == 0.0) and not np.any(np.signbit(rational))
+    assert zero_function().indicator_oracle(-0.5) == -math.inf
+    assert math.copysign(1.0, rational_function().indicator_oracle(-0.5)) == 1.0
+
+
+FANS = [
+    (make_exp(-80 + 3j), [-80 + 3j]),
+    (make_exp(-0.8 + 0.3j), [-0.8 + 0.3j]),
+    (make_sum(SUM_TERMS), [a for _, a in SUM_TERMS]),
+    (trig_decay(), [1j]),
+    (zero_function(), None),
+]
+
+
+def _reference_margin(ct, exponents, omega: complex, theta: float) -> float:
+    if ct.exact:
+        indicator = _reference_oracle(exponents, theta) if exponents is not None else -math.inf
+        offset = -max(indicator, INDICATOR_SENTINEL)
+    else:
+        offset = float(np.interp(theta, ct._grid_thetas, ct._grid_offsets))
+    return offset - (omega * cmath.exp(1j * theta)).real
+
+
+def _reference_select(ct, exponents, omega: complex) -> float:
+    """select_direction with its coarse scan one float margin at a time."""
+    margin = lambda t: _reference_margin(ct, exponents, omega, t)  # noqa: E731
+    lo, hi = -ct.alpha, ct.alpha
+    thetas = np.linspace(lo, hi, 65)
+    if 0.0 not in thetas:
+        thetas = np.sort(np.append(thetas, 0.0))
+    margins = np.array([margin(float(t)) for t in thetas])
+    best = float(np.max(margins))
+    tol = 1e-9 * (1.0 + abs(best))
+    tied = thetas[margins >= best - tol]
+    theta0 = float(tied[np.argmin(np.abs(tied))])
+    step = thetas[1] - thetas[0]
+    theta_g = _golden_section_max(margin, max(lo, theta0 - step), min(hi, theta0 + step), _GOLDEN_ITERS)
+    m_g, m_0 = margin(theta_g), margin(theta0)
+    theta_star, m_star = (theta_g, m_g) if m_g > m_0 + tol else (theta0, m_0)
+    if abs(m_g - m_0) <= tol and abs(theta0) < abs(theta_g):
+        theta_star, m_star = theta0, m_0
+    if not m_star >= ct.min_margin:
+        raise OutsideUnion("below min_margin")
+    return theta_star
+
+
+@pytest.mark.parametrize("source", ["oracle", "numeric"])
+@pytest.mark.parametrize("fn, exponents", FANS, ids=[fn.id for fn, _ in FANS])
+def test_fan_margins_and_selection_equal_the_scalar_formulas(fn, exponents, source):
+    ct = ConcatenatedTransform.build(fn, alpha=1.2, indicator_source=source)
+    if source == "numeric":
+        grid = np.linspace(-1.2, 1.2, 65)
+        assert ct._grid_thetas == tuple(grid.tolist())
+        assert ct._grid_offsets == tuple(-_reference_estimate(fn, t, S_GRID)[0] for t in grid.tolist())
+    rng = np.random.default_rng(10)
+    thetas = rng.uniform(-1.2, 1.2, 300)
+    omegas = rng.normal(0.0, 3.0, 12) + 1j * rng.normal(0.0, 3.0, 12)
+    for omega in omegas.tolist():
+        margins = ct.margin(omega, thetas)
+        for k, theta in enumerate(thetas.tolist()):
+            assert margins[k] == ct.margin(omega, theta) == _reference_margin(ct, exponents, omega, theta)
+        try:
+            want = _reference_select(ct, exponents, omega)
+        except OutsideUnion:
+            with pytest.raises(OutsideUnion):
+                select_direction(ct, omega)
+        else:
+            assert select_direction(ct, omega) == want

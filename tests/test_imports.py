@@ -1,8 +1,9 @@
-"""Every import in the package is used by the module that makes it.
+"""Every import in the package is used by the module that makes it, and every export exists.
 
 A name counts as used when the module reads it or lists it in ``__all__``
 (the package's re-exports).  An import kept on purpose for code outside the
-module carries ``noqa: F401`` on one of its lines.
+module carries ``noqa: F401`` on one of its lines.  Every name in a module's
+``__all__`` (the package's included) must be bound at the module's top level.
 """
 
 import ast
@@ -43,3 +44,30 @@ def test_no_unused_imports(module):
 def test_an_unused_import_is_caught():
     source = "from .catalog import pick_oracle, type_for\nfrom .quadrature import x  # noqa: F401\ntype_for(1)\n"
     assert _unused_imports(source) == ["line 1: pick_oracle"]
+
+
+def _undefined_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that no top-level def, class, assignment or import binds."""
+    defined, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined.add(target.id)
+                    if target.id == "__all__":
+                        exported = [elt.value for elt in node.value.elts]
+    return [name for name in exported if name not in defined]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_export_is_defined(module):
+    assert _undefined_exports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_a_stale_export_is_caught():
+    source = '__all__ = ["S_GRID", "default_s_grid", "np"]\nimport numpy as np\nS_GRID: tuple = ()\n'
+    assert _undefined_exports(source) == ["default_s_grid"]

@@ -95,6 +95,12 @@ def test_cauchy_path_identity():
     assert residual <= max(1e-9, 2.0 * est)
 
 
+def test_cauchy_path_far_point_is_invalid_decay():
+    # e^{-p Re z} = e^{1000} overflows the ray envelope, as in reconstruct
+    with pytest.raises(InvalidDecay, match="got inf"):
+        cauchy_path_check(make_exp(-1), SPEC, -1.0, 1000.0)
+
+
 def test_cauchy_path_zero_entry():
     residual, _ = cauchy_path_check(zero_function(), SPEC, -1.0, 1.0, BUDGET)
     assert residual == 0.0

@@ -54,6 +54,13 @@ def test_numeric_blowup_off_axis(fn, theta):
     assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.1)
 
 
+def test_probes_reject_directions_outside_the_sector():
+    with pytest.raises(ValueError, match=r"^theta=2\.0 outside the entry's sector"):
+        blowup_scan(make_exp(1), 2.0)
+    with pytest.raises(ValueError, match=r"^theta=-2\.0 outside the entry's sector"):
+        radius_scan(rational_function(), -2.0, theta=-2.0, g_source="numeric")
+
+
 def test_blowup_absent_for_entire_transform():
     scan = blowup_scan(zero_function(), 0.0)
     assert not scan.detected

@@ -141,6 +141,15 @@ def test_panel_rule_matches_reference_moments():
         assert np.array_equal(alone, row)
 
 
+@pytest.mark.parametrize("amplitude", [1e300, 1.7e308])
+def test_ray_truncation_survives_an_overflowing_quotient(amplitude):
+    # 2 A / (m abs_floor) overflows: T = ln(2 A / (m abs_floor)) / m, its logarithm taken term by term
+    res = integrate_ray(lambda t: np.exp(-t), DecayModel(rate=1.0, amplitude=amplitude), TIGHT)
+    want_T = math.log(2.0) + math.log(amplitude) - math.log(TIGHT.abs_floor)
+    assert math.isclose(res.truncation_T, want_T, rel_tol=1e-15)
+    assert abs(res.value - 1.0) <= res.est_error <= 1e-12
+
+
 def test_ray_negligible_tail_shortcut():
     # amplitude so small the whole ray sits below the floor: no panels at all
     res = integrate_ray(lambda t: np.exp(-t) * 1e-20, DecayModel(rate=1.0, amplitude=1e-20), TIGHT)

@@ -154,14 +154,15 @@ def _cmd_transform(args, parser) -> int:
             fn, alpha=args.alpha, indicator_source=args.indicator_source, min_margin=args.delta_min
         )
     else:
-        ind, _ = indicator_value(fn, args.theta, args.indicator_source)  # theta is fixed for every omega
+        known = indicator_value(fn, args.theta, args.indicator_source)  # theta is fixed for every omega
+        ind = known[0]
     for omega in args.omega:
         try:
             if ct is None:
                 theta = args.theta
                 margin = -ind - (omega * cmath.exp(1j * theta)).real
                 res = directional_transform(
-                    TransformQuery(fn, theta, omega, budget, args.delta_min, args.indicator_source)
+                    TransformQuery(fn, theta, omega, budget, args.delta_min, args.indicator_source, known)
                 )
             else:
                 theta = select_direction(ct, omega)

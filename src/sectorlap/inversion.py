@@ -15,8 +15,12 @@ margin min(alpha - phi, alpha + phi) >= delta_ang = DELTA_ANG_DEFAULT is enforce
 g comes from ``laplace._g_values``: each outer integrand call gets g on
 both legs as one batch, from the entry's transform oracle or from nested
 numeric transforms along theta = -+ alpha with a budget 100x tighter than
-the outer one.  On each leg the kernel's rotation e^{-i Im(leg_dir z) t} is
-the quadrature's carrier, and the integrand hands over the rest.  |g| is
+the outer one.  Every inner omega of a leg has Re(omega e^{i theta}) =
+p cos alpha up to rounding; the omegas for which it rounds to the same
+float share the smooth factor of their ray integrals, which the engine
+evaluates once per such family, and each omega still gets the bits of its
+transform alone.  On each leg the kernel's rotation e^{-i Im(leg_dir z) t}
+is the quadrature's carrier, and the integrand hands over the rest.  |g| is
 bounded on the legs by (K / 2 pi) / -(h + p cos alpha), which feeds the
 outer truncation.  Both legs are integrated in one engine pass, and the
 inner error is part of est_error: with max|delta g| the largest inner

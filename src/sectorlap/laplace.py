@@ -40,9 +40,14 @@ contour-bound check: it returns (values, est_errors), from the entry's
 transform oracle (est_errors all 0) or numerically, as the source picks.  A
 numeric batch is a single quadrature engine pass over the ray integrals of
 all its omegas; the indicator and nu are computed once per distinct
-direction.  Each omega still gets the panels, value and est_error of its
-transform alone.  An entry's ``weighted_eval(z, w)`` then receives one omega
-per row of points z and must broadcast over them elementwise.
+direction.  Omegas of one direction whose Re(w e^{i theta}) are the same
+float have the same margin, rate and F, and only their carriers differ:
+``_families`` groups them, and the engine evaluates each family's F once
+per seed panel.  On an inversion leg or a constant-margin sweep, rounding
+leaves a few dozen such families among hundreds of omegas.  Each omega
+still gets the panels, value and est_error of its transform alone, bit for
+bit.  An entry's ``weighted_eval(z, w)`` then receives one omega per row of
+points z and must broadcast over them elementwise.
 """
 
 import cmath
@@ -77,12 +82,16 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class TransformQuery:
+    """g_theta(omega) along one direction.  ``indicator`` is the (value, is_exact) pair
+    ``indicator_value`` returns at theta for ``indicator_source``, looked up when None."""
+
     fn: TestFunction
     theta: float
     omega: complex
     budget: QuadratureBudget = QuadratureBudget()
     delta_min: float = DELTA_MIN_DEFAULT
     indicator_source: str = "auto"
+    indicator: Optional[tuple[float, bool]] = None
 
     def __post_init__(self):
         _check_direction(self.fn, self.theta)
@@ -118,16 +127,18 @@ def _ray_integrands(fn: TestFunction, theta, omegas, indicator, nu, exact_indica
     """The ray integrals of g_theta at a 1-D sequence of omegas, as one batch.
 
     ``theta``, ``indicator`` and ``nu`` are scalars or hold one value per
-    omega.  Returns (integrand, rate, amplitude, freq): g_theta(omegas[k]) is
-    the integral of integrand(t, k) e^{i freq[k] t} over [0, inf), with
-    envelope amplitude * e^{-rate[k] t}.  Raises OutsideDomain for the first
+    omega.  Returns (integrand, rate, amplitude, freq, shares):
+    g_theta(omegas[k]) is the integral of integrand(t, k) e^{i freq[k] t}
+    over [0, inf), with envelope amplitude * e^{-rate[k] t}, and
+    integrand(t, shares[k]) = integrand(t, k) (shares is None when no two
+    omegas share it; see ``_families``).  Raises OutsideDomain for the first
     omega, in input order, whose margin is below delta_min.
     ``fn.weighted_eval(z, w)`` gets an array w of the omegas owning the
     points z and must broadcast over them elementwise.
     """
     om = np.asarray(omegas, dtype=complex)
     th = np.asarray(theta, dtype=float)
-    direction = np.exp(1j * th) if th.ndim else np.full(len(om), cmath.exp(1j * theta))
+    direction = np.exp(1j * th) if th.ndim else np.array([cmath.exp(1j * theta)] * len(om))
     proj = om * direction
     margin = np.minimum(-indicator - proj.real, OFFSET_CAP)
     inside = margin >= delta_min
@@ -141,7 +152,31 @@ def _ray_integrands(fn: TestFunction, theta, omegas, indicator, nu, exact_indica
     weight = (proj.real - 1j * nu) * direction.conjugate()
     prefactor = direction / (2j * math.pi)
     integrand = lambda t, k: prefactor[k] * fn.weighted_eval(t * direction[k], weight[k])
-    return integrand, rate, fn.envelope_const / (2.0 * math.pi), proj.imag + nu
+    return integrand, rate, fn.envelope_const / (2.0 * math.pi), proj.imag + nu, _families(th, proj.real)
+
+
+def _families(theta, re):
+    """For each omega, the first omega with its direction and the same bits of Re(omega e^{i theta}) ``re``.
+
+    Such omegas have the same margin, rate, nu and smooth factor F; only
+    their carriers differ.  ``theta`` is one direction or one per omega.
+    None for a single omega, or when every omega is alone in its family.
+    """
+    if len(re) < 2:
+        return None
+    bits = re.view(np.int64)  # bitwise equality: -0.0 and 0.0 stay apart
+    order = np.argsort(bits, kind="stable") if not theta.ndim else np.lexsort((bits, theta.view(np.int64)))
+    new = np.empty(len(re), dtype=bool)
+    new[0] = True
+    new[1:] = bits[order[1:]] != bits[order[:-1]]
+    if theta.ndim:
+        new[1:] |= theta[order[1:]] != theta[order[:-1]]
+    if new.all():
+        return None
+    # a stable sort keeps each family in input order, so its first element is its first omega
+    shares = np.empty(len(re), dtype=np.intp)
+    shares[order] = order[new][np.cumsum(new) - 1]
+    return shares
 
 
 def _ray_transform(
@@ -154,7 +189,7 @@ def _ray_transform(
     delta_min: float,
 ) -> IntegralResult:
     """g_theta(omega) at one omega, with the indicator given."""
-    integrand, rate, amplitude, freq = _ray_integrands(
+    integrand, rate, amplitude, freq, _ = _ray_integrands(
         fn, theta, (omega,), indicator, _phase_rate(fn, theta), exact_indicator, delta_min
     )
     decay = DecayModel(rate=float(rate[0]), amplitude=amplitude)
@@ -167,7 +202,8 @@ def _g_values(fn: TestFunction, theta, omegas, budget: QuadratureBudget, source:
     ``theta`` is one direction for every omega or one per omega.  The
     oracle's values come with est_errors of 0.  Numeric values are g_theta in
     one engine pass, each omega with the value, est_error and panels of
-    ``_ray_transform`` at that omega alone.
+    ``_ray_transform`` at that omega alone; the omegas of one family
+    (``_families``) share the evaluations of their smooth factor.
     """
     om = np.asarray(omegas, dtype=complex)
     oracle = pick_oracle(fn, "transform", source)
@@ -179,14 +215,14 @@ def _g_values(fn: TestFunction, theta, omegas, budget: QuadratureBudget, source:
     indicator = np.array([value for value, _ in per_theta])[which]
     nu = np.array([_phase_rate(fn, t) for t in thetas.tolist()])[which]
     exact = all(flag for _, flag in per_theta)
-    integrand, rate, amplitude, freq = _ray_integrands(fn, th, om, indicator, nu, exact, delta_min)
-    values, errors, _, _ = _integrate_rays(integrand, rate, np.full(len(om), amplitude), budget, freq)
+    integrand, rate, amplitude, freq, shares = _ray_integrands(fn, th, om, indicator, nu, exact, delta_min)
+    values, errors, _, _ = _integrate_rays(integrand, rate, np.full(len(om), amplitude), budget, freq, shares)
     return values, errors
 
 
 def directional_transform(query: TransformQuery) -> IntegralResult:
     """g_theta(omega) by adaptive ray quadrature; OutsideDomain below delta_min margin."""
-    ind, exact = indicator_value(query.fn, query.theta, query.indicator_source)
+    ind, exact = query.indicator or indicator_value(query.fn, query.theta, query.indicator_source)
     return _ray_transform(
         query.fn, query.theta, query.omega, query.budget, ind, exact, query.delta_min
     )

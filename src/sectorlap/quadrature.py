@@ -23,46 +23,57 @@ an owner, the index of the integral it belongs to, and the engine calls its
 integrand as ``fn(t, k)``: ``t`` holds the Gauss-Legendre nodes of one
 interval per row and the column ``k`` the owner of each row, so one call can
 hold panels of many integrals.  A segment's seed panel is the segment
-itself; a ray's seed panels are geometric intervals (below).  Seeding
-evaluates the coarse, left-half and right-half nodes of up to _CHUNK_PANELS
-panels per call, across integral boundaries, and sums panel values and
-estimates per owner.  Each integral is then checked against its own target
+itself; a ray's seed panels are geometric intervals (below).
+
+Ray integrals may share their smooth factor: a family is a set of
+integrals with one F, one rate and one amplitude, whose carriers alone
+differ (the omegas of a ray transform with the same margin).  A family is
+planned once (truncation point, tail bound, seed panels), and its first
+integral owns its seed panels.  Seeding evaluates F on the coarse, left-half
+and right-half nodes of up to _CHUNK_PANELS family panels per call, across
+family boundaries, and projects the values once per panel row (vals @
+project, vals @ weights); each integral of the family then applies its own
+carrier to those coefficients, the moments of kappa h and e^{i kappa m},
+and sums its panel values and estimates.  An integral that shares nothing
+is a family of one.  Each integral is then checked against its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
 and one that misses it is refined on its own, from the panel state seeding
-left: its worst panel (the older one on ties) is split, with one call for
-the four half-panels of both children, until the target is met or the panel
-budget runs out (BudgetExceeded, never silent degradation).  The running
-estimate is updated per split; if rounding leaves it above the target after
-every panel estimate has dropped to exactly 0, no panel can usefully be
-split, so refinement stops there and reports the re-summed estimate, 0.
+left and on its family's F: its worst panel (the older one on ties) is
+split, with one call for the four half-panels of both children, until the
+target is met or the panel budget runs out (BudgetExceeded, never silent
+degradation).  The running estimate is updated per split; if rounding
+leaves it above the target after every panel estimate has dropped to
+exactly 0, no panel can usefully be split, so refinement stops there and
+reports the re-summed estimate, 0.
 
-A panel's sums come out the same whichever panels share its integrand call
-(every integrand call holds at least three panels, numpy's matrix products
-over two or more rows compute each row on its own, and each panel's moments
-depend on its own kappa h alone), so every integral gets the same panels,
-values and estimates as when integrated alone.  Integrals are seeded in
-groups of consecutive owners holding about _GROUP_PANELS seed panels, which
-bounds the panel state however many integrals one pass is given; a
-refined integral's state lives in numpy arrays whose row order is creation
-order.  Sums are checked for finite values before they are used: a NaN or
-infinite integrand value raises IllConditioned naming the first affected
-panel, instead of a NaN estimate ending refinement as if it had converged.
-Failures surface in owner order: the integrals before a failing one are
-finished first, as if the integrals were computed one after another.
-``integrate_segment`` and ``integrate_ray`` are the one-integral case, and
-hand their integrands a 1-D array of points.
+A panel's sums come out the same whichever panels and integrals share its
+integrand call and its coefficients (every integrand call holds at least
+three panels, numpy's matrix products over two or more rows compute each
+row on its own, and each row's moments depend on its own kappa h alone), so
+every integral gets the same panels, values and estimates, bit for bit, as
+when integrated alone.  Families are seeded in the order of their first
+integral, in groups whose integrals hold about _GROUP_PANELS seed panels,
+which bounds the arrays of one seeding step however many integrals one pass
+is given; a refined integral's state lives in numpy arrays whose row order
+is creation order.  Sums are checked for finite values before they are
+used: a NaN or infinite integrand value raises IllConditioned naming the
+first affected panel, instead of a NaN estimate ending refinement as if it
+had converged.  Failures surface in input order: the integrals before a
+failing one are finished first, as if the integrals were computed one after
+another.  ``integrate_segment`` and ``integrate_ray`` are the one-integral
+case, and hand their integrands a 1-D array of points.
 
 Ray integrals over [0, inf) are truncated analytically: given a certified
 envelope |F(t)| <= A e^{-m t}, the tail beyond T is bounded by A e^{-m T}/m
 and T is chosen so that this bound is at most half of abs_floor.  The tail
 bound is added to est_error, so doubling T never moves the result by more
-than est_error.  The seed panels of a ray are [0, s], [s, 2s], [2s, 4s], ...
-up to T with s = min(1/m, T), dense near 0 where the integrand lives.
+than est_error.  A rate so small that T overflows is an InvalidDecay.  The
+seed panels of a ray are [0, s], [s, 2s], [2s, 4s], ... up to T with
+s = min(1/m, T), dense near 0 where the integrand lives.
 """
 
-import bisect
 import functools
 import itertools
 import math
@@ -84,8 +95,10 @@ __all__ = [
 
 # initial panels per integrand call: 3 * 64 panels, about 3k points
 _CHUNK_PANELS = 64
-# seed panels held at once when seeding many integrals; bounds the panel state
+# seed panels of the integrals seeded in one step; bounds the arrays of a seeding step
 _GROUP_PANELS = 2048
+# columns per carrier step where integrals share seed panels, so that the steps' moments stay in cache
+_CARRY_COLUMNS = 128
 
 _ORDER = 16  # Gauss-Legendre nodes per panel
 _RAYLEIGH_FROM = 12.0  # |kappa h| from which the moments take Rayleigh's closed form
@@ -227,6 +240,21 @@ def _eval_vector(fn: Callable, pts: np.ndarray, owners: np.ndarray) -> np.ndarra
     return vals
 
 
+def _carry(coeffs, plain, x: np.ndarray, freq: np.ndarray, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Sums of F e^{i freq t} over panels of midpoints mid and half-widths half, from F's projections.
+
+    One panel per row: ``coeffs`` holds vals @ project and ``plain`` vals @
+    weights, vals being F at the panel's nodes, and x = freq * half.  A
+    panel's sum is the Filon sum where x != 0 and the plain Gauss-Legendre
+    sum where x = 0; a projection is None where no panel needs it.  The
+    caller ignores invalid and overflowing floating-point operations.
+    """
+    if coeffs is None:
+        return half * plain
+    filon = half * np.exp(1j * (freq * mid)) * (coeffs * _moments(x)).sum(axis=1)
+    return filon if plain is None else np.where(x == 0.0, half * plain, filon)
+
+
 def _panel_sums(fn, a: np.ndarray, b: np.ndarray, owners: np.ndarray, freq: np.ndarray) -> np.ndarray:
     """Sums of F e^{i freq[i] t} over the panels [a[i], b[i]] of integrals owners[i], from one integrand call.
 
@@ -240,10 +268,59 @@ def _panel_sums(fn, a: np.ndarray, b: np.ndarray, owners: np.ndarray, freq: np.n
     x = freq * half
     carried = np.count_nonzero(x)
     with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
-        if not carried:
-            return half * (vals @ rule.weights)
-        filon = half * np.exp(1j * (freq * mid)) * ((vals @ rule.project) * _moments(x)).sum(axis=1)
-        return filon if carried == len(x) else np.where(x == 0.0, half * (vals @ rule.weights), filon)
+        coeffs = vals @ rule.project if carried else None
+        return _carry(coeffs, vals @ rule.weights if carried < len(x) else None, x, freq, mid, half)
+
+
+def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, src, freq: np.ndarray) -> np.ndarray:
+    """Whole-panel, left-half and right-half sums of F e^{i freq[q] t} over the panels [a[src[q]], b[src[q]]].
+
+    F is fn with column owner[i] on panel [a[i], b[i]], and ``src`` None
+    stands for src[q] = q.  F is evaluated and projected once per panel, on
+    the three rows of up to _CHUNK_PANELS panels per integrand call, however
+    many columns q share the panel; the columns of those panels then apply
+    their own carriers, _CARRY_COLUMNS at a time.  Returns the sums as three
+    rows, one column q each.
+    """
+    rule = _rule()
+    chunks = range(0, len(a) + _CHUNK_PANELS, _CHUNK_PANELS)
+    if src is None:
+        cut = list(chunks)
+    else:
+        # the columns of the panels [chunks[i], chunks[i + 1]) are by_panel[cut[i]:cut[i + 1]]
+        by_panel = np.argsort(src, kind="stable")
+        cut = np.searchsorted(src[by_panel], chunks).tolist()
+    sums = np.empty((3, len(freq)), dtype=complex)
+    for i, s in enumerate(chunks[:-1]):
+        c = slice(s, s + _CHUNK_PANELS)
+        a_c, b_c, k = a[c], b[c], owner[c]
+        mid = 0.5 * (a_c + b_c)
+        lo, hi = np.concatenate((a_c, a_c, mid)), np.concatenate((b_c, mid, b_c))  # whole panels, left, right halves
+        m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = _eval_vector(fn, m[:, None] + h[:, None] * rule.nodes, np.concatenate((k, k, k))[:, None])
+        coeffs = plain = None
+        # with src None, a chunk's columns are its panels, one block as _CARRY_COLUMNS >= _CHUNK_PANELS
+        for q in range(cut[i], cut[i + 1], _CARRY_COLUMNS):
+            cols = slice(q, min(q + _CARRY_COLUMNS, cut[i + 1]))
+            rows, block_mid, block_half = None, m, h
+            if src is not None:
+                cols = by_panel[cols]
+                j = src[cols] - s
+                rows = np.concatenate((j, j + len(k), j + 2 * len(k)))  # the chunk row of each column's row
+                block_mid, block_half = m[rows], h[rows]
+            f = freq[cols]
+            f = np.concatenate((f, f, f))
+            x = f * block_half
+            carried = np.count_nonzero(x)
+            with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
+                if carried and coeffs is None:
+                    coeffs = vals @ rule.project
+                if carried < len(x) and plain is None:
+                    plain = vals @ rule.weights
+                block_coeffs = (coeffs if rows is None else coeffs[rows]) if carried else None
+                block_plain = (plain if rows is None else plain[rows]) if carried < len(x) else None
+                sums[:, cols] = _carry(block_coeffs, block_plain, x, f, block_mid, block_half).reshape(3, -1)
+    return sums
 
 
 def _check_finite(sums: np.ndarray, a, b) -> None:
@@ -287,7 +364,7 @@ def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget)
         mid0, mid1 = 0.5 * (a + mid), 0.5 * (mid + b)
         starts, ends = np.array((a, mid, mid0, mid1)), np.array((mid0, mid1, mid, b))
         # rows: left halves, right halves
-        sums = _panel_sums(fn, starts, ends, np.full(4, owner), np.full(4, freq)).reshape(2, 2)
+        sums = _panel_sums(fn, starts, ends, np.array([owner] * 4), np.array([freq] * 4)).reshape(2, 2)
         _check_finite(sums, (a, mid), (mid, b))
         (left0, left1), (right0, right1) = sums.tolist()
         fine0, fine1 = left0 + right0, left1 + right1
@@ -310,80 +387,101 @@ def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget)
     return value, math.fsum(err[:count][keep].tolist()), live
 
 
-def _adaptive(fn, lo, hi, owner: np.ndarray, freq: np.ndarray, counts: list[int], budget: QuadratureBudget):
-    """Integrals over the seed panels [lo[i], hi[i]] of owner[i]; integral j owns the next counts[j] panels.
+def _seed_group(fn, a, b, bounds, owners, members, freq, families: range, budget: QuadratureBudget) -> dict:
+    """Seed the given families once each; the outcome of each of their integrals, by integral.
 
-    ``freq[i]`` is the carrier frequency of panel i's integral.  Returns
-    value, est_error and panels used for each integral, in order.
+    An outcome is (value, est_error, panels used) for an integral whose seed
+    panels meet its target, and otherwise a function of no arguments that
+    refines it, or raises IllConditioned if a seed sum is not finite.
     """
-    n = len(lo)
-    sums = np.empty((3, n), dtype=complex)  # rows: whole panel, left half, right half
-    for s in range(0, n, _CHUNK_PANELS):
-        c = slice(s, s + _CHUNK_PANELS)
-        a, b, k, f = lo[c], hi[c], owner[c], freq[c]
-        mid = 0.5 * (a + b)
-        rows = (np.concatenate(v) for v in ((a, a, mid), (b, mid, b), (k, k, k), (f, f, f)))
-        sums[:, c] = _panel_sums(fn, *rows).reshape(3, -1)
-    ends = list(itertools.accumulate(counts))
-    done = len(counts)
-    if not np.isfinite(sums).all():
-        # the integrals before the first one with a non-finite panel are finished, then it is reported
-        done = bisect.bisect_right(ends, int(np.isfinite(sums).all(axis=0).argmin()))
-    m = ends[done - 1] if done else 0
-    coarse, left, right = sums[:, :m]
+    f0, f1 = families.start, families.stop
+    # the group's integrals, family by family, with their families and their columns starts[k]:ends[k]
+    group, fams, counts, starts, ends = [], [], [], [], [0]
+    for f in families:
+        count = bounds[f + 1] - bounds[f]
+        for j in members[f]:
+            group.append(j)
+            fams.append(f)
+            counts.append(count)
+            starts.append(ends[-1])
+            ends.append(ends[-1] + count)
+    del ends[0]
+    s, e = bounds[f0], bounds[f1]
+    # column q of the sums is panel q - starts[k] of the group's k-th integral, family panel src[q];
+    # with one integral per family, the columns are the family panels themselves
+    alone = len(group) == len(families)
+    src = None
+    if not alone:
+        src = np.arange(ends[-1]) + np.repeat([bounds[f] - s - p for f, p in zip(fams, starts)], counts)
+    # with one integral per family and every family here, the group lists the integrals in input order
+    mine = freq if alone and len(group) == len(freq) else freq[group]
+    owner = owners[f0:f1].repeat(counts if alone else [bounds[f + 1] - bounds[f] for f in families])
+    sums = _seed(fn, a[s:e], b[s:e], owner, src, mine.repeat(counts))
+    finite = None if np.isfinite(sums).all() else np.isfinite(sums).all(axis=0)
+    coarse, left, right = sums if finite is None else np.where(finite, sums, 0.0)
     fine = left + right
     err = np.abs(fine - coarse)
     # running totals per integral, each summed over its own panels alone
-    totals = np.add.reduceat(fine, [0, *ends[: done - 1]]).tolist() if done else []
-
-    values, errors, used = [], [], []
+    totals = np.add.reduceat(fine, starts).tolist()
     fine_re, fine_im, err_list = fine.real.tolist(), fine.imag.tolist(), err.tolist()
-    s = 0
-    for e, total in zip(ends, totals):
-        total_err = math.fsum(err_list[s:e])
-        if total_err > budget.rel_tol * abs(total) + budget.abs_floor:
-            value, total_err, count = _refine(
-                fn, owner[s], freq[s], lo[s:e], hi[s:e], left[s:e], right[s:e], err[s:e], total, total_err, budget
-            )
+    seeded = [True] * len(group) if finite is None else np.logical_and.reduceat(finite, starts).tolist()
+
+    outcome = {}
+    for j, f, p, q, total, ok in zip(group, fams, starts, ends, totals, seeded):
+        total_err = math.fsum(err_list[p:q])
+        if ok and total_err <= budget.rel_tol * abs(total) + budget.abs_floor:
+            outcome[j] = complex(math.fsum(fine_re[p:q]), math.fsum(fine_im[p:q])), total_err, q - p
+            continue
+        lo, hi = a[bounds[f] : bounds[f + 1]], b[bounds[f] : bounds[f + 1]]
+        if not ok:
+            outcome[j] = functools.partial(_check_finite, sums[:, p:q], lo, hi)
         else:
-            value, count = complex(math.fsum(fine_re[s:e]), math.fsum(fine_im[s:e])), e - s
-        values.append(value)
-        errors.append(total_err)
-        used.append(count)
-        s = e
-    if done < len(counts):
-        e = ends[done]
-        _check_finite(sums[:, s:e], lo[s:e], hi[s:e])
-    return values, errors, used
+            outcome[j] = functools.partial(
+                _refine, fn, owners[f], freq[j], lo, hi, left[p:q], right[p:q], err[p:q], total, total_err, budget
+            )
+    return outcome
 
 
-def _integrate_seeds(fn, a, b, first, owners, freq, budget: QuadratureBudget):
-    """Integrals of fn(t, k) e^{i freq t} over seed panels [a[i], b[i]], integral j's starting at first[j].
+def _integrate_seeds(fn, a, b, first: list, owners: np.ndarray, family: list, freq: np.ndarray, budget):
+    """Integrals j of fn(t, owners[f]) e^{i freq[j] t} over the seed panels of their family f = family[j].
 
-    ``first`` is increasing, and integral j is passed to fn as ``owners[j]``
-    and has carrier frequency ``freq[j]``.  Returns value, est_error and
-    panels used for each integral, in order.
+    Family f's seed panels are [a[i], b[i]] for first[f] <= i < first[f + 1];
+    ``first`` is increasing, and families are numbered in the order of
+    their first integral.  Returns value, est_error and panels used for each
+    integral, in order.
     """
     limit = budget.max_panels
-    bounds = first.tolist() + [len(a)]
-    counts = [end - start for start, end in zip(bounds, bounds[1:])]
-    stop = next((j for j, count in enumerate(counts) if count > limit), len(counts))
-    # groups of consecutive integrals, each closed once it holds _GROUP_PANELS seed panels
+    bounds = [*first, len(a)]
+    stop = next((j for j, f in enumerate(family) if bounds[f + 1] - bounds[f] > limit), len(family))
+    # the families seeded: all before the first one with too many seed panels
+    seeded = family[stop] if stop < len(family) else len(first)
+    members = [[] for _ in range(seeded)]
+    for j, f in enumerate(family[:stop]):
+        members[f].append(j)
+    # groups of consecutive families, each closed once its integrals hold _GROUP_PANELS seed panels
     edges, filled = [], _GROUP_PANELS
-    for j, count in enumerate(counts[:stop]):
+    for f, mine in enumerate(members):
         if filled >= _GROUP_PANELS:
-            edges.append(j)
+            edges.append(f)
             filled = 0
-        filled += count
-    edges.append(stop)
+        filled += (bounds[f + 1] - bounds[f]) * len(mine)
+    edges.append(seeded)
+
     values, errors, used = [], [], []
-    for g0, g1 in zip(edges, edges[1:]):
-        i, k = slice(bounds[g0], bounds[g1]), counts[g0:g1]
-        group = _adaptive(fn, a[i], b[i], owners[g0:g1].repeat(k), freq[g0:g1].repeat(k), k, budget)
-        for out, part in zip((values, errors, used), group):
-            out.extend(part)
-    if stop < len(counts):
-        raise BudgetExceeded(f"initial subdivision needs {counts[stop]} panels, budget allows {limit}")
+    outcome, group = {}, 0
+    for j in range(stop):
+        if family[j] >= edges[group]:  # the first integral of the next group, as families come in order
+            group += 1
+            families = range(edges[group - 1], edges[group])
+            outcome.update(_seed_group(fn, a, b, bounds, owners, members, freq, families, budget))
+        result = outcome.pop(j)
+        value, err, count = result() if callable(result) else result
+        values.append(value)
+        errors.append(err)
+        used.append(count)
+    if stop < len(family):
+        count = bounds[seeded + 1] - bounds[seeded]
+        raise BudgetExceeded(f"initial subdivision needs {count} panels, budget allows {limit}")
     return values, errors, used
 
 
@@ -393,8 +491,8 @@ def _integrate_segments(fn, a: np.ndarray, b: np.ndarray, budget: QuadratureBudg
     Returns value, est_error and panels used per integral, each as
     ``integrate_segment`` computes it alone.
     """
-    j = np.arange(len(a))
-    return _integrate_seeds(fn, a, b, j, j, freq, budget)
+    j = list(range(len(a)))
+    return _integrate_seeds(fn, a, b, j, np.arange(len(a)), j, freq, budget)
 
 
 def integrate_segment(
@@ -428,49 +526,86 @@ def _ray_breakpoints(T: list[float], rate: list[float]) -> tuple[np.ndarray, np.
     count = np.array([e_T - e_s + (m_s < m_T) + 1 for (m_T, e_T), (m_s, e_s) in frexps])
     ends = count.cumsum()
     first = ends - count
-    ray = np.arange(len(T)).repeat(count)
-    b = np.ldexp(np.array(step)[ray], np.arange(ends[-1]) - first[ray])
+    b = np.ldexp(np.array(step).repeat(count), np.arange(ends[-1]) - first.repeat(count))
     a = 0.5 * b
     a[first] = 0.0
     b[ends - 1] = T
     return a, b, first
 
 
-def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: QuadratureBudget, freq: np.ndarray):
+def _integrate_rays(
+    fn, rate: np.ndarray, amplitude: np.ndarray, budget: QuadratureBudget, freq: np.ndarray, shares=None
+):
     """Integrals j of fn(t, j) e^{i freq[j] t} over [0, inf), given |fn(t, j)| <= amplitude[j] e^{-rate[j] t}.
+
+    ``shares[j]`` is the integral whose smooth factor integral j shares (j
+    itself by default): fn(t, shares[j]) = fn(t, j) for every t.  The shared
+    integral comes first and shares its own, and its sharers have its rate
+    and amplitude, else ValueError.  Such a family of integrals is planned,
+    and its F evaluated on its seed panels, once: fn is called with the
+    family's first integral as the owner.
 
     Validates every envelope first: for the first integral, in input order,
     whose rate or amplitude is not finite and positive, raises InvalidDecay
-    with DecayModel's message.  Returns value, est_error, truncation_T and
-    panels used per integral, each as ``integrate_ray`` computes it alone.
+    with DecayModel's message.  Then every truncation point: InvalidDecay
+    for the first rate so small that T overflows.  Returns value,
+    est_error, truncation_T and panels used per integral, each as
+    ``integrate_ray`` computes it alone.
     """
-    good = np.isfinite(rate) & (rate > 0.0) & np.isfinite(amplitude) & (amplitude > 0.0)
-    if np.count_nonzero(good) < len(good):
-        j = int(np.argmin(good))
-        DecayModel(rate=float(rate[j]), amplitude=float(amplitude[j]))  # raises InvalidDecay
+    n = len(rate)
     rates, amplitudes = rate.tolist(), amplitude.tolist()
-    # A e^{-m T} / m <= abs_floor / 2, in math.log and math.exp as for one integral (numpy's
-    # can differ in the last bit); where arg <= 1 the whole integral is below half the floor
-    args = [2.0 * A / (m * budget.abs_floor) for m, A in zip(rates, amplitudes)]
-    live = [j for j, arg in enumerate(args) if arg > 1.0]
-    T_live = [
-        # where the quotient overflows (a huge A), its logarithm term by term
-        (math.log(args[j]) if args[j] < math.inf
-         else math.log(2.0) + math.log(amplitudes[j]) - math.log(rates[j]) - math.log(budget.abs_floor)) / rates[j]
-        for j in live
-    ]
-    values, errors, used = [], [], []
+    for m, A in zip(rates, amplitudes):
+        if not (0.0 < m < math.inf and 0.0 < A < math.inf):
+            DecayModel(rate=m, amplitude=A)  # raises InvalidDecay
+    if shares is None:
+        leaders = family = range(n)
+    else:
+        shares, index = np.asarray(shares), np.arange(n)
+        if not (np.all((shares >= 0) & (shares <= index)) and np.array_equal(shares[shares], shares)):
+            raise ValueError("an integral must share the smooth factor of itself or of an earlier one sharing its own")
+        if not (np.array_equal(rate[shares], rate) and np.array_equal(amplitude[shares], amplitude)):
+            raise ValueError("integrals that share a smooth factor must have the same rate and amplitude")
+        leaders = np.flatnonzero(shares == index)
+        family = np.searchsorted(leaders, shares).tolist()
+        leaders = leaders.tolist()
+        rates, amplitudes = [rates[j] for j in leaders], [amplitudes[j] for j in leaders]
+    # per family, A e^{-m T} / m <= abs_floor / 2, in math.log and math.exp as for one integral (numpy's can
+    # differ in the last bit).  Where arg <= 1 the whole integral is below half the floor: value 0, with
+    # est_error A / m and no panels; the others add their tail bound to est_error.
+    T, bound, live = [0.0] * len(rates), [A / m for m, A in zip(rates, amplitudes)], []
+    for f, (m, A) in enumerate(zip(rates, amplitudes)):
+        arg = 2.0 * A / d if (d := m * budget.abs_floor) > 0.0 else math.inf
+        if arg > 1.0:
+            # where the quotient overflows (a huge A), its logarithm term by term
+            T[f] = (math.log(arg) if arg < math.inf else
+                    math.log(2.0) + math.log(A) - math.log(m) - math.log(budget.abs_floor)) / m
+            if not T[f] < math.inf:
+                raise InvalidDecay(f"decay rate {m!r} is too small: the truncation point T overflows")
+            bound[f] = A * math.exp(-m * T[f]) / m
+            live.append(f)
+    value, err, panels = [0j] * n, [bound[f] for f in family], [0] * n
     if live:
-        a, b, first = _ray_breakpoints(T_live, [rates[j] for j in live])
-        owners = np.array(live)
-        values, errors, used = _integrate_seeds(fn, a, b, first, owners, freq[owners], budget)
-    # integrals below the floor: 0, with est_error A / m and no panels
-    n = len(rates)
-    value, err, T, panels = [0j] * n, [A / m for m, A in zip(rates, amplitudes)], [0.0] * n, [0] * n
-    for j, v, e, T_j, u in zip(live, values, errors, T_live, used):
-        value[j], T[j], panels[j] = v, T_j, u
-        err[j] = e + amplitudes[j] * math.exp(-rates[j] * T_j) / rates[j]  # plus the tail bound
-    return np.array(value, dtype=complex), np.array(err), np.array(T), np.array(panels, dtype=np.int64)
+        a, b, first = _ray_breakpoints([T[f] for f in live], [rates[f] for f in live])
+        renumber = dict(zip(live, itertools.count()))
+        mine = [j for j, f in enumerate(family) if f in renumber]
+        values, errors, used = _integrate_seeds(
+            fn,
+            a,
+            b,
+            first.tolist(),
+            np.array([leaders[f] for f in live]),
+            [renumber[family[j]] for j in mine],
+            freq if len(mine) == n else freq[mine],
+            budget,
+        )
+        for j, v, e, u in zip(mine, values, errors, used):
+            value[j], err[j], panels[j] = v, e + err[j], u
+    return (
+        np.array(value, dtype=complex),
+        np.array(err),
+        np.array([T[f] for f in family]),
+        np.array(panels, dtype=np.int64),
+    )
 
 
 def integrate_ray(

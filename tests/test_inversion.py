@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -175,3 +176,19 @@ def test_numeric_g_est_error_counts_the_inner_error(monkeypatch):
         assert new.value == old.value
         assert new.est_error > old.est_error
         assert abs(new.value - cmath.exp(-z)) <= new.est_error
+
+
+# weighted_eval points of this reconstruction when every inner integral evaluated its own smooth factor
+PER_INTEGRAL_POINTS = 165_888
+
+
+def test_numeric_g_evaluates_each_smooth_factor_once_per_family():
+    points = []
+    fn = make_exp(-1)
+    weighted_eval = fn.weighted_eval
+    counted = dataclasses.replace(fn, weighted_eval=lambda z, w: points.append(np.size(z)) or weighted_eval(z, w))
+    budget = QuadratureBudget(rel_tol=1e-7, abs_floor=1e-10)
+    res = reconstruct(ReconstructionQuery(counted, build_gamma(SPEC, -1.0), 0.8 + 0.2j, budget, "numeric"))
+    assert abs(res.value - cmath.exp(-(0.8 + 0.2j))) <= res.est_error
+    # the omegas of a leg that share Re(omega e^{i theta}) share F and its seed panels
+    assert sum(points) <= PER_INTEGRAL_POINTS / 4

@@ -7,6 +7,7 @@ phase carried by the ray.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from sectorlap import (
     BudgetExceeded,
     ConcatenatedTransform,
     GrowthCertificate,
+    IllConditioned,
     OutsideDomain,
     OutsideUnion,
     QuadratureBudget,
@@ -217,10 +219,12 @@ def _batch(fn_id, theta, margins_and_freqs, budget_index):
 @st.composite
 def _batches(draw):
     fn_id = draw(st.sampled_from(sorted(BATCH_ENTRIES)))
-    theta = draw(st.floats(-0.6, 0.6))
+    # at theta = 0, Re(omega e^{i theta}) is exact, so omegas of one margin share their smooth factor
+    theta = draw(st.one_of(st.just(0.0), st.floats(-0.6, 0.6)))
     size = draw(st.integers(1, 8))
-    # margins down to delta_min (kept a hair above it against rounding), frequencies mixed with zeros
-    margins = draw(st.lists(st.floats(1.000001 * DELTA_MIN_DEFAULT, 4.0), min_size=size, max_size=size))
+    # margins down to delta_min (kept a hair above it against rounding), often repeated; frequencies mixed with zeros
+    pool = draw(st.lists(st.floats(1.000001 * DELTA_MIN_DEFAULT, 4.0), min_size=1, max_size=size))
+    margins = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
     freqs = draw(st.lists(st.one_of(st.just(0.0), st.floats(-30.0, 30.0)), min_size=size, max_size=size))
     return _batch(fn_id, theta, zip(margins, freqs), draw(st.integers(0, len(BATCH_BUDGETS) - 1)))
 
@@ -230,6 +234,8 @@ def _batches(draw):
 @example(_batch("sum", -0.3, [(3.0, 1.0), (0.05, 2.0), (2.5, 0.0)], 1))
 # a subnormal carrier frequency: kappa h underflows to 0 on the first panels, the plain Gauss-Legendre sum
 @example(_batch("exp", 0.0, [(1.0, 0.0), (1.0, 1.1125369292536007e-308)], 0))
+# two families and a loner; the first family and one more omega refine
+@example(_batch("trig", 0.0, [(0.5, 3.0), (1.0, 0.0), (0.5, -8.0), (2.0, 1.0), (1.0, 20.0)], 2))
 @settings(max_examples=40, deadline=None)
 def test_batched_transform_matches_each_omega_alone(batch):
     fn, theta, omegas, budget = batch
@@ -243,12 +249,14 @@ def test_batched_transform_matches_each_omega_alone(batch):
         return
     ind, exact = indicator_value(fn, theta)
     nu = laplace._phase_rate(fn, theta)
-    integrand, rate, amplitude, freq = laplace._ray_integrands(
+    integrand, rate, amplitude, freq, shares = laplace._ray_integrands(
         fn, theta, omegas, ind, nu, exact, DELTA_MIN_DEFAULT
     )
-    values, errors, T, used = quadrature._integrate_rays(
-        integrand, rate, np.full(len(omegas), amplitude), budget, freq
-    )
+    amplitudes = np.full(len(omegas), amplitude)
+    values, errors, T, used = quadrature._integrate_rays(integrand, rate, amplitudes, budget, freq)
+    # omegas that share their smooth factor get the same bits as each on its own
+    shared = quadrature._integrate_rays(integrand, rate, amplitudes, budget, freq, shares)
+    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(shared, (values, errors, T, used)))
     for k, single in enumerate(singles):
         assert (int(used[k]), float(T[k]), float(errors[k])) == (
             single.panels_used,
@@ -284,6 +292,90 @@ def test_batch_with_one_bad_omega_raises_its_error(position, kind):
     with pytest.raises(type(alone)) as caught:
         laplace._g_values(fn, theta, omegas, budget, "numeric", DELTA_MIN_DEFAULT)
     assert str(caught.value) == str(alone)
+
+
+def _families_and_loners(fn, rng):
+    """At theta = 0: two families of 50 omegas, one margin each with distinct frequencies, and 20 loners, shuffled."""
+    margins = np.concatenate((np.full(50, 0.7), np.full(50, 2.3), rng.uniform(0.05, 3.0, 20)))
+    freqs = np.concatenate((rng.permutation(np.linspace(-30.0, 30.0, 100)), rng.uniform(-30.0, 30.0, 20)))
+    order = rng.permutation(len(margins))
+    return [_omega_at(fn, 0.0, m, f) for m, f in zip(margins[order], freqs[order])]
+
+
+@pytest.mark.parametrize("budget", BATCH_BUDGETS[:2])
+@pytest.mark.parametrize("fn_id", sorted(BATCH_ENTRIES))
+def test_families_of_omegas_get_the_bits_of_each_omega_on_its_own(fn_id, budget):
+    fn = BATCH_ENTRIES[fn_id]
+    omegas = _families_and_loners(fn, np.random.default_rng(7))
+    ind, exact = indicator_value(fn, 0.0)
+    integrand, rate, amplitude, freq, shares = laplace._ray_integrands(
+        fn, 0.0, omegas, ind, laplace._phase_rate(fn, 0.0), exact, DELTA_MIN_DEFAULT
+    )
+    assert len(np.unique(shares)) == 22
+    amplitudes = np.full(len(omegas), amplitude)
+    shared = quadrature._integrate_rays(integrand, rate, amplitudes, budget, freq, shares)
+    alone = quadrature._integrate_rays(integrand, rate, amplitudes, budget, freq)
+    for mine, theirs in zip(shared, alone):
+        assert np.array_equal(mine, theirs)
+    values, errors = laplace._g_values(fn, 0.0, omegas, budget, "numeric", DELTA_MIN_DEFAULT)
+    assert np.array_equal(values, shared[0]) and np.array_equal(errors, shared[1])
+
+
+def _poisoned(fn, margin):
+    """fn with NaN beyond |z| = 3 for the omegas of this margin at theta = 0, whose weight has real part -margin."""
+    weighted_eval = fn.weighted_eval
+    poisoned = lambda z, w: np.where((np.abs(z) > 3.0) & (np.real(w) == -margin), np.nan, weighted_eval(z, w))
+    return dataclasses.replace(fn, weighted_eval=poisoned)
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+@pytest.mark.parametrize("kind", ["margin", "cap", "non-finite"])
+def test_a_bad_omega_in_a_family_raises_what_it_raises_alone(position, kind):
+    fn = BATCH_ENTRIES["trig"]  # indicator 0 at theta = 0, so that an omega's margin is -Re(omega)
+    # these rays take at most 6 seed intervals and no split: two families of three and a loner
+    budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13, max_panels=6)
+    good = [(0.4, 1.0), (1.5, -2.0), (0.4, 5.0), (0.9, 0.0), (1.5, 3.0), (0.4, -7.0)]
+    # a family of two bad omegas: margins below delta_min, 7 seed intervals, or a non-finite F
+    margin = {"margin": -0.5, "cap": 0.01, "non-finite": 0.7}[kind]
+    if kind == "non-finite":
+        fn = _poisoned(fn, margin)
+    spec = good[:position] + [(margin, 4.0)] + good[position : position + 2] + [(margin, -1.0)] + good[position + 2 :]
+    omegas = [_omega_at(fn, 0.0, m, f) for m, f in spec]
+    singles = [_single_or_error(fn, 0.0, w, budget) for w in omegas]
+    first = next(s for s in singles if isinstance(s, SectorLapError))
+    assert isinstance(first, {"margin": OutsideDomain, "cap": BudgetExceeded, "non-finite": IllConditioned}[kind])
+    with pytest.raises(type(first)) as caught:
+        laplace._g_values(fn, 0.0, omegas, budget, "numeric", DELTA_MIN_DEFAULT)
+    assert str(caught.value) == str(first)
+
+
+def test_families_group_omegas_by_direction_and_the_bits_of_their_real_part():
+    theta = np.array([0.3, -0.2, 0.3, -0.2, 0.3, 0.3, -0.2])
+    re = np.array([1.0, 1.0, 1.0, -0.0, 0.0, 1.0, 0.0])
+    assert laplace._families(theta, re).tolist() == [0, 1, 0, 3, 4, 0, 6]
+    one = np.asarray(0.3)
+    assert laplace._families(one, np.array([2.0, 1.0, 2.0, 2.0])).tolist() == [0, 1, 0, 0]
+    # a single omega, or omegas that are all alone, share nothing
+    assert laplace._families(one, np.array([2.0])) is None
+    assert laplace._families(one, np.array([2.0, 1.0])) is None
+
+
+def test_a_family_evaluates_its_smooth_factor_once_while_seeding():
+    points = []
+    fn = BATCH_ENTRIES["exp"]
+    weighted_eval = fn.weighted_eval
+    counted = dataclasses.replace(fn, weighted_eval=lambda z, w: points.append(np.size(z)) or weighted_eval(z, w))
+    # 288 omegas, one margin: a leg of a numeric inversion has a few dozen such families
+    omegas = [_omega_at(fn, 0.0, 1.0, f) for f in np.linspace(-20.0, 20.0, 288)]
+    ind, exact = indicator_value(fn, 0.0)
+    integrand, rate, amplitude, freq, shares = laplace._ray_integrands(
+        counted, 0.0, omegas, ind, laplace._phase_rate(fn, 0.0), exact, DELTA_MIN_DEFAULT
+    )
+    assert shares.tolist() == [0] * len(omegas)
+    _, _, T, used = quadrature._integrate_rays(integrand, rate, np.full(len(omegas), amplitude), BUDGET, freq, shares)
+    seeds = len(quadrature._ray_breakpoints([T[0]], [rate[0]])[0])
+    assert used.tolist() == [seeds] * len(omegas)  # no omega refines: every point is a seeding point
+    assert sum(points) == seeds * 3 * 16
 
 
 def test_large_batch_spans_several_groups():

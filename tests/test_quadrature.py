@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,58 @@ def test_ray_batch_rejects_the_first_bad_envelope(position, bad):
     with pytest.raises(InvalidDecay) as caught:
         quadrature._integrate_rays(never_called, rate, amplitude, TIGHT, np.zeros(5))
     assert str(caught.value) == str(alone.value)
+
+
+def _never_called(t, k):
+    raise AssertionError("no panel is seeded")
+
+
+def test_a_rate_too_small_for_a_finite_truncation_point_is_invalid():
+    # T = ln(2 A / (m abs_floor)) / m overflows for m = 1e-310: rejected before any panel, so without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDecay, match=r"decay rate 1e-310 is too small: the truncation point T overflows"):
+            integrate_ray(lambda t: np.exp(-t), DecayModel(1e-310, 1.0))
+        with pytest.raises(InvalidDecay, match="decay rate 1e-310 "):
+            quadrature._integrate_rays(_never_called, np.array([1.0, 1e-310, 1e-320]), np.ones(3), TIGHT, np.zeros(3))
+
+
+# F(t) = e^{-c t} per integral, and the integrals that share an F: three families and two loners
+SHARED_C = np.array([1.0, 0.5 + 2j, 1.0, 2.0, 1.0, 0.5 + 2j, 3.0])
+SHARES = np.array([0, 1, 0, 3, 0, 1, 6])
+
+
+def test_integrals_sharing_a_smooth_factor_get_their_results_alone():
+    freq = np.array([0.0, 3.0, -5.0, 1.0, 40.0, 0.0, 7.5])
+    owners = []
+
+    def fn(t, k):
+        owners.extend(np.unique(k).tolist())
+        return np.exp(-SHARED_C[k] * t)
+
+    rate, amplitude = SHARED_C.real.copy(), np.ones(len(SHARED_C))
+    shared = quadrature._integrate_rays(fn, rate, amplitude, TIGHT, freq, SHARES)
+    alone = quadrature._integrate_rays(lambda t, k: np.exp(-SHARED_C[k] * t), rate, amplitude, TIGHT, freq)
+    for mine, theirs in zip(shared, alone):
+        assert np.array_equal(mine, theirs)
+    # F is evaluated for the first integral of each family only
+    assert set(owners) == {0, 1, 3, 6}
+    values, errors = shared[:2]
+    assert np.all(np.abs(values - 1.0 / (SHARED_C - 1j * freq)) <= errors)
+
+
+@pytest.mark.parametrize(
+    "shares, rate, amplitude",
+    [
+        ([1, 1, 2], [1.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # sharing with a later integral
+        ([0, 0, 1], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),  # sharing with one that shares another's
+        ([0, 0, 2], [1.0, 2.0, 1.0], [1.0, 1.0, 1.0]),  # another rate
+        ([0, 0, 2], [1.0, 1.0, 1.0], [1.0, 3.0, 1.0]),  # another amplitude
+    ],
+)
+def test_sharing_is_validated_before_any_panel(shares, rate, amplitude):
+    with pytest.raises(ValueError, match="share"):
+        quadrature._integrate_rays(_never_called, np.array(rate), np.array(amplitude), TIGHT, np.zeros(3), shares)
 
 
 def test_segment_polynomial():

@@ -65,9 +65,8 @@ class GrowthCertificate:
 class ContourGamma:
     """The V contour with apex ``p`` and legs at angles -+ (pi/2 - alpha) off the real axis.
 
-    ``point(t)`` follows the increasing-parameter traversal: the lower leg for
-    t <= 0, the apex at t = 0, the upper leg for t > 0.  Use :func:`build_gamma`
-    to construct one; direct construction skips the apex admissibility gate.
+    Use :func:`build_gamma` to construct one; direct construction skips the
+    apex admissibility gate.
     """
 
     p: float
@@ -81,11 +80,6 @@ class ContourGamma:
     @property
     def upper_direction(self) -> complex:
         return 1j * cmath.exp(-1j * self.alpha)
-
-    def point(self, t: float) -> complex:
-        if t <= 0:
-            return self.p + self.lower_direction * (-t)
-        return self.p + self.upper_direction * t
 
 
 def sector_contains(spec: SectorSpec, z: complex, closed: bool = False) -> bool:

@@ -106,12 +106,9 @@ def _g_evaluator(q: ReconstructionQuery):
     return g, inner_err
 
 
-def reconstruct(q: ReconstructionQuery) -> IntegralResult:
-    """f(z) from g by the two-leg contour integral, both legs in one engine pass."""
-    z = complex(q.z)
-    alpha, p = q.gamma.alpha, q.gamma.p
-    spec = SectorSpec(alpha=alpha, h=0.0)
-    if not sector_contains(spec, z, closed=False):
+def _admit(z: complex, alpha: float, p: float) -> tuple[float, float]:
+    """The phase of z and the weight e^{-p Re z}, once z lies in the open sector with angular margin."""
+    if not sector_contains(SectorSpec(alpha=alpha, h=0.0), z, closed=False):
         raise OutsideSector(f"z={z} is not inside the open sector of half-angle {alpha}")
     phi = cmath.phase(z)
     ang = min(alpha - phi, alpha + phi)
@@ -120,7 +117,17 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
             f"z={z} has angular margin {ang:.4f} < delta_ang={DELTA_ANG_DEFAULT}; "
             "the leg integrals would decay too slowly"
         )
+    try:
+        return phi, math.exp(-p * z.real)
+    except OverflowError:
+        return phi, math.inf  # an envelope amplitude the engine rejects with InvalidDecay
 
+
+def reconstruct(q: ReconstructionQuery) -> IntegralResult:
+    """f(z) from g by the two-leg contour integral, both legs in one engine pass."""
+    z = complex(q.z)
+    alpha, p = q.gamma.alpha, q.gamma.p
+    phi, weight = _admit(z, alpha, p)
     h = type_for(q.fn, alpha)
     leg_gap = -(h + p * math.cos(alpha))
     if not leg_gap > 0.0:
@@ -128,10 +135,6 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
             f"contour apex violates p*cos(alpha) < -h for this entry (gap {leg_gap!r})"
         )
     g_bound = q.fn.envelope_const / (2.0 * math.pi) / leg_gap
-    try:
-        weight = math.exp(-p * z.real)
-    except OverflowError:
-        weight = math.inf  # an envelope amplitude the engine rejects with InvalidDecay
     amp = g_bound * weight
 
     # integral 0 is the lower leg, 1 the upper one
@@ -243,16 +246,7 @@ def cauchy_path_check(
     budget = budget or QuadratureBudget()
     gamma = build_gamma(spec, p)  # validates the apex gate
     z = complex(z)
-    if not sector_contains(spec, z, closed=False):
-        raise OutsideSector(f"z={z} is not inside the open sector of half-angle {spec.alpha}")
-    phi = cmath.phase(z)
-    if not min(spec.alpha - phi, spec.alpha + phi) >= DELTA_ANG_DEFAULT:
-        raise AngularMarginTooSmall(f"z={z} is within {DELTA_ANG_DEFAULT} of a boundary ray")
-
-    try:
-        weight = math.exp(-p * z.real)
-    except OverflowError:
-        weight = math.inf  # an envelope amplitude DecayModel rejects with InvalidDecay
+    _, weight = _admit(z, spec.alpha, p)
     total = 0j
     err = 0.0
     for sign in (-1.0, +1.0):

@@ -53,16 +53,16 @@ integrand call and its coefficients (every integrand call holds at least
 three panels, numpy's matrix products over two or more rows compute each
 row on its own, and each row's moments depend on its own kappa h alone), so
 every integral gets the same panels, values and estimates, bit for bit, as
-when integrated alone.  Families are seeded in the order of their first
-integral, in groups whose integrals hold about _GROUP_PANELS seed panels,
-which bounds the arrays of one seeding step however many integrals one pass
-is given; a refined integral's state lives in numpy arrays whose row order
-is creation order.  Sums are checked for finite values before they are
-used: a NaN or infinite integrand value raises IllConditioned naming the
-first affected panel, instead of a NaN estimate ending refinement as if it
-had converged.  Failures surface in input order: the integrals before a
-failing one are finished first, as if the integrals were computed one after
-another.  ``integrate_segment`` and ``integrate_ray`` are the one-integral
+when integrated alone.  A pass seeds all its integrals in one step, then
+finishes them in input order: each takes its seed sums or is refined, a
+refined integral's state living in numpy arrays whose row order is creation
+order.  Sums are checked for finite values before they are used: a NaN or
+infinite integrand value raises IllConditioned naming the first affected
+panel, instead of a NaN estimate ending refinement as if it had converged.
+Failures surface in input order, as if the integrals were computed one
+after another: seeding has evaluated every integral, but a bad seed sum or
+an exhausted budget is raised only once the integrals before it are
+finished.  ``integrate_segment`` and ``integrate_ray`` are the one-integral
 case, and hand their integrands a 1-D array of points.
 
 Ray integrals over [0, inf) are truncated analytically: given a certified
@@ -95,8 +95,6 @@ __all__ = [
 
 # initial panels per integrand call: 3 * 64 panels, about 3k points
 _CHUNK_PANELS = 64
-# seed panels of the integrals seeded in one step; bounds the arrays of a seeding step
-_GROUP_PANELS = 2048
 # columns per carrier step where integrals share seed panels, so that the steps' moments stay in cache
 _CARRY_COLUMNS = 128
 
@@ -220,9 +218,6 @@ class DecayModel:
             raise InvalidDecay(f"ray integration requires a finite positive decay rate, got {self.rate}")
         if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
             raise InvalidDecay(f"decay amplitude must be finite and positive, got {self.amplitude}")
-
-    def tail_bound(self, T: float) -> float:
-        return self.amplitude * math.exp(-self.rate * T) / self.rate
 
 
 @dataclass(frozen=True)
@@ -387,36 +382,35 @@ def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget)
     return value, math.fsum(err[:count][keep].tolist()), live
 
 
-def _seed_group(fn, a, b, bounds, owners, members, freq, families: range, budget: QuadratureBudget) -> dict:
-    """Seed the given families once each; the outcome of each of their integrals, by integral.
+def _integrate_seeds(fn, a, b, first: list, owners: np.ndarray, family: list, freq: np.ndarray, budget):
+    """Integrals j of fn(t, owners[f]) e^{i freq[j] t} over the seed panels of their family f = family[j].
 
-    An outcome is (value, est_error, panels used) for an integral whose seed
-    panels meet its target, and otherwise a function of no arguments that
-    refines it, or raises IllConditioned if a seed sum is not finite.
+    Family f's seed panels are [a[i], b[i]] for first[f] <= i < first[f + 1];
+    ``first`` is increasing, and families are numbered in the order of
+    their first integral.  Every integral before the first one whose family
+    has more than max_panels seed panels is seeded in one step; then each
+    of them, in input order, raises IllConditioned for a non-finite seed
+    sum, takes its seed sums or is refined, and BudgetExceeded follows if
+    an integral was left unseeded.  Returns value, est_error and panels
+    used for each integral, in order.
     """
-    f0, f1 = families.start, families.stop
-    # the group's integrals, family by family, with their families and their columns starts[k]:ends[k]
-    group, fams, counts, starts, ends = [], [], [], [], [0]
-    for f in families:
-        count = bounds[f + 1] - bounds[f]
-        for j in members[f]:
-            group.append(j)
-            fams.append(f)
-            counts.append(count)
-            starts.append(ends[-1])
-            ends.append(ends[-1] + count)
-    del ends[0]
-    s, e = bounds[f0], bounds[f1]
-    # column q of the sums is panel q - starts[k] of the group's k-th integral, family panel src[q];
-    # with one integral per family, the columns are the family panels themselves
-    alone = len(group) == len(families)
+    limit = budget.max_panels
+    bounds = [*first, len(a)]
+    counts = [bounds[f + 1] - bounds[f] for f in family]
+    stop = next((j for j, count in enumerate(counts) if count > limit), len(family))
+    # the families seeded: those before family[stop], whose first integral is stop, as families come in order
+    seeded = family[stop] if stop < len(family) else len(first)
+    del counts[stop:]
+    ends = list(itertools.accumulate(counts))
+    starts = [q - count for q, count in zip(ends, counts)]
+    # column q of the sums is panel q - starts[j] of integral j, family panel src[q]; with one integral
+    # per family, the columns are the family panels themselves
     src = None
-    if not alone:
-        src = np.arange(ends[-1]) + np.repeat([bounds[f] - s - p for f, p in zip(fams, starts)], counts)
-    # with one integral per family and every family here, the group lists the integrals in input order
-    mine = freq if alone and len(group) == len(freq) else freq[group]
-    owner = owners[f0:f1].repeat(counts if alone else [bounds[f + 1] - bounds[f] for f in families])
-    sums = _seed(fn, a[s:e], b[s:e], owner, src, mine.repeat(counts))
+    if stop != seeded:
+        src = np.arange(ends[-1]) + np.repeat([bounds[f] - p for f, p in zip(family, starts)], counts)
+    owner = owners[:seeded].repeat(counts if src is None else np.diff(bounds[: seeded + 1]))
+    e = bounds[seeded]
+    sums = _seed(fn, a[:e], b[:e], owner, src, freq[:stop].repeat(counts))
     finite = None if np.isfinite(sums).all() else np.isfinite(sums).all(axis=0)
     coarse, left, right = sums if finite is None else np.where(finite, sums, 0.0)
     fine = left + right
@@ -424,61 +418,21 @@ def _seed_group(fn, a, b, bounds, owners, members, freq, families: range, budget
     # running totals per integral, each summed over its own panels alone
     totals = np.add.reduceat(fine, starts).tolist()
     fine_re, fine_im, err_list = fine.real.tolist(), fine.imag.tolist(), err.tolist()
-    seeded = [True] * len(group) if finite is None else np.logical_and.reduceat(finite, starts).tolist()
-
-    outcome = {}
-    for j, f, p, q, total, ok in zip(group, fams, starts, ends, totals, seeded):
-        total_err = math.fsum(err_list[p:q])
-        if ok and total_err <= budget.rel_tol * abs(total) + budget.abs_floor:
-            outcome[j] = complex(math.fsum(fine_re[p:q]), math.fsum(fine_im[p:q])), total_err, q - p
-            continue
-        lo, hi = a[bounds[f] : bounds[f + 1]], b[bounds[f] : bounds[f + 1]]
-        if not ok:
-            outcome[j] = functools.partial(_check_finite, sums[:, p:q], lo, hi)
-        else:
-            outcome[j] = functools.partial(
-                _refine, fn, owners[f], freq[j], lo, hi, left[p:q], right[p:q], err[p:q], total, total_err, budget
-            )
-    return outcome
-
-
-def _integrate_seeds(fn, a, b, first: list, owners: np.ndarray, family: list, freq: np.ndarray, budget):
-    """Integrals j of fn(t, owners[f]) e^{i freq[j] t} over the seed panels of their family f = family[j].
-
-    Family f's seed panels are [a[i], b[i]] for first[f] <= i < first[f + 1];
-    ``first`` is increasing, and families are numbered in the order of
-    their first integral.  Returns value, est_error and panels used for each
-    integral, in order.
-    """
-    limit = budget.max_panels
-    bounds = [*first, len(a)]
-    stop = next((j for j, f in enumerate(family) if bounds[f + 1] - bounds[f] > limit), len(family))
-    # the families seeded: all before the first one with too many seed panels
-    seeded = family[stop] if stop < len(family) else len(first)
-    members = [[] for _ in range(seeded)]
-    for j, f in enumerate(family[:stop]):
-        members[f].append(j)
-    # groups of consecutive families, each closed once its integrals hold _GROUP_PANELS seed panels
-    edges, filled = [], _GROUP_PANELS
-    for f, mine in enumerate(members):
-        if filled >= _GROUP_PANELS:
-            edges.append(f)
-            filled = 0
-        filled += (bounds[f + 1] - bounds[f]) * len(mine)
-    edges.append(seeded)
+    ok = [True] * stop if finite is None else np.logical_and.reduceat(finite, starts).tolist()
 
     values, errors, used = [], [], []
-    outcome, group = {}, 0
-    for j in range(stop):
-        if family[j] >= edges[group]:  # the first integral of the next group, as families come in order
-            group += 1
-            families = range(edges[group - 1], edges[group])
-            outcome.update(_seed_group(fn, a, b, bounds, owners, members, freq, families, budget))
-        result = outcome.pop(j)
-        value, err, count = result() if callable(result) else result
-        values.append(value)
-        errors.append(err)
-        used.append(count)
+    for j, p, q, total in zip(range(stop), starts, ends, totals):
+        total_err = math.fsum(err_list[p:q])
+        if ok[j] and total_err <= budget.rel_tol * abs(total) + budget.abs_floor:
+            result = complex(math.fsum(fine_re[p:q]), math.fsum(fine_im[p:q])), total_err, q - p
+        else:
+            f = family[j]
+            lo, hi = a[bounds[f] : bounds[f + 1]], b[bounds[f] : bounds[f + 1]]
+            if not ok[j]:
+                _check_finite(sums[:, p:q], lo, hi)
+            result = _refine(fn, owners[f], freq[j], lo, hi, left[p:q], right[p:q], err[p:q], total, total_err, budget)
+        for out, x in zip((values, errors, used), result):
+            out.append(x)
     if stop < len(family):
         count = bounds[seeded + 1] - bounds[seeded]
         raise BudgetExceeded(f"initial subdivision needs {count} panels, budget allows {limit}")

@@ -39,6 +39,7 @@ CASES = {
     "indicator-complex-exponent": ["indicator", "--fn", "exp:a=-0.8+0.3i", "--thetas", "-0.3,0.1,0.4"],
     "probe-q-r": ["probe", "--fn", "exp:a=1", "--theta", "0", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
     "probe-zero-q-r": ["probe", "--fn", "zero", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
+    "probe-numeric": ["probe", "--fn", "exp:a=-1+1i", "--theta", "0.2", "--g-source", "numeric"],
     "probe-missing-oracle": ["probe", "--fn", "rational", "--g-source", "oracle"],
     "unknown-fn": ["transform", "--fn", "gauss", "--theta", "0", "--omega", "-1+0i"],
 }

@@ -1,9 +1,11 @@
-"""Every import in the package is used by the module that makes it, and every export exists.
+"""Every import in the package is used, every export exists, and every private name is read.
 
 A name counts as used when the module reads it or lists it in ``__all__``
 (the package's re-exports).  An import kept on purpose for code outside the
 module carries ``noqa: F401`` on one of its lines.  Every name in a module's
 ``__all__`` (the package's included) must be bound at the module's top level.
+A module-level private name (``_name``, not a dunder) must be read by some
+module of the package, so that code left behind by a refactor shows up.
 """
 
 import ast
@@ -71,3 +73,42 @@ def test_every_export_is_defined(module):
 def test_a_stale_export_is_caught():
     source = '__all__ = ["S_GRID", "default_s_grid", "np"]\nimport numpy as np\nS_GRID: tuple = ()\n'
     assert _undefined_exports(source) == ["default_s_grid"]
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions (def, class, assignment) that no module in ``sources`` reads.
+
+    A read is a loaded name or an attribute of that name; dunder names are
+    exempt.
+    """
+    defined, read = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module} line {line}: {name}" for module, line, name in defined if name not in read]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _dead_private_names(sources) == []
+
+
+def test_a_dead_private_name_is_caught():
+    sources = {
+        "a.py": "_CHUNK = 64\n_GROUP = 2048\n\ndef _seed(n):\n    return n * _CHUNK\n",
+        "b.py": "from .a import _seed\n\ndef _unused():\n    return _seed(2)\n",
+    }
+    assert _dead_private_names(sources) == ["a.py line 2: _GROUP", "b.py line 3: _unused"]

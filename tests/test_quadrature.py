@@ -44,7 +44,6 @@ def test_decay_model_validation():
         DecayModel(rate=0.0, amplitude=1.0)
     with pytest.raises(InvalidDecay):
         DecayModel(rate=1.0, amplitude=0.0)
-    assert math.isclose(DecayModel(rate=2.0, amplitude=3.0).tail_bound(1.0), 1.5 * math.exp(-2.0))
 
 
 @pytest.mark.parametrize("position", [0, 2, 4])
@@ -253,6 +252,24 @@ def test_non_finite_value_while_refining_raises():
     with pytest.raises(IllConditioned, match=r"\[0\.0, 5\.0\]"):
         integrate_segment(poisoned_after_seeding, 0.0, 10.0, TIGHT)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_batch_fails_as_its_first_failing_integral(reverse):
+    # one pass seeds both integrals before either refines; the error is still the one of the first
+    # integral to fail in input order, as if they were computed one after another
+    budget = QuadratureBudget(rel_tol=1e-12, abs_floor=1e-14, max_panels=8)
+    a, b = np.array([0.0, 0.0]), np.array([50.0, 1.0])  # e^{100it} on [0, 50] refines past 8 panels
+    oscillating = 0
+    if reverse:
+        a, b, oscillating = a[::-1].copy(), b[::-1].copy(), 1
+
+    def fn(t, k):
+        return np.where(k == oscillating, np.exp(100j * t), np.nan)
+
+    error, match = (IllConditioned, r"\[0\.0, 1\.0\]") if reverse else (BudgetExceeded, "panel budget 8 exhausted")
+    with pytest.raises(error, match=match):
+        quadrature._integrate_segments(fn, a, b, budget, np.zeros(2))
 
 
 def test_initial_panels_are_evaluated_in_chunks():

@@ -37,8 +37,6 @@ __all__ = [
     "parse_complex",
     "format_complex",
     "type_for",
-    "ORACLE_SOURCES",
-    "pick_oracle",
 ]
 
 # entries that are analytic on every sub-pi/2 sector declare (just under) the cap

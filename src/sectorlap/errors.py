@@ -5,6 +5,18 @@ Every failure that carries mathematical meaning gets its own class so callers
 numerical trouble. Messages are expected to name the violated constraint.
 """
 
+__all__ = [
+    "SectorLapError",
+    "InvalidApex",
+    "BudgetExceeded",
+    "InvalidDecay",
+    "OutsideDomain",
+    "OutsideUnion",
+    "OutsideSector",
+    "AngularMarginTooSmall",
+    "IllConditioned",
+]
+
 
 class SectorLapError(Exception):
     """Base class for all library errors."""

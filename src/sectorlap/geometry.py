@@ -96,6 +96,15 @@ def sector_contains(spec: SectorSpec, z: complex, closed: bool = False) -> bool:
     return -spec.alpha < phi < spec.alpha
 
 
+def _ray_distance(pt: complex, start: complex, theta: float) -> float:
+    """Distance from pt to the ray start + e^{i theta} [0, inf)."""
+    rel = pt - start
+    phi = cmath.phase(rel * cmath.exp(-1j * theta))
+    if abs(phi) >= math.pi / 2:
+        return abs(rel)
+    return abs(rel) * abs(math.sin(phi))
+
+
 def build_gamma(spec: SectorSpec, p: float) -> ContourGamma:
     """Validated contour constructor.
 

@@ -19,9 +19,8 @@ from .catalog import TestFunction, pick_oracle
 __all__ = [
     "IndicatorEstimate",
     "estimate_indicator",
-    "S_GRID",
+    "indicator_value",
     "INDICATOR_SENTINEL",
-    "OFFSET_CAP",
 ]
 
 INDICATOR_SENTINEL = -1e9

@@ -48,14 +48,13 @@ import numpy as np
 
 from .catalog import ORACLE_SOURCES, TestFunction, pick_oracle, type_for
 from .errors import AngularMarginTooSmall, OutsideSector, SectorLapError
-from .geometry import ContourGamma, SectorSpec, build_gamma, sector_contains
+from .geometry import ContourGamma, SectorSpec, _ray_distance, build_gamma, sector_contains
 from .indicator import indicator_value
 from .laplace import DELTA_MIN_DEFAULT, _decay_rate, _g_values
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate_rays, integrate_ray
 
 __all__ = [
-    "DELTA_ANG_DEFAULT",
     "ReconstructionQuery",
     "reconstruct",
     "RoundtripRow",
@@ -220,14 +219,6 @@ def roundtrip_report(
     )
 
 
-def _ray_distance(z: complex, theta_ray: float) -> float:
-    """Distance from z to the ray e^{i theta_ray} [0, inf)."""
-    rel = cmath.phase(z * cmath.exp(-1j * theta_ray))
-    if abs(rel) >= math.pi / 2:
-        return abs(z)
-    return abs(z) * abs(math.sin(rel))
-
-
 def cauchy_path_check(
     fn: TestFunction,
     spec: SectorSpec,
@@ -254,7 +245,7 @@ def cauchy_path_check(
         d = cmath.exp(1j * theta_ray)
         ind, exact = indicator_value(fn, theta_ray)
         rate = _decay_rate(-(ind + p * math.cos(spec.alpha)), exact)
-        dist = _ray_distance(z, theta_ray)
+        dist = _ray_distance(z, 0j, theta_ray)
         decay = DecayModel(rate=rate, amplitude=fn.envelope_const * weight / dist)
         epz = cmath.exp(-p * z)  # finite once the envelope is
         # e^{p zeta} = e^{p cos(theta) t} times the carrier e^{i p sin(theta) t}

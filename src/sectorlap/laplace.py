@@ -64,7 +64,6 @@ from .indicator import INDICATOR_SENTINEL, OFFSET_CAP, estimate_indicator, indic
 from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate_rays, integrate_ray
 
 __all__ = [
-    "DELTA_MIN_DEFAULT",
     "TransformQuery",
     "ConcatenatedTransform",
     "directional_transform",

@@ -38,6 +38,7 @@ import numpy as np
 
 from .catalog import TestFunction, pick_oracle
 from .errors import IllConditioned
+from .geometry import _ray_distance
 from .indicator import indicator_value
 from .laplace import DELTA_MIN_DEFAULT, ConcatenatedTransform, _check_direction, _g_values, _golden_section_max
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
@@ -54,7 +55,6 @@ __all__ = [
     "radius_scan",
     "gamma_prime_diagnostics",
     "probe_report",
-    "J_SLOPE_SENTINEL",
 ]
 
 J_SLOPE_SENTINEL = -1e9
@@ -258,8 +258,8 @@ def gamma_prime_diagnostics(
     for sing in fn.singularities_of_g or ():
         clear = min(
             _point_segment_distance(sing, q, r),
-            _point_ray_distance(sing, r, up),
-            _point_ray_distance(sing, q, down),
+            _ray_distance(sing, r, math.pi / 2 - alpha),
+            _ray_distance(sing, q, alpha - math.pi / 2),
         )
         if clear < 1e-6:
             raise ValueError(f"singularity {sing} lies on the truncated contour (distance {clear:.2e})")
@@ -313,12 +313,6 @@ def _point_segment_distance(pt: complex, a: complex, b: complex) -> float:
     t = ((pt - a) * ab.conjugate()).real / abs(ab) ** 2
     t = min(1.0, max(0.0, t))
     return abs(pt - (a + t * ab))
-
-
-def _point_ray_distance(pt: complex, start: complex, direction: complex) -> float:
-    t = ((pt - start) * direction.conjugate()).real / abs(direction) ** 2
-    t = max(0.0, t)
-    return abs(pt - (start + t * direction))
 
 
 def probe_report(

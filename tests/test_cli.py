@@ -262,6 +262,23 @@ def test_config_values_do_not_outlive_their_run(tmp_path):
     assert main(argv) == 3  # 0+0i lies outside the domain and is no longer skipped
 
 
+@pytest.mark.parametrize(
+    ("value", "rc", "message"),
+    [
+        ("yes", 0, "skipped 1 of 2"),
+        ("no", 3, "OutsideDomain"),
+        ("maybe", 2, "config key 'skip_invalid' expects a boolean, got 'maybe'"),
+    ],
+)
+def test_config_booleans(tmp_path, capsys, value, rc, message):
+    cfg = tmp_path / "transform.cfg"
+    cfg.write_text(
+        f"fn = exp:a=1\ntheta = 0\nomega = 0+0i,-2+0i\nskip-invalid = {value}\n", encoding="utf-8"
+    )
+    assert main(["transform", "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == rc
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source", ["auto", "numeric"])
 def test_transform_selects_each_direction_once(monkeypatch, tmp_path, source):
     omegas = []

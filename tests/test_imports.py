@@ -1,17 +1,24 @@
 """Every import in the package is used, every export exists, and every private name is read.
 
-A name counts as used when the module reads it or lists it in ``__all__``
-(the package's re-exports).  An import kept on purpose for code outside the
-module carries ``noqa: F401`` on one of its lines.  Every name in a module's
-``__all__`` (the package's included) must be bound at the module's top level.
-A module-level private name (``_name``, not a dunder) must be read by some
-module of the package, so that code left behind by a refactor shows up.
+A name counts as used when the module reads it or lists it in ``__all__``.
+An import kept on purpose for code outside the module carries ``noqa: F401``
+on one of its lines.  Every name in a module's ``__all__`` must be bound at
+the module's top level.  The package's ``__init__`` builds its namespace with
+``from .m import *`` and its ``__all__`` from ``*m.__all__``; the static check
+reads both from module ``m``'s own ``__all__``, and a runtime check asserts
+that the package exports each name once, as the very object of the one module
+that lists it.  A module-level private name (``_name``, not a dunder) must be
+read by some module of the package, so that code left behind by a refactor
+shows up.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
+
+import sectorlap
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "sectorlap"
 
@@ -48,12 +55,18 @@ def test_an_unused_import_is_caught():
     assert _unused_imports(source) == ["line 1: pick_oracle"]
 
 
-def _undefined_exports(source: str) -> list[str]:
-    """Names in ``__all__`` that no top-level def, class, assignment or import binds."""
+def _exports(source: str, siblings: dict[str, str]) -> tuple[set[str], list[str]]:
+    """The names a module binds at top level, and its ``__all__``.
+
+    ``from .m import *`` binds, and ``*m.__all__`` lists, the ``__all__`` of
+    module ``m``, whose source is ``siblings[m]``.
+    """
     defined, exported = set(), []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
+        elif isinstance(node, ast.ImportFrom) and node.names[0].name == "*":
+            defined.update(_exports(siblings[node.module], siblings)[1])
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             defined.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -61,18 +74,54 @@ def _undefined_exports(source: str) -> list[str]:
                 if isinstance(target, ast.Name):
                     defined.add(target.id)
                     if target.id == "__all__":
-                        exported = [elt.value for elt in node.value.elts]
+                        for elt in node.value.elts:
+                            if isinstance(elt, ast.Starred):
+                                exported += _exports(siblings[elt.value.value.id], siblings)[1]
+                            else:
+                                exported.append(elt.value)
+    return defined, exported
+
+
+def _undefined_exports(source: str, siblings: dict[str, str] | None = None) -> list[str]:
+    """Names in ``__all__`` that no top-level def, class, assignment or import binds."""
+    defined, exported = _exports(source, siblings or {})
     return [name for name in exported if name not in defined]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_every_export_is_defined(module):
-    assert _undefined_exports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    siblings = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _undefined_exports(siblings[module.removesuffix(".py")], siblings) == []
 
 
 def test_a_stale_export_is_caught():
     source = '__all__ = ["S_GRID", "default_s_grid", "np"]\nimport numpy as np\nS_GRID: tuple = ()\n'
     assert _undefined_exports(source) == ["default_s_grid"]
+
+
+def test_a_stale_reexport_is_caught():
+    siblings = {
+        "a": '__all__ = ["seed"]\n\ndef seed():\n    pass\n',
+        "b": '__all__ = ["refine"]\nrefine = None\n',
+    }
+    source = "from . import a, b\nfrom .a import *\n\n__all__ = [*a.__all__, *b.__all__]\n"
+    assert _undefined_exports(source, siblings) == ["refine"]
+
+
+def test_the_package_exports_each_name_once_from_the_module_that_lists_it():
+    owners = {}
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"sectorlap.{path.stem}")
+            for name in getattr(module, "__all__", ()):
+                owners.setdefault(name, []).append(module)
+    assert len(set(sectorlap.__all__)) == len(sectorlap.__all__)
+    for name in sectorlap.__all__:
+        (module,) = owners[name]
+        assert getattr(sectorlap, name) is getattr(module, name), name
+    namespace = {}
+    exec("from sectorlap import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(sectorlap.__all__)
 
 
 def _dead_private_names(sources: dict[str, str]) -> list[str]:

@@ -1,5 +1,6 @@
 """Singularity probes: boundary blow-up, Taylor radius, truncation slopes."""
 
+import cmath
 import math
 
 import numpy as np
@@ -122,6 +123,10 @@ def test_truncated_contour_input_checks():
     # chord crossing the pole at -1 is rejected before any quadrature
     with pytest.raises(ValueError, match="singularity"):
         gamma_prime_diagnostics(fn, math.pi / 4, 0.0, -1.2 + 0j, -0.8 + 0j)
+    # so is an outward ray through it: here the upper one, from r = -1 - e^{i pi/4} / 2
+    r = -1 - 0.5 * cmath.exp(1j * math.pi / 4)
+    with pytest.raises(ValueError, match="singularity"):
+        gamma_prime_diagnostics(fn, math.pi / 4, 0.0, r - 1j, r)
     with pytest.raises(ValueError, match="theta"):
         gamma_prime_diagnostics(fn, math.pi / 4, 1.0, -1 - 1j, -1 + 1j)
 

@@ -60,8 +60,15 @@ _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return [_finite(part) for part in text.split(",") if part.strip()]
 
 
 def _complex_list(text: str) -> list[complex]:
@@ -280,6 +287,9 @@ def _cmd_roundtrip(args, parser) -> int:
 
 def _cmd_indicator(args, parser) -> int:
     fn = _require_fn(args, parser)
+    count = len(args.thetas) if args.thetas is not None else args.theta_grid
+    if count * args.s_points > 10**7:
+        parser.error(f"indicator: {count} directions x {args.s_points} s-points exceed 1e7 evaluations")
     alpha = args.alpha if args.alpha is not None else fn.spec.alpha
     thetas = np.array(args.thetas) if args.thetas is not None else np.linspace(-alpha, alpha, args.theta_grid)
     est = estimate_indicator(fn, thetas, s_grid=np.geomspace(1.0, args.s_max, args.s_points))
@@ -334,30 +344,32 @@ def _cmd_selftest(args, parser) -> int:
     return 1 if failed else 0
 
 
-def _add_output_flags(sp, check_bound=False):
+def _add_output_flags(sp, budget=True, skip=True, check_bound=False):
     if check_bound:
         sp.add_argument("--epsilon", type=float, default=0.1,
                         help="growth slack for --check-bound")
         sp.add_argument("--check-bound", dest="check_bound", action="store_true",
                         help="verify the uniform |g| bound on the contour before inverting")
     sp.add_argument("--config", help="flat key=value file; explicit flags override it")
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9,
-                    help="relative quadrature tolerance (default 1e-9)")
-    sp.add_argument("--abs-floor", dest="abs_floor", type=float, default=None,
-                    help="absolute quadrature floor (default rel-tol/1000)")
+    if budget:
+        sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9,
+                        help="relative quadrature tolerance (default 1e-9)")
+        sp.add_argument("--abs-floor", dest="abs_floor", type=float, default=None,
+                        help="absolute quadrature floor (default rel-tol/1000)")
     sp.add_argument("--out", default="-", help="CSV output path, '-' for stdout")
-    sp.add_argument("--skip-invalid", dest="skip_invalid", action="store_true",
-                    help="skip points that violate domain constraints instead of aborting")
+    if skip:
+        sp.add_argument("--skip-invalid", dest="skip_invalid", action="store_true",
+                        help="skip points that violate domain constraints instead of aborting")
 
 
-def _add_fn_flags(sp, apex=False):
+def _add_fn_flags(sp, contour=False):
     sp.add_argument("--fn", help="catalog id, e.g. exp:a=-1 | sum:a1=-1,c1=1,a2=-2,c2=2 "
                                  "| zero | rational | trig")
     sp.add_argument("--alpha", type=float, default=None,
                     help="sector half-opening in (0, pi/2); defaults to the entry's own")
-    sp.add_argument("--h", type=float, default=None,
-                    help="exponential type bound; defaults to the entry's value at alpha")
-    if apex:
+    if contour:
+        sp.add_argument("--h", type=float, default=None,
+                        help="exponential type bound; defaults to the entry's value at alpha")
         sp.add_argument("--p", type=float, default=None, help="contour apex (real)")
 
 
@@ -371,7 +383,9 @@ def build_parser():
         description="Directional Laplace transforms on a sector, contour inversion, "
                     "and analyticity probes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: a flag a subcommand lacks is an error, not another flag (--h is not --help)
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
 
     sp = sub.add_parser("transform", help="evaluate the transform g at given omega points")
     _add_fn_flags(sp)
@@ -386,7 +400,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_transform)
 
     sp = sub.add_parser("invert", help="reconstruct f from g over the unbounded contour")
-    _add_fn_flags(sp, apex=True)
+    _add_fn_flags(sp, contour=True)
     sp.add_argument("--z", type=_complex_list, default=None,
                     help="comma separated evaluation points inside the sector")
     _add_g_source_flag(sp)
@@ -394,14 +408,14 @@ def build_parser():
     sp.set_defaults(func=_cmd_invert)
 
     sp = sub.add_parser("roundtrip", help="transform then invert on a polar grid, with residuals")
-    _add_fn_flags(sp, apex=True)
+    _add_fn_flags(sp, contour=True)
     # a tuple: the parser and so its defaults are shared by every call in the process
     sp.add_argument("--radii", type=_float_list, default=(0.5, 1.0, 2.0),
                     help="comma separated grid radii")
     sp.add_argument("--angles", type=_float_list, default=None,
                     help="comma separated grid angles (default -alpha/2,0,alpha/2)")
     _add_g_source_flag(sp)
-    sp.add_argument("--max-rel", dest="max_rel", type=float, default=1e-4,
+    sp.add_argument("--max-rel", dest="max_rel", type=_finite, default=1e-4,
                     help="largest acceptable relative residual; exceeding it exits 3")
     _add_output_flags(sp, check_bound=True)
     sp.set_defaults(func=_cmd_roundtrip)
@@ -412,11 +426,11 @@ def build_parser():
                     help="comma separated directions; overrides --theta-grid")
     sp.add_argument("--theta-grid", dest="theta_grid", type=int, default=9,
                     help="count of equispaced directions over [-alpha, alpha]")
-    sp.add_argument("--s-max", dest="s_max", type=float, default=2.0**16,
+    sp.add_argument("--s-max", dest="s_max", type=_finite, default=2.0**16,
                     help="largest radius sampled along each ray")
     sp.add_argument("--s-points", dest="s_points", type=int, default=64,
                     help="geometric sample count per ray")
-    _add_output_flags(sp)
+    _add_output_flags(sp, budget=False, skip=False)
     sp.set_defaults(func=_cmd_indicator)
 
     sp = sub.add_parser("probe", help="boundary blow-up sweep, radius scan, slope diagnostics")
@@ -429,7 +443,7 @@ def build_parser():
     sp.add_argument("--r", type=parse_complex, default=None,
                     help="chord end for truncated-contour diagnostics")
     _add_g_source_flag(sp)
-    _add_output_flags(sp)
+    _add_output_flags(sp, skip=False)
     sp.set_defaults(func=_cmd_probe)
 
     sp = sub.add_parser("selftest", help="run the acceptance criteria")

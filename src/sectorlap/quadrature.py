@@ -42,7 +42,7 @@ is a family of one.  Each integral is then checked against its own target
 and one that misses it is refined on its own, from the panel state seeding
 left and on its family's F: its worst panel (the older one on ties) is
 split, with one call for the four half-panels of both children, until the
-target is met or the panel budget runs out (BudgetExceeded, never silent
+target is met or it holds _MAX_PANELS panels (BudgetExceeded, never silent
 degradation).  The running estimate is updated per split; if rounding
 leaves it above the target after every panel estimate has dropped to
 exactly 0, no panel can usefully be split, so refinement stops there and
@@ -69,9 +69,11 @@ Ray integrals over [0, inf) are truncated analytically: given a certified
 envelope |F(t)| <= A e^{-m t}, the tail beyond T is bounded by A e^{-m T}/m
 and T is chosen so that this bound is at most half of abs_floor.  The tail
 bound is added to est_error, so doubling T never moves the result by more
-than est_error.  A rate so small that T overflows is an InvalidDecay.  The
-seed panels of a ray are [0, s], [s, 2s], [2s, 4s], ... up to T with
-s = min(1/m, T), dense near 0 where the integrand lives.
+than est_error.  The seed panels of a ray are [0, s], [s, 2s], [2s, 4s],
+... up to T with s = min(1/m, T), dense near 0 where the integrand lives;
+as s * 2^d is computed up to 2T, a rate so small that 2T overflows is an
+InvalidDecay.  T m = ln(2 A / (m abs_floor)) stays below about 2 200 for
+finite doubles, so a ray seeds at most 13 panels.
 """
 
 import functools
@@ -95,6 +97,8 @@ __all__ = [
 
 # initial panels per integrand call: 3 * 64 panels, about 3k points
 _CHUNK_PANELS = 64
+# panels one integral may use; a ray seeds at most 13 and a segment 1, so only refinement reaches it
+_MAX_PANELS = 4000
 # columns per carrier step where integrals share seed panels, so that the steps' moments stay in cache
 _CARRY_COLUMNS = 128
 
@@ -183,26 +187,18 @@ def _moments(x: np.ndarray) -> np.ndarray:
 class QuadratureBudget:
     rel_tol: float = 1e-10
     abs_floor: float = 1e-12
-    max_panels: int = 4000
 
     def __post_init__(self):
         if not (self.rel_tol >= 1e-14):
             raise ValueError(f"rel_tol must be >= 1e-14 (double precision floor), got {self.rel_tol}")
         if not (self.abs_floor > 0.0 and math.isfinite(self.abs_floor)):
             raise ValueError(f"abs_floor must be positive, got {self.abs_floor}")
-        if not (isinstance(self.max_panels, int) and self.max_panels >= 1):
-            raise ValueError(f"max_panels must be a positive integer, got {self.max_panels}")
-        if self.max_panels * _ORDER > 10**7:
-            raise ValueError(
-                f"max_panels*{_ORDER} nodes={self.max_panels * _ORDER} exceeds the 1e7 evaluation guard"
-            )
 
     def tighten(self) -> "QuadratureBudget":
         """Budget for nested (inner) quadratures, 100 times tighter."""
         return QuadratureBudget(
             rel_tol=max(1e-14, self.rel_tol / 100.0),
             abs_floor=max(1e-15, self.abs_floor / 100.0),
-            max_panels=self.max_panels,
         )
 
 
@@ -337,9 +333,9 @@ def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget)
     # copied on the first split, which grows them.
     count = live = len(err)
     while total_err > budget.rel_tol * abs(total) + budget.abs_floor:
-        if live >= budget.max_panels:
+        if live >= _MAX_PANELS:
             raise BudgetExceeded(
-                f"panel budget {budget.max_panels} exhausted with est_error={total_err:.3e} "
+                f"panel budget {_MAX_PANELS} exhausted with est_error={total_err:.3e} "
                 f"(target {budget.rel_tol * abs(total) + budget.abs_floor:.3e}); "
                 "the integrand is harder than the budget allows"
             )
@@ -387,30 +383,22 @@ def _integrate_seeds(fn, a, b, first: list, owners: np.ndarray, family: list, fr
 
     Family f's seed panels are [a[i], b[i]] for first[f] <= i < first[f + 1];
     ``first`` is increasing, and families are numbered in the order of
-    their first integral.  Every integral before the first one whose family
-    has more than max_panels seed panels is seeded in one step; then each
-    of them, in input order, raises IllConditioned for a non-finite seed
-    sum, takes its seed sums or is refined, and BudgetExceeded follows if
-    an integral was left unseeded.  Returns value, est_error and panels
-    used for each integral, in order.
+    their first integral.  Every integral is seeded in one step; then each,
+    in input order, raises IllConditioned for a non-finite seed sum, takes
+    its seed sums or is refined.  Returns value, est_error and panels used
+    for each integral, in order.
     """
-    limit = budget.max_panels
     bounds = [*first, len(a)]
     counts = [bounds[f + 1] - bounds[f] for f in family]
-    stop = next((j for j, count in enumerate(counts) if count > limit), len(family))
-    # the families seeded: those before family[stop], whose first integral is stop, as families come in order
-    seeded = family[stop] if stop < len(family) else len(first)
-    del counts[stop:]
     ends = list(itertools.accumulate(counts))
     starts = [q - count for q, count in zip(ends, counts)]
     # column q of the sums is panel q - starts[j] of integral j, family panel src[q]; with one integral
     # per family, the columns are the family panels themselves
     src = None
-    if stop != seeded:
+    if len(family) != len(first):
         src = np.arange(ends[-1]) + np.repeat([bounds[f] - p for f, p in zip(family, starts)], counts)
-    owner = owners[:seeded].repeat(counts if src is None else np.diff(bounds[: seeded + 1]))
-    e = bounds[seeded]
-    sums = _seed(fn, a[:e], b[:e], owner, src, freq[:stop].repeat(counts))
+    owner = owners.repeat(counts if src is None else np.diff(bounds))
+    sums = _seed(fn, a, b, owner, src, freq.repeat(counts))
     finite = None if np.isfinite(sums).all() else np.isfinite(sums).all(axis=0)
     coarse, left, right = sums if finite is None else np.where(finite, sums, 0.0)
     fine = left + right
@@ -418,10 +406,10 @@ def _integrate_seeds(fn, a, b, first: list, owners: np.ndarray, family: list, fr
     # running totals per integral, each summed over its own panels alone
     totals = np.add.reduceat(fine, starts).tolist()
     fine_re, fine_im, err_list = fine.real.tolist(), fine.imag.tolist(), err.tolist()
-    ok = [True] * stop if finite is None else np.logical_and.reduceat(finite, starts).tolist()
+    ok = [True] * len(family) if finite is None else np.logical_and.reduceat(finite, starts).tolist()
 
     values, errors, used = [], [], []
-    for j, p, q, total in zip(range(stop), starts, ends, totals):
+    for j, (p, q, total) in enumerate(zip(starts, ends, totals)):
         total_err = math.fsum(err_list[p:q])
         if ok[j] and total_err <= budget.rel_tol * abs(total) + budget.abs_floor:
             result = complex(math.fsum(fine_re[p:q]), math.fsum(fine_im[p:q])), total_err, q - p
@@ -433,9 +421,6 @@ def _integrate_seeds(fn, a, b, first: list, owners: np.ndarray, family: list, fr
             result = _refine(fn, owners[f], freq[j], lo, hi, left[p:q], right[p:q], err[p:q], total, total_err, budget)
         for out, x in zip((values, errors, used), result):
             out.append(x)
-    if stop < len(family):
-        count = bounds[seeded + 1] - bounds[seeded]
-        raise BudgetExceeded(f"initial subdivision needs {count} panels, budget allows {limit}")
     return values, errors, used
 
 
@@ -502,7 +487,7 @@ def _integrate_rays(
     Validates every envelope first: for the first integral, in input order,
     whose rate or amplitude is not finite and positive, raises InvalidDecay
     with DecayModel's message.  Then every truncation point: InvalidDecay
-    for the first rate so small that T overflows.  Returns value,
+    for the first rate so small that 2T overflows.  Returns value,
     est_error, truncation_T and panels used per integral, each as
     ``integrate_ray`` computes it alone.
     """
@@ -533,7 +518,7 @@ def _integrate_rays(
             # where the quotient overflows (a huge A), its logarithm term by term
             T[f] = (math.log(arg) if arg < math.inf else
                     math.log(2.0) + math.log(A) - math.log(m) - math.log(budget.abs_floor)) / m
-            if not T[f] < math.inf:
+            if not 2.0 * T[f] < math.inf:  # the seed intervals reach up to 2T
                 raise InvalidDecay(f"decay rate {m!r} is too small: the truncation point T overflows")
             bound[f] = A * math.exp(-m * T[f]) / m
             live.append(f)

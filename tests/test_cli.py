@@ -1,7 +1,9 @@
 """End-to-end CLI behavior through main(); no subprocesses needed."""
 
+import ast
 import csv
 import math
+import pathlib
 
 import pytest
 
@@ -84,6 +86,13 @@ def test_invert_far_point_is_a_numeric_failure(capsys):
     rc = main(["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1000"])
     assert rc == 3
     assert "InvalidDecay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("z", ["5.5e-306", "7e-306"])
+def test_invert_near_the_origin_is_an_invalid_decay(z, capsys):
+    # the leg rates shrink with |z|: T overflows at 5.5e-306, and 2T, where the seed intervals end, at 7e-306
+    assert main(["invert", "--fn", "exp:a=-1", "--p", "-1", "--z", z]) == 3
+    assert "InvalidDecay: decay rate" in capsys.readouterr().err
 
 
 def test_invert_with_a_huge_leg_envelope(tmp_path, capsys):
@@ -319,3 +328,87 @@ def test_selftest_subcommand(capsys):
     assert "PASS criterion 01" in out
     assert "PASS criterion 11" in out
     assert "2/2 criteria passed" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "inf"],
+        ["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1", "--angles", "nan"],
+        ["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1", "--max-rel", "nan"],
+        ["indicator", "--fn", "exp:a=1", "--s-max", "inf"],
+    ],
+)
+def test_non_finite_values_are_usage_errors(argv, monkeypatch, capsys):
+    # rejected while parsing, before any transform or estimate
+    monkeypatch.setattr(cli, "roundtrip_report", None)
+    monkeypatch.setattr(cli, "estimate_indicator", None)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+def test_oversized_indicator_request_is_a_usage_error(monkeypatch, capsys):
+    # 9 directions x 1e15 s-points: refused before any grid exists, as np.geomspace could not allocate it
+    monkeypatch.setattr(cli, "estimate_indicator", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["indicator", "--fn", "exp:a=1", "--s-points", str(10**15)])
+    assert exc.value.code == 2
+    assert "exceed 1e7 evaluations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [("transform", "--h"), ("indicator", "--h"), ("indicator", "--rel-tol"), ("indicator", "--abs-floor"),
+     ("indicator", "--skip-invalid"), ("probe", "--h"), ("probe", "--skip-invalid")],
+)
+def test_flags_a_subcommand_would_ignore_are_unknown(command, flag, tmp_path, capsys):
+    # each of these runs, and exits 0, without the flag
+    argv = [command, "--fn", "exp:a=1", "--out", str(tmp_path / "out.csv")]
+    if command == "transform":
+        argv += ["--theta", "0", "--omega", "-2+0i"]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ([flag] if flag == "--skip-invalid" else [flag, "1"]))
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = 1\n", encoding="utf-8")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert f"unknown config key(s) for {command}: {flag[2:].replace('-', '_')}" in capsys.readouterr().err
+
+
+def _reads_and_passes():
+    """For each function of cli.py: the args.<name> it reads, and the cli functions it passes ``args`` to."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    reads, passes = {}, {}
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        reads[func.name], passes[func.name] = set(), set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+                reads[func.name].add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "getattr" and isinstance(node.args[0], ast.Name) and node.args[0].id == "args":
+                    reads[func.name].add(node.args[1].value)
+                elif any(isinstance(arg, ast.Name) and arg.id == "args" for arg in node.args):
+                    passes[func.name].add(node.func.id)
+    return reads, passes
+
+
+def test_every_flag_is_read_by_its_subcommand():
+    reads, passes = _reads_and_passes()
+    _, registry = cli.build_parser()
+    unread = []
+    for command, sp in registry.items():
+        seen, todo = set(), [sp.get_default("func").__name__, "main"]
+        while todo:
+            name = todo.pop()
+            if name in reads and name not in seen:
+                seen.add(name)
+                todo.extend(passes[name])
+        read = set().union(*(reads[name] for name in seen))
+        unread += [f"{command} {a.option_strings[0]}" for a in sp._actions if a.option_strings and a.dest != "help"
+                   and a.dest not in read]
+    assert unread == []

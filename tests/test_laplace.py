@@ -193,7 +193,7 @@ BATCH_BUDGETS = [
     # half the floor above most integrals: the arg <= 1 shortcut, no panels at all
     QuadratureBudget(rel_tol=1e-8, abs_floor=0.5),
     # a target near rounding level: seeds miss it, so integrals refine, and some exhaust the budget
-    QuadratureBudget(rel_tol=1e-13, abs_floor=1e-16, max_panels=2000),
+    QuadratureBudget(rel_tol=1e-13, abs_floor=1e-16),
 ]
 
 
@@ -277,15 +277,38 @@ def test_batched_transform_covers_shortcut_and_refinement():
     assert refined.panels_used > len(a)
 
 
+def _tainted(fn, theta, margin, factor):
+    """fn times factor(z) for the omegas of this margin on the ray theta.
+
+    Their weights w have Re(w e^{i theta}) = -indicator - margin.
+    """
+    ind, _ = indicator_value(fn, theta)
+    weighted_eval, turn = fn.weighted_eval, cmath.exp(1j * theta)
+
+    def tainted(z, w):
+        vals = weighted_eval(z, w)
+        return np.where(np.abs(np.real(w * turn) + ind + margin) < 1e-9, factor(z) * vals, vals)
+
+    return dataclasses.replace(fn, weighted_eval=tainted)
+
+
+_OSCILLATING = lambda z: np.exp(50j * np.abs(z))
+_NAN_BEYOND_3 = lambda z: np.where(np.abs(z) > 3.0, np.nan, 1.0)
+
+
 @pytest.mark.parametrize("position", [0, 2, 4])
 @pytest.mark.parametrize("kind", ["margin", "cap"])
-def test_batch_with_one_bad_omega_raises_its_error(position, kind):
+def test_batch_with_one_bad_omega_raises_its_error(position, kind, monkeypatch):
     fn, theta = BATCH_ENTRIES["trig"], 0.1
     # these four rays take 6 seed intervals and no split
-    budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13, max_panels=6)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 6)
+    budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13)
     omegas = [_omega_at(fn, theta, m, f) for m, f in [(0.4, 1.0), (1.5, -2.0), (0.9, 0.0), (2.0, 3.0)]]
-    # a margin below delta_min, or a ray long enough that its 7 seed intervals exceed the panel cap
-    bad = _omega_at(fn, theta, -0.5, 1.0) if kind == "margin" else _omega_at(fn, theta, 0.01, 25.0)
+    # a margin below delta_min, or an F that oscillates too fast for seeds or the panel cap
+    margin = -0.5 if kind == "margin" else 0.7
+    if kind == "cap":
+        fn = _tainted(fn, theta, margin, _OSCILLATING)
+    bad = _omega_at(fn, theta, margin, 1.0)
     omegas.insert(position, bad)
     alone = _single_or_error(fn, theta, bad, budget)
     assert isinstance(alone, OutsideDomain if kind == "margin" else BudgetExceeded)
@@ -321,24 +344,18 @@ def test_families_of_omegas_get_the_bits_of_each_omega_on_its_own(fn_id, budget)
     assert np.array_equal(values, shared[0]) and np.array_equal(errors, shared[1])
 
 
-def _poisoned(fn, margin):
-    """fn with NaN beyond |z| = 3 for the omegas of this margin at theta = 0, whose weight has real part -margin."""
-    weighted_eval = fn.weighted_eval
-    poisoned = lambda z, w: np.where((np.abs(z) > 3.0) & (np.real(w) == -margin), np.nan, weighted_eval(z, w))
-    return dataclasses.replace(fn, weighted_eval=poisoned)
-
-
 @pytest.mark.parametrize("position", [0, 3, 6])
 @pytest.mark.parametrize("kind", ["margin", "cap", "non-finite"])
-def test_a_bad_omega_in_a_family_raises_what_it_raises_alone(position, kind):
+def test_a_bad_omega_in_a_family_raises_what_it_raises_alone(position, kind, monkeypatch):
     fn = BATCH_ENTRIES["trig"]  # indicator 0 at theta = 0, so that an omega's margin is -Re(omega)
     # these rays take at most 6 seed intervals and no split: two families of three and a loner
-    budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13, max_panels=6)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 6)
+    budget = QuadratureBudget(rel_tol=1e-10, abs_floor=1e-13)
     good = [(0.4, 1.0), (1.5, -2.0), (0.4, 5.0), (0.9, 0.0), (1.5, 3.0), (0.4, -7.0)]
-    # a family of two bad omegas: margins below delta_min, 7 seed intervals, or a non-finite F
-    margin = {"margin": -0.5, "cap": 0.01, "non-finite": 0.7}[kind]
-    if kind == "non-finite":
-        fn = _poisoned(fn, margin)
+    # a family of two bad omegas: margins below delta_min, an F that oscillates past the panel cap, or a non-finite F
+    margin = -0.5 if kind == "margin" else 0.7
+    if kind != "margin":
+        fn = _tainted(fn, 0.0, margin, _OSCILLATING if kind == "cap" else _NAN_BEYOND_3)
     spec = good[:position] + [(margin, 4.0)] + good[position : position + 2] + [(margin, -1.0)] + good[position + 2 :]
     omegas = [_omega_at(fn, 0.0, m, f) for m, f in spec]
     singles = [_single_or_error(fn, 0.0, w, budget) for w in omegas]

@@ -28,7 +28,7 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         QuadratureBudget(rel_tol=1e-15)
     with pytest.raises(ValueError):
-        QuadratureBudget(max_panels=10**6)  # 16 nodes per panel: beyond the 1e7 evaluation guard
+        QuadratureBudget(abs_floor=0.0)
 
 
 def test_budget_tighten_floors():
@@ -77,6 +77,35 @@ def test_a_rate_too_small_for_a_finite_truncation_point_is_invalid():
             integrate_ray(lambda t: np.exp(-t), DecayModel(1e-310, 1.0))
         with pytest.raises(InvalidDecay, match="decay rate 1e-310 "):
             quadrature._integrate_rays(_never_called, np.array([1.0, 1e-310, 1e-320]), np.ones(3), TIGHT, np.zeros(3))
+
+
+def test_a_rate_whose_seed_intervals_overflow_is_invalid():
+    # T = 1.46e308 is finite, but the seed intervals s 2^d reach up to 2T, which is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDecay, match=r"decay rate 5e-306 is too small"):
+            integrate_ray(_never_called, DecayModel(5e-306, 1.0))
+
+
+def test_a_ray_seeds_at_most_13_panels():
+    # T m = ln(2 A / (m abs_floor)) <= ~2200 for finite doubles, so [0, s], [s, 2s], ... up to T, s = 1/m, is short
+    zero = lambda t, k: np.zeros(t.shape)
+    rates = np.geomspace(5e-324, 1e308, 400)
+    most = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for amplitude in (5e-324, 1e-300, 1e-12, 1.0, 1e300, 1.8e308):
+            for abs_floor in (5e-324, 1e-300, 1e-12, 1.0, 1e300):
+                budget = QuadratureBudget(abs_floor=abs_floor)
+                for rate in rates:
+                    try:
+                        _, _, _, used = quadrature._integrate_rays(
+                            zero, np.array([rate]), np.array([amplitude]), budget, np.zeros(1)
+                        )
+                    except InvalidDecay:
+                        continue
+                    most = max(most, int(used[0]))
+    assert most == 13
 
 
 # F(t) = e^{-c t} per integral, and the integrals that share an F: three families and two loners
@@ -220,8 +249,9 @@ def test_conjugate_symmetry():
     assert res_plus.panels_used == res_minus.panels_used
 
 
-def test_budget_exhaustion_reports():
-    budget = QuadratureBudget(rel_tol=1e-12, abs_floor=1e-14, max_panels=8)
+def test_budget_exhaustion_reports(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    budget = QuadratureBudget(rel_tol=1e-12, abs_floor=1e-14)
     # 800 periods of a rotation the integrand computes itself: far more than 8 panels
     with pytest.raises(BudgetExceeded, match="panel budget 8 exhausted"):
         integrate_segment(lambda t: np.exp(100j * t), 0.0, 50.0, budget)
@@ -255,10 +285,11 @@ def test_non_finite_value_while_refining_raises():
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_a_batch_fails_as_its_first_failing_integral(reverse):
+def test_a_batch_fails_as_its_first_failing_integral(reverse, monkeypatch):
     # one pass seeds both integrals before either refines; the error is still the one of the first
     # integral to fail in input order, as if they were computed one after another
-    budget = QuadratureBudget(rel_tol=1e-12, abs_floor=1e-14, max_panels=8)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    budget = QuadratureBudget(rel_tol=1e-12, abs_floor=1e-14)
     a, b = np.array([0.0, 0.0]), np.array([50.0, 1.0])  # e^{100it} on [0, 50] refines past 8 panels
     oscillating = 0
     if reverse:

@@ -290,6 +290,8 @@ def _cmd_indicator(args, parser) -> int:
     count = len(args.thetas) if args.thetas is not None else args.theta_grid
     if count * args.s_points > 10**7:
         parser.error(f"indicator: {count} directions x {args.s_points} s-points exceed 1e7 evaluations")
+    if not args.s_max > 1.0:  # np.geomspace would warn on a grid from 1 down to it
+        parser.error(f"indicator: --s-max must exceed 1, got {args.s_max}")
     alpha = args.alpha if args.alpha is not None else fn.spec.alpha
     thetas = np.array(args.thetas) if args.thetas is not None else np.linspace(-alpha, alpha, args.theta_grid)
     est = estimate_indicator(fn, thetas, s_grid=np.geomspace(1.0, args.s_max, args.s_points))

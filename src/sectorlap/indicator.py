@@ -7,7 +7,8 @@ samples (|f| below 1e-300) are skipped; if every sample of a direction underflow
 indicator is certified to lie below a -1e9 sentinel (the identically-zero
 case).  The limsup surrogate is the maximum of sliding-window means of the
 per-sample slopes r_k = ln|f(s_k e^{i theta})| / s_k, restricted to the
-trailing half of the windows; their spread doubles as a crude confidence width.
+trailing half of the windows; their spread doubles as a crude confidence width,
+infinite when that half holds a single window (1 to 9 kept samples).
 """
 
 from dataclasses import dataclass
@@ -69,6 +70,7 @@ def estimate_indicator(fn: TestFunction, theta, s_grid: np.ndarray | None = None
     tail = (np.arange(width) >= windows // 2) & (np.arange(width) < windows)
     hi = np.max(means, axis=1, where=tail, initial=-np.inf)  # a row with no sample has one window of zeros
     ci = hi - np.min(means, axis=1, where=tail, initial=np.inf)
+    ci[(kept > 0) & (tail.sum(axis=1) == 1)] = np.inf  # a trailing half of one window has no spread to measure
     fields = (np.where(kept > 0, hi, INDICATOR_SENTINEL), ci, np.max(keep * s, axis=1))
     return IndicatorEstimate(theta, *(field.reshape(th.shape) if th.ndim else float(field[0]) for field in fields))
 

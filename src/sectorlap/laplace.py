@@ -75,7 +75,6 @@ __all__ = [
 
 DELTA_MIN_DEFAULT = 1e-3
 _RATE_HAIRCUT = 0.9
-_GOLDEN_ITERS = 48
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -279,13 +278,13 @@ class ConcatenatedTransform:
         return self.offset(theta) - _rotated(omega, theta)
 
 
-def _golden_section_max(fun, lo: float, hi: float, iters: int) -> float:
-    """Golden-section maximizer of ``fun`` over [lo, hi]; assumes a single peak inside."""
+def _golden_section_max(fun, lo: float, hi: float, tol: float) -> float:
+    """Golden-section maximizer of ``fun`` over [lo, hi], down to bracket half-width ``tol`` > 0; one peak inside."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    while b - a > 2.0 * tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -300,7 +299,9 @@ def _golden_section_max(fun, lo: float, hi: float, iters: int) -> float:
 def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
     """Direction of largest margin, via coarse scan plus golden-section refinement.
 
-    Ties (within 1e-9 relative) break toward the smallest |theta|.  Raises
+    The refinement stops at half-width step * sqrt(eps), step being the coarse
+    spacing: rounding locates a smooth peak of that width no better.  Ties
+    (within 1e-9 relative) break toward the smallest |theta|.  Raises
     OutsideUnion when even the best margin falls below ct.min_margin.
     """
     lo, hi = -ct.alpha, ct.alpha
@@ -317,7 +318,7 @@ def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
     step = thetas[1] - thetas[0]
     a = max(lo, theta0 - step)
     b = min(hi, theta0 + step)
-    theta_g = _golden_section_max(lambda t: ct.margin(omega, t), a, b, _GOLDEN_ITERS)
+    theta_g = _golden_section_max(lambda t: ct.margin(omega, t), a, b, step * math.sqrt(np.finfo(float).eps))
     m_g = ct.margin(omega, theta_g)
     m_0 = ct.margin(omega, theta0)
 

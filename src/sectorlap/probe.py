@@ -9,8 +9,9 @@ transform as their ``g_source`` picks, one batch of omegas per call:
   inward normal w(delta) = w_b - delta e^{-i theta}, whose margin is exactly
   delta.  A singularity on the boundary shows up as |g| growing like
   delta^{-1}; the scan reports the location (the peak of |g| on the outermost
-  level, refined by golden-section search), the fitted growth exponent, and whether
-  any blow-up was seen at all (quiet boundaries are reported, not raised).
+  level, golden-section refined to the resolution g's est_error allows), the
+  fitted growth exponent, and whether any blow-up was seen at all (quiet
+  boundaries are reported, not raised).
 
 * ``radius_scan`` fits the distance from an interior point to the nearest
   singularity of g out of Taylor coefficients computed by discrete Cauchy
@@ -58,7 +59,6 @@ __all__ = [
 ]
 
 J_SLOPE_SENTINEL = -1e9
-_PEAK_ITERS = 60
 _DEGREE = 24  # Taylor coefficients used by the radius fit
 
 
@@ -70,6 +70,7 @@ class BlowupScan:
     blowup_exponent: Optional[float]
     growth_ratio: float
     offset: float
+    location_tol: Optional[float] = None  # bound on the location's bracket half-width along the boundary
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,10 @@ def blowup_scan(
     point to the origin; the margins descend geometrically from 0.1 to 1e-4
     (13 levels) with an oracle g, to 1e-3 (7 levels) with a numeric one, and
     a blow-up counts as detected once |g| grows at least 10-fold over them.
-    ValueError for a theta outside the entry's sector.
+    The peak at the outermost margin d0 has width about d0, so |g| drops by
+    |g| t^2 / d0^2 at a distance t from it; the search stops at half-width
+    location_tol = d0 * sqrt(max(est_error / |g|, eps)), where that drop
+    meets g's est_error.  ValueError for a theta outside the entry's sector.
     """
     _check_direction(fn, theta)
     budget = budget or QuadratureBudget()
@@ -130,7 +134,9 @@ def blowup_scan(
     def boundary(tau):
         return (offset + 1j * tau) * back
 
-    far, _ = _g_values(fn, theta, [boundary(t) - deltas[0] * back for t in taus], budget, g_source, delta_min / 2)
+    far, far_err = _g_values(
+        fn, theta, [boundary(t) - deltas[0] * back for t in taus], budget, g_source, delta_min / 2
+    )
     far_mags = np.abs(far)
     if float(np.max(far_mags)) == 0.0:
         return BlowupScan(theta, False, None, None, 0.0, offset)
@@ -139,15 +145,12 @@ def blowup_scan(
     # cap |g| near the boundary far below its true blow-up; refine tau at the
     # outermost (smooth) level before descending.
     j = int(np.argmax(far_mags))
-    lo = taus[max(j - 1, 0)]
-    hi = taus[min(j + 1, len(taus) - 1)]
+    tol = float(deltas[0] * math.sqrt(max(far_err[j] / far_mags[j], np.finfo(float).eps)))
     tau_star = _golden_section_max(
-        lambda t: float(
-            np.abs(_g_values(fn, theta, [boundary(t) - deltas[0] * back], budget, g_source, delta_min / 2)[0])[0]
-        ),
-        lo,
-        hi,
-        _PEAK_ITERS,
+        lambda t: abs(_g_values(fn, theta, [boundary(t) - deltas[0] * back], budget, g_source, delta_min / 2)[0][0]),
+        taus[max(j - 1, 0)],
+        taus[min(j + 1, len(taus) - 1)],
+        tol,
     )
     point = boundary(tau_star)
 
@@ -157,7 +160,7 @@ def blowup_scan(
         return BlowupScan(theta, False, None, None, ratio, offset)
     ok = mags > 0
     slope = float(np.polyfit(np.log(deltas[ok]), np.log(mags[ok]), 1)[0]) if ok.sum() >= 2 else math.nan
-    return BlowupScan(theta, True, point, slope, ratio, offset)
+    return BlowupScan(theta, True, point, slope, ratio, offset, tol)
 
 
 def radius_scan(

@@ -4,6 +4,7 @@ import ast
 import csv
 import math
 import pathlib
+import warnings
 
 import pytest
 
@@ -356,6 +357,18 @@ def test_oversized_indicator_request_is_a_usage_error(monkeypatch, capsys):
         main(["indicator", "--fn", "exp:a=1", "--s-points", str(10**15)])
     assert exc.value.code == 2
     assert "exceed 1e7 evaluations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s_max", ["-1", "0", "0.5", "1"])
+def test_indicator_s_max_at_most_one_is_a_usage_error(s_max, capsys):
+    # refused before np.geomspace builds a grid from 1 down to it, which warns from numpy's own code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            main(["indicator", "--fn", "exp:a=1", "--s-max", s_max])
+    assert exc.value.code == 2
+    assert "--s-max must exceed 1" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from sectorlap import (
     zero_function,
 )
 from sectorlap.indicator import INDICATOR_SENTINEL, S_GRID
-from sectorlap.laplace import _GOLDEN_ITERS, _golden_section_max
+from sectorlap.laplace import _golden_section_max
 
 # exponents a_k of sum_k c_k e^{a_k z}, non-integer, with a complex coefficient
 SUM_TERMS = [(1, -1.3 + 0.7j), (2.5, 0.4 - 1.1j), (-0.3j, 2.2)]
@@ -52,7 +52,8 @@ def _reference_estimate(fn, theta: float, s: np.ndarray) -> tuple[float, float, 
     w = min(8, len(r))
     tail = np.convolve(r, np.ones(w) / w, mode="valid")
     tail = tail[len(tail) // 2 :]
-    return float(np.max(tail)), float(np.max(tail) - np.min(tail)), float(s[keep][-1]), len(r)
+    ci = float(np.max(tail) - np.min(tail)) if len(tail) > 1 else math.inf  # one window has no spread
+    return float(np.max(tail)), ci, float(s[keep][-1]), len(r)
 
 
 def _reference_oracle(exponents, theta: float) -> float:
@@ -146,7 +147,8 @@ def _reference_select(ct, exponents, omega: complex) -> float:
     tied = thetas[margins >= best - tol]
     theta0 = float(tied[np.argmin(np.abs(tied))])
     step = thetas[1] - thetas[0]
-    theta_g = _golden_section_max(margin, max(lo, theta0 - step), min(hi, theta0 + step), _GOLDEN_ITERS)
+    a, b = max(lo, theta0 - step), min(hi, theta0 + step)
+    theta_g = _golden_section_max(margin, a, b, step * math.sqrt(np.finfo(float).eps))
     m_g, m_0 = margin(theta_g), margin(theta0)
     theta_star, m_star = (theta_g, m_g) if m_g > m_0 + tol else (theta0, m_0)
     if abs(m_g - m_0) <= tol and abs(theta0) < abs(theta_g):
@@ -178,3 +180,23 @@ def test_fan_margins_and_selection_equal_the_scalar_formulas(fn, exponents, sour
                 select_direction(ct, omega)
         else:
             assert select_direction(ct, omega) == want
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-5, 1e-9, 3e-13])
+def test_golden_section_stops_at_its_tolerance(tol):
+    # -c (x - x0)^2 on [x0 - 0.7, x0 + 0.4]: each step shrinks the bracket by 1/phi, after two first evaluations
+    calls = []
+    x0, lo, hi = 0.3, -0.4, 0.7
+    x = _golden_section_max(lambda t: calls.append(t) or -2.5 * (t - x0) ** 2, lo, hi, tol)
+    assert abs(x - x0) <= tol
+    assert len(calls) <= math.ceil(math.log((hi - lo) / 2 / tol, (1 + math.sqrt(5)) / 2)) + 2
+
+
+@pytest.mark.parametrize("e", [1e-4, 1e-8, 1e-12])
+def test_golden_section_under_noise_lands_within_its_resolution(e):
+    # noise of size e hides a peak of curvature c within sqrt(e / c) of its top; the search stops there
+    c, x0 = 2.5, 0.3
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = _golden_section_max(lambda t: -c * (t - x0) ** 2 + e * rng.uniform(-1, 1), -0.4, 0.7, math.sqrt(e / c))
+        assert abs(x - x0) <= 2 * math.sqrt(e / c)

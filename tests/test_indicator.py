@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sectorlap import (
@@ -41,6 +42,25 @@ def test_zero_entry_sentinel():
     est = estimate_indicator(zero_function(), 0.1)
     assert est.value == INDICATOR_SENTINEL
     assert est.s_max == 0.0
+    assert est.ci_width == 0.0
+
+
+@pytest.mark.parametrize("kept", range(1, 13))
+def test_one_trailing_window_has_an_infinite_ci_width(kept):
+    # e^{(709 / kept) s} on s = 1, 2, ..., 24 overflows past s = kept; 1 to 9 samples leave one trailing window
+    est = estimate_indicator(make_exp(709.0 / kept), 0.0, s_grid=np.arange(1.0, 25.0))
+    assert est.s_max == kept
+    assert math.isclose(est.value, 709.0 / kept, rel_tol=1e-12)
+    if kept <= 9:
+        assert est.ci_width == math.inf
+    else:
+        assert est.ci_width < 1e-9
+
+
+def test_single_sample_directions_report_an_infinite_ci_width():
+    # e^{s} overflows at the second point of a 64-point grid up to 1e300, so each direction keeps s = 1 alone
+    est = estimate_indicator(make_exp(1), np.array([0.0, 1.178]), s_grid=np.geomspace(1.0, 1e300, 64))
+    assert np.all(est.s_max == 1.0) and np.all(est.ci_width == math.inf)
 
 
 def test_bounded_entries_near_zero():

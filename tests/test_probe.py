@@ -19,6 +19,7 @@ from sectorlap import (
     trig_decay,
     zero_function,
 )
+from sectorlap import probe
 from sectorlap.probe import J_SLOPE_SENTINEL
 
 
@@ -53,6 +54,28 @@ def test_numeric_blowup_off_axis(fn, theta):
     assert scan.detected
     assert abs(scan.boundary_point - fn.singularities_of_g[0]) <= 1e-3
     assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.1)
+
+
+def test_numeric_peak_search_stops_at_the_est_error_resolution(monkeypatch):
+    # a fixed 60-step search makes 62 one-omega passes; the est_error rule stops near 30, within criterion 9
+    sizes = []
+    g_values = probe._g_values
+
+    def counted(fn, theta, omegas, *rest):
+        sizes.append(len(omegas))
+        return g_values(fn, theta, omegas, *rest)
+
+    monkeypatch.setattr(probe, "_g_values", counted)
+    scan = blowup_scan(make_exp(-1), 0.0, g_source="numeric")
+    assert sizes.count(1) <= 34
+    assert abs(scan.boundary_point - 1.0) <= 1e-3
+    assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.1)
+    assert 0.1 * math.sqrt(np.finfo(float).eps) < scan.location_tol < 1e-3
+
+
+def test_location_tol_of_oracle_and_quiet_scans():
+    assert blowup_scan(make_exp(1), 0.0).location_tol == 0.1 * math.sqrt(np.finfo(float).eps)
+    assert blowup_scan(zero_function(), 0.0).location_tol is None
 
 
 def test_probes_reject_directions_outside_the_sector():

@@ -253,8 +253,10 @@ def _cmd_roundtrip(args, parser) -> int:
     grid = [radius * cmath.exp(1j * angle) for radius in args.radii for angle in angles]
     report = roundtrip_report(fn, spec, args.p, grid, _budget(args), args.g_source)
 
-    bad = [row for row in report.rows if row.error is not None]
-    if bad and not args.skip_invalid:
+    # --skip-invalid skips domain violations only; any other per-point failure still exits 3
+    skip = _SKIPPABLE if args.skip_invalid else ()
+    bad = [row for row in report.rows if row.error is not None and not issubclass(row.error_class, skip)]
+    if bad:
         print(f"error: z={bad[0].z}: {bad[0].error}", file=sys.stderr)
         return 3
 

@@ -168,7 +168,8 @@ class RoundtripRow:
     abs_residual: float
     rel_residual: float
     est_error: float
-    error: Optional[str] = None
+    error: Optional[str] = None  # "Type: message" of the point's SectorLapError
+    error_class: Optional[type] = None
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ def roundtrip_report(
 ) -> RoundtripReport:
     """Reconstruct f on a z grid and compare with direct evaluation.
 
-    Per-point failures are recorded in their row, not raised; the summary
+    Per-point failures are recorded in their row with their class, not raised; the summary
     aggregates over the successful points.
     """
     budget = budget or QuadratureBudget()
@@ -203,7 +204,7 @@ def roundtrip_report(
             res = reconstruct(ReconstructionQuery(fn, gamma, z, budget, g_source))
         except SectorLapError as exc:
             rows.append(
-                RoundtripRow(z, expected, None, math.nan, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
+                RoundtripRow(z, expected, None, math.nan, math.nan, math.nan, f"{type(exc).__name__}: {exc}", type(exc))
             )
             continue
         abs_res = abs(res.value - expected)

@@ -26,8 +26,9 @@ transform as their ``g_source`` picks, one batch of omegas per call:
   rates against -inf_{contour} Re(w e^{i theta}).  If the indicator exceeds
   that infimum, f grows strictly faster than any such representation allows,
   which is the contradiction the diagnostics make quantitative.  Oracle
-  entries only.  A piece that is 0 everywhere (the zero entry) gets the
-  slope J_SLOPE_SENTINEL.
+  entries only.  A slope fits only the values of J above their est_error, as
+  the others are noise; a piece with fewer than 2 such values (the zero
+  entry's pieces, which are 0 everywhere) gets the slope J_SLOPE_SENTINEL.
 """
 
 import cmath
@@ -211,14 +212,17 @@ def radius_scan(
     return RadiusScan(center, theta, radius, predicted, margin)
 
 
-def _fit_slope(s: np.ndarray, values: np.ndarray) -> float:
-    """Regression slope of ln values against s over the trailing half."""
-    mask = values > 0
+def _fit_slope(s: np.ndarray, values: np.ndarray, errors: np.ndarray) -> float:
+    """Regression slope of ln values against s over the trailing half of the values above their est_errors.
+
+    The fit takes at least 2 points; with fewer such values it is J_SLOPE_SENTINEL.
+    """
+    mask = values > errors
     if mask.sum() < 2:
         return J_SLOPE_SENTINEL
     s_ok, v_ok = s[mask], np.log(values[mask])
-    half = len(s_ok) // 2
-    return float(np.polyfit(s_ok[half:], v_ok[half:], 1)[0])
+    start = min(len(s_ok) // 2, len(s_ok) - 2)
+    return float(np.polyfit(s_ok[start:], v_ok[start:], 1)[0])
 
 
 def gamma_prime_diagnostics(
@@ -278,7 +282,7 @@ def gamma_prime_diagnostics(
     # one engine pass for the chord integrals J1, one for the rays: J2 on even, J3 on odd owners
     chord = r - q
     zeros, ones = np.zeros(len(s_grid)), np.ones(len(s_grid))
-    chords, _, _ = _integrate_segments(
+    chords, chord_errors, _ = _integrate_segments(
         lambda u, k: np.abs(g(q + chord * u)) * np.exp(-s_grid[k] * ((q + chord * u) * phase).real) * abs(chord),
         zeros,
         ones,
@@ -294,8 +298,8 @@ def gamma_prime_diagnostics(
     live = np.flatnonzero(amplitude != 0.0)
     starts, heads = np.array([r, q] * len(s_grid))[live], np.array([up, down] * len(s_grid))[live]
     s_rays = s_grid.repeat(2)[live]
-    rays = np.zeros(len(rate), dtype=complex)
-    rays[live], _, _, _ = _integrate_rays(
+    rays, ray_errors = np.zeros(len(rate), dtype=complex), np.zeros(len(rate))
+    rays[live], ray_errors[live], _, _ = _integrate_rays(
         lambda t, k: np.abs(g(starts[k] + heads[k] * t))
         * np.exp(-s_rays[k] * ((starts[k] + heads[k] * t) * phase).real),
         rate[live],
@@ -305,7 +309,11 @@ def gamma_prime_diagnostics(
     )
     j2, j3 = np.abs(rays[0::2]), np.abs(rays[1::2])
 
-    slopes = (_fit_slope(s_grid, j1), _fit_slope(s_grid, j2), _fit_slope(s_grid, j3))
+    slopes = (
+        _fit_slope(s_grid, j1, np.array(chord_errors)),
+        _fit_slope(s_grid, j2, ray_errors[0::2]),
+        _fit_slope(s_grid, j3, ray_errors[1::2]),
+    )
     return GammaPrimeDiagnostics(theta, q, r, slopes, inf_proj)
 
 

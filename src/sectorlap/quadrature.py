@@ -29,24 +29,26 @@ Ray integrals may share their smooth factor: a family is a set of
 integrals with one F, one rate and one amplitude, whose carriers alone
 differ (the omegas of a ray transform with the same margin).  A family is
 planned once (truncation point, tail bound, seed panels), and its first
-integral owns its seed panels.  Seeding evaluates F on the coarse, left-half
-and right-half nodes of up to _CHUNK_PANELS family panels per call, across
-family boundaries, and projects the values once per panel row (vals @
-project, vals @ weights); each integral of the family then applies its own
-carrier to those coefficients, the moments of kappa h and e^{i kappa m},
-and sums its panel values and estimates.  An integral that shares nothing
-is a family of one.  Each integral is then checked against its own target
+integral owns its seed panels.  One kernel, ``_sums``, serves seeding and
+refinement alike: it evaluates F on the nodes of up to 3 * _CHUNK_PANELS
+panels per call, across family boundaries, projects the values once per
+panel (vals @ project, vals @ weights), and lets each integral on the panel
+apply its own carrier to those coefficients, the moments of kappa h and
+e^{i kappa m}.  Seeding hands it the whole panels, left halves and right
+halves of all seed panels; an integral that shares nothing is a family of
+one.  Each integral is then checked against its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
 and one that misses it is refined on its own, from the panel state seeding
-left and on its family's F: its worst panel (the older one on ties) is
-split, with one call for the four half-panels of both children, until the
-target is met or it holds _MAX_PANELS panels (BudgetExceeded, never silent
-degradation).  The running estimate is updated per split; if rounding
-leaves it above the target after every panel estimate has dropped to
-exactly 0, no panel can usefully be split, so refinement stops there and
-reports the re-summed estimate, 0.
+left and on its family's F.  Refinement keeps the integral's panels on a
+heap, worst estimate first and the older panel on ties, and splits the top
+one, with one ``_sums`` call for the four half-panels of both children,
+until the target is met or it holds _MAX_PANELS panels (BudgetExceeded,
+never silent degradation).  The running estimate is updated per split; if
+rounding leaves it above the target once the top estimate is exactly 0, no
+panel can usefully be split, so refinement stops there and reports the
+re-summed estimate, 0.
 
 A panel's sums come out the same whichever panels and integrals share its
 integrand call and its coefficients (every integrand call holds at least
@@ -54,11 +56,10 @@ three panels, numpy's matrix products over two or more rows compute each
 row on its own, and each row's moments depend on its own kappa h alone), so
 every integral gets the same panels, values and estimates, bit for bit, as
 when integrated alone.  A pass seeds all its integrals in one step, then
-finishes them in input order: each takes its seed sums or is refined, a
-refined integral's state living in numpy arrays whose row order is creation
-order.  Sums are checked for finite values before they are used: a NaN or
-infinite integrand value raises IllConditioned naming the first affected
-panel, instead of a NaN estimate ending refinement as if it had converged.
+finishes them in input order: each takes its seed sums or is refined.  Sums
+are checked for finite values before they are used: a NaN or infinite
+integrand value raises IllConditioned naming the first affected panel,
+instead of a NaN estimate ending refinement as if it had converged.
 Failures surface in input order, as if the integrals were computed one
 after another: seeding has evaluated every integral, but a bad seed sum or
 an exhausted budget is raised only once the integrals before it are
@@ -77,6 +78,7 @@ finite doubles, so a ray seeds at most 13 panels.
 """
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,11 +97,11 @@ __all__ = [
     "cauchy_kernel_check",
 ]
 
-# initial panels per integrand call: 3 * 64 panels, about 3k points
+# seed panels per integrand call: with their halves 3 * 64 panels, about 3k points
 _CHUNK_PANELS = 64
 # panels one integral may use; a ray seeds at most 13 and a segment 1, so only refinement reaches it
 _MAX_PANELS = 4000
-# columns per carrier step where integrals share seed panels, so that the steps' moments stay in cache
+# seed columns (3 panel sums each) per carrier step, so that the steps' moments stay in cache
 _CARRY_COLUMNS = 128
 
 _ORDER = 16  # Gauss-Legendre nodes per panel
@@ -224,13 +226,6 @@ class IntegralResult:
     panels_used: int
 
 
-def _eval_vector(fn: Callable, pts: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    vals = np.asarray(fn(pts, owners), dtype=complex)
-    if vals.shape != pts.shape:
-        vals = vals.reshape(pts.shape) if vals.size == pts.size else np.broadcast_to(vals, pts.shape)
-    return vals
-
-
 def _carry(coeffs, plain, x: np.ndarray, freq: np.ndarray, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Sums of F e^{i freq t} over panels of midpoints mid and half-widths half, from F's projections.
 
@@ -246,61 +241,43 @@ def _carry(coeffs, plain, x: np.ndarray, freq: np.ndarray, mid: np.ndarray, half
     return filon if plain is None else np.where(x == 0.0, half * plain, filon)
 
 
-def _panel_sums(fn, a: np.ndarray, b: np.ndarray, owners: np.ndarray, freq: np.ndarray) -> np.ndarray:
-    """Sums of F e^{i freq[i] t} over the panels [a[i], b[i]] of integrals owners[i], from one integrand call.
+def _sums(fn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, src, freq: np.ndarray) -> np.ndarray:
+    """Sums of F e^{i freq[q] t} over the panels [lo[src[q]], hi[src[q]]], one per entry q.
 
-    The call gets the nodes as rows, one panel per row, and the owners as a
-    column, and returns F there.
+    The one panel kernel of seeding and refinement.  F is fn with column
+    owner[i] on panel [lo[i], hi[i]]; ``src`` None stands for src[q] = q.  F
+    is evaluated (nodes as rows, owners as a column) and projected once per
+    panel, up to 3 * _CHUNK_PANELS panels per integrand call, however many
+    entries share the panel; the entries then apply their own carriers,
+    3 * _CARRY_COLUMNS at a time.
     """
     rule = _rule()
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = _eval_vector(fn, mid[:, None] + half[:, None] * rule.nodes, owners[:, None])
-    x = freq * half
-    carried = np.count_nonzero(x)
-    with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
-        coeffs = vals @ rule.project if carried else None
-        return _carry(coeffs, vals @ rule.weights if carried < len(x) else None, x, freq, mid, half)
-
-
-def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, src, freq: np.ndarray) -> np.ndarray:
-    """Whole-panel, left-half and right-half sums of F e^{i freq[q] t} over the panels [a[src[q]], b[src[q]]].
-
-    F is fn with column owner[i] on panel [a[i], b[i]], and ``src`` None
-    stands for src[q] = q.  F is evaluated and projected once per panel, on
-    the three rows of up to _CHUNK_PANELS panels per integrand call, however
-    many columns q share the panel; the columns of those panels then apply
-    their own carriers, _CARRY_COLUMNS at a time.  Returns the sums as three
-    rows, one column q each.
-    """
-    rule = _rule()
-    chunks = range(0, len(a) + _CHUNK_PANELS, _CHUNK_PANELS)
+    chunks = range(0, len(lo) + 3 * _CHUNK_PANELS, 3 * _CHUNK_PANELS)
     if src is None:
         cut = list(chunks)
     else:
-        # the columns of the panels [chunks[i], chunks[i + 1]) are by_panel[cut[i]:cut[i + 1]]
+        # the entries of the panels [chunks[i], chunks[i + 1]) are by_panel[cut[i]:cut[i + 1]]
         by_panel = np.argsort(src, kind="stable")
         cut = np.searchsorted(src[by_panel], chunks).tolist()
-    sums = np.empty((3, len(freq)), dtype=complex)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    sums = np.empty(len(freq), dtype=complex)
     for i, s in enumerate(chunks[:-1]):
-        c = slice(s, s + _CHUNK_PANELS)
-        a_c, b_c, k = a[c], b[c], owner[c]
-        mid = 0.5 * (a_c + b_c)
-        lo, hi = np.concatenate((a_c, a_c, mid)), np.concatenate((b_c, mid, b_c))  # whole panels, left, right halves
-        m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        vals = _eval_vector(fn, m[:, None] + h[:, None] * rule.nodes, np.concatenate((k, k, k))[:, None])
+        c = slice(s, s + 3 * _CHUNK_PANELS)
+        m, h = mid[c], half[c]
+        pts = m[:, None] + h[:, None] * rule.nodes
+        vals = np.asarray(fn(pts, owner[c, None]), dtype=complex)
+        if vals.shape != pts.shape:
+            vals = vals.reshape(pts.shape) if vals.size == pts.size else np.broadcast_to(vals, pts.shape)
         coeffs = plain = None
-        # with src None, a chunk's columns are its panels, one block as _CARRY_COLUMNS >= _CHUNK_PANELS
-        for q in range(cut[i], cut[i + 1], _CARRY_COLUMNS):
-            cols = slice(q, min(q + _CARRY_COLUMNS, cut[i + 1]))
-            rows, block_mid, block_half = None, m, h
+        # with src None, a chunk's entries are its panels, one block as _CARRY_COLUMNS >= _CHUNK_PANELS
+        for q in range(cut[i], cut[i + 1], 3 * _CARRY_COLUMNS):
+            block, rows = slice(q, min(q + 3 * _CARRY_COLUMNS, cut[i + 1])), None
+            block_mid, block_half = m, h
             if src is not None:
-                cols = by_panel[cols]
-                j = src[cols] - s
-                rows = np.concatenate((j, j + len(k), j + 2 * len(k)))  # the chunk row of each column's row
+                block = by_panel[block]
+                rows = src[block] - s  # the chunk row of each entry's panel
                 block_mid, block_half = m[rows], h[rows]
-            f = freq[cols]
-            f = np.concatenate((f, f, f))
+            f = freq[block]
             x = f * block_half
             carried = np.count_nonzero(x)
             with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
@@ -310,8 +287,19 @@ def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, src, freq: np.nda
                     plain = vals @ rule.weights
                 block_coeffs = (coeffs if rows is None else coeffs[rows]) if carried else None
                 block_plain = (plain if rows is None else plain[rows]) if carried < len(x) else None
-                sums[:, cols] = _carry(block_coeffs, block_plain, x, f, block_mid, block_half).reshape(3, -1)
+                sums[block] = _carry(block_coeffs, block_plain, x, f, block_mid, block_half)
     return sums
+
+
+def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, src, freq: np.ndarray) -> np.ndarray:
+    """Whole-panel, left-half and right-half sums of F e^{i freq[q] t} over the panels [a[src[q]], b[src[q]]].
+
+    F is as in ``_sums``, on the seed panels [a[i], b[i]]; returns three rows of one column q each.
+    """
+    n, mid = len(a), 0.5 * (a + b)
+    src = None if src is None else np.concatenate((src, src + n, src + 2 * n))
+    lo, hi = np.concatenate((a, a, mid)), np.concatenate((b, mid, b))
+    return _sums(fn, lo, hi, np.concatenate((owner,) * 3), src, np.concatenate((freq,) * 3)).reshape(3, -1)
 
 
 def _check_finite(sums: np.ndarray, a, b) -> None:
@@ -326,56 +314,45 @@ def _check_finite(sums: np.ndarray, a, b) -> None:
 
 
 def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget) -> tuple[complex, float, int]:
-    """Split the worst panel of one integral, of carrier frequency freq, until its estimate meets the target."""
-    # Panel k spans [lo[k], hi[k]] with half-panel sums left[k], right[k].
-    # Rows are appended in creation order, so the smaller index is the older
-    # panel; a split panel's err is set to -1 to retire it.  The arrays are
-    # copied on the first split, which grows them.
-    count = live = len(err)
+    """Split the worst panel of one integral, of carrier frequency freq, until its estimate meets the target.
+
+    Panel k spans [lo[k], hi[k]] with half-panel sums left[k], right[k] and
+    estimate err[k].  The panels live on a heap of (-err, creation index, lo,
+    hi, left, right), so the worst pops first and the older one on ties; a
+    split gets the four half-panels of both children from one ``_sums`` call.
+    """
+    heap = list(zip((-err).tolist(), itertools.count(), lo.tolist(), hi.tolist(), left.tolist(), right.tolist()))
+    heapq.heapify(heap)
+    age = itertools.count(len(heap))
     while total_err > budget.rel_tol * abs(total) + budget.abs_floor:
-        if live >= _MAX_PANELS:
+        if len(heap) >= _MAX_PANELS:
             raise BudgetExceeded(
                 f"panel budget {_MAX_PANELS} exhausted with est_error={total_err:.3e} "
                 f"(target {budget.rel_tol * abs(total) + budget.abs_floor:.3e}); "
                 "the integrand is harder than the budget allows"
             )
-        worst = int(np.argmax(err[:count]))  # first maximum: the oldest of equally bad panels
-        if err[worst] == 0.0:
-            # every remaining estimate is exactly zero: the running total is
-            # rounding residue, and no split can lower it
+        if heap[0][0] == 0.0:
+            # every estimate is exactly zero: the running total is rounding residue no split can lower
             break
-        if count + 2 > len(err):
-            extra = max(count, 2 * _CHUNK_PANELS)
-            lo, hi, left, right, err = (
-                np.concatenate((v, np.empty(extra, v.dtype))) for v in (lo, hi, left, right, err)
-            )
         # the children's coarse sums are the parent's half-panel sums
-        a, b, coarse0, coarse1 = lo[worst].item(), hi[worst].item(), left[worst].item(), right[worst].item()
+        key, _, a, b, coarse0, coarse1 = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         mid0, mid1 = 0.5 * (a + mid), 0.5 * (mid + b)
-        starts, ends = np.array((a, mid, mid0, mid1)), np.array((mid0, mid1, mid, b))
         # rows: left halves, right halves
-        sums = _panel_sums(fn, starts, ends, np.array([owner] * 4), np.array([freq] * 4)).reshape(2, 2)
+        starts, ends = np.array((a, mid, mid0, mid1)), np.array((mid0, mid1, mid, b))
+        sums = _sums(fn, starts, ends, np.full(4, owner), None, np.full(4, freq)).reshape(2, 2)
         _check_finite(sums, (a, mid), (mid, b))
         (left0, left1), (right0, right1) = sums.tolist()
         fine0, fine1 = left0 + right0, left1 + right1
         err0, err1 = abs(fine0 - coarse0), abs(fine1 - coarse1)
-        kids = slice(count, count + 2)
-        lo[kids] = a, mid
-        hi[kids] = mid, b
-        left[kids] = left0, left1
-        right[kids] = right0, right1
-        err[kids] = err0, err1
+        heapq.heappush(heap, (-err0, next(age), a, mid, left0, right0))
+        heapq.heappush(heap, (-err1, next(age), mid, b, left1, right1))
         total += fine0 + fine1 - (coarse0 + coarse1)
-        total_err += err0 + err1 - err[worst].item()
-        err[worst] = -1.0
-        count += 2
-        live += 1
+        total_err += err0 + err1 + key  # key = -err of the split panel; adding it rounds as subtracting err
 
-    keep = err[:count] >= 0.0
-    fine = left[:count][keep] + right[:count][keep]
-    value = complex(math.fsum(fine.real.tolist()), math.fsum(fine.imag.tolist()))
-    return value, math.fsum(err[:count][keep].tolist()), live
+    fine = [p[4] + p[5] for p in heap]
+    value = complex(math.fsum(v.real for v in fine), math.fsum(v.imag for v in fine))
+    return value, math.fsum(-p[0] for p in heap), len(heap)
 
 
 def _integrate_seeds(fn, a, b, first: list, owners: np.ndarray, family: list, freq: np.ndarray, budget):

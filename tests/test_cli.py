@@ -177,6 +177,27 @@ def test_roundtrip_max_rel_gate(tmp_path, capsys):
     assert "exceeds --max-rel" in capsys.readouterr().err
 
 
+def test_roundtrip_skip_invalid_skips_domain_violations(tmp_path, capsys):
+    # angle 0.8 puts both points outside the sector of half-angle pi/4
+    out = tmp_path / "rt.csv"
+    argv = ["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1,2", "--angles", "0,0.8", "--out", str(out)]
+    assert main(argv) == 3
+    assert "OutsideSector" in capsys.readouterr().err
+    assert main(argv + ["--skip-invalid"]) == 0
+    assert len(read_csv(out)) == 2
+    assert "skipped=2" in capsys.readouterr().err
+
+
+def test_roundtrip_skip_invalid_keeps_numeric_failures(tmp_path, capsys):
+    # at z = 800 the leg envelope's amplitude e^{800} overflows: InvalidDecay, which no flag skips
+    out = tmp_path / "rt.csv"
+    argv = ["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1,800", "--angles", "0", "--out", str(out)]
+    for extra in ([], ["--skip-invalid"]):
+        assert main(argv + extra) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: z=(800+0j): InvalidDecay: decay amplitude must be finite and positive")
+
+
 def test_probe_csv(tmp_path):
     out = tmp_path / "probe.csv"
     rc = main(["probe", "--fn", "exp:a=1", "--theta", "0",

@@ -133,6 +133,17 @@ def test_truncated_contour_slopes():
     assert max(diag.slopes) < 1.0
 
 
+def test_truncated_contour_slopes_fit_only_values_above_their_est_errors():
+    # J2's trailing value sits below its est_error, and J3 has only 2 positive values: fitting noise
+    # (or one point, which polyfit warns about) put J3's slope above the bound
+    q, r = 1.696501998511685 - 2.5084983623913182j, 1.696501998511685 - 0.079196479679239151j
+    diag = gamma_prime_diagnostics(
+        make_exp(-1 + 1j), math.pi / 4, 0.39529476793467855, q, r, QuadratureBudget(1e-9, 1e-12)
+    )
+    assert J_SLOPE_SENTINEL < min(diag.slopes)
+    assert max(diag.slopes) <= -diag.inf_projection + 0.02  # criterion 10's bound
+
+
 def test_truncated_contour_slopes_of_a_zero_transform():
     # every piece is 0, including the rays whose sampled sup|g| is 0: each slope is the sentinel
     diag = gamma_prime_diagnostics(zero_function(), math.pi / 4, 0.0, -0.5 - 1.2j, -0.5 + 1.2j)

@@ -212,11 +212,11 @@ def test_panel_rule_matches_reference_moments():
     far = np.geomspace(40.0, 1e4, 25)
     xs = np.concatenate((special, np.linspace(-40.0, 40.0, 97), far, -far))
     degrees, ones = np.arange(16), np.ones(16)
-    every = quadrature._panel_sums(
-        _legendre_owner, -np.tile(ones, len(xs)), np.tile(ones, len(xs)), np.tile(degrees, len(xs)), xs.repeat(16)
+    every = quadrature._sums(
+        _legendre_owner, -np.tile(ones, len(xs)), np.tile(ones, len(xs)), np.tile(degrees, len(xs)), None, xs.repeat(16)
     ).reshape(len(xs), 16)
     for x, row in zip(xs.tolist(), every):
-        alone = quadrature._panel_sums(_legendre_owner, -ones, ones, degrees, np.full(16, x))
+        alone = quadrature._sums(_legendre_owner, -ones, ones, degrees, None, np.full(16, x))
         assert np.abs(alone - _reference_moments(x)).max() <= 1e-13, x
         # each panel's sum depends on its own panel alone, whatever else shares the call
         assert np.array_equal(alone, row)
@@ -327,6 +327,43 @@ def test_initial_panels_are_evaluated_in_chunks():
     # each split evaluates the four half-panels of its two children in one call
     assert sizes[seeding:] == [4 * order] * (int(used.sum()) - n_initial)
     assert np.abs(1.0 / zs + values).max() <= 1e-10
+
+
+def _logged_zero(calls):
+    """F = 0, whose every panel sum and estimate is exactly 0; logs the nodes of each call."""
+
+    def fn(t, k):
+        calls.append(t.copy())
+        return np.zeros(t.shape)
+
+    return fn
+
+
+def test_refinement_stops_once_every_estimate_is_zero(monkeypatch):
+    # a crafted state: one panel of estimate 1 under a running estimate of 2, so that after its split the
+    # running estimate (1) stays above the target while every panel's estimate is exactly 0
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)  # a third split would raise BudgetExceeded
+    calls = []
+    zeros = np.zeros(1, dtype=complex)
+    value, est_error, used = quadrature._refine(
+        _logged_zero(calls), 0, 0.0, np.array([0.0]), np.array([1.0]), zeros, zeros, np.array([1.0]), 0j, 2.0, TIGHT
+    )
+    assert (value, est_error, used) == (0j, 0.0, 2)
+    assert len(calls) == 1
+
+
+def test_refinement_splits_the_older_of_equally_bad_panels():
+    # panel 0 = [1, 2] is older than panel 1 = [0, 1] and has the same estimate, bit for bit; panel 2 is better
+    calls = []
+    lo, hi, err = np.array([1.0, 0.0, 2.0]), np.array([2.0, 1.0, 3.0]), np.array([0.5, 0.5, 0.25])
+    zeros = np.zeros(3, dtype=complex)
+    _, _, used = quadrature._refine(_logged_zero(calls), 0, 0.0, lo, hi, zeros, zeros, err, 0j, 1.0, TIGHT)
+    # 1.0 - 0.5 is still above the target, 1.0 - 0.5 - 0.5 is not: two splits, the older panel's first
+    assert used == 5
+    assert [(float(call.min()), float(call.max())) for call in calls] == [
+        (pytest.approx(1.0, abs=0.01), pytest.approx(2.0, abs=0.01)),
+        (pytest.approx(0.0, abs=0.01), pytest.approx(1.0, abs=0.01)),
+    ]
 
 
 def _per_panel_reference(fn, a, b, budget):

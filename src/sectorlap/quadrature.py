@@ -13,8 +13,9 @@ projection of F on the 16 Gauss-Legendre nodes against the carrier exactly
 At kappa h = 0 this is the plain Gauss-Legendre sum, which such panels use
 directly.  A panel's accuracy depends on how well a polynomial fits F, not
 on how many periods of the carrier it spans, so a rapidly rotating carrier
-costs no extra panels.  The moments come from a 40-point Gauss-Legendre rule
-for |x| < 12 and from Rayleigh's closed form of j_n beyond.
+costs no extra panels.  For |x| < 12 the moments are degree-15 Taylor
+series in x - c about the nearest integer c, from a table of their
+derivatives at c = -12..12; beyond, they take Rayleigh's closed form of j_n.
 
 Each panel carries a two-level error estimate |sum(halves) - sum(panel)|.
 
@@ -53,10 +54,13 @@ re-summed estimate, 0.
 A panel's sums come out the same whichever panels and integrals share its
 integrand call and its coefficients (every integrand call holds at least
 three panels, numpy's matrix products over two or more rows compute each
-row on its own, and each row's moments depend on its own kappa h alone), so
-every integral gets the same panels, values and estimates, bit for bit, as
-when integrated alone.  A pass seeds all its integrals in one step, then
-finishes them in input order: each takes its seed sums or is refined.  Sums
+row on its own, and each row's moments are a stacked product of its own
+kappa h alone), so every integral gets the same panels, values and
+estimates, bit for bit, as when integrated alone.  A pass seeds all its
+integrals in one step; those that meet their target take their plain seed
+sums, and the sums' rounding bound n eps sum |panel sum| over their n panels
+is added to est_error after the check; the others are refined in input
+order.  Sums
 are checked for finite values before they are used: a NaN or infinite
 integrand value raises IllConditioned naming the first affected panel,
 instead of a NaN estimate ending refinement as if it had converged.
@@ -112,9 +116,7 @@ class _Rule(NamedTuple):
     nodes: np.ndarray
     weights: np.ndarray
     project: np.ndarray
-    near_nodes: np.ndarray
-    near_cos: np.ndarray
-    near_sin: np.ndarray
+    taylor: np.ndarray
     far: np.ndarray
 
 
@@ -128,38 +130,48 @@ def _rule() -> _Rule:
     i_powers = np.array([1, 1j, -1, -1j])[degrees % 4]
     # F at the nodes -> i^n c_n: the Legendre coefficients, with the moments' factor i^n folded in
     project = legvander(nodes, _ORDER - 1) * weights[:, None] * (degrees + 0.5) * i_powers
-    # m_n(x) = M_n(x) / i^n = 2 j_n(x) is real.  Below |x| = _RAYLEIGH_FROM it is a 40-point
-    # Gauss-Legendre sum folded by parity onto the 20 positive nodes u: cos(x u) for the even
-    # degrees, sin(x u) for the odd ones.
-    near_nodes, near_weights = (half[20:] for half in leggauss(40))
-    near = legvander(near_nodes, _ORDER - 1) * 2.0 * near_weights[:, None] * (-1.0) ** (degrees // 2)
+    # m_n(x) = M_n(x) / i^n = 2 j_n(x) is real.  Below |x| = _RAYLEIGH_FROM it is a Taylor series in x - c
+    # about the nearest integer c: taylor[c, k, n] = m_n^{(k)}(c) / k!, rows c = 0..12 then -12..-1, so that
+    # c indexes them.  Miller's backward recurrence j_{l-1} = (2l+1) j_l / c - j_{l+1} from l = 60, scaled by
+    # sum (2l+1) j_l^2 = 1 and the sign of j_0(c) = sin(c) / c, gives j_l(c) for c = 1..12; m_l(0) = 2 [l = 0]
+    # and m_l(-c) = (-1)^l m_l(c).
+    c = np.arange(1.0, _RAYLEIGH_FROM + 1.0)
+    j = [np.zeros(len(c)), np.ones(len(c))]
+    for ell in range(60, 0, -1):
+        j.append((2 * ell + 1) / c * j[-1] - j[-2])
+    j = np.array(j[:0:-1])  # j_0 ... j_60
+    j *= np.sign(j[0] * np.sin(c)) / np.sqrt(((2 * np.arange(len(j)) + 1)[:, None] * j**2).sum(axis=0))
+    ells = np.arange(2 * _ORDER - 1)
+    m = np.concatenate(([2.0 * (ells == 0)], 2.0 * j[: len(ells)].T, 2.0 * j[: len(ells), ::-1].T * (-1.0) ** ells))
+    # the derivatives by (2l+1) m_l' = l m_{l-1} - (l+1) m_{l+1}, exact for k + n < 31 without m_31
+    derive = (np.diag(ells[1:], 1) - np.diag(ells[1:], -1)) / (2 * ells + 1)
+    taylor = np.empty((len(m), _ORDER, _ORDER))
+    for k in range(_ORDER):
+        taylor[:, k], m = m[:, :_ORDER], m @ derive / (k + 1)
     # From there on, Rayleigh's closed form m_n(x) = Re(e^{ix} sum_k R[k, n] x^{-k-1}) with
     # R[k, n] = 2 (-i)^{n+1} (n+k)! / (k! (n-k)!) (i/2)^k, 0 for k > n; far holds Re R, then Im R.
-    counts = np.array(
-        [[math.comb(n + k, k) * math.perm(n, k) for n in range(_ORDER)] for k in range(_ORDER)], dtype=float
-    )
+    counts = np.array([[math.comb(n + k, k) * math.perm(n, k) for n in range(_ORDER)] for k in range(_ORDER)], float)
     k, n = np.indices((_ORDER, _ORDER))
     rayleigh = 2.0 * 0.5**k * counts * i_powers[(3 * n + 3 + k) % 4]
-    return _Rule(
-        nodes,
-        weights,
-        project,
-        near_nodes,
-        np.where(degrees % 2 == 0, near, 0.0),
-        np.where(degrees % 2 == 1, near, 0.0),
-        np.concatenate((rayleigh.real, rayleigh.imag), axis=1),
-    )
+    return _Rule(nodes, weights, project, taylor, np.concatenate((rayleigh.real, rayleigh.imag), axis=1))
+
+
+def _series(base: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k base^k table[k] (k < 16) per base, or with table[i] for base[i]; a stacked product, row by row."""
+    powers = np.repeat(base[:, None], _ORDER, axis=1)
+    powers[:, 0] = 1.0
+    return (np.multiply.accumulate(powers, axis=1, out=powers)[:, None, :] @ table)[:, 0]
 
 
 def _near_moments(x: np.ndarray) -> np.ndarray:
-    rule = _rule()
-    ux = np.multiply.outer(x, rule.near_nodes)
-    return np.cos(ux) @ rule.near_cos + np.sin(ux) @ rule.near_sin
+    c = np.rint(x)
+    return _series(x - c, _rule().taylor[c.astype(np.intp)])
 
 
 def _far_moments(x: np.ndarray) -> np.ndarray:
-    rayleigh = np.cumprod(np.repeat((1.0 / x)[:, None], _ORDER, axis=1), axis=1) @ _rule().far
-    return np.cos(x)[:, None] * rayleigh[:, :_ORDER] - np.sin(x)[:, None] * rayleigh[:, _ORDER:]
+    inv = 1.0 / x
+    rayleigh = _series(inv, _rule().far)
+    return (np.cos(x) * inv)[:, None] * rayleigh[:, :_ORDER] - (np.sin(x) * inv)[:, None] * rayleigh[:, _ORDER:]
 
 
 def _moments(x: np.ndarray) -> np.ndarray:
@@ -168,16 +180,8 @@ def _moments(x: np.ndarray) -> np.ndarray:
     Each row depends on its own x only, whichever rows share the call.
     """
     near = np.abs(x) < _RAYLEIGH_FROM
-    count = np.count_nonzero(near)
-    if count == len(x):
+    if np.count_nonzero(near) == len(x):
         return _near_moments(x)
-    if not count:
-        return _far_moments(x)
-    if min(count, len(x) - count) < 2:
-        # a one-row matrix product can round differently from the same row among others, so a lone
-        # row of either kind is computed among all rows; the far form is discarded where x is near 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(near[:, None], _near_moments(x), _far_moments(x))
     moments = np.empty((len(x), _ORDER))
     moments[near] = _near_moments(x[near])
     far = ~near
@@ -355,49 +359,47 @@ def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget)
     return value, math.fsum(-p[0] for p in heap), len(heap)
 
 
-def _integrate_seeds(fn, a, b, first: list, owners: np.ndarray, family: list, freq: np.ndarray, budget):
+def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, freq: np.ndarray, budget):
     """Integrals j of fn(t, owners[f]) e^{i freq[j] t} over the seed panels of their family f = family[j].
 
-    Family f's seed panels are [a[i], b[i]] for first[f] <= i < first[f + 1];
-    ``first`` is increasing, and families are numbered in the order of
-    their first integral.  Every integral is seeded in one step; then each,
-    in input order, raises IllConditioned for a non-finite seed sum, takes
-    its seed sums or is refined.  Returns value, est_error and panels used
-    for each integral, in order.
+    Family f's seed panels are count[f] consecutive panels [a[i], b[i]],
+    after those of the families before it; families are numbered in the
+    order of their first integral.  Every integral is seeded in one step;
+    those whose seed sums are finite and meet their target take their plain
+    sums, off by less than n eps sum |panel sum| over their n panels (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 4.2), which
+    est_error includes.  The others, in input order, raise IllConditioned
+    for a non-finite seed sum or are refined.  Returns arrays of value,
+    est_error and panels used per integral.
     """
-    bounds = [*first, len(a)]
-    counts = [bounds[f + 1] - bounds[f] for f in family]
-    ends = list(itertools.accumulate(counts))
-    starts = [q - count for q, count in zip(ends, counts)]
+    bounds = list(itertools.accumulate(count.tolist(), initial=0))  # family f's seed panels: bounds[f]:bounds[f + 1]
+    counts = count[family]
+    starts = counts.cumsum() - counts
     # column q of the sums is panel q - starts[j] of integral j, family panel src[q]; with one integral
     # per family, the columns are the family panels themselves
     src = None
-    if len(family) != len(first):
-        src = np.arange(ends[-1]) + np.repeat([bounds[f] - p for f, p in zip(family, starts)], counts)
-    owner = owners.repeat(counts if src is None else np.diff(bounds))
-    sums = _seed(fn, a, b, owner, src, freq.repeat(counts))
+    if len(counts) != len(count):
+        src = np.arange(starts[-1] + counts[-1]) + np.repeat(np.array(bounds)[family] - starts, counts)
+    sums = _seed(fn, a, b, owners.repeat(count), src, freq.repeat(counts))
     finite = None if np.isfinite(sums).all() else np.isfinite(sums).all(axis=0)
     coarse, left, right = sums if finite is None else np.where(finite, sums, 0.0)
     fine = left + right
     err = np.abs(fine - coarse)
-    # running totals per integral, each summed over its own panels alone
-    totals = np.add.reduceat(fine, starts).tolist()
-    fine_re, fine_im, err_list = fine.real.tolist(), fine.imag.tolist(), err.tolist()
-    ok = [True] * len(family) if finite is None else np.logical_and.reduceat(finite, starts).tolist()
-
-    values, errors, used = [], [], []
-    for j, (p, q, total) in enumerate(zip(starts, ends, totals)):
-        total_err = math.fsum(err_list[p:q])
-        if ok[j] and total_err <= budget.rel_tol * abs(total) + budget.abs_floor:
-            result = complex(math.fsum(fine_re[p:q]), math.fsum(fine_im[p:q])), total_err, q - p
-        else:
-            f = family[j]
-            lo, hi = a[bounds[f] : bounds[f + 1]], b[bounds[f] : bounds[f + 1]]
-            if not ok[j]:
-                _check_finite(sums[:, p:q], lo, hi)
-            result = _refine(fn, owners[f], freq[j], lo, hi, left[p:q], right[p:q], err[p:q], total, total_err, budget)
-        for out, x in zip((values, errors, used), result):
-            out.append(x)
+    # per integral, each over its own panels alone: the plain sum, its estimate and sum |fine|
+    values, total_errs, sizes = (np.add.reduceat(v, starts) for v in (fine, err, np.abs(fine)))
+    done = total_errs <= budget.rel_tol * np.abs(values) + budget.abs_floor
+    if finite is not None:
+        done &= np.logical_and.reduceat(finite, starts)
+    errors, used = total_errs + counts * math.ulp(1.0) * sizes, counts  # ulp(1) = eps
+    for j in (~done).nonzero()[0].tolist():
+        f, p, q = family[j], int(starts[j]), int(starts[j] + counts[j])
+        lo, hi = a[bounds[f] : bounds[f + 1]], b[bounds[f] : bounds[f + 1]]
+        if finite is not None:
+            _check_finite(sums[:, p:q], lo, hi)
+        total, total_err = complex(values[j]), float(total_errs[j])
+        values[j], errors[j], used[j] = _refine(
+            fn, owners[f], freq[j], lo, hi, left[p:q], right[p:q], err[p:q], total, total_err, budget
+        )
     return values, errors, used
 
 
@@ -407,8 +409,8 @@ def _integrate_segments(fn, a: np.ndarray, b: np.ndarray, budget: QuadratureBudg
     Returns value, est_error and panels used per integral, each as
     ``integrate_segment`` computes it alone.
     """
-    j = list(range(len(a)))
-    return _integrate_seeds(fn, a, b, j, np.arange(len(a)), j, freq, budget)
+    j = np.arange(len(a))
+    return _integrate_seeds(fn, a, b, np.ones(len(a), dtype=np.intp), j, j, freq, budget)
 
 
 def integrate_segment(
@@ -424,9 +426,9 @@ def integrate_segment(
         raise ValueError(f"segment endpoints must be finite with a <= b, got [{a}, {b}]")
     if a == b:
         return IntegralResult(0j, 0.0, 0.0, 0)
-    (value,), (err,), (used,) = _integrate_segments(
+    value, err, used = (r.item() for r in _integrate_segments(
         lambda t, k: fn(t.ravel()), np.array([a], float), np.array([b], float), budget, np.array([freq])
-    )
+    ))
     return IntegralResult(value, err, 0.0, used)
 
 
@@ -434,7 +436,7 @@ def _ray_breakpoints(T: list[float], rate: list[float]) -> tuple[np.ndarray, np.
     """Geometric seed intervals of each ray [0, T[j]], dense near 0 where the integrand lives.
 
     Ray j gets [0, s], [s, 2s], [2s, 4s], ... up to T[j], with s = min(1/rate[j], T[j]).
-    Returns the interval ends a, b and the first interval of each ray.
+    Returns the interval ends a, b and the number of intervals of each ray.
     """
     step = [min(1.0 / m, T_j) for T_j, m in zip(T, rate)]
     # intervals per ray: 1 + the least d with s * 2^d >= T, exactly, from binary exponents and mantissas
@@ -446,7 +448,7 @@ def _ray_breakpoints(T: list[float], rate: list[float]) -> tuple[np.ndarray, np.
     a = 0.5 * b
     a[first] = 0.0
     b[ends - 1] = T
-    return a, b, first
+    return a, b, count
 
 
 def _integrate_rays(
@@ -501,27 +503,22 @@ def _integrate_rays(
             live.append(f)
     value, err, panels = [0j] * n, [bound[f] for f in family], [0] * n
     if live:
-        a, b, first = _ray_breakpoints([T[f] for f in live], [rates[f] for f in live])
+        a, b, count = _ray_breakpoints([T[f] for f in live], [rates[f] for f in live])
         renumber = dict(zip(live, itertools.count()))
         mine = [j for j, f in enumerate(family) if f in renumber]
         values, errors, used = _integrate_seeds(
             fn,
             a,
             b,
-            first.tolist(),
+            count,
             np.array([leaders[f] for f in live]),
             [renumber[family[j]] for j in mine],
             freq if len(mine) == n else freq[mine],
             budget,
         )
-        for j, v, e, u in zip(mine, values, errors, used):
+        for j, v, e, u in zip(mine, values.tolist(), errors.tolist(), used.tolist()):
             value[j], err[j], panels[j] = v, e + err[j], u
-    return (
-        np.array(value, dtype=complex),
-        np.array(err),
-        np.array([T[f] for f in family]),
-        np.array(panels, dtype=np.int64),
-    )
+    return np.array(value, dtype=complex), np.array(err), np.array([T[f] for f in family]), np.array(panels)
 
 
 def integrate_ray(
@@ -543,7 +540,7 @@ def integrate_ray(
         budget,
         np.array([freq]),
     )
-    return IntegralResult(complex(value[0]), float(err[0]), float(T[0]), int(used[0]))
+    return IntegralResult(*(r.item() for r in (value, err, T, used)))
 
 
 def cauchy_kernel_check(z: complex, budget: QuadratureBudget | None = None) -> IntegralResult:

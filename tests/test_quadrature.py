@@ -3,6 +3,10 @@
 import heapq
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -22,6 +26,7 @@ from sectorlap import (
 from sectorlap import quadrature
 
 TIGHT = QuadratureBudget(rel_tol=1e-12, abs_floor=1e-14)
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def test_budget_validation():
@@ -220,6 +225,70 @@ def test_panel_rule_matches_reference_moments():
         assert np.abs(alone - _reference_moments(x)).max() <= 1e-13, x
         # each panel's sum depends on its own panel alone, whatever else shares the call
         assert np.array_equal(alone, row)
+
+
+I_POWERS = 1j ** np.arange(16)
+# the rint ties, the last Taylor row and the switch to Rayleigh's closed form at |x| = 12
+EDGES = [0.5, -0.5, 11.5, -11.5, 11.999999999, -11.999999999, 12.0, -12.0, 12.000000001]
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [3.25],  # a single near row
+        [40.0],  # a single far row
+        [1e4, 0.7, -25.0, 13.0],  # one near row among far rows
+        [0.3, -7.5, 12.5, 2.0, -11.0],  # one far row among near rows
+        EDGES,
+        EDGES[::-1] + [0.0, 1e-300, 1e4],
+    ],
+    ids=["near-alone", "far-alone", "near-among-far", "far-among-near", "edges", "edges-mixed"],
+)
+def test_each_moment_row_is_its_own_x_alone(xs):
+    rows = quadrature._moments(np.array(xs))
+    for x, row in zip(xs, rows):
+        alone = quadrature._moments(np.array([x]))
+        assert np.array_equal(alone[0], row), x
+        assert np.abs(row * I_POWERS - _reference_moments(x)).max() <= 1e-13, x
+
+
+def test_taylor_table_matches_reference_derivatives():
+    # m_n^{(k)}(c) / k! = i^{-n} int P_n(u) (iu)^k / k! e^{icu} du, by the composite rule of _reference_moments
+    u, w = np.polynomial.legendre.leggauss(30)
+    edges = np.linspace(-1.0, 1.0, 33)
+    half = 0.5 * np.diff(edges)
+    t = ((edges[:-1] + half)[:, None] + half[:, None] * u).ravel()
+    weights, legendre = np.repeat(half, 30) * np.tile(w, 32), np.polynomial.legendre.legvander(t, 15)
+    scaled_powers = (1j * t[:, None]) ** np.arange(16) / [math.factorial(k) for k in range(16)]
+    table = quadrature._rule().taylor
+    for c in range(-12, 13):
+        reference = (weights * np.exp(1j * c * t) * scaled_powers.T) @ legendre / I_POWERS
+        assert np.abs(table[c] - reference.real).max() <= 1e-14, c
+
+
+def test_importing_the_package_leaves_the_rule_tables_unbuilt():
+    # the tables, and numpy.polynomial with them, are built on the first panel only
+    code = (
+        "import sys, numpy; numpy_only = set(sys.modules); import sectorlap; "
+        "assert 'numpy.polynomial' not in set(sys.modules) - numpy_only; "
+        "sectorlap.integrate_segment(lambda t: t, 0.0, 1.0); assert 'numpy.polynomial' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
+
+
+def test_a_seed_finished_integral_counts_its_summation_rounding(monkeypatch):
+    # F = 1 on unit panels, 1, 4 or 2 per integral: each panel's two levels agree exactly, so est_error is
+    # the bound n eps sum |panel sum| alone
+    fsums, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: fsums.append(1) or fsum(values))
+    count = np.array([1, 4, 2] * 100)
+    b, j = np.arange(1.0, count.sum() + 1), np.arange(len(count))
+    values, errors, used = quadrature._integrate_seeds(
+        lambda t, k: np.ones(t.shape), b - 1.0, b, count, j, j, np.zeros(len(count)), TIGHT
+    )
+    assert fsums == []  # no integral took the refinement path, which sums with math.fsum
+    assert np.array_equal(used, count)
+    assert np.array_equal(errors, count * math.ulp(1.0) * np.abs(values)) and np.all(errors > 0.0)
 
 
 @pytest.mark.parametrize("amplitude", [1e300, 1.7e308])

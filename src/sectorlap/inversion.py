@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ORACLE_SOURCES, TestFunction, pick_oracle, type_for
-from .errors import AngularMarginTooSmall, OutsideSector, SectorLapError
+from .errors import AngularMarginTooSmall, IllConditioned, OutsideSector, SectorLapError
 from .geometry import ContourGamma, SectorSpec, _ray_distance, build_gamma, sector_contains
 from .indicator import indicator_value
 from .laplace import DELTA_MIN_DEFAULT, _decay_rate, _g_values
@@ -123,7 +123,12 @@ def _admit(z: complex, alpha: float, p: float) -> tuple[float, float]:
 
 
 def reconstruct(q: ReconstructionQuery) -> IntegralResult:
-    """f(z) from g by the two-leg contour integral, both legs in one engine pass."""
+    """f(z) from g by the two-leg contour integral, both legs in one engine pass.
+
+    Raises IllConditioned when a nonzero value is not above its est_error:
+    none of its digits, not even its sign, is certain.  A value of exactly 0
+    (the zero entry) claims no digit and is returned with its est_error.
+    """
     z = complex(q.z)
     alpha, p = q.gamma.alpha, q.gamma.p
     phi, weight = _admit(z, alpha, p)
@@ -157,6 +162,11 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
         total += complex(values[leg])
         # g's inner error enters weighted by |e^{-wz}|, whose integral along the leg is e^{-p Re z} / rate
         err += float(errors[leg]) + float(inner_err[leg]) * weight / rate
+    if total != 0 and not err < abs(total):
+        # written "not <" so that a NaN estimate fails too
+        raise IllConditioned(
+            f"z={z}: est_error {err:.3e} is not below |value| {abs(total):.3e}, so no digit of the value is certain"
+        )
     return IntegralResult(total, err, max(0.0, *ts.tolist()), int(used.sum()))
 
 

@@ -13,11 +13,13 @@ projection of F on the 16 Gauss-Legendre nodes against the carrier exactly
 At kappa h = 0 this is the plain Gauss-Legendre sum, which such panels use
 directly.  A panel's accuracy depends on how well a polynomial fits F, not
 on how many periods of the carrier it spans, so a rapidly rotating carrier
-costs no extra panels.  For |x| < 12 the moments are degree-15 Taylor
-series in x - c about the nearest integer c, from a table of their
-derivatives at c = -12..12; beyond, they take Rayleigh's closed form of j_n.
+costs no extra panels.  For |x| < 24 the moments are degree-15 Taylor
+series in x - c about the nearest integer c, from a 49 x 16 x 16 table of
+their derivatives at c = -24..24; from 24 on, where it keeps its digits,
+they take Rayleigh's closed form of j_n.
 
-Each panel carries a two-level error estimate |sum(halves) - sum(panel)|.
+A panel is carried as m and h, its halves as m -+ h/2 with half-width h/2
+exactly, and it has a two-level error estimate |sum(halves) - sum(panel)|.
 
 One engine pass computes many independent integrals.  Every seed panel has
 an owner, the index of the integral it belongs to, and the engine calls its
@@ -37,38 +39,42 @@ panel (vals @ project, vals @ weights), and lets each integral on the panel
 apply its own carrier to those coefficients, the moments of kappa h and
 e^{i kappa m}.  Seeding hands it the whole panels, left halves and right
 halves of all seed panels; an integral that shares nothing is a family of
-one.  Each integral is then checked against its own target
+one.  The moments are computed once per distinct kappa h of a call, at
+most 3 * _CARRY_COLUMNS rows at a time, for the rows that ``_seed_rows``
+finds from the panels' structure: as a ray's seed panels double in width,
+an integral of d seed panels takes d + 1 rows, not 3d.  Each integral is
+then checked against its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
 and one that misses it is refined on its own, from the panel state seeding
 left and on its family's F.  Refinement keeps the integral's panels on a
 heap, worst estimate first and the older panel on ties, and splits the top
-one, with one ``_sums`` call for the four half-panels of both children,
-until the target is met or it holds _MAX_PANELS panels (BudgetExceeded,
-never silent degradation).  The running estimate is updated per split; if
-rounding leaves it above the target once the top estimate is exactly 0, no
-panel can usefully be split, so refinement stops there and reports the
-re-summed estimate, 0.
+one, with one ``_sums`` call for the four half-panels of both children (of
+one width, so of one moment row), until the target is met or it holds
+_MAX_PANELS panels (BudgetExceeded, never silent degradation).  The running
+estimate is updated per split; if rounding leaves it above the target once
+the top estimate is exactly 0, no panel can usefully be split, so
+refinement stops there and reports the re-summed estimate, 0.
 
 A panel's sums come out the same whichever panels and integrals share its
 integrand call and its coefficients (every integrand call holds at least
 three panels, numpy's matrix products over two or more rows compute each
 row on its own, and each row's moments are a stacked product of its own
-kappa h alone), so every integral gets the same panels, values and
-estimates, bit for bit, as when integrated alone.  A pass seeds all its
-integrals in one step; those that meet their target take their plain seed
-sums, and the sums' rounding bound n eps sum |panel sum| over their n panels
-is added to est_error after the check; the others are refined in input
-order.  Sums
-are checked for finite values before they are used: a NaN or infinite
-integrand value raises IllConditioned naming the first affected panel,
-instead of a NaN estimate ending refinement as if it had converged.
-Failures surface in input order, as if the integrals were computed one
-after another: seeding has evaluated every integral, but a bad seed sum or
-an exhausted budget is raised only once the integrals before it are
-finished.  ``integrate_segment`` and ``integrate_ray`` are the one-integral
-case, and hand their integrands a 1-D array of points.
+kappa h alone, shared only with entries of the same kappa h), so every
+integral gets the same panels, values and estimates, bit for bit, as when
+integrated alone.  A pass seeds all its integrals in one step; those that
+meet their target take their plain seed sums, and the sums' rounding bound
+n eps sum |panel sum| over their n panels is added to est_error after the
+check; the others are refined in input order.  Sums are checked for finite
+values before they are used: a NaN or infinite integrand value raises
+IllConditioned naming the first affected panel, instead of a NaN estimate
+ending refinement as if it had converged.  Failures surface in input order,
+as if the integrals were computed one after another: seeding has evaluated
+every integral, but a bad seed sum or an exhausted budget is raised only
+once the integrals before it are finished.  ``integrate_segment`` and
+``integrate_ray`` are the one-integral case, and hand their integrands a
+1-D array of points.
 
 Ray integrals over [0, inf) are truncated analytically: given a certified
 envelope |F(t)| <= A e^{-m t}, the tail beyond T is bounded by A e^{-m T}/m
@@ -105,11 +111,12 @@ __all__ = [
 _CHUNK_PANELS = 64
 # panels one integral may use; a ray seeds at most 13 and a segment 1, so only refinement reaches it
 _MAX_PANELS = 4000
-# seed columns (3 panel sums each) per carrier step, so that the steps' moments stay in cache
+# 3 * 128 panel sums per carrier step, and moment rows per _moments call: each row's stacked product gathers a
+# 16 x 16 Taylor table, so bounded blocks keep those tables in cache and out of peak memory
 _CARRY_COLUMNS = 128
 
 _ORDER = 16  # Gauss-Legendre nodes per panel
-_RAYLEIGH_FROM = 12.0  # |kappa h| from which the moments take Rayleigh's closed form
+_RAYLEIGH_FROM = 24.0  # |kappa h| from which the moments take Rayleigh's closed form
 
 
 class _Rule(NamedTuple):
@@ -131,10 +138,10 @@ def _rule() -> _Rule:
     # F at the nodes -> i^n c_n: the Legendre coefficients, with the moments' factor i^n folded in
     project = legvander(nodes, _ORDER - 1) * weights[:, None] * (degrees + 0.5) * i_powers
     # m_n(x) = M_n(x) / i^n = 2 j_n(x) is real.  Below |x| = _RAYLEIGH_FROM it is a Taylor series in x - c
-    # about the nearest integer c: taylor[c, k, n] = m_n^{(k)}(c) / k!, rows c = 0..12 then -12..-1, so that
-    # c indexes them.  Miller's backward recurrence j_{l-1} = (2l+1) j_l / c - j_{l+1} from l = 60, scaled by
-    # sum (2l+1) j_l^2 = 1 and the sign of j_0(c) = sin(c) / c, gives j_l(c) for c = 1..12; m_l(0) = 2 [l = 0]
-    # and m_l(-c) = (-1)^l m_l(c).
+    # about the nearest integer c: taylor[c, k, n] = m_n^{(k)}(c) / k!, rows c = 0..24 then -24..-1, so that
+    # c indexes them.  Miller's backward recurrence j_{l-1} = (2l+1) j_l / c - j_{l+1} from l = 60, scaled
+    # by sum (2l+1) j_l^2 = 1 and the sign of j_0(c) = sin(c) / c, gives j_l(c) for c = 1..24 within 4.4e-16;
+    # m_l(0) = 2 [l = 0] and m_l(-c) = (-1)^l m_l(c).
     c = np.arange(1.0, _RAYLEIGH_FROM + 1.0)
     j = [np.zeros(len(c)), np.ones(len(c))]
     for ell in range(60, 0, -1):
@@ -230,41 +237,46 @@ class IntegralResult:
     panels_used: int
 
 
-def _carry(coeffs, plain, x: np.ndarray, freq: np.ndarray, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
+def _carry(coeffs, plain, x: np.ndarray, moments, freq: np.ndarray, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Sums of F e^{i freq t} over panels of midpoints mid and half-widths half, from F's projections.
 
     One panel per row: ``coeffs`` holds vals @ project and ``plain`` vals @
-    weights, vals being F at the panel's nodes, and x = freq * half.  A
-    panel's sum is the Filon sum where x != 0 and the plain Gauss-Legendre
-    sum where x = 0; a projection is None where no panel needs it.  The
+    weights, vals being F at the panel's nodes, x = freq * half and
+    ``moments`` the rows _moments(x).  A panel's sum is the Filon sum where
+    x != 0 and the plain Gauss-Legendre sum where x = 0; a projection is None
+    where no panel needs it, and x is needed only where both are given.  The
     caller ignores invalid and overflowing floating-point operations.
     """
     if coeffs is None:
         return half * plain
-    filon = half * np.exp(1j * (freq * mid)) * (coeffs * _moments(x)).sum(axis=1)
+    filon = half * np.exp(1j * (freq * mid)) * (coeffs * moments).sum(axis=1)
     return filon if plain is None else np.where(x == 0.0, half * plain, filon)
 
 
-def _sums(fn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, src, freq: np.ndarray) -> np.ndarray:
-    """Sums of F e^{i freq[q] t} over the panels [lo[src[q]], hi[src[q]]], one per entry q.
+def _sums(fn, mid: np.ndarray, half: np.ndarray, owner: np.ndarray, src, freq: np.ndarray, x, row) -> np.ndarray:
+    """Sums of F e^{i freq[q] t} over the panels of midpoint mid[src[q]] and half-width half[src[q]], one per entry q.
 
     The one panel kernel of seeding and refinement.  F is fn with column
-    owner[i] on panel [lo[i], hi[i]]; ``src`` None stands for src[q] = q.  F
-    is evaluated (nodes as rows, owners as a column) and projected once per
-    panel, up to 3 * _CHUNK_PANELS panels per integrand call, however many
-    entries share the panel; the entries then apply their own carriers,
-    3 * _CARRY_COLUMNS at a time.
+    owner[i] on panel i; ``src`` None stands for src[q] = q.  F is evaluated
+    (nodes as rows, owners as a column) and projected once per panel, up to
+    3 * _CHUNK_PANELS panels per integrand call.  Entry q takes the moments
+    of x[row[q]] = freq[q] * half[src[q]], computed once per row of x;
+    moments and carriers go 3 * _CARRY_COLUMNS rows and entries at a time.
     """
     rule = _rule()
-    chunks = range(0, len(lo) + 3 * _CHUNK_PANELS, 3 * _CHUNK_PANELS)
+    step = 3 * _CARRY_COLUMNS
+    chunks = range(0, len(mid) + 3 * _CHUNK_PANELS, 3 * _CHUNK_PANELS)
     if src is None:
         cut = list(chunks)
     else:
         # the entries of the panels [chunks[i], chunks[i + 1]) are by_panel[cut[i]:cut[i + 1]]
         by_panel = np.argsort(src, kind="stable")
         cut = np.searchsorted(src[by_panel], chunks).tolist()
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     sums = np.empty(len(freq), dtype=complex)
+    # entries all carried, all plain (x = 0), or both; only with both does a block need each entry's x
+    nonzero = np.count_nonzero(x)
+    mixed = 0 < nonzero < len(x)
+    moments = None
     for i, s in enumerate(chunks[:-1]):
         c = slice(s, s + 3 * _CHUNK_PANELS)
         m, h = mid[c], half[c]
@@ -274,36 +286,88 @@ def _sums(fn, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, src, freq: np.n
             vals = vals.reshape(pts.shape) if vals.size == pts.size else np.broadcast_to(vals, pts.shape)
         coeffs = plain = None
         # with src None, a chunk's entries are its panels, one block as _CARRY_COLUMNS >= _CHUNK_PANELS
-        for q in range(cut[i], cut[i + 1], 3 * _CARRY_COLUMNS):
-            block, rows = slice(q, min(q + 3 * _CARRY_COLUMNS, cut[i + 1])), None
+        for q in range(cut[i], cut[i + 1], step):
+            block, panels = slice(q, min(q + step, cut[i + 1])), None
             block_mid, block_half = m, h
             if src is not None:
                 block = by_panel[block]
-                rows = src[block] - s  # the chunk row of each entry's panel
-                block_mid, block_half = m[rows], h[rows]
-            f = freq[block]
-            x = f * block_half
-            carried = np.count_nonzero(x)
+                panels = src[block] - s  # the chunk row of each entry's panel
+                block_mid, block_half = m[panels], h[panels]
+            rows = row[block]
+            if mixed:
+                block_x = x[rows]
+                carried = np.count_nonzero(block_x)
+            else:
+                block_x, carried = None, len(rows) if nonzero else 0
             with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
+                if carried and moments is None:
+                    # a _moments call gathers a 16 x 16 table per row: bounded blocks keep those tables small
+                    moments = _moments(x) if len(x) <= step else np.concatenate(
+                        [_moments(x[r : r + step]) for r in range(0, len(x), step)]
+                    )
                 if carried and coeffs is None:
                     coeffs = vals @ rule.project
-                if carried < len(x) and plain is None:
+                if carried < len(rows) and plain is None:
                     plain = vals @ rule.weights
-                block_coeffs = (coeffs if rows is None else coeffs[rows]) if carried else None
-                block_plain = (plain if rows is None else plain[rows]) if carried < len(x) else None
-                sums[block] = _carry(block_coeffs, block_plain, x, f, block_mid, block_half)
+                block_coeffs = (coeffs if panels is None else coeffs[panels]) if carried else None
+                block_plain = (plain if panels is None else plain[panels]) if carried < len(rows) else None
+                shared = moments[rows] if carried else None
+                sums[block] = _carry(block_coeffs, block_plain, block_x, shared, freq[block], block_mid, block_half)
     return sums
 
 
-def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, src, freq: np.ndarray) -> np.ndarray:
-    """Whole-panel, left-half and right-half sums of F e^{i freq[q] t} over the panels [a[src[q]], b[src[q]]].
+def _seed_rows(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The moment row of each of ``_seed``'s entries, and an entry of each row, for integrals of count[j] panels.
 
-    F is as in ``_sums``, on the seed panels [a[i], b[i]]; returns three rows of one column q each.
+    Integral j's panels are one panel or a ray's [0, s], [s, 2s], [2s, 4s],
+    ... up to T from ``_ray_breakpoints``.  A panel's halves share a row,
+    right before its own; panels 0 and 1 have one half-width (b - a) / 2,
+    and the halves of panel d + 1 that of panel d, bit for bit, as the ends
+    double.  Only the last panel, ending at T, needs rows of its own.
     """
-    n, mid = len(a), 0.5 * (a + b)
-    src = None if src is None else np.concatenate((src, src + n, src + 2 * n))
-    lo, hi = np.concatenate((a, a, mid)), np.concatenate((b, mid, b))
-    return _sums(fn, lo, hi, np.concatenate((owner,) * 3), src, np.concatenate((freq,) * 3)).reshape(3, -1)
+    ends = count.cumsum()
+    last = ends - 1
+    d = np.arange(ends[-1]) - (ends - count).repeat(count)  # each panel's place in its integral
+    whole = np.maximum(d, 1)  # rows 0 and 1 for the halves and wholes of panels 0 and 1
+    whole[last] = count + (count == 2)
+    size = whole[last] + 1
+    whole += (size.cumsum() - size).repeat(count)
+    row = np.concatenate((whole, whole - 1, whole - 1))
+    first = np.empty(int(whole[-1]) + 1, dtype=np.intp)
+    first[row] = np.arange(len(row))  # an entry of each row
+    return row, first
+
+
+@functools.lru_cache(maxsize=16)
+def _one_seed_rows(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_seed_rows`` of one integral, kept for the one-integral passes of probes and the CLI; read only."""
+    return _seed_rows(np.array([count]))
+
+
+# the half-widths of a seed panel and its halves in units of its own, and their midpoints' offsets in units of theirs
+_SEED_SCALE = np.array([[1.0], [0.5], [0.5]])
+_SEED_SHIFT = np.array([[0.0], [-1.0], [1.0]])
+
+
+def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, src, freq: np.ndarray, count) -> np.ndarray:
+    """Whole-panel, left-half and right-half sums of F e^{i freq[q] t} over the seed panel [a[src[q]], b[src[q]]].
+
+    F is as in ``_sums``, on the seed panels [a[i], b[i]] of midpoint a + h
+    and half-width h = (b - a) / 2.  Integral j's columns q are count[j]
+    consecutive ones, and the entries share the moment rows of
+    ``_seed_rows``.  Returns three rows of one column q each.
+    """
+    n, half = len(a), 0.5 * (b - a)
+    # rows: whole panels, left halves, right halves
+    halves = _SEED_SCALE * half
+    mids = ((a + half) + _SEED_SHIFT * halves).ravel()
+    halves = halves.ravel()
+    if src is not None:
+        src = np.concatenate((src, src + n, src + 2 * n))
+    freq = np.concatenate((freq,) * 3)
+    row, first = _one_seed_rows(int(count[0])) if len(count) == 1 else _seed_rows(count)
+    x = (freq * (halves if src is None else halves[src]))[first]
+    return _sums(fn, mids, halves, np.concatenate((owner,) * 3), src, freq, x, row).reshape(3, -1)
 
 
 def _check_finite(sums: np.ndarray, a, b) -> None:
@@ -321,13 +385,17 @@ def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget)
     """Split the worst panel of one integral, of carrier frequency freq, until its estimate meets the target.
 
     Panel k spans [lo[k], hi[k]] with half-panel sums left[k], right[k] and
-    estimate err[k].  The panels live on a heap of (-err, creation index, lo,
-    hi, left, right), so the worst pops first and the older one on ties; a
-    split gets the four half-panels of both children from one ``_sums`` call.
+    estimate err[k].  The panels live on a heap of (-err, creation index,
+    midpoint, half-width, left, right), so the worst pops first and the older
+    one on ties; a split gets the four half-panels of both children, all of
+    one half-width and so of one moment row, from one ``_sums`` call.
     """
-    heap = list(zip((-err).tolist(), itertools.count(), lo.tolist(), hi.tolist(), left.tolist(), right.tolist()))
+    half = 0.5 * (hi - lo)  # as in _seed
+    mid = lo + half
+    heap = list(zip((-err).tolist(), itertools.count(), mid.tolist(), half.tolist(), left.tolist(), right.tolist()))
     heapq.heapify(heap)
     age = itertools.count(len(heap))
+    one_row = np.zeros(4, dtype=np.intp)
     while total_err > budget.rel_tol * abs(total) + budget.abs_floor:
         if len(heap) >= _MAX_PANELS:
             raise BudgetExceeded(
@@ -339,18 +407,19 @@ def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget)
             # every estimate is exactly zero: the running total is rounding residue no split can lower
             break
         # the children's coarse sums are the parent's half-panel sums
-        key, _, a, b, coarse0, coarse1 = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        mid0, mid1 = 0.5 * (a + mid), 0.5 * (mid + b)
+        key, _, m, h, coarse0, coarse1 = heapq.heappop(heap)
+        child, quarter = 0.5 * h, 0.25 * h
+        mid0, mid1 = m - child, m + child
         # rows: left halves, right halves
-        starts, ends = np.array((a, mid, mid0, mid1)), np.array((mid0, mid1, mid, b))
-        sums = _sums(fn, starts, ends, np.full(4, owner), None, np.full(4, freq)).reshape(2, 2)
-        _check_finite(sums, (a, mid), (mid, b))
+        mids = np.array((mid0 - quarter, mid1 - quarter, mid0 + quarter, mid1 + quarter))
+        x = np.array([freq * quarter])
+        sums = _sums(fn, mids, np.full(4, quarter), np.full(4, owner), None, np.full(4, freq), x, one_row).reshape(2, 2)
+        _check_finite(sums, (m - h, m), (m, m + h))
         (left0, left1), (right0, right1) = sums.tolist()
         fine0, fine1 = left0 + right0, left1 + right1
         err0, err1 = abs(fine0 - coarse0), abs(fine1 - coarse1)
-        heapq.heappush(heap, (-err0, next(age), a, mid, left0, right0))
-        heapq.heappush(heap, (-err1, next(age), mid, b, left1, right1))
+        heapq.heappush(heap, (-err0, next(age), mid0, child, left0, right0))
+        heapq.heappush(heap, (-err1, next(age), mid1, child, left1, right1))
         total += fine0 + fine1 - (coarse0 + coarse1)
         total_err += err0 + err1 + key  # key = -err of the split panel; adding it rounds as subtracting err
 
@@ -363,24 +432,26 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     """Integrals j of fn(t, owners[f]) e^{i freq[j] t} over the seed panels of their family f = family[j].
 
     Family f's seed panels are count[f] consecutive panels [a[i], b[i]],
-    after those of the families before it; families are numbered in the
-    order of their first integral.  Every integral is seeded in one step;
-    those whose seed sums are finite and meet their target take their plain
-    sums, off by less than n eps sum |panel sum| over their n panels (Higham,
-    Accuracy and Stability of Numerical Algorithms, section 4.2), which
-    est_error includes.  The others, in input order, raise IllConditioned
-    for a non-finite seed sum or are refined.  Returns arrays of value,
-    est_error and panels used per integral.
+    after those of the families before it, a ray's from
+    ``_ray_breakpoints`` or a single panel (see ``_seed_rows``); families
+    are numbered in the order of their first integral.  Every integral is
+    seeded in one step; those whose seed sums are finite and meet their
+    target take their plain sums, off by less than n eps sum |panel sum|
+    over their n panels (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 4.2), which est_error includes.  The others, in
+    input order, raise IllConditioned for a non-finite seed sum or are
+    refined.  Returns arrays of value, est_error and panels used per
+    integral.
     """
-    bounds = list(itertools.accumulate(count.tolist(), initial=0))  # family f's seed panels: bounds[f]:bounds[f + 1]
-    counts = count[family]
-    starts = counts.cumsum() - counts
     # column q of the sums is panel q - starts[j] of integral j, family panel src[q]; with one integral
-    # per family, the columns are the family panels themselves
+    # per family, family[j] = j and the columns are the family panels themselves
+    shared = len(family) != len(count)  # a family of more than one integral
+    counts = count[family] if shared else count
+    starts = counts.cumsum() - counts
     src = None
-    if len(counts) != len(count):
-        src = np.arange(starts[-1] + counts[-1]) + np.repeat(np.array(bounds)[family] - starts, counts)
-    sums = _seed(fn, a, b, owners.repeat(count), src, freq.repeat(counts))
+    if shared:
+        src = np.arange(starts[-1] + counts[-1]) + np.repeat((count.cumsum() - count)[family] - starts, counts)
+    sums = _seed(fn, a, b, owners.repeat(count), src, freq.repeat(counts), counts)
     finite = None if np.isfinite(sums).all() else np.isfinite(sums).all(axis=0)
     coarse, left, right = sums if finite is None else np.where(finite, sums, 0.0)
     fine = left + right
@@ -391,9 +462,10 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     if finite is not None:
         done &= np.logical_and.reduceat(finite, starts)
     errors, used = total_errs + counts * math.ulp(1.0) * sizes, counts  # ulp(1) = eps
-    for j in (~done).nonzero()[0].tolist():
+    for j in [] if done.all() else np.flatnonzero(~done).tolist():
         f, p, q = family[j], int(starts[j]), int(starts[j] + counts[j])
-        lo, hi = a[bounds[f] : bounds[f + 1]], b[bounds[f] : bounds[f + 1]]
+        seeds = slice(p, q) if src is None else slice(int(src[p]), int(src[p]) + q - p)  # its family's seed panels
+        lo, hi = a[seeds], b[seeds]
         if finite is not None:
             _check_finite(sums[:, p:q], lo, hi)
         total, total_err = complex(values[j]), float(total_errs[j])

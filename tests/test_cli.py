@@ -96,15 +96,18 @@ def test_invert_near_the_origin_is_an_invalid_decay(z, capsys):
     assert "InvalidDecay: decay rate" in capsys.readouterr().err
 
 
-def test_invert_with_a_huge_leg_envelope(tmp_path, capsys):
-    # e^{-p Re z} = e^{700} is finite, but the truncation quotient 2 A / (m abs_floor) overflows
+def test_invert_fails_where_a_huge_leg_envelope_leaves_no_certain_digit(tmp_path, capsys):
+    # e^{-p Re z} = e^{700} is finite, and the truncation quotient 2 A / (m abs_floor) overflows without an
+    # InvalidDecay; but f(z) = e^{-700} drowns in the cancellation of the legs, whose est_error exceeds |value|
     out = tmp_path / "f.csv"
     rc = main(["invert", "--fn", "exp:a=-1", "--p", "-1", "--z", "700", "--out", str(out)])
-    assert rc == 0
-    assert capsys.readouterr().err == ""
-    row = read_csv(out)[0]
-    assert math.isfinite(float(row["truncation_T"]))
-    assert float(row["abs_residual"]) <= float(row["est_error"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: IllConditioned: z=(700+0j): est_error ") and "is not below |value|" in err
+    assert not out.exists()
+    # roundtrip records the point as a failure, which exits 3 like any other
+    assert main(["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "700", "--angles", "0"]) == 3
+    assert "IllConditioned" in capsys.readouterr().err
 
 
 def test_invert_and_apex_rejection(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from sectorlap import (
     AngularMarginTooSmall,
+    IllConditioned,
     InvalidDecay,
     OutsideSector,
     QuadratureBudget,
@@ -125,6 +126,17 @@ def test_roundtrip_report_records_bad_points():
     assert report.rows[1].error is not None
     assert "OutsideSector" in report.rows[1].error
     # aggregates come from the good rows only
+    assert report.max_rel <= 1e-8
+
+
+def test_a_value_within_its_est_error_of_zero_is_ill_conditioned():
+    # f(z) = e^{-700} drowns in the cancellation of the legs, whose est_error exceeds the value
+    gamma = build_gamma(SPEC, -1.0)
+    with pytest.raises(IllConditioned, match=r"z=\(700\+0j\): est_error .* is not below \|value\|"):
+        reconstruct(ReconstructionQuery(make_exp(-1), gamma, 700.0, BUDGET, "oracle"))
+    # a roundtrip records the point as a failure, with its class
+    report = roundtrip_report(make_exp(-1), SPEC, -1.0, [1.0, 700.0], BUDGET, "oracle")
+    assert report.failures == 1 and report.rows[1].error_class is IllConditioned
     assert report.max_rel <= 1e-8
 
 

@@ -216,20 +216,23 @@ def test_panel_rule_matches_reference_moments():
     special = [0.0, tiny, -tiny, 1e-300, 1e-8, 0.5, 11.999999999, 12.0, -12.0, 12.000000001, 1e4, -1e4]
     far = np.geomspace(40.0, 1e4, 25)
     xs = np.concatenate((special, np.linspace(-40.0, 40.0, 97), far, -far))
-    degrees, ones = np.arange(16), np.ones(16)
-    every = quadrature._sums(
-        _legendre_owner, -np.tile(ones, len(xs)), np.tile(ones, len(xs)), np.tile(degrees, len(xs)), None, xs.repeat(16)
-    ).reshape(len(xs), 16)
+    degrees, ones, zeros = np.arange(16), np.ones(16), np.zeros(16)
+    rows = np.arange(len(xs)).repeat(16)  # the panels of one x share its moments
+    mid, half, owner = np.tile(zeros, len(xs)), np.tile(ones, len(xs)), np.tile(degrees, len(xs))
+    every = quadrature._sums(_legendre_owner, mid, half, owner, None, xs.repeat(16), xs, rows).reshape(len(xs), 16)
     for x, row in zip(xs.tolist(), every):
-        alone = quadrature._sums(_legendre_owner, -ones, ones, degrees, None, np.full(16, x))
+        alone = quadrature._sums(
+            _legendre_owner, zeros, ones, degrees, None, np.full(16, x), np.array([x]), np.zeros(16, dtype=np.intp)
+        )
         assert np.abs(alone - _reference_moments(x)).max() <= 1e-13, x
         # each panel's sum depends on its own panel alone, whatever else shares the call
         assert np.array_equal(alone, row)
 
 
 I_POWERS = 1j ** np.arange(16)
-# the rint ties, the last Taylor row and the switch to Rayleigh's closed form at |x| = 12
+# the rint ties, the rows about +-12, and the last Taylor rows and the switch to Rayleigh's closed form at |x| = 24
 EDGES = [0.5, -0.5, 11.5, -11.5, 11.999999999, -11.999999999, 12.0, -12.0, 12.000000001]
+EDGES += [23.5, -23.5, 23.999999999, 24.0, -24.0, 24.000000001]
 
 
 @pytest.mark.parametrize(
@@ -237,8 +240,8 @@ EDGES = [0.5, -0.5, 11.5, -11.5, 11.999999999, -11.999999999, 12.0, -12.0, 12.00
     [
         [3.25],  # a single near row
         [40.0],  # a single far row
-        [1e4, 0.7, -25.0, 13.0],  # one near row among far rows
-        [0.3, -7.5, 12.5, 2.0, -11.0],  # one far row among near rows
+        [1e4, 0.7, -25.0, 26.0],  # one near row among far rows
+        [0.3, -7.5, 24.5, 2.0, -11.0],  # one far row among near rows
         EDGES,
         EDGES[::-1] + [0.0, 1e-300, 1e4],
     ],
@@ -261,9 +264,78 @@ def test_taylor_table_matches_reference_derivatives():
     weights, legendre = np.repeat(half, 30) * np.tile(w, 32), np.polynomial.legendre.legvander(t, 15)
     scaled_powers = (1j * t[:, None]) ** np.arange(16) / [math.factorial(k) for k in range(16)]
     table = quadrature._rule().taylor
-    for c in range(-12, 13):
+    assert table.shape == (49, 16, 16)
+    for c in range(-24, 25):
         reference = (weights * np.exp(1j * c * t) * scaled_powers.T) @ legendre / I_POWERS
         assert np.abs(table[c] - reference.real).max() <= 1e-14, c
+
+
+def _mpmath_moments(mpmath, x: float) -> np.ndarray:
+    """m_n(x) = 2 j_n(x) = 2 sqrt(pi / (2 x)) J_{n + 1/2}(x) for n < 16, at 40 digits; m_n(-x) = (-1)^n m_n(x)."""
+    if x == 0.0:
+        return 2.0 * (np.arange(16) == 0)
+    with mpmath.workdps(40):
+        t = mpmath.mpf(abs(x))
+        scale = 2 * mpmath.sqrt(mpmath.pi / (2 * t))
+        return np.array([float(scale * mpmath.besselj(n + mpmath.mpf(1) / 2, t)) for n in range(16)]) * (
+            np.sign(x) ** np.arange(16)
+        )
+
+
+def test_moments_match_a_40_digit_reference():
+    # Rayleigh's closed form cancels digits just above its switch; from |x| = 24 on it keeps them
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate((np.random.default_rng(4).uniform(0.0, 30.0, 120), EDGES, [0.0, 1e-8, 30.0]))
+    got = quadrature._moments(xs)
+    for x, row in zip(xs.tolist(), got):
+        assert np.abs(row - _mpmath_moments(mpmath, x)).max() <= 2e-15, x
+
+
+def _counted_moments(monkeypatch):
+    """A log of the number of rows of each _moments call."""
+    rows, moments = [], quadrature._moments
+    monkeypatch.setattr(quadrature, "_moments", lambda x: rows.append(len(x)) or moments(x))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rate, amplitude, seeds",
+    [(1e8, 1.0, 1), (4e7, 1.0, 2), (1e7, 1.0, 3), (1e-3, 1.0, 6), (1.0, 1e20, 8), (1e8, 1e300, 11)],
+)
+def test_a_ray_seeds_with_a_moment_row_per_panel_width(rate, amplitude, seeds, monkeypatch):
+    # the seed panels [0, s], [s, 2s], [2s, 4s], ... double in width, so a ray of d panels has d + 1 distinct
+    # kappa h among its 3d panel sums (4 for d = 2), and a family of K rays K (d + 1)
+    rows = _counted_moments(monkeypatch)
+    budget = QuadratureBudget(rel_tol=1e-6, abs_floor=1e-8)
+    F = lambda t, k: amplitude * np.exp(-rate * t)
+    for K in (1, 5):
+        rows.clear()
+        freq, shares = np.linspace(0.5, 3.0, K) * rate, np.zeros(K, dtype=int)
+        _, _, T, used = quadrature._integrate_rays(F, np.full(K, rate), np.full(K, amplitude), budget, freq, shares)
+        assert len(quadrature._ray_breakpoints([T[0]], [rate])[0]) == seeds
+        assert used.tolist() == [seeds] * K  # no integral refines
+        assert rows == [K * (seeds + 2 if seeds == 2 else seeds + 1)]
+
+
+def test_seed_rows_hold_equal_arguments_on_extreme_rays():
+    # the rows of _seed_rows share a half-width bit for bit on every ray _ray_breakpoints makes, subnormal and
+    # huge ones too
+    for T, rate in itertools.product([1e-310, 1e-300, 1e-3, 1.0, 37.0, 1e5, 1e300], [1e-300, 1e-5, 0.7, 3.0, 1e300]):
+        a, b, count = quadrature._ray_breakpoints([T, T], [rate, 2.0 * rate])
+        half = 0.5 * (b - a)
+        widths = np.concatenate((half, 0.5 * half, 0.5 * half))
+        row, first = quadrature._seed_rows(count)
+        assert np.array_equal(widths[first][row], widths), (T, rate)
+        assert np.array_equal(row[first], np.arange(len(first)))
+        assert len(first) == sum(d + 2 if d == 2 else d + 1 for d in count.tolist())
+
+
+def test_a_refinement_split_computes_one_moment_row(monkeypatch):
+    # the four half-panels of both children of a split have one half-width
+    rows = _counted_moments(monkeypatch)
+    res = integrate_segment(lambda t: np.exp(20j * t), 0.0, 10.0, TIGHT, freq=1.0)
+    assert res.panels_used > 8
+    assert rows == [2] + [1] * (res.panels_used - 1)  # seeding: the panel and its halves
 
 
 def test_importing_the_package_leaves_the_rule_tables_unbuilt():
@@ -277,14 +349,15 @@ def test_importing_the_package_leaves_the_rule_tables_unbuilt():
 
 
 def test_a_seed_finished_integral_counts_its_summation_rounding(monkeypatch):
-    # F = 1 on unit panels, 1, 4 or 2 per integral: each panel's two levels agree exactly, so est_error is
-    # the bound n eps sum |panel sum| alone
+    # F = 1 on the seed panels of rays [0, 1], [0, 8] and [0, 2], 1, 4 or 2 per integral: each panel's two levels
+    # agree exactly, so est_error is the bound n eps sum |panel sum| alone
     fsums, fsum = [], math.fsum
     monkeypatch.setattr(math, "fsum", lambda values: fsums.append(1) or fsum(values))
-    count = np.array([1, 4, 2] * 100)
-    b, j = np.arange(1.0, count.sum() + 1), np.arange(len(count))
+    a, b, count = quadrature._ray_breakpoints([1.0, 8.0, 2.0] * 100, [1.0] * 300)
+    assert count.tolist() == [1, 4, 2] * 100
+    j = np.arange(len(count))
     values, errors, used = quadrature._integrate_seeds(
-        lambda t, k: np.ones(t.shape), b - 1.0, b, count, j, j, np.zeros(len(count)), TIGHT
+        lambda t, k: np.ones(t.shape), a, b, count, j, j, np.zeros(len(count)), TIGHT
     )
     assert fsums == []  # no integral took the refinement path, which sums with math.fsum
     assert np.array_equal(used, count)

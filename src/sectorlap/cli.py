@@ -257,7 +257,10 @@ def _cmd_roundtrip(args, parser) -> int:
     skip = _SKIPPABLE if args.skip_invalid else ()
     bad = [row for row in report.rows if row.error is not None and not issubclass(row.error_class, skip)]
     if bad:
-        print(f"error: z={bad[0].z}: {bad[0].error}", file=sys.stderr)
+        # reconstruct's messages name the point themselves when it is at fault; name it once
+        row = bad[0]
+        where = "" if f"z={row.z}" in row.error else f"z={row.z}: "
+        print(f"error: {where}{row.error}", file=sys.stderr)
         return 3
 
     header = [

@@ -53,6 +53,7 @@ points z and must broadcast over them elementwise.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -75,7 +76,8 @@ __all__ = [
 
 DELTA_MIN_DEFAULT = 1e-3
 _RATE_HAIRCUT = 0.9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -268,9 +270,14 @@ class ConcatenatedTransform:
     def exact(self) -> bool:
         return self._grid_thetas is None
 
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The numeric grid as float arrays, built once: np.interp would convert the tuples on every call."""
+        return np.array(self._grid_thetas), np.array(self._grid_offsets)
+
     def offset(self, theta: float | np.ndarray):
         if not self.exact:
-            return np.interp(theta, self._grid_thetas, self._grid_offsets)
+            return np.interp(theta, *self._grid)
         floor = np.maximum if isinstance(theta, np.ndarray) else max
         return -floor(self.fn.indicator_oracle(theta), INDICATOR_SENTINEL)
 
@@ -278,49 +285,101 @@ class ConcatenatedTransform:
         return self.offset(theta) - _rotated(omega, theta)
 
 
-def _golden_section_max(fun, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of ``fun`` over [lo, hi], down to bracket half-width ``tol`` > 0; one peak inside."""
+def _maximize(fun, lo: float, hi: float, tol: float, start=None) -> tuple[float, float]:
+    """Brent's maximizer of ``fun`` over [lo, hi], one peak inside: (x, fun(x)), x the first best point evaluated.
+
+    Parabolic steps through the three best points, with Brent's golden-section
+    fallback (*Algorithms for Minimization without Derivatives*, 1973, ch. 5).
+    It stops once the whole bracket lies within ``tol`` > 0 of x, so x is
+    within ``tol`` of the peak.  No step is shorter than max(tol / 2, eps |x|),
+    so a ``tol`` below rounding ends within a few ulps of x.  ``start`` is an
+    optional known point (x, fun(x), fun(lo), fun(hi)) with lo < x < hi and
+    fun(x) >= fun(lo), fun(hi), such as the argmax of a coarse grid between
+    its neighbours: the first step is then the parabola through the three.
+    """
+    # Brent's minimization of -fun
     a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > 2.0 * tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
+    if start is None:
+        x = w = v = a + _GOLDEN * (b - a)
+        fx = fw = fv = -fun(x)
+        d = e = 0.0
+    else:
+        x, fx, fw, fv = start[0], -start[1], -start[2], -start[3]
+        w, v = lo, hi
+        if fv < fw:
+            w, v, fw, fv = v, w, fv, fw
+        d = e = b - a  # earlier steps as wide as the bracket admit the first parabola
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = max(0.5 * tol, _EPS * abs(x))
+        tol2 = 2.0 * tol1
+        if max(x - a, b - x) <= tol2:
+            return x, -fx
+        p = q = r = 0.0
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            u = x + d
+            if u - a < tol2 or b - u < tol2:
+                d = tol1 if x < m else -tol1
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+            e = (b - x) if x < m else (a - x)
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = -fun(u)
+        if fu < fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
-    """Direction of largest margin, via coarse scan plus golden-section refinement.
+    """Direction of largest margin, via a coarse scan refined by Brent's method (``_maximize``).
 
-    The refinement stops at half-width step * sqrt(eps), step being the coarse
-    spacing: rounding locates a smooth peak of that width no better.  Ties
-    (within 1e-9 relative) break toward the smallest |theta|.  Raises
+    The refinement searches between the best scan point's neighbours, starting
+    from the scan's three values when the best point tops both, and stops once
+    the bracket lies within step * sqrt(eps) of its best point, step being the
+    coarse spacing: rounding locates a smooth peak of that width no better.
+    Ties (within 1e-9 relative) break toward the smallest |theta|.  Raises
     OutsideUnion when even the best margin falls below ct.min_margin.
     """
-    lo, hi = -ct.alpha, ct.alpha
-    thetas = np.linspace(lo, hi, 65)
+    thetas = np.linspace(-ct.alpha, ct.alpha, 65)
     if 0.0 not in thetas:
         thetas = np.sort(np.append(thetas, 0.0))
     margins = ct.margin(omega, thetas)
     best = float(np.max(margins))
     tol = 1e-9 * (1.0 + abs(best))
-    tied = thetas[margins >= best - tol]
-    theta0 = float(tied[np.argmin(np.abs(tied))])
+    tied = np.flatnonzero(margins >= best - tol)
+    i = int(tied[np.argmin(np.abs(thetas[tied]))])
+    theta0, m_0 = float(thetas[i]), float(margins[i])
 
-    # golden-section refinement inside the bracketing coarse cells
+    # Brent refinement inside the bracketing coarse cells, warm from the scan where theta0 is their peak
+    a, b = max(i - 1, 0), min(i + 1, len(thetas) - 1)
+    start = (theta0, m_0, margins[a], margins[b]) if a < i < b and m_0 >= max(margins[a], margins[b]) else None
     step = thetas[1] - thetas[0]
-    a = max(lo, theta0 - step)
-    b = min(hi, theta0 + step)
-    theta_g = _golden_section_max(lambda t: ct.margin(omega, t), a, b, step * math.sqrt(np.finfo(float).eps))
-    m_g = ct.margin(omega, theta_g)
-    m_0 = ct.margin(omega, theta0)
+    theta_g, m_g = _maximize(
+        lambda t: ct.margin(omega, t), float(thetas[a]), float(thetas[b]), step * math.sqrt(_EPS), start
+    )
 
     theta_star, m_star = (theta_g, m_g) if m_g > m_0 + tol else (theta0, m_0)
     if abs(m_g - m_0) <= tol and abs(theta0) < abs(theta_g):

@@ -9,9 +9,9 @@ transform as their ``g_source`` picks, one batch of omegas per call:
   inward normal w(delta) = w_b - delta e^{-i theta}, whose margin is exactly
   delta.  A singularity on the boundary shows up as |g| growing like
   delta^{-1}; the scan reports the location (the peak of |g| on the outermost
-  level, golden-section refined to the resolution g's est_error allows), the
-  fitted growth exponent, and whether any blow-up was seen at all (quiet
-  boundaries are reported, not raised).
+  level, refined by Brent's method from the sweep's peak to the resolution
+  g's est_error allows), the fitted growth exponent, and whether any blow-up
+  was seen at all (quiet boundaries are reported, not raised).
 
 * ``radius_scan`` fits the distance from an interior point to the nearest
   singularity of g out of Taylor coefficients computed by discrete Cauchy
@@ -42,7 +42,7 @@ from .catalog import TestFunction, pick_oracle
 from .errors import IllConditioned
 from .geometry import _ray_distance
 from .indicator import indicator_value
-from .laplace import DELTA_MIN_DEFAULT, ConcatenatedTransform, _check_direction, _g_values, _golden_section_max
+from .laplace import DELTA_MIN_DEFAULT, ConcatenatedTransform, _check_direction, _g_values, _maximize
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import QuadratureBudget, _integrate_rays, _integrate_segments
 # unused here; bench/tracer.py wraps these bindings
@@ -116,9 +116,12 @@ def blowup_scan(
     (13 levels) with an oracle g, to 1e-3 (7 levels) with a numeric one, and
     a blow-up counts as detected once |g| grows at least 10-fold over them.
     The peak at the outermost margin d0 has width about d0, so |g| drops by
-    |g| t^2 / d0^2 at a distance t from it; the search stops at half-width
-    location_tol = d0 * sqrt(max(est_error / |g|, eps)), where that drop
-    meets g's est_error.  ValueError for a theta outside the entry's sector.
+    |g| t^2 / d0^2 at a distance t from it.  Brent's method (``_maximize``)
+    searches the sweep's cells on either side of its largest |g|, starting
+    from the sweep's values there, one omega per step, and stops once the
+    bracket lies within location_tol = d0 * sqrt(max(est_error / |g|, eps))
+    of its best point, where that drop meets g's est_error.  ValueError for
+    a theta outside the entry's sector.
     """
     _check_direction(fn, theta)
     budget = budget or QuadratureBudget()
@@ -147,11 +150,15 @@ def blowup_scan(
     # outermost (smooth) level before descending.
     j = int(np.argmax(far_mags))
     tol = float(deltas[0] * math.sqrt(max(far_err[j] / far_mags[j], np.finfo(float).eps)))
-    tau_star = _golden_section_max(
+    lo, hi = max(j - 1, 0), min(j + 1, len(taus) - 1)
+    # the sweep's values are those of one-omega passes bit for bit: start from the grid's peak
+    start = (taus[j], far_mags[j], far_mags[lo], far_mags[hi]) if lo < j < hi else None
+    tau_star, _ = _maximize(
         lambda t: abs(_g_values(fn, theta, [boundary(t) - deltas[0] * back], budget, g_source, delta_min / 2)[0][0]),
-        taus[max(j - 1, 0)],
-        taus[min(j + 1, len(taus) - 1)],
+        taus[lo],
+        taus[hi],
         tol,
+        start,
     )
     point = boundary(tau_star)
 

@@ -201,6 +201,14 @@ def test_roundtrip_skip_invalid_keeps_numeric_failures(tmp_path, capsys):
         assert err.startswith("error: z=(800+0j): InvalidDecay: decay amplitude must be finite and positive")
 
 
+def test_roundtrip_names_a_failing_point_once(capsys):
+    # IllConditioned names z itself, as invert prints it; roundtrip adds no second copy
+    assert main(["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1,700"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: IllConditioned: z=(") and err.count("z=") == 1
+    assert ": est_error " in err and "is not below |value|" in err
+
+
 def test_probe_csv(tmp_path):
     out = tmp_path / "probe.csv"
     rc = main(["probe", "--fn", "exp:a=1", "--theta", "0",

@@ -3,10 +3,14 @@
 Each case runs ``cli.main`` in process and compares stdout, stderr and the
 exit code exactly with ``tests/data/cli_golden.json``.  After an intended
 output change, regenerate the file with
-``PYTHONPATH=src python tests/test_cli_golden.py`` and review its diff.
+``PYTHONPATH=src python tests/test_cli_golden.py``: it prints, for each case
+that changed, the largest relative difference of its numeric CSV fields
+against the old file, with the column, so that a rounding-level change reads
+as one number.  Review the diff of anything else it names.
 """
 
 import contextlib
+import csv
 import io
 import json
 import pathlib
@@ -69,9 +73,52 @@ def test_cli_output_matches_golden(name, golden, tmp_path):
     assert run(CASES[name], config) == {k: golden[name][k] for k in ("stdout", "stderr", "exit")}
 
 
+def largest_change(old: dict, new: dict) -> str:
+    """How a case's run ``new`` differs from ``old``, naming its largest relative CSV field change.
+
+    A field's relative change is |new - old| / max(|old|, |new|), at most 2.
+    """
+    changes = [f"{key} changed" for key in ("argv", "stderr", "exit") if old[key] != new[key]]
+    old_rows, new_rows = (list(csv.reader(io.StringIO(run["stdout"]))) for run in (old, new))
+    if [len(row) for row in old_rows] != [len(row) for row in new_rows] or old_rows[:1] != new_rows[:1]:
+        return ", ".join(changes + ["CSV shape or header changed"])
+    worst, where = 0.0, None
+    for old_row, new_row in zip(old_rows[1:], new_rows[1:]):
+        for column, a, b in zip(old_rows[0], old_row, new_row):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                changes.append(f"text field {column} changed")
+                continue
+            if x == y:
+                continue
+            rel = abs(y - x) / max(abs(x), abs(y))
+            if where is None or rel > worst:
+                worst, where = rel, f"{column} ({a} -> {b})"
+    if where is not None:
+        changes.append(f"largest relative change {worst:.1e} in {where}")
+    return ", ".join(changes)
+
+
+def test_largest_change_names_the_worst_field():
+    old = {"argv": ["probe"], "stderr": "", "exit": 0, "stdout": "a,b,c\n1,2.5,true\n0,-4,x\n"}
+    assert largest_change(old, old) == ""
+    new = dict(old, stdout="a,b,c\n1.0000001,2.5,true\n0,-4.4,y\n")
+    assert largest_change(old, new) == "text field c changed, largest relative change 9.1e-02 in b (-4 -> -4.4)"
+    assert largest_change(old, dict(new, exit=3, stdout="a,b\n")) == "exit changed, CSV shape or header changed"
+
+
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         config = pathlib.Path(tmp) / "run.cfg"
         config.write_text(CONFIG, encoding="utf-8")
         cases = {name: {"argv": argv, **run(argv, config)} for name, argv in CASES.items()}
+    for name, case in cases.items():
+        if name not in previous:
+            print(f"{name}: new case")
+        elif previous[name] != case:
+            print(f"{name}: {largest_change(previous[name], case)}")
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")

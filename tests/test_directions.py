@@ -26,7 +26,7 @@ from sectorlap import (
     zero_function,
 )
 from sectorlap.indicator import INDICATOR_SENTINEL, S_GRID
-from sectorlap.laplace import _golden_section_max
+from sectorlap.laplace import _maximize
 
 # exponents a_k of sum_k c_k e^{a_k z}, non-integer, with a complex coefficient
 SUM_TERMS = [(1, -1.3 + 0.7j), (2.5, 0.4 - 1.1j), (-0.3j, 2.2)]
@@ -144,12 +144,14 @@ def _reference_select(ct, exponents, omega: complex) -> float:
     margins = np.array([margin(float(t)) for t in thetas])
     best = float(np.max(margins))
     tol = 1e-9 * (1.0 + abs(best))
-    tied = thetas[margins >= best - tol]
-    theta0 = float(tied[np.argmin(np.abs(tied))])
+    tied = [k for k in range(len(thetas)) if margins[k] >= best - tol]
+    i = min(tied, key=lambda k: abs(thetas[k]))
+    theta0, m_0 = float(thetas[i]), margin(float(thetas[i]))
+    a, b = max(i - 1, 0), min(i + 1, len(thetas) - 1)
+    start = (theta0, m_0, margins[a], margins[b]) if a < i < b and m_0 >= max(margins[a], margins[b]) else None
     step = thetas[1] - thetas[0]
-    a, b = max(lo, theta0 - step), min(hi, theta0 + step)
-    theta_g = _golden_section_max(margin, a, b, step * math.sqrt(np.finfo(float).eps))
-    m_g, m_0 = margin(theta_g), margin(theta0)
+    theta_g, m_g = _maximize(margin, float(thetas[a]), float(thetas[b]), step * math.sqrt(np.finfo(float).eps), start)
+    assert m_g == margin(theta_g)
     theta_star, m_star = (theta_g, m_g) if m_g > m_0 + tol else (theta0, m_0)
     if abs(m_g - m_0) <= tol and abs(theta0) < abs(theta_g):
         theta_star, m_star = theta0, m_0
@@ -182,14 +184,18 @@ def test_fan_margins_and_selection_equal_the_scalar_formulas(fn, exponents, sour
             assert select_direction(ct, omega) == want
 
 
+GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+
+
 @pytest.mark.parametrize("tol", [1e-2, 1e-5, 1e-9, 3e-13])
 def test_golden_section_stops_at_its_tolerance(tol):
-    # -c (x - x0)^2 on [x0 - 0.7, x0 + 0.4]: each step shrinks the bracket by 1/phi, after two first evaluations
+    # -c (x - x0)^2 on [x0 - 0.7, x0 + 0.4]: Brent's method within golden section's bound, 1/phi a step
     calls = []
     x0, lo, hi = 0.3, -0.4, 0.7
-    x = _golden_section_max(lambda t: calls.append(t) or -2.5 * (t - x0) ** 2, lo, hi, tol)
+    x, fx = _maximize(lambda t: calls.append(t) or -2.5 * (t - x0) ** 2, lo, hi, tol)
     assert abs(x - x0) <= tol
-    assert len(calls) <= math.ceil(math.log((hi - lo) / 2 / tol, (1 + math.sqrt(5)) / 2)) + 2
+    assert fx == -2.5 * (x - x0) ** 2 and x in calls
+    assert len(calls) <= math.ceil(math.log((hi - lo) / 2 / tol, GOLDEN_RATIO)) + 2
 
 
 @pytest.mark.parametrize("e", [1e-4, 1e-8, 1e-12])
@@ -198,5 +204,42 @@ def test_golden_section_under_noise_lands_within_its_resolution(e):
     c, x0 = 2.5, 0.3
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        x = _golden_section_max(lambda t: -c * (t - x0) ** 2 + e * rng.uniform(-1, 1), -0.4, 0.7, math.sqrt(e / c))
+        x, _ = _maximize(lambda t: -c * (t - x0) ** 2 + e * rng.uniform(-1, 1), -0.4, 0.7, math.sqrt(e / c))
         assert abs(x - x0) <= 2 * math.sqrt(e / c)
+
+
+@pytest.mark.parametrize("t0", [0.3, -0.1, 0.55])
+def test_maximizer_takes_parabolic_steps_on_a_lorentzian(t0):
+    # |1/(t - t0 + 0.1i)|, a pole's profile at margin 0.1: golden section takes 44 evaluations to 1e-9
+    calls = []
+    x, _ = _maximize(lambda t: calls.append(t) or abs(1 / (t - t0 + 0.1j)), -0.4, 0.7, 1e-9)
+    assert abs(x - t0) <= 1e-9
+    assert len(calls) <= 14
+
+
+def test_maximizer_warm_start_reuses_the_grid_values():
+    # the grid's peak and its neighbours come in with their values; the first step is their parabola
+    f = lambda t: abs(1 / (t - 0.337 + 0.1j))  # noqa: E731
+    grid = np.linspace(-0.4, 0.7, 12)
+    j = int(np.argmax([f(t) for t in grid]))
+    calls = []
+    start = (grid[j], f(grid[j]), f(grid[j - 1]), f(grid[j + 1]))
+    x, fx = _maximize(lambda t: calls.append(t) or f(t), grid[j - 1], grid[j + 1], 1e-9, start)
+    assert abs(x - 0.337) <= 1e-9 and fx == f(x)
+    assert len(calls) <= 10 and not {grid[j - 1], grid[j], grid[j + 1]} & set(calls)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_maximizer_finds_a_peak_at_the_bracket_end(sign):
+    # select_direction's bracket at theta = +-alpha: the margin still rises at the end
+    calls = []
+    lo, hi, tol = 0.3, 1.2, 1e-9
+    x, _ = _maximize(lambda t: calls.append(t) or sign * math.sin(t), lo, hi, tol)
+    assert abs(x - (hi if sign > 0 else lo)) <= tol
+    assert len(calls) <= math.ceil(math.log((hi - lo) / 2 / tol, GOLDEN_RATIO)) + 2
+
+
+def test_maximizer_ends_with_a_tolerance_below_rounding():
+    # the bracket cannot shrink below an ulp of 1e6 (1.2e-10): the steps stop at eps |x|
+    x, _ = _maximize(lambda t: -((t - 1e6) ** 2), 1e6 - 1, 1e6 + 1, 1e-12)
+    assert abs(x - 1e6) <= 4 * np.finfo(float).eps * 1e6

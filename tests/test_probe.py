@@ -56,8 +56,8 @@ def test_numeric_blowup_off_axis(fn, theta):
     assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.1)
 
 
-def test_numeric_peak_search_stops_at_the_est_error_resolution(monkeypatch):
-    # a fixed 60-step search makes 62 one-omega passes; the est_error rule stops near 30, within criterion 9
+def _one_omega_passes(monkeypatch) -> list:
+    """Patch probe._g_values to append the size of every batch it gets to the returned list."""
     sizes = []
     g_values = probe._g_values
 
@@ -66,11 +66,33 @@ def test_numeric_peak_search_stops_at_the_est_error_resolution(monkeypatch):
         return g_values(fn, theta, omegas, *rest)
 
     monkeypatch.setattr(probe, "_g_values", counted)
+    return sizes
+
+
+def test_numeric_peak_search_stops_at_the_est_error_resolution(monkeypatch):
+    # the search stops where |g|'s drop from its peak meets g's est_error, within criterion 9
+    sizes = _one_omega_passes(monkeypatch)
     scan = blowup_scan(make_exp(-1), 0.0, g_source="numeric")
-    assert sizes.count(1) <= 34
+    assert sizes.count(1) <= 10
     assert abs(scan.boundary_point - 1.0) <= 1e-3
     assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.1)
     assert 0.1 * math.sqrt(np.finfo(float).eps) < scan.location_tol < 1e-3
+
+
+def test_numeric_peak_search_takes_few_one_omega_passes(monkeypatch):
+    # Brent's method from the sweep's peak and its neighbours; golden section made 31 passes here
+    sizes = _one_omega_passes(monkeypatch)
+    scan = blowup_scan(make_exp(-1), 0.3, g_source="numeric")
+    assert scan.detected
+    assert sizes.count(1) <= 10
+
+
+@pytest.mark.parametrize("g_source", ["oracle", "numeric"])
+@pytest.mark.parametrize("a", [-1, 1, -1 + 1j])
+def test_blowup_location_lies_within_its_tolerance(a, g_source):
+    fn = make_exp(a)
+    scan = blowup_scan(fn, 0.0, g_source=g_source)
+    assert abs(scan.boundary_point - fn.singularities_of_g[0]) <= 2 * scan.location_tol
 
 
 def test_location_tol_of_oracle_and_quiet_scans():

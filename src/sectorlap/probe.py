@@ -71,7 +71,7 @@ class BlowupScan:
     blowup_exponent: Optional[float]
     growth_ratio: float
     offset: float
-    location_tol: Optional[float] = None  # bound on the location's bracket half-width along the boundary
+    location_tol: Optional[float] = None  # the final bracket's half-width along the boundary, not an error bound
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,10 @@ def blowup_scan(
     searches the sweep's cells on either side of its largest |g|, starting
     from the sweep's values there, one omega per step, and stops once the
     bracket lies within location_tol = d0 * sqrt(max(est_error / |g|, eps))
-    of its best point, where that drop meets g's est_error.  ValueError for
-    a theta outside the entry's sector.
+    of its best point, where that drop meets g's est_error.  location_tol is
+    that final bracket half-width, not a bound: rounding in |g| left the
+    location up to 1.49 location_tol off the pole in 28 oracle scans, and the
+    tests check 2 location_tol.  ValueError for a theta outside the sector.
     """
     _check_direction(fn, theta)
     budget = budget or QuadratureBudget()

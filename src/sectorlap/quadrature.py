@@ -15,8 +15,10 @@ directly.  A panel's accuracy depends on how well a polynomial fits F, not
 on how many periods of the carrier it spans, so a rapidly rotating carrier
 costs no extra panels.  For |x| < 24 the moments are degree-15 Taylor
 series in x - c about the nearest integer c, from a 49 x 16 x 16 table of
-their derivatives at c = -24..24; from 24 on, where it keeps its digits,
-they take Rayleigh's closed form of j_n.
+their derivatives at c = -24..24.  From 24 on they follow the forward
+recurrence m_{n+1} = (2n+1) m_n / x - m_{n-1} of m_n = M_n / i^n from
+m_0 = 2 sin(x) / x and m_1 = (m_0 - 2 cos(x)) / x, which is stable for
+n < |x| (Gautschi, SIAM Review 9, 1967).
 
 A panel is carried as m and h, its halves as m -+ h/2 with half-width h/2
 exactly, and it has a two-level error estimate |sum(halves) - sum(panel)|.
@@ -26,24 +28,24 @@ an owner, the index of the integral it belongs to, and the engine calls its
 integrand as ``fn(t, k)``: ``t`` holds the Gauss-Legendre nodes of one
 interval per row and the column ``k`` the owner of each row, so one call can
 hold panels of many integrals.  A segment's seed panel is the segment
-itself; a ray's seed panels are geometric intervals (below).
-
-Ray integrals may share their smooth factor: a family is a set of
-integrals with one F, one rate and one amplitude, whose carriers alone
-differ (the omegas of a ray transform with the same margin).  A family is
+itself; a ray's seed panels are geometric intervals (below).  A family is a
+set of ray integrals with one F, one rate and one amplitude, whose carriers
+alone differ (the omegas of a ray transform with the same margin); it is
 planned once (truncation point, tail bound, seed panels), and its first
-integral owns its seed panels.  One kernel, ``_sums``, serves seeding and
-refinement alike: it evaluates F on the nodes of up to 3 * _CHUNK_PANELS
-panels per call, across family boundaries, projects the values once per
-panel (vals @ project, vals @ weights), and lets each integral on the panel
-apply its own carrier to those coefficients, the moments of kappa h and
-e^{i kappa m}.  Seeding hands it the whole panels, left halves and right
-halves of all seed panels; an integral that shares nothing is a family of
-one.  The moments are computed once per distinct kappa h of a call, at
-most 3 * _CARRY_COLUMNS rows at a time, for the rows that ``_seed_rows``
-finds from the panels' structure: as a ray's seed panels double in width,
-an integral of d seed panels takes d + 1 rows, not 3d.  Each integral is
-then checked against its own target
+integral owns its seed panels.  An integral that shares nothing is a family
+of one.
+
+One kernel, ``_sums``, serves seeding (the whole panels, left halves and
+right halves of all seed panels) and refinement.  It evaluates F on up to
+3 * _CHUNK_PANELS panels per integrand call, across family boundaries, and
+projects every panel of the call once (vals @ project, vals @ weights).
+Then each entry, one integral on one panel, applies its carrier: the dot
+product of the panel's coefficients with the moments of its kappa h, times
+h e^{i kappa m}, in input order.  The moments are computed once per
+distinct kappa h of a call, split into near and far rows once, for the rows
+that ``_seed_rows`` finds from the panels' structure: as a ray's seed
+panels double in width, an integral of d seed panels takes d + 1 rows, not
+3d.  Each integral is then checked against its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
@@ -58,23 +60,21 @@ the top estimate is exactly 0, no panel can usefully be split, so
 refinement stops there and reports the re-summed estimate, 0.
 
 A panel's sums come out the same whichever panels and integrals share its
-integrand call and its coefficients (every integrand call holds at least
-three panels, numpy's matrix products over two or more rows compute each
-row on its own, and each row's moments are a stacked product of its own
-kappa h alone, shared only with entries of the same kappa h), so every
-integral gets the same panels, values and estimates, bit for bit, as when
-integrated alone.  A pass seeds all its integrals in one step; those that
-meet their target take their plain seed sums, and the sums' rounding bound
-n eps sum |panel sum| over their n panels is added to est_error after the
-check; the others are refined in input order.  Sums are checked for finite
-values before they are used: a NaN or infinite integrand value raises
-IllConditioned naming the first affected panel, instead of a NaN estimate
-ending refinement as if it had converged.  Failures surface in input order,
-as if the integrals were computed one after another: seeding has evaluated
-every integral, but a bad seed sum or an exhausted budget is raised only
-once the integrals before it are finished.  ``integrate_segment`` and
-``integrate_ray`` are the one-integral case, and hand their integrands a
-1-D array of points.
+integrand call (every call holds at least three panels, numpy's matrix
+products over two or more rows compute each row on its own, each moment
+row depends on its own kappa h alone, and each entry's dot product is its
+own), so every integral gets the same panels, values and estimates, bit for
+bit, as when integrated alone.  A pass seeds all its integrals in one step;
+those that meet their target take their plain seed sums, and the sums'
+rounding bound n eps sum |panel sum| over their n panels is added to
+est_error after the check; the others are refined in input order.  A NaN
+or infinite seed or refinement sum raises IllConditioned naming the first
+affected panel, instead of a NaN estimate ending refinement as if it had
+converged; so do seed sums that are all exactly 0 where F at the start is
+not negligible, as F then underflows at every node.  Failures surface in
+input order, as if the integrals were computed one after another.
+``integrate_segment`` and ``integrate_ray`` are the one-integral case, and
+hand their integrands a 1-D array of points.
 
 Ray integrals over [0, inf) are truncated analytically: given a certified
 envelope |F(t)| <= A e^{-m t}, the tail beyond T is bounded by A e^{-m T}/m
@@ -111,12 +111,13 @@ __all__ = [
 _CHUNK_PANELS = 64
 # panels one integral may use; a ray seeds at most 13 and a segment 1, so only refinement reaches it
 _MAX_PANELS = 4000
-# 3 * 128 panel sums per carrier step, and moment rows per _moments call: each row's stacked product gathers a
-# 16 x 16 Taylor table, so bounded blocks keep those tables in cache and out of peak memory
+# 3 * 128 near moment rows per stacked product, and entries per block of carrier dot products: a near row
+# gathers a 16 x 16 Taylor table and an entry its panel's coefficients and its row's moments, so bounded blocks
+# keep what they gather in cache and out of peak memory
 _CARRY_COLUMNS = 128
 
 _ORDER = 16  # Gauss-Legendre nodes per panel
-_RAYLEIGH_FROM = 24.0  # |kappa h| from which the moments take Rayleigh's closed form
+_FAR_FROM = 24.0  # |kappa h| from which the moments take the forward recurrence
 
 
 class _Rule(NamedTuple):
@@ -124,7 +125,6 @@ class _Rule(NamedTuple):
     weights: np.ndarray
     project: np.ndarray
     taylor: np.ndarray
-    far: np.ndarray
 
 
 @functools.cache
@@ -135,14 +135,16 @@ def _rule() -> _Rule:
     nodes, weights = leggauss(_ORDER)
     degrees = np.arange(_ORDER)
     i_powers = np.array([1, 1j, -1, -1j])[degrees % 4]
-    # F at the nodes -> i^n c_n: the Legendre coefficients, with the moments' factor i^n folded in
-    project = legvander(nodes, _ORDER - 1) * weights[:, None] * (degrees + 0.5) * i_powers
-    # m_n(x) = M_n(x) / i^n = 2 j_n(x) is real.  Below |x| = _RAYLEIGH_FROM it is a Taylor series in x - c
+    # F at the nodes -> i^n c_n: the Legendre coefficients, with the moments' factor i^n folded in, as a real
+    # matrix from F's real and imaginary parts, interleaved, to the real parts of i^n c_n, then the imaginary ones
+    p = legvander(nodes, _ORDER - 1) * weights[:, None] * (degrees + 0.5) * i_powers
+    project = np.array([[p.real, p.imag], [-p.imag, p.real]]).transpose(2, 0, 1, 3).reshape(2 * _ORDER, 2 * _ORDER)
+    # m_n(x) = M_n(x) / i^n = 2 j_n(x) is real.  Below |x| = _FAR_FROM it is a Taylor series in x - c
     # about the nearest integer c: taylor[c, k, n] = m_n^{(k)}(c) / k!, rows c = 0..24 then -24..-1, so that
     # c indexes them.  Miller's backward recurrence j_{l-1} = (2l+1) j_l / c - j_{l+1} from l = 60, scaled
     # by sum (2l+1) j_l^2 = 1 and the sign of j_0(c) = sin(c) / c, gives j_l(c) for c = 1..24 within 4.4e-16;
     # m_l(0) = 2 [l = 0] and m_l(-c) = (-1)^l m_l(c).
-    c = np.arange(1.0, _RAYLEIGH_FROM + 1.0)
+    c = np.arange(1.0, _FAR_FROM + 1.0)
     j = [np.zeros(len(c)), np.ones(len(c))]
     for ell in range(60, 0, -1):
         j.append((2 * ell + 1) / c * j[-1] - j[-2])
@@ -155,45 +157,38 @@ def _rule() -> _Rule:
     taylor = np.empty((len(m), _ORDER, _ORDER))
     for k in range(_ORDER):
         taylor[:, k], m = m[:, :_ORDER], m @ derive / (k + 1)
-    # From there on, Rayleigh's closed form m_n(x) = Re(e^{ix} sum_k R[k, n] x^{-k-1}) with
-    # R[k, n] = 2 (-i)^{n+1} (n+k)! / (k! (n-k)!) (i/2)^k, 0 for k > n; far holds Re R, then Im R.
-    counts = np.array([[math.comb(n + k, k) * math.perm(n, k) for n in range(_ORDER)] for k in range(_ORDER)], float)
-    k, n = np.indices((_ORDER, _ORDER))
-    rayleigh = 2.0 * 0.5**k * counts * i_powers[(3 * n + 3 + k) % 4]
-    return _Rule(nodes, weights, project, taylor, np.concatenate((rayleigh.real, rayleigh.imag), axis=1))
-
-
-def _series(base: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_k base^k table[k] (k < 16) per base, or with table[i] for base[i]; a stacked product, row by row."""
-    powers = np.repeat(base[:, None], _ORDER, axis=1)
-    powers[:, 0] = 1.0
-    return (np.multiply.accumulate(powers, axis=1, out=powers)[:, None, :] @ table)[:, 0]
-
-
-def _near_moments(x: np.ndarray) -> np.ndarray:
-    c = np.rint(x)
-    return _series(x - c, _rule().taylor[c.astype(np.intp)])
-
-
-def _far_moments(x: np.ndarray) -> np.ndarray:
-    inv = 1.0 / x
-    rayleigh = _series(inv, _rule().far)
-    return (np.cos(x) * inv)[:, None] * rayleigh[:, :_ORDER] - (np.sin(x) * inv)[:, None] * rayleigh[:, _ORDER:]
+    return _Rule(nodes, weights, project, taylor)
 
 
 def _moments(x: np.ndarray) -> np.ndarray:
     """m_n(x) = 2 j_n(x) for n < 16, one row per x, so that int_{-1}^{1} P_n(u) e^{ixu} du = i^n m_n(x).
 
-    Each row depends on its own x only, whichever rows share the call.
+    The rows are split into near and far ones once.  A near row is the stacked product sum_k (x - c)^k
+    taylor[c, k], 3 * _CARRY_COLUMNS rows at a time; the far rows follow the forward recurrence.  Each row
+    depends on its own x only.
     """
-    near = np.abs(x) < _RAYLEIGH_FROM
-    if np.count_nonzero(near) == len(x):
-        return _near_moments(x)
-    moments = np.empty((len(x), _ORDER))
-    moments[near] = _near_moments(x[near])
-    far = ~near
-    moments[far] = _far_moments(x[far])
-    return moments
+    near = np.abs(x) < _FAR_FROM
+    split = np.count_nonzero(near) < len(x)
+    x_near = x[near] if split else x
+    moments = np.empty((len(x_near), _ORDER))
+    step = 3 * _CARRY_COLUMNS
+    for s in range(0, len(x_near), step):
+        c = np.rint(x_near[s : s + step])
+        powers = np.repeat((x_near[s : s + step] - c)[:, None], _ORDER, axis=1)
+        powers[:, 0] = 1.0
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        np.matmul(powers[:, None, :], _rule().taylor[c.astype(np.intp)], out=moments[s : s + step, None, :])
+    if not split:
+        return moments
+    x_far = x[~near]
+    far = np.empty((_ORDER, len(x_far)))
+    far[0] = 2.0 * np.sin(x_far) / x_far
+    far[1] = (far[0] - 2.0 * np.cos(x_far)) / x_far
+    for n in range(1, _ORDER - 1):
+        np.subtract((2 * n + 1) * far[n] / x_far, far[n - 1], out=far[n + 1])
+    every = np.empty((len(x), _ORDER))
+    every[near], every[~near] = moments, far.T
+    return every
 
 
 @dataclass(frozen=True)
@@ -237,83 +232,58 @@ class IntegralResult:
     panels_used: int
 
 
-def _carry(coeffs, plain, x: np.ndarray, moments, freq: np.ndarray, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Sums of F e^{i freq t} over panels of midpoints mid and half-widths half, from F's projections.
-
-    One panel per row: ``coeffs`` holds vals @ project and ``plain`` vals @
-    weights, vals being F at the panel's nodes, x = freq * half and
-    ``moments`` the rows _moments(x).  A panel's sum is the Filon sum where
-    x != 0 and the plain Gauss-Legendre sum where x = 0; a projection is None
-    where no panel needs it, and x is needed only where both are given.  The
-    caller ignores invalid and overflowing floating-point operations.
-    """
-    if coeffs is None:
-        return half * plain
-    filon = half * np.exp(1j * (freq * mid)) * (coeffs * moments).sum(axis=1)
-    return filon if plain is None else np.where(x == 0.0, half * plain, filon)
-
-
 def _sums(fn, mid: np.ndarray, half: np.ndarray, owner: np.ndarray, src, freq: np.ndarray, x, row) -> np.ndarray:
     """Sums of F e^{i freq[q] t} over the panels of midpoint mid[src[q]] and half-width half[src[q]], one per entry q.
 
-    The one panel kernel of seeding and refinement.  F is fn with column
-    owner[i] on panel i; ``src`` None stands for src[q] = q.  F is evaluated
-    (nodes as rows, owners as a column) and projected once per panel, up to
-    3 * _CHUNK_PANELS panels per integrand call.  Entry q takes the moments
-    of x[row[q]] = freq[q] * half[src[q]], computed once per row of x;
-    moments and carriers go 3 * _CARRY_COLUMNS rows and entries at a time.
+    F is fn with column owner[i] on panel i; ``src`` None stands for src[q] =
+    q.  F is evaluated (nodes as rows, owners as a column) on up to
+    3 * _CHUNK_PANELS panels per integrand call, and every panel projected,
+    before any entry is carried.  Entry q takes the moments of x[row[q]] =
+    freq[q] * half[src[q]], computed once per row of x: its sum is the Filon
+    sum where x != 0, the plain Gauss-Legendre sum where x = 0.  The entries
+    go in input order, their dot products 3 * _CARRY_COLUMNS at a time.
     """
     rule = _rule()
-    step = 3 * _CARRY_COLUMNS
-    chunks = range(0, len(mid) + 3 * _CHUNK_PANELS, 3 * _CHUNK_PANELS)
-    if src is None:
-        cut = list(chunks)
-    else:
-        # the entries of the panels [chunks[i], chunks[i + 1]) are by_panel[cut[i]:cut[i + 1]]
-        by_panel = np.argsort(src, kind="stable")
-        cut = np.searchsorted(src[by_panel], chunks).tolist()
-    sums = np.empty(len(freq), dtype=complex)
-    # entries all carried, all plain (x = 0), or both; only with both does a block need each entry's x
-    nonzero = np.count_nonzero(x)
-    mixed = 0 < nonzero < len(x)
-    moments = None
-    for i, s in enumerate(chunks[:-1]):
-        c = slice(s, s + 3 * _CHUNK_PANELS)
-        m, h = mid[c], half[c]
-        pts = m[:, None] + h[:, None] * rule.nodes
-        vals = np.asarray(fn(pts, owner[c, None]), dtype=complex)
-        if vals.shape != pts.shape:
-            vals = vals.reshape(pts.shape) if vals.size == pts.size else np.broadcast_to(vals, pts.shape)
-        coeffs = plain = None
-        # with src None, a chunk's entries are its panels, one block as _CARRY_COLUMNS >= _CHUNK_PANELS
-        for q in range(cut[i], cut[i + 1], step):
-            block, panels = slice(q, min(q + step, cut[i + 1])), None
-            block_mid, block_half = m, h
-            if src is not None:
-                block = by_panel[block]
-                panels = src[block] - s  # the chunk row of each entry's panel
-                block_mid, block_half = m[panels], h[panels]
-            rows = row[block]
-            if mixed:
-                block_x = x[rows]
-                carried = np.count_nonzero(block_x)
-            else:
-                block_x, carried = None, len(rows) if nonzero else 0
-            with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
-                if carried and moments is None:
-                    # a _moments call gathers a 16 x 16 table per row: bounded blocks keep those tables small
-                    moments = _moments(x) if len(x) <= step else np.concatenate(
-                        [_moments(x[r : r + step]) for r in range(0, len(x), step)]
-                    )
-                if carried and coeffs is None:
-                    coeffs = vals @ rule.project
-                if carried < len(rows) and plain is None:
-                    plain = vals @ rule.weights
-                block_coeffs = (coeffs if panels is None else coeffs[panels]) if carried else None
-                block_plain = (plain if panels is None else plain[panels]) if carried < len(rows) else None
-                shared = moments[rows] if carried else None
-                sums[block] = _carry(block_coeffs, block_plain, block_x, shared, freq[block], block_mid, block_half)
-    return sums
+    chunks = [slice(s, s + 3 * _CHUNK_PANELS) for s in range(0, len(mid), 3 * _CHUNK_PANELS)]
+    vals = []
+    for c in chunks:
+        pts = mid[c, None] + half[c, None] * rule.nodes
+        v = np.ascontiguousarray(fn(pts, owner[c, None]), dtype=complex)
+        if v.shape != pts.shape:
+            v = v.reshape(pts.shape) if v.size == pts.size else np.ascontiguousarray(np.broadcast_to(v, pts.shape))
+        vals.append(v)
+    carried = np.count_nonzero(x)  # rows x != 0, whose entries take the Filon sum
+    # per panel, the real parts of i^n c_n, then their imaginary parts
+    coeffs = np.empty((len(mid), 2, _ORDER)) if carried else None
+    plain = np.empty(len(mid), dtype=complex) if carried < len(x) else None
+    if src is not None:
+        mid, half = mid[src], half[src]
+    with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
+        for c, v in zip(chunks, vals):
+            if carried:
+                np.matmul(v.view(float), rule.project, out=coeffs[c].reshape(-1, 2 * _ORDER))
+            if plain is not None:
+                np.matmul(v, rule.weights, out=plain[c])
+        vals.clear()  # F's values are projected; free them before the moments and carriers
+        if plain is not None:
+            plain = half * (plain if src is None else plain[src])
+            if not carried:
+                return plain
+        # per entry, sum_n i^n c_n m_n(x) for the panel's coefficients and the row's moments, in blocks that
+        # keep the gathered rows in cache
+        moments = _moments(x)
+        dots = np.empty(len(freq), dtype=complex)
+        parts = dots.view(float).reshape(-1, 2)
+        step = 3 * _CARRY_COLUMNS
+        for q in range(0, len(freq), step):
+            block = slice(q, q + step)
+            np.einsum(
+                "ikn,in->ik", coeffs[block if src is None else src[block]], moments[row[block]], out=parts[block]
+            )
+        filon = np.exp(1j * (freq * mid))
+        filon *= half
+        filon *= dots
+        return filon if plain is None else np.where(x[row] == 0.0, plain, filon)
 
 
 def _seed_rows(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,6 +351,22 @@ def _check_finite(sums: np.ndarray, a, b) -> None:
         )
 
 
+def _check_blank(fn, owner, lo: np.ndarray, hi: np.ndarray, freq: float, abs_floor: float) -> None:
+    """Raise IllConditioned where F's sums on the seed panels [lo[k], hi[k]] are all exactly 0 but F(lo[0]) is not.
+
+    The first panel's first node lies 0.0053 panel widths from a = lo[0]:
+    F(a) times that gap above abs_floor means that F underflowed at every
+    node rather than vanished.
+    """
+    a = float(lo[0])
+    start = complex(np.asarray(fn(np.array([[a]]), np.array([[owner]])), dtype=complex).ravel()[0])
+    if not abs(start) * 0.5 * (hi[0] - a) * (1.0 + _rule().nodes[0]) <= abs_floor:
+        raise IllConditioned(
+            f"the integral of carrier frequency {float(freq)!r} over [{a!r}, {float(hi[-1])!r}] has every seed "
+            f"panel sum exactly 0, but its integrand is {start!r} at t = {a!r}: it underflows at every node"
+        )
+
+
 def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget) -> tuple[complex, float, int]:
     """Split the worst panel of one integral, of carrier frequency freq, until its estimate meets the target.
 
@@ -432,16 +418,16 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     """Integrals j of fn(t, owners[f]) e^{i freq[j] t} over the seed panels of their family f = family[j].
 
     Family f's seed panels are count[f] consecutive panels [a[i], b[i]],
-    after those of the families before it, a ray's from
-    ``_ray_breakpoints`` or a single panel (see ``_seed_rows``); families
-    are numbered in the order of their first integral.  Every integral is
-    seeded in one step; those whose seed sums are finite and meet their
-    target take their plain sums, off by less than n eps sum |panel sum|
-    over their n panels (Higham, Accuracy and Stability of Numerical
-    Algorithms, section 4.2), which est_error includes.  The others, in
-    input order, raise IllConditioned for a non-finite seed sum or are
-    refined.  Returns arrays of value, est_error and panels used per
-    integral.
+    after those of the families before it, a ray's from ``_ray_breakpoints``
+    or a single panel (see ``_seed_rows``); families are numbered in the
+    order of their first integral.  Every integral is seeded in one step;
+    those whose seed sums are finite and meet their target take their plain
+    sums, off by less than n eps sum |panel sum| over their n panels (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 4.2), which
+    est_error includes.  In input order, the others raise IllConditioned for
+    a non-finite seed sum or are refined, and those whose seed sums are all
+    exactly 0 pass ``_check_blank``.  Returns value, est_error and panels
+    used per integral.
     """
     # column q of the sums is panel q - starts[j] of integral j, family panel src[q]; with one integral
     # per family, family[j] = j and the columns are the family panels themselves
@@ -452,7 +438,8 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     if shared:
         src = np.arange(starts[-1] + counts[-1]) + np.repeat((count.cumsum() - count)[family] - starts, counts)
     sums = _seed(fn, a, b, owners.repeat(count), src, freq.repeat(counts), counts)
-    finite = None if np.isfinite(sums).all() else np.isfinite(sums).all(axis=0)
+    finite = np.isfinite(sums)
+    finite = None if np.count_nonzero(finite) == finite.size else finite.all(axis=0)
     coarse, left, right = sums if finite is None else np.where(finite, sums, 0.0)
     fine = left + right
     err = np.abs(fine - coarse)
@@ -462,10 +449,17 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     if finite is not None:
         done &= np.logical_and.reduceat(finite, starts)
     errors, used = total_errs + counts * math.ulp(1.0) * sizes, counts  # ulp(1) = eps
-    for j in [] if done.all() else np.flatnonzero(~done).tolist():
+    pending = [] if np.count_nonzero(done) == len(done) else np.flatnonzero(~done).tolist()
+    if np.count_nonzero(values) < len(values):
+        pending = sorted(pending + np.flatnonzero(done & (values == 0)).tolist())
+    for j in pending:
         f, p, q = family[j], int(starts[j]), int(starts[j] + counts[j])
         seeds = slice(p, q) if src is None else slice(int(src[p]), int(src[p]) + q - p)  # its family's seed panels
         lo, hi = a[seeds], b[seeds]
+        if done[j]:
+            if not sums[:, p:q].any():
+                _check_blank(fn, owners[f], lo, hi, freq[j], budget.abs_floor)
+            continue
         if finite is not None:
             _check_finite(sums[:, p:q], lo, hi)
         total, total_err = complex(values[j]), float(total_errs[j])
@@ -523,6 +517,13 @@ def _ray_breakpoints(T: list[float], rate: list[float]) -> tuple[np.ndarray, np.
     return a, b, count
 
 
+def _check_envelopes(rates: list[float], amplitudes: list[float]) -> None:
+    """Raise DecayModel's InvalidDecay for the first rate or amplitude that is not finite and positive."""
+    for m, A in zip(rates, amplitudes):
+        if not (0.0 < m < math.inf and 0.0 < A < math.inf):
+            DecayModel(rate=m, amplitude=A)
+
+
 def _integrate_rays(
     fn, rate: np.ndarray, amplitude: np.ndarray, budget: QuadratureBudget, freq: np.ndarray, shares=None
 ):
@@ -535,30 +536,29 @@ def _integrate_rays(
     and its F evaluated on its seed panels, once: fn is called with the
     family's first integral as the owner.
 
-    Validates every envelope first: for the first integral, in input order,
-    whose rate or amplitude is not finite and positive, raises InvalidDecay
-    with DecayModel's message.  Then every truncation point: InvalidDecay
-    for the first rate so small that 2T overflows.  Returns value,
-    est_error, truncation_T and panels used per integral, each as
-    ``integrate_ray`` computes it alone.
+    Validates every envelope first (InvalidDecay with DecayModel's message
+    for the first bad one in input order), the sharing next, and then every
+    truncation point: InvalidDecay for the first rate so small that 2T
+    overflows.  Returns value, est_error, truncation_T and panels used per
+    integral, each as ``integrate_ray`` computes it alone.
     """
     n = len(rate)
-    rates, amplitudes = rate.tolist(), amplitude.tolist()
-    for m, A in zip(rates, amplitudes):
-        if not (0.0 < m < math.inf and 0.0 < A < math.inf):
-            DecayModel(rate=m, amplitude=A)  # raises InvalidDecay
-    if shares is None:
-        leaders = family = range(n)
-    else:
+    family = None  # integral j's family, where families are not the integrals themselves
+    if shares is not None:
         shares, index = np.asarray(shares), np.arange(n)
-        if not (np.all((shares >= 0) & (shares <= index)) and np.array_equal(shares[shares], shares)):
-            raise ValueError("an integral must share the smooth factor of itself or of an earlier one sharing its own")
-        if not (np.array_equal(rate[shares], rate) and np.array_equal(amplitude[shares], amplitude)):
-            raise ValueError("integrals that share a smooth factor must have the same rate and amplitude")
+        ordered = np.all((shares >= 0) & (shares <= index)) and np.array_equal(shares[shares], shares)
+        if not (ordered and np.array_equal(rate[shares], rate) and np.array_equal(amplitude[shares], amplitude)):
+            _check_envelopes(rate.tolist(), amplitude.tolist())  # a bad envelope is reported first
+            raise ValueError(
+                "integrals that share a smooth factor must have the same rate and amplitude" if ordered
+                else "an integral must share the smooth factor of itself or of an earlier one sharing its own"
+            )
         leaders = np.flatnonzero(shares == index)
-        family = np.searchsorted(leaders, shares).tolist()
-        leaders = leaders.tolist()
-        rates, amplitudes = [rates[j] for j in leaders], [amplitudes[j] for j in leaders]
+        family = np.searchsorted(leaders, shares)
+        rate, amplitude = rate[leaders], amplitude[leaders]
+    # sharers have their family's envelope, so the first bad family holds the first bad integral
+    rates, amplitudes = rate.tolist(), amplitude.tolist()
+    _check_envelopes(rates, amplitudes)
     # per family, A e^{-m T} / m <= abs_floor / 2, in math.log and math.exp as for one integral (numpy's can
     # differ in the last bit).  Where arg <= 1 the whole integral is below half the floor: value 0, with
     # est_error A / m and no panels; the others add their tail bound to est_error.
@@ -573,24 +573,21 @@ def _integrate_rays(
                 raise InvalidDecay(f"decay rate {m!r} is too small: the truncation point T overflows")
             bound[f] = A * math.exp(-m * T[f]) / m
             live.append(f)
-    value, err, panels = [0j] * n, [bound[f] for f in family], [0] * n
+    value, panels = np.zeros(n, dtype=complex), np.zeros(n, dtype=np.intp)
+    err = np.array(bound) if family is None else np.array(bound)[family]
     if live:
         a, b, count = _ray_breakpoints([T[f] for f in live], [rates[f] for f in live])
-        renumber = dict(zip(live, itertools.count()))
-        mine = [j for j, f in enumerate(family) if f in renumber]
-        values, errors, used = _integrate_seeds(
-            fn,
-            a,
-            b,
-            count,
-            np.array([leaders[f] for f in live]),
-            [renumber[family[j]] for j in mine],
-            freq if len(mine) == n else freq[mine],
-            budget,
-        )
-        for j, v, e, u in zip(mine, values.tolist(), errors.tolist(), used.tolist()):
-            value[j], err[j], panels[j] = v, e + err[j], u
-    return np.array(value, dtype=complex), np.array(err), np.array([T[f] for f in family]), np.array(panels)
+        mine, renumbered = slice(None), range(n) if family is None else family
+        if len(live) < len(rates):  # the integrals of live families, and those families numbered among them
+            renumbered = np.full(len(rates), -1)
+            renumbered[live] = np.arange(len(live))
+            renumbered = renumbered if family is None else renumbered[family]
+            mine = np.flatnonzero(renumbered >= 0)
+            renumbered = renumbered[mine]
+        owners = np.array(live) if family is None else leaders[live]
+        values, errors, used = _integrate_seeds(fn, a, b, count, owners, renumbered, freq[mine], budget)
+        value[mine], err[mine], panels[mine] = values, errors + err[mine], used
+    return value, err, np.array(T) if family is None else np.array(T)[family], panels
 
 
 def integrate_ray(

@@ -230,7 +230,7 @@ def test_panel_rule_matches_reference_moments():
 
 
 I_POWERS = 1j ** np.arange(16)
-# the rint ties, the rows about +-12, and the last Taylor rows and the switch to Rayleigh's closed form at |x| = 24
+# the rint ties, the rows about +-12, and the last Taylor rows and the switch to the forward recurrence at |x| = 24
 EDGES = [0.5, -0.5, 11.5, -11.5, 11.999999999, -11.999999999, 12.0, -12.0, 12.000000001]
 EDGES += [23.5, -23.5, 23.999999999, 24.0, -24.0, 24.000000001]
 
@@ -283,12 +283,37 @@ def _mpmath_moments(mpmath, x: float) -> np.ndarray:
 
 
 def test_moments_match_a_40_digit_reference():
-    # Rayleigh's closed form cancels digits just above its switch; from |x| = 24 on it keeps them
+    # the Taylor rows below |x| = 24 and the forward recurrence from there on, stable as n < 16 < |x|, up to
+    # |x| = 1e8, for negative x and at multiples of pi, where sin(x) and with it m_0 nearly vanish
     mpmath = pytest.importorskip("mpmath")
-    xs = np.concatenate((np.random.default_rng(4).uniform(0.0, 30.0, 120), EDGES, [0.0, 1e-8, 30.0]))
+    rng = np.random.default_rng(4)
+    far = np.concatenate((rng.uniform(24.0, 60.0, 60), np.geomspace(60.0, 1e8, 30), np.pi * np.arange(8, 40, 3)))
+    xs = np.concatenate((rng.uniform(0.0, 30.0, 120), EDGES, [0.0, 1e-8, 30.0], far, -far[::4]))
     got = quadrature._moments(xs)
     for x, row in zip(xs.tolist(), got):
         assert np.abs(row - _mpmath_moments(mpmath, x)).max() <= 2e-15, x
+
+
+def test_sums_do_not_depend_on_the_order_of_the_entries():
+    # 300 panels over two integrand calls, 1 200 entries over four carrier blocks, with plain (x = 0), near and
+    # far rows: permuting the entries, each with its src and row, and the rows themselves moves no bit
+    rng = np.random.default_rng(18)
+    panels, entries = 300, 1200
+    mid, half = rng.uniform(-5.0, 5.0, panels), rng.uniform(0.01, 2.0, panels)
+    owner = rng.integers(0, 4, panels)
+    rates = np.array([0.5 + 1j, 1.0, 2.0 - 3j, 0.25])
+    fn = lambda t, k: np.exp(-rates[k] * t)
+    src = rng.integers(0, panels, entries)
+    freq = rng.choice([0.0, 0.3, -7.0, 40.0, 1e3], entries) * rng.choice([1.0, 2.0], entries)
+    x, row = np.unique(freq * half[src], return_inverse=True)
+    assert 0 < np.count_nonzero(np.abs(x) >= 24.0) < np.count_nonzero(x) == len(x) - 1  # one row x = 0
+    assert panels > 3 * quadrature._CHUNK_PANELS and entries > 3 * 3 * quadrature._CARRY_COLUMNS
+    sums = quadrature._sums(fn, mid, half, owner, src, freq, x, row)
+    order, relabel = rng.permutation(entries), rng.permutation(len(x))
+    rows = np.argsort(relabel)  # row r of x is row rows[r] of the relabelled x[relabel]
+    shuffled = quadrature._sums(fn, mid, half, owner, src[order], freq[order], x[relabel], rows[row[order]])
+    assert np.array_equal(shuffled, sums[order])
+    assert np.all(np.isfinite(sums)) and np.count_nonzero(sums) == entries
 
 
 def _counted_moments(monkeypatch):
@@ -362,6 +387,43 @@ def test_a_seed_finished_integral_counts_its_summation_rounding(monkeypatch):
     assert fsums == []  # no integral took the refinement path, which sums with math.fsum
     assert np.array_equal(used, count)
     assert np.array_equal(errors, count * math.ulp(1.0) * np.abs(values)) and np.all(errors > 0.0)
+
+
+def test_a_ray_whose_integrand_underflows_at_every_node_is_ill_conditioned():
+    # seed panels of width 1 / rate = 1e8: e^{-t} underflows at every node, and every seed sum is exactly 0, but
+    # the integral is 1
+    with pytest.raises(IllConditioned, match=r"sum exactly 0, but its integrand is \(1\+0j\) at t = 0\.0"):
+        integrate_ray(lambda t: np.exp(-t), DecayModel(1e-8, 1.0))
+    with pytest.raises(IllConditioned, match=r"over \[0\.0, 1\.0\]"):
+        integrate_segment(lambda t: np.exp(-1e6 * t), 0.0, 1.0)
+    # F(0) times the gap to the first node is below abs_floor: the integral, 1e-300, is taken as 0
+    assert integrate_ray(lambda t: 1e-300 * np.exp(-t), DecayModel(1e-8, 1.0)).value == 0j
+    # the zero entry: every seed sum is exactly 0, and so is F at t = 0
+    res = integrate_ray(lambda t: 0.0 * t, DecayModel(1.0, 1.0), TIGHT)
+    assert (res.value, res.panels_used) == (0j, len(quadrature._ray_breakpoints([res.truncation_T], [1.0])[0]))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_batch_with_an_underflowing_integral_fails_in_input_order(reverse, monkeypatch):
+    # a zero integral, one that underflows at every node and one that refines past the budget: F at t = 0 is
+    # evaluated for the integrals whose seed sums are all exactly 0 alone, and the first failure in input order
+    # is raised, as if the integrals were computed one after another
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    kinds = ["zero", "underflow", "refine"][:: -1 if reverse else 1]
+    rate = np.array([1e-8 if kind == "underflow" else 1.0 for kind in kinds])
+    scale = np.array([0.0 if kind == "zero" else 1.0 for kind in kinds])
+    spin = np.array([100j if kind == "refine" else 0.0 for kind in kinds])
+    starts = []
+
+    def fn(t, k):
+        if t.shape[1] == 1:
+            starts.append(int(k[0, 0]))
+        return scale[k] * np.exp((spin[k] - 1.0) * t)
+
+    error, match = (BudgetExceeded, "panel budget 8") if reverse else (IllConditioned, "every seed panel sum")
+    with pytest.raises(error, match=match):
+        quadrature._integrate_rays(fn, rate, np.ones(3), TIGHT, np.zeros(3))
+    assert starts == ([] if reverse else [0, 1])
 
 
 @pytest.mark.parametrize("amplitude", [1e300, 1.7e308])

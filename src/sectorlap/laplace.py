@@ -356,12 +356,18 @@ def _maximize(fun, lo: float, hi: float, tol: float, start=None) -> tuple[float,
 def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
     """Direction of largest margin, via a coarse scan refined by Brent's method (``_maximize``).
 
-    The refinement searches between the best scan point's neighbours, starting
-    from the scan's three values when the best point tops both, and stops once
-    the bracket lies within step * sqrt(eps) of its best point, step being the
-    coarse spacing: rounding locates a smooth peak of that width no better.
-    Ties (within 1e-9 relative) break toward the smallest |theta|.  Raises
-    OutsideUnion when even the best margin falls below ct.min_margin.
+    With the oracle indicator the refinement searches between the best scan
+    point's neighbours, starting from the scan's three values when the best
+    point tops both.  A numeric indicator's offset is interpolated linearly
+    between the scan points, so the margin can bulge above the best point in
+    either cell beside it: each cell is searched on its own and the larger
+    peak kept, the one of smaller |theta| on ties.  The searches stop once
+    the bracket lies within step * sqrt(eps) of its best point, step being
+    the coarse spacing: rounding locates a smooth peak of that width no
+    better.  The scan's best point stays unless a peak beats it by more than
+    1e-9 relative, and ties among scan points break toward the smallest
+    |theta|.  Raises OutsideUnion when even the best margin falls below
+    ct.min_margin.
     """
     thetas = np.linspace(-ct.alpha, ct.alpha, 65)
     if 0.0 not in thetas:
@@ -373,17 +379,31 @@ def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
     i = int(tied[np.argmin(np.abs(thetas[tied]))])
     theta0, m_0 = float(thetas[i]), float(margins[i])
 
-    # Brent refinement inside the bracketing coarse cells, warm from the scan where theta0 is their peak
-    a, b = max(i - 1, 0), min(i + 1, len(thetas) - 1)
-    start = (theta0, m_0, margins[a], margins[b]) if a < i < b and m_0 >= max(margins[a], margins[b]) else None
+    if ct.exact:
+        # Brent refinement inside the bracketing coarse cells, warm from the scan where theta0 is their peak
+        a, b = max(i - 1, 0), min(i + 1, len(thetas) - 1)
+        start = (theta0, m_0, margins[a], margins[b]) if a < i < b and m_0 >= max(margins[a], margins[b]) else None
+        cells = [(a, b, start)]
+    else:
+        # the scan's points hold the numeric grid's, so on a cell the margin is linear minus Re(omega e^{i theta}),
+        # which bends it by at most |omega|: falling by s per unit away from theta0, a cell of width h rises above
+        # m_0 by at most (|omega| h / 2 - s)^2 / (2 |omega|), and only a cell where that exceeds tol is searched
+        cells = []
+        for c, far in ((i - 1, i - 1), (i, i + 1)):
+            if 0 <= c < len(thetas) - 1:
+                h = thetas[c + 1] - thetas[c]
+                slack = max(0.0, abs(omega) * h / 2 - (m_0 - margins[far]) / h)
+                if slack * slack > 2 * abs(omega) * tol:
+                    cells.append((c, c + 1, None))
     step = thetas[1] - thetas[0]
-    theta_g, m_g = _maximize(
-        lambda t: ct.margin(omega, t), float(thetas[a]), float(thetas[b]), step * math.sqrt(_EPS), start
-    )
-
+    theta_g, m_g = theta0, -math.inf
+    for a, b, start in cells:
+        theta_c, m_c = _maximize(
+            lambda t: ct.margin(omega, t), float(thetas[a]), float(thetas[b]), step * math.sqrt(_EPS), start
+        )
+        if m_c > m_g + tol or (m_c >= m_g - tol and abs(theta_c) < abs(theta_g)):
+            theta_g, m_g = theta_c, m_c
     theta_star, m_star = (theta_g, m_g) if m_g > m_0 + tol else (theta0, m_0)
-    if abs(m_g - m_0) <= tol and abs(theta0) < abs(theta_g):
-        theta_star, m_star = theta0, m_0
     if not m_star >= ct.min_margin:
         raise OutsideUnion(
             f"omega={omega} lies outside the union of half-planes: best margin "

@@ -29,6 +29,10 @@ transform as their ``g_source`` picks, one batch of omegas per call:
   entries only.  A slope fits only the values of J above their est_error, as
   the others are noise; a piece with fewer than 2 such values (the zero
   entry's pieces, which are 0 everywhere) gets the slope J_SLOPE_SENTINEL.
+
+The two scans use the est_errors that come with g: the blow-up exponent is
+fitted over the magnitudes above their est_error, and a radius fit whose
+coefficients do not stand above the ring's est_errors is IllConditioned.
 """
 
 import cmath
@@ -123,7 +127,9 @@ def blowup_scan(
     of its best point, where that drop meets g's est_error.  location_tol is
     that final bracket half-width, not a bound: rounding in |g| left the
     location up to 1.49 location_tol off the pole in 28 oracle scans, and the
-    tests check 2 location_tol.  ValueError for a theta outside the sector.
+    tests check 2 location_tol.  The exponent is fitted over the descent's
+    magnitudes above their est_error.  ValueError for a theta outside the
+    sector.
     """
     _check_direction(fn, theta)
     budget = budget or QuadratureBudget()
@@ -164,11 +170,12 @@ def blowup_scan(
     )
     point = boundary(tau_star)
 
-    mags = np.abs(_g_values(fn, theta, [point - d * back for d in deltas], budget, g_source, delta_min / 2)[0])
+    values, errors = _g_values(fn, theta, [point - d * back for d in deltas], budget, g_source, delta_min / 2)
+    mags = np.abs(values)
     ratio = float(mags[-1] / mags[0]) if mags[0] > 0 else 0.0
     if ratio < 10.0:
         return BlowupScan(theta, False, None, None, ratio, offset)
-    ok = mags > 0
+    ok = mags > errors  # as for J, the magnitudes within their est_error of 0 are noise
     slope = float(np.polyfit(np.log(deltas[ok]), np.log(mags[ok]), 1)[0]) if ok.sum() >= 2 else math.nan
     return BlowupScan(theta, True, point, slope, ratio, offset, tol)
 
@@ -184,8 +191,11 @@ def radius_scan(
 
     The coefficients come from the FFT of g at 256 points on a circle of
     radius 0.8x the margin of ``center``; the fit uses those of degree 12
-    to 24.  Without ``theta``, the direction is the one of largest margin
-    on a 129-point scan of the entry's fan; ValueError for a theta outside it.
+    to 24.  Each FFT coefficient is a mean of the ring values, so it is off
+    by at most their largest est_error: IllConditioned when one of those
+    fitted is not above it, or underflows.  Without ``theta``, the direction
+    is the one of largest margin on a 129-point scan of the entry's fan;
+    ValueError for a theta outside it.
     """
     if theta is not None:
         _check_direction(fn, theta)
@@ -202,7 +212,7 @@ def radius_scan(
     rho = 0.8 * margin
     phis = 2.0 * math.pi * np.arange(256) / 256
     ring = center + rho * np.exp(1j * phis)
-    vals, _ = _g_values(fn, theta, ring, budget, g_source, min(DELTA_MIN_DEFAULT, 0.1 * margin))
+    vals, errors = _g_values(fn, theta, ring, budget, g_source, min(DELTA_MIN_DEFAULT, 0.1 * margin))
     coeffs = np.fft.fft(vals) / 256
     n = np.arange(_DEGREE + 1)
     cn = np.abs(coeffs[: _DEGREE + 1]) / rho**n
@@ -213,6 +223,15 @@ def radius_scan(
         raise IllConditioned(
             f"Taylor coefficients underflow before degree {_DEGREE}; "
             "g is too flat at this center for a radius fit"
+        )
+    # each FFT coefficient, a mean of the ring values, is off by at most their largest est_error
+    noise = float(np.max(errors))
+    above = np.abs(coeffs[lo : _DEGREE + 1]) > noise
+    if not np.all(above):
+        k = lo + int(np.argmin(above))
+        raise IllConditioned(
+            f"Taylor coefficient c_{k} * rho^{k} = {abs(coeffs[k]):.3e} is not above the ring values' largest "
+            f"est_error {noise:.3e}; g is too flat at this center for a radius fit at this budget"
         )
     slope = float(np.polyfit(n[lo:], np.log(used), 1)[0])
     radius = math.exp(-slope)

@@ -49,15 +49,19 @@ panels double in width, an integral of d seed panels takes d + 1 rows, not
 
     est_error <= rel_tol * |value| + abs_floor
 
-and one that misses it is refined on its own, from the panel state seeding
-left and on its family's F.  Refinement keeps the integral's panels on a
-heap, worst estimate first and the older panel on ties, and splits the top
-one, with one ``_sums`` call for the four half-panels of both children (of
-one width, so of one moment row), until the target is met or it holds
-_MAX_PANELS panels (BudgetExceeded, never silent degradation).  The running
-estimate is updated per split; if rounding leaves it above the target once
-the top estimate is exactly 0, no panel can usefully be split, so
-refinement stops there and reports the re-summed estimate, 0.
+and those that miss it are refined from the panel state seeding left, each
+on its family's F.  Every integral keeps its panels on its own heap, worst
+estimate first and the older panel on ties.  Refinement goes in rounds:
+each round pops the top panel of every integral still above its target and
+computes the four half-panels of both children of all of them, of one
+width per split and so of one moment row, in one ``_sums`` call; integrals
+of one family that split the same panel evaluate F on it once.  An
+integral's running value and estimate are updated per split as if it were
+refined alone, until its target is met or it holds _MAX_PANELS panels
+(BudgetExceeded, naming the integral and its worst panel: never silent
+degradation).  If rounding leaves the estimate above the target once the
+top estimate is exactly 0, no panel can usefully be split, so refinement
+stops there and reports the re-summed estimate, 0.
 
 A panel's sums come out the same whichever panels and integrals share its
 integrand call (every call holds at least three panels, numpy's matrix
@@ -67,12 +71,17 @@ own), so every integral gets the same panels, values and estimates, bit for
 bit, as when integrated alone.  A pass seeds all its integrals in one step;
 those that meet their target take their plain seed sums, and the sums'
 rounding bound n eps sum |panel sum| over their n panels is added to
-est_error after the check; the others are refined in input order.  A NaN
-or infinite seed or refinement sum raises IllConditioned naming the first
-affected panel, instead of a NaN estimate ending refinement as if it had
-converged; so do seed sums that are all exactly 0 where F at the start is
-not negligible, as F then underflows at every node.  Failures surface in
-input order, as if the integrals were computed one after another.
+est_error after the check; the others are refined.  A NaN or infinite seed
+or refinement sum is an IllConditioned failure naming the first affected
+panel, instead of a NaN estimate ending refinement as if it had converged;
+so are seed sums that are all exactly 0 where F at the start is not
+negligible, as F then underflows at every node (``_check_blank``).  Each
+integral's failure is recorded, and the integrals after a failed one are
+refined no further; after the rounds, in input order, the blank checks run
+and the first failure is raised, as if the integrals were computed one
+after another.  One exception surfaces otherwise: an exception raised by
+the integrand itself propagates from the round it is raised in, possibly
+ahead of an earlier integral's failure in a later round.
 ``integrate_segment`` and ``integrate_ray`` are the one-integral case, and
 hand their integrands a 1-D array of points.
 
@@ -87,6 +96,7 @@ InvalidDecay.  T m = ln(2 A / (m abs_floor)) stays below about 2 200 for
 finite doubles, so a ray seeds at most 13 panels.
 """
 
+import cmath
 import functools
 import heapq
 import itertools
@@ -340,15 +350,13 @@ def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, src, freq: np.nda
     return _sums(fn, mids, halves, np.concatenate((owner,) * 3), src, freq, x, row).reshape(3, -1)
 
 
-def _check_finite(sums: np.ndarray, a, b) -> None:
-    """Raise IllConditioned unless all sums are finite; column i belongs to panel [a[i], b[i]]."""
-    finite = np.isfinite(sums)
-    if not finite.all():
-        i = int(np.argmin(finite.all(axis=0)))
-        raise IllConditioned(
-            f"non-finite integrand value on [{float(a[i])!r}, {float(b[i])!r}]; "
-            "the integrand overflows or is undefined there"
-        )
+def _non_finite(sums: np.ndarray, a, b) -> IllConditioned:
+    """IllConditioned naming the first panel [a[i], b[i]] whose column i of sums is not all finite."""
+    i = int(np.argmin(np.isfinite(sums).all(axis=0)))
+    return IllConditioned(
+        f"non-finite integrand value on [{float(a[i])!r}, {float(b[i])!r}]; "
+        "the integrand overflows or is undefined there"
+    )
 
 
 def _check_blank(fn, owner, lo: np.ndarray, hi: np.ndarray, freq: float, abs_floor: float) -> None:
@@ -367,51 +375,108 @@ def _check_blank(fn, owner, lo: np.ndarray, hi: np.ndarray, freq: float, abs_flo
         )
 
 
-def _refine(fn, owner, freq, lo, hi, left, right, err, total, total_err, budget) -> tuple[complex, float, int]:
-    """Split the worst panel of one integral, of carrier frequency freq, until its estimate meets the target.
+def _heap(lo: np.ndarray, hi: np.ndarray, left: np.ndarray, right: np.ndarray, err: np.ndarray) -> list:
+    """One integral's panels [lo[k], hi[k]], with half-panel sums left[k], right[k] and estimates err[k], as a heap.
 
-    Panel k spans [lo[k], hi[k]] with half-panel sums left[k], right[k] and
-    estimate err[k].  The panels live on a heap of (-err, creation index,
-    midpoint, half-width, left, right), so the worst pops first and the older
-    one on ties; a split gets the four half-panels of both children, all of
-    one half-width and so of one moment row, from one ``_sums`` call.
+    Its entries are (-err, creation index, midpoint, half-width, left, right),
+    so the worst panel pops first, and the older one on ties.
     """
     half = 0.5 * (hi - lo)  # as in _seed
     mid = lo + half
     heap = list(zip((-err).tolist(), itertools.count(), mid.tolist(), half.tolist(), left.tolist(), right.tolist()))
     heapq.heapify(heap)
-    age = itertools.count(len(heap))
-    one_row = np.zeros(4, dtype=np.intp)
-    while total_err > budget.rel_tol * abs(total) + budget.abs_floor:
-        if len(heap) >= _MAX_PANELS:
-            raise BudgetExceeded(
-                f"panel budget {_MAX_PANELS} exhausted with est_error={total_err:.3e} "
-                f"(target {budget.rel_tol * abs(total) + budget.abs_floor:.3e}); "
-                "the integrand is harder than the budget allows"
-            )
-        if heap[0][0] == 0.0:
-            # every estimate is exactly zero: the running total is rounding residue no split can lower
-            break
-        # the children's coarse sums are the parent's half-panel sums
-        key, _, m, h, coarse0, coarse1 = heapq.heappop(heap)
-        child, quarter = 0.5 * h, 0.25 * h
-        mid0, mid1 = m - child, m + child
-        # rows: left halves, right halves
-        mids = np.array((mid0 - quarter, mid1 - quarter, mid0 + quarter, mid1 + quarter))
-        x = np.array([freq * quarter])
-        sums = _sums(fn, mids, np.full(4, quarter), np.full(4, owner), None, np.full(4, freq), x, one_row).reshape(2, 2)
-        _check_finite(sums, (m - h, m), (m, m + h))
-        (left0, left1), (right0, right1) = sums.tolist()
-        fine0, fine1 = left0 + right0, left1 + right1
-        err0, err1 = abs(fine0 - coarse0), abs(fine1 - coarse1)
-        heapq.heappush(heap, (-err0, next(age), mid0, child, left0, right0))
-        heapq.heappush(heap, (-err1, next(age), mid1, child, left1, right1))
-        total += fine0 + fine1 - (coarse0 + coarse1)
-        total_err += err0 + err1 + key  # key = -err of the split panel; adding it rounds as subtracting err
+    return heap
 
+
+def _finish(heap: list) -> tuple[complex, float, int]:
+    """Value, est_error and panels of an integral from its heap, each sum by math.fsum."""
     fine = [p[4] + p[5] for p in heap]
     value = complex(math.fsum(v.real for v in fine), math.fsum(v.imag for v in fine))
     return value, math.fsum(-p[0] for p in heap), len(heap)
+
+
+def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, total_err: list, budget) -> list:
+    """Split the worst panel of every pending integral, in rounds, until each estimate meets its target.
+
+    Integral i is that of fn(t, owner[i]) e^{i freq[i] t} over the seed
+    interval span[i] = (a, b), with its panels in heaps[i] (``_heap``) and
+    its running value and estimate in total[i] and total_err[i], which are
+    updated in place.  Each round pops the worst panel of every integral
+    still above its target and computes the four half-panels of both
+    children of all of them in one ``_sums`` call, one moment row per split;
+    splits of one owner, midpoint and half-width evaluate F once.  An
+    integral leaves the rounds once its target is met or its top estimate is
+    exactly 0, and fails at _MAX_PANELS panels (BudgetExceeded) or on a
+    non-finite sum (IllConditioned).  Returns per integral (value,
+    est_error, panels) or the error it failed with; the integrals after a
+    failed one are dropped, with None, as their results can no longer
+    surface.  An exception of fn propagates at once.
+    """
+    results = [None] * len(heaps)
+    age = itertools.count(max(map(len, heaps)))  # creation indices, increasing within every heap
+    live = range(len(heaps))
+    while live:
+        splits, panels, mids, halves, owners, freqs, x = [], {}, [], [], [], [], []
+        for i in live:
+            heap = heaps[i]
+            target = budget.rel_tol * abs(total[i]) + budget.abs_floor
+            if not total_err[i] > target:
+                results[i] = _finish(heap)
+                continue
+            if len(heap) >= _MAX_PANELS:
+                key, _, m, h, _, _ = heap[0]
+                a, b = span[i]
+                results[i] = BudgetExceeded(
+                    f"panel budget {_MAX_PANELS} exhausted with est_error={total_err[i]:.3e} (target {target:.3e}) "
+                    f"by the integral of carrier frequency {freq[i]!r} over [{a!r}, {b!r}]; its worst panel "
+                    f"[{m - h!r}, {m + h!r}] has estimate {-key:.3e}: the integrand is harder than the budget allows"
+                )
+                break
+            if heap[0][0] == 0.0:
+                # every estimate is exactly zero: the running total is rounding residue no split can lower
+                results[i] = _finish(heap)
+                continue
+            popped = heapq.heappop(heap)
+            _, _, m, h, _, _ = popped
+            quarter = 0.25 * h
+            if panels.setdefault((owner[i], m, h), len(panels)) == len(mids) // 4:
+                child = 0.5 * h
+                mid0, mid1 = m - child, m + child
+                # per split: left halves, then right halves, of both children
+                mids += (mid0 - quarter, mid1 - quarter, mid0 + quarter, mid1 + quarter)
+                halves += (quarter,) * 4
+                owners += (owner[i],) * 4
+            splits.append((i, popped))
+            freqs += (freq[i],) * 4
+            x.append(freq[i] * quarter)
+        if not splits:
+            break
+        src = None
+        if len(panels) < len(splits):  # the four half-panels of each split's panel
+            src = (4 * np.array([panels[owner[i], p[2], p[3]] for i, p in splits])[:, None] + np.arange(4)).ravel()
+        row = _ONE_ROW if len(splits) == 1 else np.arange(len(splits)).repeat(4)
+        sums = _sums(fn, np.array(mids), np.array(halves), np.array(owners), src, np.array(freqs), np.array(x), row)
+        live = []
+        # per split, rows left and right halves, columns its children, whose coarse sums are the split panel's halves
+        for (i, (key, _, m, h, coarse0, coarse1)), child_sums in zip(splits, sums.reshape(-1, 2, 2).tolist()):
+            (left0, left1), (right0, right1) = child_sums
+            fine0, fine1 = left0 + right0, left1 + right1
+            err0, err1 = abs(fine0 - coarse0), abs(fine1 - coarse1)
+            # a non-finite half-panel sum makes an estimate non-finite; the integrals after it no longer matter
+            if not math.isfinite(err0 + err1) and not all(map(cmath.isfinite, (left0, left1, right0, right1))):
+                results[i] = _non_finite(np.array(child_sums), (m - h, m), (m, m + h))
+                break
+            heap, child = heaps[i], 0.5 * h
+            heapq.heappush(heap, (-err0, next(age), m - child, child, left0, right0))
+            heapq.heappush(heap, (-err1, next(age), m + child, child, left1, right1))
+            total[i] += fine0 + fine1 - (coarse0 + coarse1)
+            total_err[i] += err0 + err1 + key  # key = -err of the split panel; adding it rounds as subtracting err
+            live.append(i)
+    return results
+
+
+# the moment row of each half-panel of a round of one split
+_ONE_ROW = np.zeros(4, dtype=np.intp)
 
 
 def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, freq: np.ndarray, budget):
@@ -424,10 +489,13 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     those whose seed sums are finite and meet their target take their plain
     sums, off by less than n eps sum |panel sum| over their n panels (Higham,
     Accuracy and Stability of Numerical Algorithms, section 4.2), which
-    est_error includes.  In input order, the others raise IllConditioned for
-    a non-finite seed sum or are refined, and those whose seed sums are all
-    exactly 0 pass ``_check_blank``.  Returns value, est_error and panels
-    used per integral.
+    est_error includes.  The others fail for a non-finite seed sum or are
+    refined in rounds (``_refine``), and those whose seed sums are all
+    exactly 0 are checked by ``_check_blank`` after the rounds.  Failures
+    surface in input order: the blank checks run in input order and the first
+    failing integral's error is raised.  Only an exception of fn itself
+    propagates from the round in which fn raises it.  Returns value,
+    est_error and panels used per integral.
     """
     # column q of the sums is panel q - starts[j] of integral j, family panel src[q]; with one integral
     # per family, family[j] = j and the columns are the family panels themselves
@@ -452,20 +520,40 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     pending = [] if np.count_nonzero(done) == len(done) else np.flatnonzero(~done).tolist()
     if np.count_nonzero(values) < len(values):
         pending = sorted(pending + np.flatnonzero(done & (values == 0)).tolist())
+    if not pending:
+        return values, errors, used
+
+    blank, outcome = {}, {}
+    refined, owner, freqs, span, heaps, total, total_err = [], [], [], [], [], [], []
     for j in pending:
-        f, p, q = family[j], int(starts[j]), int(starts[j] + counts[j])
+        p, q = int(starts[j]), int(starts[j] + counts[j])
         seeds = slice(p, q) if src is None else slice(int(src[p]), int(src[p]) + q - p)  # its family's seed panels
         lo, hi = a[seeds], b[seeds]
         if done[j]:
             if not sums[:, p:q].any():
-                _check_blank(fn, owners[f], lo, hi, freq[j], budget.abs_floor)
+                blank[j] = lo, hi
             continue
-        if finite is not None:
-            _check_finite(sums[:, p:q], lo, hi)
-        total, total_err = complex(values[j]), float(total_errs[j])
-        values[j], errors[j], used[j] = _refine(
-            fn, owners[f], freq[j], lo, hi, left[p:q], right[p:q], err[p:q], total, total_err, budget
-        )
+        if finite is not None and not finite[p:q].all():
+            outcome[j] = _non_finite(sums[:, p:q], lo, hi)
+            break  # the integrals after it can no longer fail first
+        refined.append(j)
+        owner.append(int(owners[family[j]]))
+        freqs.append(float(freq[j]))
+        span.append((float(lo[0]), float(hi[-1])))
+        heaps.append(_heap(lo, hi, left[p:q], right[p:q], err[p:q]))
+        total.append(complex(values[j]))
+        total_err.append(float(total_errs[j]))
+    if refined:
+        outcome.update(zip(refined, _refine(fn, owner, freqs, span, heaps, total, total_err, budget)))
+    # failures surface in input order: the first integral that failed seeding or refinement, or fails its blank check
+    for j in pending:
+        result = outcome.get(j)
+        if isinstance(result, Exception):
+            raise result
+        if result is not None:
+            values[j], errors[j], used[j] = result
+        elif j in blank:
+            _check_blank(fn, owners[family[j]], *blank[j], freq[j], budget.abs_floor)
     return values, errors, used
 
 

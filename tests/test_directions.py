@@ -147,14 +147,23 @@ def _reference_select(ct, exponents, omega: complex) -> float:
     tied = [k for k in range(len(thetas)) if margins[k] >= best - tol]
     i = min(tied, key=lambda k: abs(thetas[k]))
     theta0, m_0 = float(thetas[i]), margin(float(thetas[i]))
-    a, b = max(i - 1, 0), min(i + 1, len(thetas) - 1)
-    start = (theta0, m_0, margins[a], margins[b]) if a < i < b and m_0 >= max(margins[a], margins[b]) else None
     step = thetas[1] - thetas[0]
-    theta_g, m_g = _maximize(margin, float(thetas[a]), float(thetas[b]), step * math.sqrt(np.finfo(float).eps), start)
-    assert m_g == margin(theta_g)
+    if ct.exact:
+        a, b = max(i - 1, 0), min(i + 1, len(thetas) - 1)
+        start = (theta0, m_0, margins[a], margins[b]) if a < i < b and m_0 >= max(margins[a], margins[b]) else None
+        cells = [(a, b, start)]
+    else:  # the interpolated offset: either cell beside theta0, each on its own
+        cells = [(c, c + 1, None) for c in (i - 1, i) if 0 <= c < len(thetas) - 1]
+    found = [
+        _maximize(margin, float(thetas[a]), float(thetas[b]), step * math.sqrt(np.finfo(float).eps), start)
+        for a, b, start in cells
+    ]
+    assert all(m == margin(t) for t, m in found)
+    theta_g, m_g = found[0]
+    for theta_c, m_c in found[1:]:
+        if m_c > m_g + tol or (abs(m_c - m_g) <= tol and abs(theta_c) < abs(theta_g)):
+            theta_g, m_g = theta_c, m_c
     theta_star, m_star = (theta_g, m_g) if m_g > m_0 + tol else (theta0, m_0)
-    if abs(m_g - m_0) <= tol and abs(theta0) < abs(theta_g):
-        theta_star, m_star = theta0, m_0
     if not m_star >= ct.min_margin:
         raise OutsideUnion("below min_margin")
     return theta_star

@@ -19,7 +19,8 @@ from sectorlap import (
     trig_decay,
     zero_function,
 )
-from sectorlap import probe
+from sectorlap import probe, quadrature
+from sectorlap.catalog import resolve
 from sectorlap.probe import J_SLOPE_SENTINEL
 
 
@@ -87,6 +88,32 @@ def test_numeric_peak_search_takes_few_one_omega_passes(monkeypatch):
     assert sizes.count(1) <= 10
 
 
+@pytest.mark.parametrize("theta", [-0.05, 0.0, 0.04])
+def test_the_sweep_of_a_numeric_sum_scan_refines_in_one_round(theta, monkeypatch):
+    # about half of the 128 sweep integrals split one panel each, all in one engine round; the splits of a
+    # family's shared panel evaluate it once
+    calls, sums = [], quadrature._sums
+
+    def counted(fn, mid, half, owner, src, freq, x, row):
+        calls.append((len(mid), len(freq)))
+        return sums(fn, mid, half, owner, src, freq, x, row)
+
+    batches, g_values = [], probe._g_values
+
+    def logged(fn, theta, omegas, *rest):
+        before = len(calls)
+        out = g_values(fn, theta, omegas, *rest)
+        batches.append(calls[before:])
+        return out
+
+    monkeypatch.setattr(quadrature, "_sums", counted)
+    monkeypatch.setattr(probe, "_g_values", logged)
+    assert blowup_scan(resolve("sum:a1=-1,c1=1,a2=-2,c2=2"), theta, g_source="numeric").detected
+    # the seeding of 6 panels per integral, and one round
+    (_, seeded), (panels, entries) = batches[0]
+    assert seeded == 3 * 128 * 6 and entries >= 4 * 60 and panels <= 12
+
+
 @pytest.mark.parametrize("g_source", ["oracle", "numeric"])
 @pytest.mark.parametrize("a", [-1, 1, -1 + 1j])
 def test_blowup_location_lies_within_its_tolerance(a, g_source):
@@ -139,6 +166,43 @@ def test_radius_scan_rejects_outside_center():
 def test_radius_scan_flat_transform_ill_conditioned():
     with pytest.raises(IllConditioned):
         radius_scan(zero_function(), -2.0)
+
+
+def _with_errors(monkeypatch, size: int, rule):
+    """Patch probe._g_values so that its batches of ``size`` omegas return rule(values, errors)."""
+    g_values = probe._g_values
+
+    def patched(fn, theta, omegas, *rest):
+        values, errors = g_values(fn, theta, omegas, *rest)
+        return rule(values.copy(), errors.copy()) if len(omegas) == size else (values, errors)
+
+    monkeypatch.setattr(probe, "_g_values", patched)
+
+
+@pytest.mark.parametrize("error", [1e-3, 1e-30])
+def test_radius_scan_needs_coefficients_above_the_ring_est_errors(error, monkeypatch):
+    # c_n rho^n = 0.8^n / (2 pi) for exp:a=1 at -2, from 1.1e-2 at n = 12 to 7.5e-4 at n = 24; an FFT
+    # coefficient, a mean of the ring values, is known to within their largest est_error only
+    _with_errors(monkeypatch, 256, lambda values, errors: (values, np.full(len(values), error)))
+    if error > 1e-4:
+        with pytest.raises(IllConditioned, match=r"c_23 \* rho\^23 = 9\.395e-04 is not above .* est_error 1\.000e-03"):
+            radius_scan(make_exp(1), -2.0)
+    else:
+        assert math.isclose(radius_scan(make_exp(1), -2.0).radius_estimate, 1.0, rel_tol=5e-3)
+
+
+def test_blowup_descent_fits_only_magnitudes_above_their_est_errors(monkeypatch):
+    # the descent's three innermost values, 100 times too large, lie within their est_errors of 0: fitting them
+    # would steepen the slope, and the fit leaves them out as it does for J
+    def noisy(values, errors):
+        values[-3:] *= 100.0
+        errors[-3:] = 2.0 * np.abs(values[-3:])
+        return values, errors
+
+    _with_errors(monkeypatch, 13, noisy)
+    scan = blowup_scan(make_exp(1), 0.0)
+    assert scan.detected
+    assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.05)
 
 
 def test_truncated_contour_slopes():

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -507,6 +508,105 @@ def test_a_batch_fails_as_its_first_failing_integral(reverse, monkeypatch):
         quadrature._integrate_segments(fn, a, b, budget, np.zeros(2))
 
 
+# rays of F = e^{(-1 + i ROUND_W[k]) t} and carrier ROUND_FREQ[k], which split 5, 0, 4, 1, 3, 2 and 2 panels:
+# integrals 0, 2 and 4 are a family, the others singletons
+ROUND_W = np.array([6.0, 0.0, 6.0, 3.0, 6.0, 2.0, 5.0])
+ROUND_FREQ = np.array([0.5, 0.0, 0.0, 0.0, -1.0, 2.0, -1.0])
+ROUND_SHARES = np.array([0, 1, 0, 3, 0, 5, 6])
+
+
+def _round_rays(fn=None):
+    fn = fn or (lambda t, k: np.exp((-1.0 + 1j * ROUND_W[k]) * t))
+    return quadrature._integrate_rays(fn, np.ones(7), np.ones(7), TIGHT, ROUND_FREQ, ROUND_SHARES)
+
+
+def test_integrals_refined_in_rounds_get_their_results_alone():
+    values, errors, T, used = _round_rays()
+    seeds = np.array([len(quadrature._ray_breakpoints([t], [1.0])[0]) for t in T.tolist()])
+    assert (used - seeds).tolist() == [5, 0, 4, 1, 3, 2, 2]
+    for k in range(len(ROUND_W)):
+        alone = integrate_ray(
+            lambda t: np.exp((-1.0 + 1j * ROUND_W[k]) * t), DecayModel(1.0, 1.0), TIGHT, freq=ROUND_FREQ[k]
+        )
+        assert (alone.value, alone.est_error, alone.panels_used) == (values[k], errors[k], used[k])
+
+
+def test_a_round_is_one_sums_call_and_evaluates_a_shared_panel_once(monkeypatch):
+    calls, sums = [], quadrature._sums
+
+    def counted(fn, mid, half, owner, src, freq, x, row):
+        calls.append((len(freq), set(zip(owner.tolist(), mid.tolist(), half.tolist())), len(mid)))
+        return sums(fn, mid, half, owner, src, freq, x, row)
+
+    monkeypatch.setattr(quadrature, "_sums", counted)
+    _round_rays()
+    # the seeding, then one call per round: as many rounds as the most splits, each with the four half-panels of
+    # every split of the integrals still refining (6, 5, 3, 2 and 1 of them)
+    assert len(calls) == 1 + 5
+    assert [entries for entries, _, _ in calls[1:]] == [4 * 6, 4 * 5, 4 * 3, 4 * 2, 4 * 1]
+    # no panel is evaluated twice in a round, and the family's splits of one panel evaluate it once: all three
+    # of its integrals split the same panel in rounds 3 and 4
+    assert all(len(distinct) == panels for _, distinct, panels in calls)
+    assert [panels for _, _, panels in calls[1:]] == [20, 16, 4, 4, 4]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_budget_failure_wins_over_a_later_integral_that_fails_in_an_earlier_round(reverse, monkeypatch):
+    # both integrals refine e^{100it} on [0, 50]; the budget one exhausts 8 panels in round 8, the other's F is
+    # NaN from round 2 on.  The first in input order fails, whichever round its failure comes in
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    poisoned = 0 if reverse else 1
+    rounds = []
+
+    def fn(t, k):
+        rounds.append(None)
+        nan = (k == poisoned) & (len(rounds) >= 3)  # calls: seeding, then one per round
+        return np.where(nan, np.nan, np.exp(100j * t))
+
+    error, match = (IllConditioned, "non-finite") if reverse else (BudgetExceeded, "panel budget 8")
+    with pytest.raises(error, match=match):
+        quadrature._integrate_segments(fn, np.zeros(2), np.full(2, 50.0), TIGHT, np.zeros(2))
+    # once the first integral fails, the one after it is refined no further
+    assert len(rounds) == (3 if reverse else 8)
+
+
+def test_an_integrand_exception_in_a_round_propagates(monkeypatch):
+    # integral 0 would exceed its budget in round 8, integral 1's integrand raises in round 2: the integrand's
+    # exception surfaces from the round it is raised in, where integrals computed one after another would have
+    # raised BudgetExceeded first
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+
+    class Raised(Exception):
+        pass
+
+    calls = []
+
+    def fn(t, k):
+        calls.append(None)
+        if len(calls) == 3 and np.any(k == 1):
+            raise Raised("integrand")
+        return np.exp(100j * t)
+
+    with pytest.raises(Raised, match="integrand"):
+        quadrature._integrate_segments(fn, np.zeros(2), np.full(2, 50.0), TIGHT, np.zeros(2))
+
+
+def test_budget_exhaustion_names_the_integral_and_its_worst_panel(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    with pytest.raises(BudgetExceeded) as caught:
+        integrate_segment(lambda t: np.exp(100j * t), 0.0, 50.0, TIGHT, freq=0.5)
+    message = str(caught.value)
+    found = re.search(
+        r"carrier frequency 0\.5 over \[0\.0, 50\.0\]; its worst panel \[(\S+), (\S+)\] has estimate (\S+):", message
+    )
+    assert found, message
+    lo, hi, estimate = (float(v) for v in found.groups())
+    # a panel of the bisection of [0, 50] with a positive estimate
+    width = hi - lo
+    assert 0.0 <= lo < hi <= 50.0 and math.log2(50.0 / width).is_integer() and (lo / width).is_integer()
+    assert estimate > 0.0
+
+
 def test_initial_panels_are_evaluated_in_chunks():
     # the kernel integrals of cauchy_kernel_check at 40 values of z, with a call log; the last one keeps
     # its rotation inside F (carrier frequency 0), so it refines
@@ -549,8 +649,9 @@ def test_refinement_stops_once_every_estimate_is_zero(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)  # a third split would raise BudgetExceeded
     calls = []
     zeros = np.zeros(1, dtype=complex)
-    value, est_error, used = quadrature._refine(
-        _logged_zero(calls), 0, 0.0, np.array([0.0]), np.array([1.0]), zeros, zeros, np.array([1.0]), 0j, 2.0, TIGHT
+    heap = quadrature._heap(np.array([0.0]), np.array([1.0]), zeros, zeros, np.array([1.0]))
+    [(value, est_error, used)] = quadrature._refine(
+        _logged_zero(calls), [0], [0.0], [(0.0, 1.0)], [heap], [0j], [2.0], TIGHT
     )
     assert (value, est_error, used) == (0j, 0.0, 2)
     assert len(calls) == 1
@@ -561,7 +662,8 @@ def test_refinement_splits_the_older_of_equally_bad_panels():
     calls = []
     lo, hi, err = np.array([1.0, 0.0, 2.0]), np.array([2.0, 1.0, 3.0]), np.array([0.5, 0.5, 0.25])
     zeros = np.zeros(3, dtype=complex)
-    _, _, used = quadrature._refine(_logged_zero(calls), 0, 0.0, lo, hi, zeros, zeros, err, 0j, 1.0, TIGHT)
+    heap = quadrature._heap(lo, hi, zeros, zeros, err)
+    [(_, _, used)] = quadrature._refine(_logged_zero(calls), [0], [0.0], [(0.0, 3.0)], [heap], [0j], [1.0], TIGHT)
     # 1.0 - 0.5 is still above the target, 1.0 - 0.5 - 0.5 is not: two splits, the older panel's first
     assert used == 5
     assert [(float(call.min()), float(call.max())) for call in calls] == [

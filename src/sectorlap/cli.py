@@ -154,7 +154,6 @@ def _cmd_transform(args, parser) -> int:
         "theta", "omega_re", "omega_im", "value_re", "value_im",
         "est_error", "margin", "truncation_T", "panels",
     ]
-    rows, skipped = [], 0
     ct = None
     if args.theta is None:
         ct = ConcatenatedTransform.build(
@@ -163,31 +162,37 @@ def _cmd_transform(args, parser) -> int:
     else:
         known = indicator_value(fn, args.theta, args.indicator_source)  # theta is fixed for every omega
         ind = known[0]
-    for omega in args.omega:
+
+    def row(omega):
+        if ct is None:
+            theta = args.theta
+            margin = -ind - (omega * cmath.exp(1j * theta)).real
+            res = directional_transform(
+                TransformQuery(fn, theta, omega, budget, args.delta_min, args.indicator_source, known)
+            )
+        else:
+            theta = select_direction(ct, omega)
+            margin = ct.margin(omega, theta)
+            res = _transform_along(ct, omega, theta, budget)
+        return [theta, omega.real, omega.imag, res.value.real, res.value.imag,
+                res.est_error, margin, res.truncation_T, res.panels_used]
+
+    return _per_point(args, "omega", args.omega, header, row)
+
+
+def _per_point(args, name: str, points: list, header: list[str], row) -> int:
+    """Write row(point) for each point as CSV; under --skip-invalid a domain violation skips its point on stderr."""
+    rows = []
+    for point in points:
         try:
-            if ct is None:
-                theta = args.theta
-                margin = -ind - (omega * cmath.exp(1j * theta)).real
-                res = directional_transform(
-                    TransformQuery(fn, theta, omega, budget, args.delta_min, args.indicator_source, known)
-                )
-            else:
-                theta = select_direction(ct, omega)
-                margin = ct.margin(omega, theta)
-                res = _transform_along(ct, omega, theta, budget)
+            rows.append(row(point))
         except _SKIPPABLE as exc:
-            if args.skip_invalid:
-                skipped += 1
-                print(f"skipping omega={omega}: {exc}", file=sys.stderr)
-                continue
-            raise
-        rows.append(
-            [theta, omega.real, omega.imag, res.value.real, res.value.imag,
-             res.est_error, margin, res.truncation_T, res.panels_used]
-        )
+            if not args.skip_invalid:
+                raise
+            print(f"skipping {name}={point}: {exc}", file=sys.stderr)
     _write_csv(args.out, header, rows)
-    if skipped:
-        print(f"transform: skipped {skipped} of {len(args.omega)} points", file=sys.stderr)
+    if len(rows) < len(points):
+        print(f"{args.command}: skipped {len(points) - len(rows)} of {len(points)} points", file=sys.stderr)
     return 0
 
 
@@ -195,8 +200,7 @@ def _sector_for(args, fn) -> SectorSpec:
     # contour commands need a strict-interior opening: at the entry's own cap
     # (near pi/2 for wide entries) the V-contour degenerates into a line
     alpha = args.alpha if args.alpha is not None else min(fn.spec.alpha, math.pi / 4)
-    h = args.h if args.h is not None else type_for(fn, alpha)
-    return SectorSpec(alpha=alpha, h=h)
+    return SectorSpec(alpha=alpha, h=type_for(fn, alpha))
 
 
 def _preflight_bound(args, fn, gamma) -> None:
@@ -222,25 +226,14 @@ def _cmd_invert(args, parser) -> int:
         "z_re", "z_im", "value_re", "value_im", "expected_re", "expected_im",
         "abs_residual", "est_error", "truncation_T", "panels",
     ]
-    rows, skipped = [], 0
-    for z in args.z:
-        try:
-            res = reconstruct(ReconstructionQuery(fn, gamma, z, budget, args.g_source))
-        except _SKIPPABLE as exc:
-            if args.skip_invalid:
-                skipped += 1
-                print(f"skipping z={z}: {exc}", file=sys.stderr)
-                continue
-            raise
+
+    def row(z):
+        res = reconstruct(ReconstructionQuery(fn, gamma, z, budget, args.g_source))
         expected = complex(fn.evaluate(z))
-        rows.append(
-            [z.real, z.imag, res.value.real, res.value.imag, expected.real, expected.imag,
-             abs(res.value - expected), res.est_error, res.truncation_T, res.panels_used]
-        )
-    _write_csv(args.out, header, rows)
-    if skipped:
-        print(f"invert: skipped {skipped} of {len(args.z)} points", file=sys.stderr)
-    return 0
+        return [z.real, z.imag, res.value.real, res.value.imag, expected.real, expected.imag,
+                abs(res.value - expected), res.est_error, res.truncation_T, res.panels_used]
+
+    return _per_point(args, "z", args.z, header, row)
 
 
 def _cmd_roundtrip(args, parser) -> int:
@@ -375,8 +368,6 @@ def _add_fn_flags(sp, contour=False):
     sp.add_argument("--alpha", type=float, default=None,
                     help="sector half-opening in (0, pi/2); defaults to the entry's own")
     if contour:
-        sp.add_argument("--h", type=float, default=None,
-                        help="exponential type bound; defaults to the entry's value at alpha")
         sp.add_argument("--p", type=float, default=None, help="contour apex (real)")
 
 
@@ -471,7 +462,7 @@ def _shared_parser():
 # misread as option strings; their values get joined with '='
 _VALUE_FLAGS = {
     "--omega", "--z", "--center", "--q", "--r", "--theta", "--thetas",
-    "--angles", "--radii", "--alpha", "--h", "--p", "--epsilon", "--delta-min",
+    "--angles", "--radii", "--alpha", "--p", "--epsilon", "--delta-min",
 }
 
 

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ORACLE_SOURCES, TestFunction, pick_oracle, type_for
-from .errors import AngularMarginTooSmall, IllConditioned, OutsideSector, SectorLapError
+from .errors import AngularMarginTooSmall, IllConditioned, InvalidApex, OutsideSector, SectorLapError
 from .geometry import ContourGamma, SectorSpec, _ray_distance, build_gamma, sector_contains
 from .indicator import indicator_value
 from .laplace import DELTA_MIN_DEFAULT, _decay_rate, _g_values
@@ -125,9 +125,11 @@ def _admit(z: complex, alpha: float, p: float) -> tuple[float, float]:
 def reconstruct(q: ReconstructionQuery) -> IntegralResult:
     """f(z) from g by the two-leg contour integral, both legs in one engine pass.
 
-    Raises IllConditioned when a nonzero value is not above its est_error:
-    none of its digits, not even its sign, is certain.  A value of exactly 0
-    (the zero entry) claims no digit and is returned with its est_error.
+    Raises InvalidApex when the apex fails p*cos(alpha) < -h at the entry's
+    own type h, which a gamma built for a smaller h can.  Raises
+    IllConditioned when a nonzero value is not above its est_error: none of
+    its digits, not even its sign, is certain.  A value of exactly 0 (the
+    zero entry) claims no digit and is returned with its est_error.
     """
     z = complex(q.z)
     alpha, p = q.gamma.alpha, q.gamma.p
@@ -135,7 +137,7 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
     h = type_for(q.fn, alpha)
     leg_gap = -(h + p * math.cos(alpha))
     if not leg_gap > 0.0:
-        raise SectorLapError(
+        raise InvalidApex(
             f"contour apex violates p*cos(alpha) < -h for this entry (gap {leg_gap!r})"
         )
     g_bound = q.fn.envelope_const / (2.0 * math.pi) / leg_gap

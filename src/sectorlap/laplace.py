@@ -42,8 +42,9 @@ numeric batch is a single quadrature engine pass over the ray integrals of
 all its omegas; the indicator and nu are computed once per distinct
 direction.  Omegas of one direction whose Re(w e^{i theta}) are the same
 float have the same margin, rate and F, and only their carriers differ:
-``_families`` groups them, and the engine evaluates each family's F once
-per seed panel.  On an inversion leg or a constant-margin sweep, rounding
+``_ray_integrands`` keys each omega by the bits of its direction and of
+Re(w e^{i theta}), and the engine evaluates F once per family of equal keys
+and seed panel.  On an inversion leg or a constant-margin sweep, rounding
 leaves a few dozen such families among hundreds of omegas.  Each omega
 still gets the panels, value and est_error of its transform alone, bit for
 bit.  An entry's ``weighted_eval(z, w)`` then receives one omega per row of
@@ -127,11 +128,12 @@ def _ray_integrands(fn: TestFunction, theta, omegas, indicator, nu, exact_indica
     """The ray integrals of g_theta at a 1-D sequence of omegas, as one batch.
 
     ``theta``, ``indicator`` and ``nu`` are scalars or hold one value per
-    omega.  Returns (integrand, rate, amplitude, freq, shares):
+    omega.  Returns (integrand, rate, amplitude, freq, key):
     g_theta(omegas[k]) is the integral of integrand(t, k) e^{i freq[k] t}
-    over [0, inf), with envelope amplitude * e^{-rate[k] t}, and
-    integrand(t, shares[k]) = integrand(t, k) (shares is None when no two
-    omegas share it; see ``_families``).  Raises OutsideDomain for the first
+    over [0, inf), with envelope amplitude * e^{-rate[k] t}, and ``key`` is
+    the bits of Re(omegas[k] e^{i theta}), preceded by those of theta when it
+    is given per omega: the family key of ``_integrate_rays``, bitwise so
+    that -0.0 and 0.0 stay apart.  Raises OutsideDomain for the first
     omega, in input order, whose margin is below delta_min.
     ``fn.weighted_eval(z, w)`` gets an array w of the omegas owning the
     points z and must broadcast over them elementwise.
@@ -152,31 +154,8 @@ def _ray_integrands(fn: TestFunction, theta, omegas, indicator, nu, exact_indica
     weight = (proj.real - 1j * nu) * direction.conjugate()
     prefactor = direction / (2j * math.pi)
     integrand = lambda t, k: prefactor[k] * fn.weighted_eval(t * direction[k], weight[k])
-    return integrand, rate, fn.envelope_const / (2.0 * math.pi), proj.imag + nu, _families(th, proj.real)
-
-
-def _families(theta, re):
-    """For each omega, the first omega with its direction and the same bits of Re(omega e^{i theta}) ``re``.
-
-    Such omegas have the same margin, rate, nu and smooth factor F; only
-    their carriers differ.  ``theta`` is one direction or one per omega.
-    None for a single omega, or when every omega is alone in its family.
-    """
-    if len(re) < 2:
-        return None
-    bits = re.view(np.int64)  # bitwise equality: -0.0 and 0.0 stay apart
-    order = np.argsort(bits, kind="stable") if not theta.ndim else np.lexsort((bits, theta.view(np.int64)))
-    new = np.empty(len(re), dtype=bool)
-    new[0] = True
-    new[1:] = bits[order[1:]] != bits[order[:-1]]
-    if theta.ndim:
-        new[1:] |= theta[order[1:]] != theta[order[:-1]]
-    if new.all():
-        return None
-    # a stable sort keeps each family in input order, so its first element is its first omega
-    shares = np.empty(len(re), dtype=np.intp)
-    shares[order] = order[new][np.cumsum(new) - 1]
-    return shares
+    key = (th.view(np.int64), proj.real.view(np.int64)) if th.ndim else (proj.real.view(np.int64),)
+    return integrand, rate, fn.envelope_const / (2.0 * math.pi), proj.imag + nu, key
 
 
 def _ray_transform(
@@ -203,7 +182,7 @@ def _g_values(fn: TestFunction, theta, omegas, budget: QuadratureBudget, source:
     oracle's values come with est_errors of 0.  Numeric values are g_theta in
     one engine pass, each omega with the value, est_error and panels of
     ``_ray_transform`` at that omega alone; the omegas of one family
-    (``_families``) share the evaluations of their smooth factor.
+    (``_ray_integrands``) share the evaluations of their smooth factor.
     """
     om = np.asarray(omegas, dtype=complex)
     oracle = pick_oracle(fn, "transform", source)
@@ -215,8 +194,8 @@ def _g_values(fn: TestFunction, theta, omegas, budget: QuadratureBudget, source:
     indicator = np.array([value for value, _ in per_theta])[which]
     nu = np.array([_phase_rate(fn, t) for t in thetas.tolist()])[which]
     exact = all(flag for _, flag in per_theta)
-    integrand, rate, amplitude, freq, shares = _ray_integrands(fn, th, om, indicator, nu, exact, delta_min)
-    values, errors, _, _ = _integrate_rays(integrand, rate, np.full(len(om), amplitude), budget, freq, shares)
+    integrand, rate, amplitude, freq, key = _ray_integrands(fn, th, om, indicator, nu, exact, delta_min)
+    values, errors, _, _ = _integrate_rays(integrand, rate, np.full(len(om), amplitude), budget, freq, key)
     return values, errors
 
 

@@ -30,10 +30,9 @@ interval per row and the column ``k`` the owner of each row, so one call can
 hold panels of many integrals.  A segment's seed panel is the segment
 itself; a ray's seed panels are geometric intervals (below).  A family is a
 set of ray integrals with one F, one rate and one amplitude, whose carriers
-alone differ (the omegas of a ray transform with the same margin); it is
-planned once (truncation point, tail bound, seed panels), and its first
-integral owns its seed panels.  An integral that shares nothing is a family
-of one.
+alone differ (the omegas of a ray transform with the same margin), named by
+equal keys (``_integrate_rays``); it is planned once (truncation point, tail
+bound, seed panels), and its first integral owns its seed panels.
 
 One kernel, ``_sums``, serves seeding (the whole panels, left halves and
 right halves of all seed panels) and refinement.  It evaluates F on up to
@@ -612,38 +611,35 @@ def _check_envelopes(rates: list[float], amplitudes: list[float]) -> None:
             DecayModel(rate=m, amplitude=A)
 
 
-def _integrate_rays(
-    fn, rate: np.ndarray, amplitude: np.ndarray, budget: QuadratureBudget, freq: np.ndarray, shares=None
-):
+def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: QuadratureBudget, freq: np.ndarray, key=None):
     """Integrals j of fn(t, j) e^{i freq[j] t} over [0, inf), given |fn(t, j)| <= amplitude[j] e^{-rate[j] t}.
 
-    ``shares[j]`` is the integral whose smooth factor integral j shares (j
-    itself by default): fn(t, shares[j]) = fn(t, j) for every t.  The shared
-    integral comes first and shares its own, and its sharers have its rate
-    and amplitude, else ValueError.  Such a family of integrals is planned,
-    and its F evaluated on its seed panels, once: fn is called with the
-    family's first integral as the owner.
+    ``key`` is a tuple of 1-D int64 arrays, one value per integral in each.
+    Integrals whose key values are bitwise equal form a family: the caller
+    promises that they have one F, and they must have one rate and
+    amplitude, else ValueError.  A family is planned, and its F evaluated on
+    its seed panels, once: fn is called with its first integral as the owner.
 
     Validates every envelope first (InvalidDecay with DecayModel's message
-    for the first bad one in input order), the sharing next, and then every
+    for the first bad one in input order), the families next, and then every
     truncation point: InvalidDecay for the first rate so small that 2T
     overflows.  Returns value, est_error, truncation_T and panels used per
     integral, each as ``integrate_ray`` computes it alone.
     """
     n = len(rate)
     family = None  # integral j's family, where families are not the integrals themselves
-    if shares is not None:
-        shares, index = np.asarray(shares), np.arange(n)
-        ordered = np.all((shares >= 0) & (shares <= index)) and np.array_equal(shares[shares], shares)
-        if not (ordered and np.array_equal(rate[shares], rate) and np.array_equal(amplitude[shares], amplitude)):
-            _check_envelopes(rate.tolist(), amplitude.tolist())  # a bad envelope is reported first
-            raise ValueError(
-                "integrals that share a smooth factor must have the same rate and amplitude" if ordered
-                else "an integral must share the smooth factor of itself or of an earlier one sharing its own"
-            )
-        leaders = np.flatnonzero(shares == index)
-        family = np.searchsorted(leaders, shares)
-        rate, amplitude = rate[leaders], amplitude[leaders]
+    if key is not None and n > 1:
+        order = np.lexsort(key[::-1])  # stable: each family in input order
+        new = np.concatenate(([True], np.any([c[order[1:]] != c[order[:-1]] for c in key], axis=0)))
+        if not new.all():
+            leaders = np.sort(order[new])  # each family's first integral: families are numbered in their order
+            family = np.empty(n, dtype=np.intp)
+            family[order] = np.searchsorted(leaders, order[new])[np.cumsum(new) - 1]
+            first = leaders[family]
+            if not (np.array_equal(rate[first], rate) and np.array_equal(amplitude[first], amplitude)):
+                _check_envelopes(rate.tolist(), amplitude.tolist())  # a bad envelope is reported first
+                raise ValueError("integrals that share a smooth factor must have the same rate and amplitude")
+            rate, amplitude = rate[leaders], amplitude[leaders]
     # sharers have their family's envelope, so the first bad family holds the first bad integral
     rates, amplitudes = rate.tolist(), amplitude.tolist()
     _check_envelopes(rates, amplitudes)

@@ -180,6 +180,22 @@ def test_roundtrip_max_rel_gate(tmp_path, capsys):
     assert "exceeds --max-rel" in capsys.readouterr().err
 
 
+def test_invert_skip_invalid_skips_points_outside_the_sector(tmp_path, capsys):
+    # z = e^{0.8i} lies outside the sector of half-angle pi/4; the points around it are written
+    out = tmp_path / "f.csv"
+    argv = ["invert", "--fn", "exp:a=-1", "--p", "-1", "--z", "1+0i,0.6967067093471654+0.7173560908995228i,2+0i",
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert "OutsideSector" in capsys.readouterr().err
+    assert main(argv + ["--skip-invalid"]) == 0
+    rows = read_csv(out)
+    assert [float(row["z_re"]) for row in rows] == [1.0, 2.0]
+    assert all(float(row["abs_residual"]) <= 1e-8 for row in rows)
+    err = capsys.readouterr().err
+    assert err.startswith("skipping z=(0.6967067093471654+0.7173560908995228j): ")
+    assert err.endswith("invert: skipped 1 of 3 points\n")
+
+
 def test_roundtrip_skip_invalid_skips_domain_violations(tmp_path, capsys):
     # angle 0.8 puts both points outside the sector of half-angle pi/4
     out = tmp_path / "rt.csv"
@@ -421,6 +437,21 @@ def test_flags_a_subcommand_would_ignore_are_unknown(command, flag, tmp_path, ca
     cfg.write_text(f"{flag[2:]} = 1\n", encoding="utf-8")
     assert main(argv + ["--config", str(cfg)]) == 2
     assert f"unknown config key(s) for {command}: {flag[2:].replace('-', '_')}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["invert", "--fn", "exp:a=1", "--p", "-0.5", "--z", "1+0i"],
+     ["roundtrip", "--fn", "exp:a=1", "--p", "-0.5", "--radii", "1"]],
+)
+def test_the_contour_takes_the_entry_own_type_and_no_h_flag(argv, capsys):
+    # p = -0.5 fails p cos(alpha) < -h at the entry's own type h = cos(pi/4), and no flag can lower h
+    assert main(argv) == 2
+    assert "InvalidApex" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--h", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --h" in capsys.readouterr().err
 
 
 def _reads_and_passes():

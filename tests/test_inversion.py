@@ -8,6 +8,7 @@ import pytest
 from sectorlap import (
     AngularMarginTooSmall,
     IllConditioned,
+    InvalidApex,
     InvalidDecay,
     OutsideSector,
     QuadratureBudget,
@@ -33,6 +34,13 @@ def test_reconstruct_decaying_exponential():
     res = reconstruct(ReconstructionQuery(make_exp(-1), gamma, 1.0, BUDGET, "oracle"))
     np.testing.assert_allclose(res.value, math.exp(-1.0), rtol=1e-10)
     assert abs(res.value - math.exp(-1.0)) <= res.est_error
+
+
+def test_reconstruct_checks_the_apex_at_the_entry_own_type():
+    # a gamma built for h = 0 passes build_gamma at p = -0.5, but exp:a=1 has type cos(pi/4) there
+    gamma = build_gamma(SPEC, -0.5)
+    with pytest.raises(InvalidApex, match=r"p\*cos\(alpha\) < -h for this entry"):
+        reconstruct(ReconstructionQuery(make_exp(1), gamma, 1.0, BUDGET, "oracle"))
 
 
 def test_reconstruct_growing_exponential_off_axis():

@@ -260,13 +260,13 @@ def test_batched_transform_matches_each_omega_alone(batch):
         return
     ind, exact = indicator_value(fn, theta)
     nu = laplace._phase_rate(fn, theta)
-    integrand, rate, amplitude, freq, shares = laplace._ray_integrands(
+    integrand, rate, amplitude, freq, key = laplace._ray_integrands(
         fn, theta, omegas, ind, nu, exact, DELTA_MIN_DEFAULT
     )
     amplitudes = np.full(len(omegas), amplitude)
     values, errors, T, used = quadrature._integrate_rays(integrand, rate, amplitudes, budget, freq)
     # omegas that share their smooth factor get the same bits as each on its own
-    shared = quadrature._integrate_rays(integrand, rate, amplitudes, budget, freq, shares)
+    shared = quadrature._integrate_rays(integrand, rate, amplitudes, budget, freq, key)
     assert all(np.array_equal(mine, theirs) for mine, theirs in zip(shared, (values, errors, T, used)))
     for k, single in enumerate(singles):
         assert (int(used[k]), float(T[k]), float(errors[k])) == (
@@ -342,12 +342,12 @@ def test_families_of_omegas_get_the_bits_of_each_omega_on_its_own(fn_id, budget)
     fn = BATCH_ENTRIES[fn_id]
     omegas = _families_and_loners(fn, np.random.default_rng(7))
     ind, exact = indicator_value(fn, 0.0)
-    integrand, rate, amplitude, freq, shares = laplace._ray_integrands(
+    integrand, rate, amplitude, freq, key = laplace._ray_integrands(
         fn, 0.0, omegas, ind, laplace._phase_rate(fn, 0.0), exact, DELTA_MIN_DEFAULT
     )
-    assert len(np.unique(shares)) == 22
+    assert len(key) == 1 and len(np.unique(key[0])) == 22
     amplitudes = np.full(len(omegas), amplitude)
-    shared = quadrature._integrate_rays(integrand, rate, amplitudes, budget, freq, shares)
+    shared = quadrature._integrate_rays(integrand, rate, amplitudes, budget, freq, key)
     alone = quadrature._integrate_rays(integrand, rate, amplitudes, budget, freq)
     for mine, theirs in zip(shared, alone):
         assert np.array_equal(mine, theirs)
@@ -377,15 +377,34 @@ def test_a_bad_omega_in_a_family_raises_what_it_raises_alone(position, kind, mon
     assert str(caught.value) == str(first)
 
 
+def _owners(key):
+    """The integral whose F each integral of a ray batch with this key is computed from: its family's first."""
+    # F(t, k) = e^{-(1 + k) t} integrates to 1 / (1 + k): distinct per integral, so each value names its owner
+    n = len(key[0])
+    values, _, _, _ = quadrature._integrate_rays(
+        lambda t, k: np.exp(-(1.0 + k) * t), np.ones(n), np.ones(n), BUDGET, np.zeros(n), key
+    )
+    return np.rint(1.0 / values.real - 1.0).astype(int).tolist()
+
+
 def test_families_group_omegas_by_direction_and_the_bits_of_their_real_part():
     theta = np.array([0.3, -0.2, 0.3, -0.2, 0.3, 0.3, -0.2])
     re = np.array([1.0, 1.0, 1.0, -0.0, 0.0, 1.0, 0.0])
-    assert laplace._families(theta, re).tolist() == [0, 1, 0, 3, 4, 0, 6]
-    one = np.asarray(0.3)
-    assert laplace._families(one, np.array([2.0, 1.0, 2.0, 2.0])).tolist() == [0, 1, 0, 0]
+    # theta apart, and the bits of the real part apart: -0.0 and 0.0 too
+    assert _owners((theta.view(np.int64), re.view(np.int64))) == [0, 1, 0, 3, 4, 0, 6]
+    one = np.array([2.0, 1.0, 2.0, 2.0])
+    assert _owners((one.view(np.int64),)) == [0, 1, 0, 0]
     # a single omega, or omegas that are all alone, share nothing
-    assert laplace._families(one, np.array([2.0])) is None
-    assert laplace._families(one, np.array([2.0, 1.0])) is None
+    assert _owners((one[:1].view(np.int64),)) == [0]
+    assert _owners((one[:2].view(np.int64),)) == [0, 1]
+    # a batch's key: the bits of theta where it is given per omega, then those of Re(omega e^{i theta})
+    fn, omegas = BATCH_ENTRIES["exp"], re * np.exp(-1j * theta)
+    _, _, _, _, key = laplace._ray_integrands(fn, theta, omegas, -3.0, 0.0, True, DELTA_MIN_DEFAULT)
+    assert [column.tolist() for column in key] == [
+        theta.view(np.int64).tolist(), (omegas * np.exp(1j * theta)).real.view(np.int64).tolist()
+    ]
+    _, _, _, _, key = laplace._ray_integrands(fn, 0.3, omegas, -3.0, 0.0, True, DELTA_MIN_DEFAULT)
+    assert [column.tolist() for column in key] == [(omegas * cmath.exp(0.3j)).real.view(np.int64).tolist()]
 
 
 def test_a_family_evaluates_its_smooth_factor_once_while_seeding():
@@ -396,11 +415,11 @@ def test_a_family_evaluates_its_smooth_factor_once_while_seeding():
     # 288 omegas, one margin: a leg of a numeric inversion has a few dozen such families
     omegas = [_omega_at(fn, 0.0, 1.0, f) for f in np.linspace(-20.0, 20.0, 288)]
     ind, exact = indicator_value(fn, 0.0)
-    integrand, rate, amplitude, freq, shares = laplace._ray_integrands(
+    integrand, rate, amplitude, freq, key = laplace._ray_integrands(
         counted, 0.0, omegas, ind, laplace._phase_rate(fn, 0.0), exact, DELTA_MIN_DEFAULT
     )
-    assert shares.tolist() == [0] * len(omegas)
-    _, _, T, used = quadrature._integrate_rays(integrand, rate, np.full(len(omegas), amplitude), BUDGET, freq, shares)
+    assert len(key) == 1 and np.all(key[0] == key[0][0])
+    _, _, T, used = quadrature._integrate_rays(integrand, rate, np.full(len(omegas), amplitude), BUDGET, freq, key)
     seeds = len(quadrature._ray_breakpoints([T[0]], [rate[0]])[0])
     assert used.tolist() == [seeds] * len(omegas)  # no omega refines: every point is a seeding point
     assert sum(points) == seeds * 3 * 16

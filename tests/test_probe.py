@@ -140,6 +140,15 @@ def test_blowup_absent_for_entire_transform():
     assert scan.boundary_point is None
 
 
+def test_a_logarithmic_boundary_singularity_grows_too_slowly_to_be_detected():
+    # g of the rational entry has a logarithmic singularity on its boundary: |g| grows along the descent, but by
+    # less than the factor 10 that a detected blow-up needs
+    scan = blowup_scan(resolve("rational"), 0.0)
+    assert scan.detected is False
+    assert scan.boundary_point is None
+    assert 1.0 < scan.growth_ratio < 10.0
+
+
 def test_radius_scan_known_poles():
     fn = make_exp(1)
     for center, want in ((-2.0, 1.0), (-3.0, 2.0)):

@@ -114,9 +114,10 @@ def test_a_ray_seeds_at_most_13_panels():
     assert most == 13
 
 
-# F(t) = e^{-c t} per integral, and the integrals that share an F: three families and two loners
+# F(t) = e^{-c t} per integral, and a key whose equal values name the integrals that share an F: three families
+# and two loners
 SHARED_C = np.array([1.0, 0.5 + 2j, 1.0, 2.0, 1.0, 0.5 + 2j, 3.0])
-SHARES = np.array([0, 1, 0, 3, 0, 1, 6])
+SHARED_KEY = (np.array([0, 1, 0, 3, 0, 1, 6]),)
 
 
 def test_integrals_sharing_a_smooth_factor_get_their_results_alone():
@@ -128,7 +129,7 @@ def test_integrals_sharing_a_smooth_factor_get_their_results_alone():
         return np.exp(-SHARED_C[k] * t)
 
     rate, amplitude = SHARED_C.real.copy(), np.ones(len(SHARED_C))
-    shared = quadrature._integrate_rays(fn, rate, amplitude, TIGHT, freq, SHARES)
+    shared = quadrature._integrate_rays(fn, rate, amplitude, TIGHT, freq, SHARED_KEY)
     alone = quadrature._integrate_rays(lambda t, k: np.exp(-SHARED_C[k] * t), rate, amplitude, TIGHT, freq)
     for mine, theirs in zip(shared, alone):
         assert np.array_equal(mine, theirs)
@@ -139,17 +140,15 @@ def test_integrals_sharing_a_smooth_factor_get_their_results_alone():
 
 
 @pytest.mark.parametrize(
-    "shares, rate, amplitude",
-    [
-        ([1, 1, 2], [1.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # sharing with a later integral
-        ([0, 0, 1], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),  # sharing with one that shares another's
-        ([0, 0, 2], [1.0, 2.0, 1.0], [1.0, 1.0, 1.0]),  # another rate
-        ([0, 0, 2], [1.0, 1.0, 1.0], [1.0, 3.0, 1.0]),  # another amplitude
-    ],
+    "rate, amplitude",
+    [([1.0, 2.0, 1.0], [1.0, 1.0, 1.0]), ([1.0, 1.0, 1.0], [1.0, 3.0, 1.0])],
+    ids=["another-rate", "another-amplitude"],
 )
-def test_sharing_is_validated_before_any_panel(shares, rate, amplitude):
+def test_sharing_is_validated_before_any_panel(rate, amplitude):
+    # integrals 0 and 1 share a key, so they must share an envelope
+    key = (np.array([5, 5, 2]),)
     with pytest.raises(ValueError, match="share"):
-        quadrature._integrate_rays(_never_called, np.array(rate), np.array(amplitude), TIGHT, np.zeros(3), shares)
+        quadrature._integrate_rays(_never_called, np.array(rate), np.array(amplitude), TIGHT, np.zeros(3), key)
 
 
 def test_segment_polynomial():
@@ -336,8 +335,8 @@ def test_a_ray_seeds_with_a_moment_row_per_panel_width(rate, amplitude, seeds, m
     F = lambda t, k: amplitude * np.exp(-rate * t)
     for K in (1, 5):
         rows.clear()
-        freq, shares = np.linspace(0.5, 3.0, K) * rate, np.zeros(K, dtype=int)
-        _, _, T, used = quadrature._integrate_rays(F, np.full(K, rate), np.full(K, amplitude), budget, freq, shares)
+        freq, key = np.linspace(0.5, 3.0, K) * rate, (np.zeros(K, dtype=np.int64),)
+        _, _, T, used = quadrature._integrate_rays(F, np.full(K, rate), np.full(K, amplitude), budget, freq, key)
         assert len(quadrature._ray_breakpoints([T[0]], [rate])[0]) == seeds
         assert used.tolist() == [seeds] * K  # no integral refines
         assert rows == [K * (seeds + 2 if seeds == 2 else seeds + 1)]
@@ -512,12 +511,12 @@ def test_a_batch_fails_as_its_first_failing_integral(reverse, monkeypatch):
 # integrals 0, 2 and 4 are a family, the others singletons
 ROUND_W = np.array([6.0, 0.0, 6.0, 3.0, 6.0, 2.0, 5.0])
 ROUND_FREQ = np.array([0.5, 0.0, 0.0, 0.0, -1.0, 2.0, -1.0])
-ROUND_SHARES = np.array([0, 1, 0, 3, 0, 5, 6])
+ROUND_KEY = (np.array([0, 1, 0, 3, 0, 5, 6]),)
 
 
 def _round_rays(fn=None):
     fn = fn or (lambda t, k: np.exp((-1.0 + 1j * ROUND_W[k]) * t))
-    return quadrature._integrate_rays(fn, np.ones(7), np.ones(7), TIGHT, ROUND_FREQ, ROUND_SHARES)
+    return quadrature._integrate_rays(fn, np.ones(7), np.ones(7), TIGHT, ROUND_FREQ, ROUND_KEY)
 
 
 def test_integrals_refined_in_rounds_get_their_results_alone():

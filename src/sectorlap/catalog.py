@@ -1,10 +1,13 @@
 """Built-in test functions with known growth, transforms, and singularities.
 
-Each entry bundles an evaluator with whatever exact side information exists:
-the indicator oracle I(theta) = limsup ln|f(s e^{i theta})|/s, the transform
-oracle g(w), and the singularities of g.  For f(z) = e^{a z},
+Each entry bundles an evaluator with whatever exact side information exists.
+Its growth comes from one place, its conjugate indicator diagram D: the
+indicator I(theta) = limsup ln|f(s e^{i theta})|/s is the support function
+max_{a in D} Re(a e^{i theta}) (Levin, *Lectures on Entire Functions*, 1996,
+par. 9), and with a transform oracle g(w) the singularities of g are the -a.
+For f(z) = e^{a z},
 
-    g(w) = -1 / (2 pi i (w + a)),   I(theta) = Re(a e^{i theta}),
+    D = {a},   g(w) = -1 / (2 pi i (w + a)),   I(theta) = Re(a e^{i theta}),
 
 with the single pole of g at w = -a sitting exactly on the boundary of every
 admissible half-plane.  Entries also carry an envelope constant K with
@@ -49,28 +52,45 @@ ORACLE_SOURCES = ("auto", "oracle", "numeric")
 class TestFunction:
     """A catalog entry: evaluator plus whatever oracles are known exactly.
 
-    ``indicator_oracle`` maps a float or an array theta to the same kind.
-    ``transform_oracle`` maps w to the concatenated transform g(w); it does
-    not depend on the direction used to compute g, so it takes w alone.
-    ``singularities_of_g`` is None when unknown, a (possibly empty) tuple
-    when known.  ``weighted_eval(z, w)`` returns f(z)*e^{w z} in a form that
-    cannot overflow when f itself grows exponentially.
+    From the diagram D (None when unknown) come ``indicator_oracle``,
+    max_{a in D} Re(a e^{i theta}) or -inf for an empty D, at a float or an
+    array theta; ``type_oracle``, max(0, largest indicator on |theta| <=
+    alpha); ``spec`` at ALPHA_CAP, when not given; and ``singularities_of_g``,
+    the -a with a transform oracle and None without.  An oracle given stays,
+    so a wrapper can replace it; ValueError for one without D.
+    ``transform_oracle`` maps w to g(w), whatever direction computes it.
+    ``weighted_eval(z, w)`` returns f(z)*e^{w z} in a form that cannot
+    overflow when f itself grows exponentially.
     """
 
     id: str
     evaluate: Callable
-    spec: SectorSpec
+    spec: Optional[SectorSpec] = None
+    diagram: Optional[tuple[complex, ...]] = None
     indicator_oracle: Optional[Callable[[float], float]] = None
     transform_oracle: Optional[Callable[[complex], complex]] = None
-    singularities_of_g: Optional[tuple[complex, ...]] = None
     envelope_const: float = 1.0
     weighted_eval: Callable = field(default=None, repr=False)
     type_oracle: Optional[Callable[[float], float]] = field(default=None, repr=False)
+    singularities_of_g: Optional[tuple[complex, ...]] = field(init=False, default=None)
 
     def __post_init__(self):
+        put = lambda name, value: object.__setattr__(self, name, value)  # noqa: E731  (the dataclass is frozen)
         if self.weighted_eval is None:
             ev = self.evaluate
-            object.__setattr__(self, "weighted_eval", lambda z, w: ev(z) * np.exp(w * z))
+            put("weighted_eval", lambda z, w: ev(z) * np.exp(w * z))
+        if self.diagram is None:
+            if self.spec is None or self.indicator_oracle or self.type_oracle:
+                raise ValueError(f"entry {self.id!r} without a diagram needs a spec and no indicator or type oracle")
+            return
+        if self.indicator_oracle is None:
+            put("indicator_oracle", lambda theta: _support(self.diagram, theta))
+        if self.type_oracle is None:
+            put("type_oracle", lambda alpha: max([0.0] + [_exp_growth(a, alpha) for a in self.diagram]))
+        if self.spec is None:
+            put("spec", SectorSpec(alpha=ALPHA_CAP, h=self.type_oracle(ALPHA_CAP)))
+        if self.transform_oracle is not None:
+            put("singularities_of_g", tuple(-a for a in self.diagram))
 
 
 def format_complex(c: complex) -> str:
@@ -102,6 +122,14 @@ def _rotated(w: complex, theta: float | np.ndarray):
     return w.real * math.cos(theta) - w.imag * math.sin(theta)  # a float stays in Python floats
 
 
+def _support(diagram: tuple[complex, ...], theta: float | np.ndarray):
+    """max over a in the diagram of Re(a e^{i theta}) (-inf for an empty one), at a float or an array theta."""
+    if not diagram:
+        return 0.0 * abs(theta) - math.inf  # a float or an array, like theta
+    values = [_rotated(a, theta) for a in diagram]
+    return np.maximum.reduce(values) if isinstance(theta, np.ndarray) else max(values)
+
+
 def _exp_growth(a: complex, alpha: float) -> float:
     """max over |theta| <= alpha of Re(a e^{i theta}); may be negative."""
     if a == 0:
@@ -117,47 +145,37 @@ def make_exp(a: complex, id: str | None = None) -> TestFunction:
     return TestFunction(
         id=id or f"exp:a={format_complex(a)}",
         evaluate=lambda z: np.exp(a * z),
-        spec=SectorSpec(alpha=ALPHA_CAP, h=max(0.0, _exp_growth(a, ALPHA_CAP))),
-        indicator_oracle=lambda theta: _rotated(a, theta),
+        diagram=(a,),
         transform_oracle=lambda w: -1.0 / (two_pi_i * (w + a)),
-        singularities_of_g=(-a,),
-        envelope_const=1.0,
         weighted_eval=lambda z, w: np.exp((a + w) * z),
-        type_oracle=lambda alpha: max(0.0, _exp_growth(a, alpha)),
     )
 
 
 def make_sum(terms: Sequence[tuple[complex, complex]], id: str | None = None) -> TestFunction:
     """f(z) = sum_k c_k e^{a_k z} with distinct exponents a_k.
 
-    The indicator is max_k Re(a_k e^{i theta}) and the transform is the
-    matching linear combination of simple poles; both assume the a_k are
-    distinct so no leading term can cancel.
+    A term with c_k = 0 is dropped: it is not in the diagram {a_k : c_k != 0},
+    and 0 * e^{a_k z} would be nan where e^{a_k z} overflows.  The transform
+    is the matching linear combination of simple poles; both assume the a_k
+    are distinct so no leading term can cancel.
     """
     pairs = tuple((complex(c), complex(a)) for c, a in terms)
-    if not pairs:
-        raise ValueError("sum entry needs at least one (coefficient, exponent) term")
     if len({a for _, a in pairs}) != len(pairs):
         raise ValueError("sum entry exponents must be distinct")
-    two_pi_i = 2j * math.pi
     if id is None:
         bits = [f"a{k}={format_complex(a)},c{k}={format_complex(c)}" for k, (c, a) in enumerate(pairs, 1)]
         id = "sum:" + ",".join(bits)
+    pairs = tuple((c, a) for c, a in pairs if c != 0)
+    if not pairs:
+        raise ValueError("sum entry needs a term with a nonzero coefficient; the zero entry is f = 0")
+    two_pi_i = 2j * math.pi
     return TestFunction(
         id=id,
         evaluate=lambda z: sum(c * np.exp(a * z) for c, a in pairs),
-        spec=SectorSpec(
-            alpha=ALPHA_CAP,
-            h=max(0.0, max(_exp_growth(a, ALPHA_CAP) for _, a in pairs)),
-        ),
-        indicator_oracle=lambda theta: (np.maximum.reduce if isinstance(theta, np.ndarray) else max)(
-            [_rotated(a, theta) for _, a in pairs]
-        ),
+        diagram=tuple(a for _, a in pairs),
         transform_oracle=lambda w: sum(-c / (two_pi_i * (w + a)) for c, a in pairs),
-        singularities_of_g=tuple(-a for c, a in pairs if c != 0),
         envelope_const=float(sum(abs(c) for c, _ in pairs)),
         weighted_eval=lambda z, w: sum(c * np.exp((a + w) * z) for c, a in pairs),
-        type_oracle=lambda alpha: max(0.0, max(_exp_growth(a, alpha) for _, a in pairs)),
     )
 
 
@@ -166,18 +184,14 @@ def zero_function() -> TestFunction:
     return TestFunction(
         id="zero",
         evaluate=lambda z: 0.0 * z,
-        spec=SectorSpec(alpha=ALPHA_CAP, h=0.0),
-        indicator_oracle=lambda theta: 0.0 * abs(theta) - math.inf,  # a float or an array, like theta
+        diagram=(),
         transform_oracle=lambda w: 0.0 * w,
-        singularities_of_g=(),
-        envelope_const=1.0,
         weighted_eval=lambda z, w: 0.0 * z * w,
-        type_oracle=lambda alpha: 0.0,
     )
 
 
 def rational_function() -> TestFunction:
-    """f(z) = 1/(z+1): type 0, indicator identically 0, no closed-form transform.
+    """f(z) = 1/(z+1): diagram {0}, so type 0 and indicator identically 0; no closed-form transform.
 
     The pole at z = -1 lies outside every closed sub-pi/2 sector, and
     |f| <= 1 there, so the unit envelope constant is exact.
@@ -185,17 +199,12 @@ def rational_function() -> TestFunction:
     return TestFunction(
         id="rational",
         evaluate=lambda z: 1.0 / (z + 1.0),
-        spec=SectorSpec(alpha=ALPHA_CAP, h=0.0),
-        indicator_oracle=lambda theta: 0.0 * abs(theta),  # a float or an array, like theta
-        transform_oracle=None,
-        singularities_of_g=None,
-        envelope_const=1.0,
-        type_oracle=lambda alpha: 0.0,
+        diagram=(0j,),
     )
 
 
 def trig_decay() -> TestFunction:
-    """f(z) = e^{i z}: bounded on the closed right half-plane, indicator -sin(theta)."""
+    """f(z) = e^{i z}: diagram {i}, bounded on the closed right half-plane, indicator -sin(theta)."""
     return make_exp(1j, id="trig")
 
 
@@ -259,9 +268,7 @@ def resolve(spec_str: str) -> TestFunction:
 
 def type_for(fn: TestFunction, alpha: float) -> float:
     """Exponential type of fn on the sub-sector of half-angle alpha (exact when known)."""
-    if fn.type_oracle is not None:
-        return fn.type_oracle(alpha)
-    return fn.spec.h
+    return fn.type_oracle(alpha) if fn.type_oracle is not None else fn.spec.h
 
 
 def pick_oracle(fn: TestFunction, kind: str, source: str) -> Optional[Callable]:

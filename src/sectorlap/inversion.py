@@ -204,10 +204,11 @@ def roundtrip_report(
     """Reconstruct f on a z grid and compare with direct evaluation.
 
     Per-point failures are recorded in their row with their class, not raised; the summary
-    aggregates over the successful points.
+    aggregates over the successful points.  The apex fails every point alike, so it is checked
+    once, at the larger of spec.h and the entry's own type: InvalidApex, raised.
     """
     budget = budget or QuadratureBudget()
-    gamma = build_gamma(spec, p)
+    gamma = build_gamma(SectorSpec(spec.alpha, max(spec.h, type_for(fn, spec.alpha))), p)
     rows = []
     for z in z_grid:
         z = complex(z)

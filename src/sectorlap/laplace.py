@@ -15,19 +15,20 @@ agree on overlaps, so the concatenated transform simply evaluates along the
 direction of largest margin.
 
 The fan's offsets -I(theta) and margins take a float theta or an array of
-directions, which ``select_direction`` scans in one call.  They come from the
-indicator oracle when one exists; otherwise from the numeric estimate, and
-``_decay_rate`` then takes 10% off the decay rate, since an estimated
-indicator can be slightly low.
+directions.  They come from the indicator oracle when one exists; otherwise
+from the numeric estimate, and ``_decay_rate`` then takes 10% off the decay
+rate, since an estimated indicator can be slightly low.  Either way the
+margin peaks at one of a few directions known in closed form, of which
+``select_direction`` takes the best: the margin is a minimum of shifted
+cosines, one per point of the entry's conjugate indicator diagram D, or
+linear minus one cosine on each cell of the numeric estimate's grid.
 
 On the ray theta the kernel e^{w t e^{i theta}} turns at the known rate
-Im(w e^{i theta}), and f's own phase at the rate nu(theta) = -Im(s* e^{i theta}),
-where s* is the singularity of g with the least Re(s e^{i theta}): -s* is
-the exponent that dominates f along theta, the point of Polya's conjugate
-indicator diagram that supports theta (``_phase_rate``; nu = 0 for an entry
-without known singularities, or with none).  The ray integrand is handed to
-the quadrature as the carrier e^{i kappa t}, kappa = Im(w e^{i theta}) + nu,
-times the smooth factor
+Im(w e^{i theta}), and f's own phase at the rate nu(theta) = Im(a* e^{i theta}),
+where a* is the point of D of largest Re(a e^{i theta}), the exponent that
+dominates f along theta (``_phase_rate``; nu = 0 without a diagram, or with
+an empty one).  The ray integrand is handed to the quadrature as the carrier
+e^{i kappa t}, kappa = Im(w e^{i theta}) + nu, times the smooth factor
 
     F(t) = e^{i theta} / (2 pi i) weighted_eval(t e^{i theta}, (Re(w e^{i theta}) - i nu) e^{-i theta}),
 
@@ -112,16 +113,16 @@ def _decay_rate(margin, exact_indicator: bool):
 
 
 def _phase_rate(fn: TestFunction, theta: float) -> float:
-    """nu(theta) = -Im(s e^{i theta}), s the singularity of g of least Re(s e^{i theta}); 0 without one.
+    """nu(theta) = Im(a e^{i theta}), a the point of the entry's diagram of largest Re(a e^{i theta}); 0 without one.
 
     ``_ray_integrands`` moves this rotation from F into the carrier.  Any
     value gives the same integral; this one leaves F free of f's dominant
     rotation, so that F needs few panels.
     """
-    if not fn.singularities_of_g:
+    if not fn.diagram:
         return 0.0
     direction = cmath.exp(1j * theta)
-    return -min((s * direction for s in fn.singularities_of_g), key=lambda v: v.real).imag
+    return max((a * direction for a in fn.diagram), key=lambda v: v.real).imag
 
 
 def _ray_integrands(fn: TestFunction, theta, omegas, indicator, nu, exact_indicator: bool, delta_min: float):
@@ -332,63 +333,57 @@ def _maximize(fun, lo: float, hi: float, tol: float, start=None) -> tuple[float,
                 v, fv = u, fu
 
 
-def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
-    """Direction of largest margin, via a coarse scan refined by Brent's method (``_maximize``).
+def _best_direction(ct: ConcatenatedTransform, omega: complex) -> tuple[float, float]:
+    """(theta, ct.margin(omega, theta)) of largest margin over the fan, from a few candidates in one margin call.
 
-    With the oracle indicator the refinement searches between the best scan
-    point's neighbours, starting from the scan's three values when the best
-    point tops both.  A numeric indicator's offset is interpolated linearly
-    between the scan points, so the margin can bulge above the best point in
-    either cell beside it: each cell is searched on its own and the larger
-    peak kept, the one of smaller |theta| on ties.  The searches stop once
-    the bracket lies within step * sqrt(eps) of its best point, step being
-    the coarse spacing: rounding locates a smooth peak of that width no
-    better.  The scan's best point stays unless a peak beats it by more than
-    1e-9 relative, and ties among scan points break toward the smallest
-    |theta|.  Raises OutsideUnion when even the best margin falls below
-    ct.min_margin.
+    With the oracle the margin is the least of the pieces c - Re(b e^{i theta}),
+    one per point a of the diagram (c = 0, b = a + omega) and the sentinel's
+    floor (c = 1e9, b = omega), so it peaks at +-alpha, at a piece's top
+    pi - arg b, or where two cross, -arg(b_p - b_q) +- arccos((c_p - c_q) /
+    |b_p - b_q|).  A numeric fan's margin is linear minus |omega| cos(theta +
+    arg omega) on each cell of its grid: it peaks at a node or at a root of
+    s + |omega| sin(theta + arg omega) = 0 inside the cell of slope s.
+    Margins within 1e-9 (relative above 1) of the largest tie, and ties go to
+    the smallest |theta|, then to the positive theta.
     """
-    thetas = np.linspace(-ct.alpha, ct.alpha, 65)
-    if 0.0 not in thetas:
-        thetas = np.sort(np.append(thetas, 0.0))
+    omega = complex(omega)
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel pieces and a flat omega give nan: no candidate
+        if ct.exact:
+            b = np.array([a + omega for a in ct.fn.diagram] + [omega])
+            c = np.append(np.zeros(len(b) - 1), OFFSET_CAP)
+            gap = np.subtract.outer(b, b).ravel()  # each pair in both orders, which name the same crossings
+            turn = np.arccos(np.subtract.outer(c, c).ravel() / np.abs(gap))
+            peaks = np.concatenate((math.pi - np.angle(b), turn - np.angle(gap), -turn - np.angle(gap)))
+            nodes = np.array([ct.alpha, -ct.alpha])
+        else:
+            nodes, offsets = ct._grid
+            turn = np.arcsin(-np.diff(offsets) / np.diff(nodes) / abs(omega))
+            peaks = np.concatenate((turn, math.pi - turn)) - cmath.phase(omega)
+    peaks = np.remainder(peaks + math.pi, 2.0 * math.pi) - math.pi
+    if not ct.exact:  # a cell's root counts inside that cell only
+        peaks = peaks[(np.tile(nodes[:-1], 2) <= peaks) & (peaks <= np.tile(nodes[1:], 2))]
+    thetas = np.concatenate(([0.0], nodes, peaks[np.abs(peaks) <= ct.alpha]))
     margins = ct.margin(omega, thetas)
     best = float(np.max(margins))
-    tol = 1e-9 * (1.0 + abs(best))
-    tied = np.flatnonzero(margins >= best - tol)
-    i = int(tied[np.argmin(np.abs(thetas[tied]))])
-    theta0, m_0 = float(thetas[i]), float(margins[i])
+    tied = np.flatnonzero(margins >= best - 1e-9 * (1.0 + abs(best)))
+    i = tied[np.lexsort((-thetas[tied], np.abs(thetas[tied])))[0]]
+    return float(thetas[i]), float(margins[i])
 
-    if ct.exact:
-        # Brent refinement inside the bracketing coarse cells, warm from the scan where theta0 is their peak
-        a, b = max(i - 1, 0), min(i + 1, len(thetas) - 1)
-        start = (theta0, m_0, margins[a], margins[b]) if a < i < b and m_0 >= max(margins[a], margins[b]) else None
-        cells = [(a, b, start)]
-    else:
-        # the scan's points hold the numeric grid's, so on a cell the margin is linear minus Re(omega e^{i theta}),
-        # which bends it by at most |omega|: falling by s per unit away from theta0, a cell of width h rises above
-        # m_0 by at most (|omega| h / 2 - s)^2 / (2 |omega|), and only a cell where that exceeds tol is searched
-        cells = []
-        for c, far in ((i - 1, i - 1), (i, i + 1)):
-            if 0 <= c < len(thetas) - 1:
-                h = thetas[c + 1] - thetas[c]
-                slack = max(0.0, abs(omega) * h / 2 - (m_0 - margins[far]) / h)
-                if slack * slack > 2 * abs(omega) * tol:
-                    cells.append((c, c + 1, None))
-    step = thetas[1] - thetas[0]
-    theta_g, m_g = theta0, -math.inf
-    for a, b, start in cells:
-        theta_c, m_c = _maximize(
-            lambda t: ct.margin(omega, t), float(thetas[a]), float(thetas[b]), step * math.sqrt(_EPS), start
-        )
-        if m_c > m_g + tol or (m_c >= m_g - tol and abs(theta_c) < abs(theta_g)):
-            theta_g, m_g = theta_c, m_c
-    theta_star, m_star = (theta_g, m_g) if m_g > m_0 + tol else (theta0, m_0)
-    if not m_star >= ct.min_margin:
+
+def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
+    """Direction of largest margin, computed in closed form by ``_best_direction``.
+
+    Ties within 1e-9 relative break toward the smallest |theta|, then the
+    positive theta.  Raises OutsideUnion when even the best margin falls
+    below ct.min_margin.
+    """
+    theta, margin = _best_direction(ct, omega)
+    if not margin >= ct.min_margin:
         raise OutsideUnion(
             f"omega={omega} lies outside the union of half-planes: best margin "
-            f"{m_star:.3e} at theta={theta_star:.6f} is below min_margin={ct.min_margin:.3e}"
+            f"{margin:.3e} at theta={theta:.6f} is below min_margin={ct.min_margin:.3e}"
         )
-    return theta_star
+    return theta
 
 
 def concatenated_transform(

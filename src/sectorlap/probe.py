@@ -46,7 +46,7 @@ from .catalog import TestFunction, pick_oracle
 from .errors import IllConditioned
 from .geometry import _ray_distance
 from .indicator import indicator_value
-from .laplace import DELTA_MIN_DEFAULT, ConcatenatedTransform, _check_direction, _g_values, _maximize
+from .laplace import DELTA_MIN_DEFAULT, ConcatenatedTransform, _best_direction, _check_direction, _g_values, _maximize
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import QuadratureBudget, _integrate_rays, _integrate_segments
 # unused here; bench/tracer.py wraps these bindings
@@ -194,18 +194,15 @@ def radius_scan(
     to 24.  Each FFT coefficient is a mean of the ring values, so it is off
     by at most their largest est_error: IllConditioned when one of those
     fitted is not above it, or underflows.  Without ``theta``, the direction
-    is the one of largest margin on a 129-point scan of the entry's fan;
-    ValueError for a theta outside it.
+    is the one of largest margin over the entry's fan, as ``select_direction``
+    picks it; ValueError for a theta outside the fan.
     """
     if theta is not None:
         _check_direction(fn, theta)
     budget = budget or QuadratureBudget()
     center = complex(center)
     fan = ConcatenatedTransform.build(fn)
-    if theta is None:
-        thetas = np.linspace(-fan.alpha, fan.alpha, 129)
-        theta = float(thetas[np.argmax(fan.margin(center, thetas))])
-    margin = fan.margin(center, theta)
+    theta, margin = _best_direction(fan, center) if theta is None else (theta, fan.margin(center, theta))
     if not margin > 0:
         raise ValueError(f"center {center} lies outside Omega_theta at theta={theta}")
 

@@ -7,6 +7,7 @@ import pytest
 from sectorlap import (
     ConcatenatedTransform,
     GrowthCertificate,
+    SectorSpec,
     blowup_scan,
     builtin_catalog,
     format_complex,
@@ -85,6 +86,12 @@ def test_sum_rejects_duplicate_exponents():
         make_sum([(1, -1), (2, -1)])
 
 
+def test_sum_rejects_a_sum_with_no_nonzero_term():
+    for terms in ([], [(0, 1), (0, -1)]):
+        with pytest.raises(ValueError, match="needs a term with a nonzero coefficient"):
+            make_sum(terms)
+
+
 def test_entire_evaluations_satisfy_cauchy_formula():
     # 64-point trapezoid on a circle reproduces f at the center to machine
     # precision for entire functions; a failure here means the evaluator
@@ -121,6 +128,35 @@ def test_resolve_rejects_unknown():
     # an omitted weight defaults to 1
     fn = resolve("sum:a1=1,c1=1,a2=2")
     assert fn.singularities_of_g == (-1.0, -2.0)
+
+
+def test_a_zero_coefficient_term_is_not_in_the_diagram():
+    # e^{-z} written with a term 0 * e^{z}: its growth is that of exp:a=-1
+    fn, plain = resolve("sum:a1=1,c1=0,a2=-1,c2=1"), make_exp(-1)
+    assert fn.diagram == plain.diagram == (-1.0,) and fn.singularities_of_g == plain.singularities_of_g
+    thetas = np.linspace(-1.5, 1.5, 31)
+    assert np.array_equal(fn.indicator_oracle(thetas), plain.indicator_oracle(thetas))
+    assert fn.indicator_oracle(0.4) == plain.indicator_oracle(0.4)
+    for alpha in (0.3, math.pi / 4, 1.5):
+        assert fn.type_oracle(alpha) == plain.type_oracle(alpha)
+    assert fn.spec == plain.spec
+
+
+def test_the_diagram_is_the_one_source_of_growth():
+    from sectorlap import TestFunction  # imported here so that pytest does not collect it as a test class
+
+    # zero: the empty diagram, indicator -inf, type 0; rational: {0} and no singularities without a transform
+    assert zero_function().diagram == () and zero_function().singularities_of_g == ()
+    assert zero_function().type_oracle(1.0) == 0.0 and zero_function().spec.h == 0.0
+    assert rational_function().diagram == (0,) and rational_function().singularities_of_g is None
+    assert trig_decay().diagram == (1j,)
+    assert make_exp(2).spec.h == 2.0 and make_exp(2).type_oracle(0.5) == 2.0
+    with pytest.raises(ValueError, match="without a diagram needs a spec and no indicator or type oracle"):
+        TestFunction(id="loose", evaluate=np.exp, spec=SectorSpec(alpha=0.5), indicator_oracle=math.cos)
+    with pytest.raises(ValueError, match="without a diagram needs a spec and no indicator or type oracle"):
+        TestFunction(id="loose", evaluate=np.exp, spec=SectorSpec(alpha=0.5), type_oracle=lambda alpha: 1.0)
+    with pytest.raises(ValueError, match="without a diagram needs a spec"):
+        TestFunction(id="bare", evaluate=np.exp)
 
 
 def test_type_values():

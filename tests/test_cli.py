@@ -454,6 +454,22 @@ def test_the_contour_takes_the_entry_own_type_and_no_h_flag(argv, capsys):
     assert "unrecognized arguments: --h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fn", ["sum:a1=1,c1=0,a2=-1,c2=1", "sum:a1=800,c1=0,a2=-1,c2=1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["invert", "--p", "-1", "--z", "1+0i"], ["transform", "--theta", "0", "--omega", "-0.5+0i"],
+     ["transform", "--theta", "0", "--omega", "-0.5+0i", "--indicator-source", "numeric"]],
+    ids=["invert", "transform", "transform-numeric-indicator"],
+)
+def test_a_zero_coefficient_term_does_not_count(fn, argv, capsys):
+    # each entry is e^{-z}: the apex and the margin see the type and indicator of exp:a=-1, and no
+    # evaluation sees 0 * e^{800 z}, which is nan once e^{800 z} overflows
+    assert main(argv + ["--fn", "exp:a=-1"]) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--fn", fn]) == 0
+    assert capsys.readouterr() == plain
+
+
 def _reads_and_passes():
     """For each function of cli.py: the args.<name> it reads, and the cli functions it passes ``args`` to."""
     tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))

@@ -4,7 +4,8 @@ The references are the per-direction formulas that the array code replaced:
 np.convolve window means of one direction's samples for the indicator
 estimate, (a * cmath.exp(1j * theta)).real for the indicator oracles, and
 offset - (omega * cmath.exp(1j * theta)).real, one float theta at a time, for
-the fan's margins and ``select_direction``'s coarse scan.
+the fan's margins.  ``select_direction``, which computes the best direction
+in closed form, is checked against a dense scan of those scalar margins.
 """
 
 import cmath
@@ -26,7 +27,7 @@ from sectorlap import (
     zero_function,
 )
 from sectorlap.indicator import INDICATOR_SENTINEL, S_GRID
-from sectorlap.laplace import _maximize
+from sectorlap.laplace import _best_direction, _maximize
 
 # exponents a_k of sum_k c_k e^{a_k z}, non-integer, with a complex coefficient
 SUM_TERMS = [(1, -1.3 + 0.7j), (2.5, 0.4 - 1.1j), (-0.3j, 2.2)]
@@ -134,39 +135,14 @@ def _reference_margin(ct, exponents, omega: complex, theta: float) -> float:
     return offset - (omega * cmath.exp(1j * theta)).real
 
 
-def _reference_select(ct, exponents, omega: complex) -> float:
-    """select_direction with its coarse scan one float margin at a time."""
+def _reference_best(ct, exponents, omega: complex) -> float:
+    """The largest margin over the fan, one float theta at a time: 2 001 directions, then 2 001 about the best."""
     margin = lambda t: _reference_margin(ct, exponents, omega, t)  # noqa: E731
-    lo, hi = -ct.alpha, ct.alpha
-    thetas = np.linspace(lo, hi, 65)
-    if 0.0 not in thetas:
-        thetas = np.sort(np.append(thetas, 0.0))
-    margins = np.array([margin(float(t)) for t in thetas])
-    best = float(np.max(margins))
-    tol = 1e-9 * (1.0 + abs(best))
-    tied = [k for k in range(len(thetas)) if margins[k] >= best - tol]
-    i = min(tied, key=lambda k: abs(thetas[k]))
-    theta0, m_0 = float(thetas[i]), margin(float(thetas[i]))
-    step = thetas[1] - thetas[0]
-    if ct.exact:
-        a, b = max(i - 1, 0), min(i + 1, len(thetas) - 1)
-        start = (theta0, m_0, margins[a], margins[b]) if a < i < b and m_0 >= max(margins[a], margins[b]) else None
-        cells = [(a, b, start)]
-    else:  # the interpolated offset: either cell beside theta0, each on its own
-        cells = [(c, c + 1, None) for c in (i - 1, i) if 0 <= c < len(thetas) - 1]
-    found = [
-        _maximize(margin, float(thetas[a]), float(thetas[b]), step * math.sqrt(np.finfo(float).eps), start)
-        for a, b, start in cells
-    ]
-    assert all(m == margin(t) for t, m in found)
-    theta_g, m_g = found[0]
-    for theta_c, m_c in found[1:]:
-        if m_c > m_g + tol or (abs(m_c - m_g) <= tol and abs(theta_c) < abs(theta_g)):
-            theta_g, m_g = theta_c, m_c
-    theta_star, m_star = (theta_g, m_g) if m_g > m_0 + tol else (theta0, m_0)
-    if not m_star >= ct.min_margin:
-        raise OutsideUnion("below min_margin")
-    return theta_star
+    coarse = np.linspace(-ct.alpha, ct.alpha, 2001)
+    best = max(coarse.tolist(), key=margin)
+    step = coarse[1] - coarse[0]
+    fine = np.linspace(max(best - step, -ct.alpha), min(best + step, ct.alpha), 2001)
+    return max(margin(t) for t in fine.tolist())
 
 
 @pytest.mark.parametrize("source", ["oracle", "numeric"])
@@ -184,13 +160,38 @@ def test_fan_margins_and_selection_equal_the_scalar_formulas(fn, exponents, sour
         margins = ct.margin(omega, thetas)
         for k, theta in enumerate(thetas.tolist()):
             assert margins[k] == ct.margin(omega, theta) == _reference_margin(ct, exponents, omega, theta)
-        try:
-            want = _reference_select(ct, exponents, omega)
-        except OutsideUnion:
+        want = _reference_best(ct, exponents, omega)
+        assert abs(want - ct.min_margin) > 1e-6  # no draw sits on the OutsideUnion threshold
+        if want < ct.min_margin:
             with pytest.raises(OutsideUnion):
                 select_direction(ct, omega)
-        else:
-            assert select_direction(ct, omega) == want
+            continue
+        theta = select_direction(ct, omega)
+        got = _reference_margin(ct, exponents, omega, theta)
+        assert abs(theta) <= 1.2 and type(theta) is float
+        assert _best_direction(ct, omega) == (theta, got) == (theta, ct.margin(omega, theta))
+        assert got >= want - 1e-9 * (1.0 + abs(want))
+
+
+def test_a_three_term_sum_peaks_where_two_terms_cross():
+    # the margin's pieces -Re((a_k + omega) e^{i theta}) of the 2nd and 3rd terms cross where
+    # Re((a_2 - a_3) e^{i theta}) = 0, whatever omega, and the margin tops out there
+    ct = ConcatenatedTransform.build(make_sum(SUM_TERMS), alpha=1.2)
+    cross = -cmath.phase(SUM_TERMS[1][1] - SUM_TERMS[2][1]) - math.pi / 2
+    for omega in (-1.6 + 1.1j, -2.0 + 1.05j, -3.8 + 4.5j):
+        theta, margin = _best_direction(ct, omega)
+        assert math.isclose(theta, cross, abs_tol=1e-12)
+        assert margin > max(ct.margin(omega, cross - 1e-6), ct.margin(omega, cross + 1e-6))
+
+
+def test_the_sentinel_floor_crosses_the_diagram_and_ties_go_to_the_positive_theta():
+    # for e^{-2e9 z} at omega = 1e9 the margin is min(1e9 cos(theta), 1e9 - 1e9 cos(theta)), with equal
+    # peaks 5e8 where the two cross, at theta = -pi/3 and pi/3
+    ct = ConcatenatedTransform.build(make_exp(-2e9))
+    theta, margin = _best_direction(ct, 1e9)
+    assert math.isclose(theta, math.pi / 3, abs_tol=1e-12)
+    assert math.isclose(margin, 5e8, rel_tol=1e-12)
+    assert math.isclose(ct.margin(1e9, -theta), margin, rel_tol=1e-12)
 
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -240,7 +241,7 @@ def test_maximizer_warm_start_reuses_the_grid_values():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_maximizer_finds_a_peak_at_the_bracket_end(sign):
-    # select_direction's bracket at theta = +-alpha: the margin still rises at the end
+    # a peak at the end of the bracket: the function still rises there
     calls = []
     lo, hi, tol = 0.3, 1.2, 1e-9
     x, _ = _maximize(lambda t: calls.append(t) or sign * math.sin(t), lo, hi, tol)

@@ -127,6 +127,12 @@ def test_roundtrip_report_aggregates():
     assert all(row.error is None for row in report.rows)
 
 
+def test_roundtrip_report_raises_an_invalid_apex_once():
+    # p = -0.5 passes the h = 0 spec but not the type cos(pi/4) of exp:a=1: no point could be reconstructed
+    with pytest.raises(InvalidApex, match="invalid apex p=-0.5"):
+        roundtrip_report(make_exp(1), SPEC, -0.5, [0.5, 1.0])
+
+
 def test_roundtrip_report_records_bad_points():
     fn = make_exp(-1)
     report = roundtrip_report(fn, SPEC, -1.0, [1.0, -1.0], BUDGET, "oracle")

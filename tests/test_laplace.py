@@ -121,11 +121,12 @@ def test_select_direction_asymmetric_optimum():
 
 
 def test_select_direction_keeps_the_larger_of_two_peaks_of_a_numeric_fan():
-    # the interpolated offset bulges above the margin's scan points on both sides of the best one; the peak in
+    # the interpolated offset bulges above the grid's nodes on both sides of the best one; the peak in
     # the cell below it is the larger (the one above has 0.70720998 at theta = 0.79750)
     ct = ConcatenatedTransform.build(make_exp(1), indicator_source="numeric")
     omega = -1.5 + 0.5j
     theta = select_direction(ct, omega)
+    assert theta not in ct._grid_thetas
     assert ct.margin(omega, theta) >= 0.70721651
     assert math.isclose(theta, 0.77297, abs_tol=1e-5)
     assert ct.margin(omega, theta) >= np.max(ct.margin(omega, np.linspace(0.7, 0.85, 20001)))

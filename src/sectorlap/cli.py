@@ -4,8 +4,9 @@ Every subcommand writes CSV (UTF-8, LF line endings, one header row, complex
 quantities split into _re/_im columns, floats at 17 significant digits) either
 to --out or to stdout.  Exit codes: 0 success, 2 configuration or usage error,
 3 numeric failure (a sample point outside the admissible domain, an exhausted
-quadrature budget, a non-finite integrand value or integrand envelope, or a
-residual above the configured threshold).
+quadrature budget, a non-finite integrand value or integrand envelope, a
+reconstructed value that is not above its own est_error, or a residual above
+the configured threshold).
 """
 
 import argparse
@@ -168,7 +169,7 @@ def _cmd_transform(args, parser) -> int:
             theta = args.theta
             margin = -ind - (omega * cmath.exp(1j * theta)).real
             res = directional_transform(
-                TransformQuery(fn, theta, omega, budget, args.delta_min, args.indicator_source, known)
+                TransformQuery(fn, theta, omega, budget, args.delta_min, known)
             )
         else:
             theta = select_direction(ct, omega)
@@ -293,11 +294,8 @@ def _cmd_indicator(args, parser) -> int:
     alpha = args.alpha if args.alpha is not None else fn.spec.alpha
     thetas = np.array(args.thetas) if args.thetas is not None else np.linspace(-alpha, alpha, args.theta_grid)
     est = estimate_indicator(fn, thetas, s_grid=np.geomspace(1.0, args.s_max, args.s_points))
-    if fn.indicator_oracle is not None:
-        exact = fn.indicator_oracle(thetas)
-        deviation = np.abs(est.value - exact)
-    else:
-        exact = deviation = [None] * len(thetas)
+    exact = fn.indicator_oracle(thetas)
+    deviation = np.abs(est.value - exact)
     header = ["theta", "estimate", "ci_width", "s_max", "oracle", "deviation"]
     _write_csv(args.out, header, list(zip(thetas, est.value, est.ci_width, est.s_max, exact, deviation)))
     return 0
@@ -340,7 +338,7 @@ def _cmd_selftest(args, parser) -> int:
         parser.error(f"selftest: no criteria match --only {args.only}")
     failed = [r for r in results if not r.passed]
     total = sum(r.seconds for r in results)
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed in {total:.0f}s")
+    print(f"{len(results) - len(failed)}/{len(results)} criteria passed in {total:.2f}s")
     return 1 if failed else 0
 
 
@@ -391,7 +389,7 @@ def build_parser():
                     help="fixed direction; omitted means best direction per omega")
     sp.add_argument("--omega", type=_complex_list, default=None,
                     help="comma separated complex points, e.g. -2+0i,-1.5+0.3i")
-    sp.add_argument("--delta-min", dest="delta_min", type=float, default=DELTA_MIN_DEFAULT,
+    sp.add_argument("--delta-min", dest="delta_min", type=_finite, default=DELTA_MIN_DEFAULT,
                     help="smallest admissible margin to the half-plane boundary")
     sp.add_argument("--indicator-source", dest="indicator_source", choices=ORACLE_SOURCES, default="auto")
     _add_output_flags(sp)

@@ -84,27 +84,31 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class TransformQuery:
-    """g_theta(omega) along one direction.  ``indicator`` is the (value, is_exact) pair
-    ``indicator_value`` returns at theta for ``indicator_source``, looked up when None."""
+    """g_theta(omega) along one direction.  ``indicator`` is a (value, is_exact) pair at theta,
+    such as ``indicator_value(fn, theta, source)`` returns; None takes ``indicator_value(fn, theta)``."""
 
     fn: TestFunction
     theta: float
     omega: complex
     budget: QuadratureBudget = QuadratureBudget()
     delta_min: float = DELTA_MIN_DEFAULT
-    indicator_source: str = "auto"
     indicator: Optional[tuple[float, bool]] = None
 
     def __post_init__(self):
         _check_direction(self.fn, self.theta)
-        if not self.delta_min > 0:
-            raise ValueError(f"delta_min must be positive, got {self.delta_min}")
+        _check_delta_min(self.delta_min)
 
 
 def _check_direction(fn: TestFunction, theta: float) -> None:
     """ValueError unless theta lies in the entry's closed sector (up to 1e-12)."""
     if not abs(theta) <= fn.spec.alpha + 1e-12:
         raise ValueError(f"theta={theta} outside the entry's sector |theta| <= {fn.spec.alpha}")
+
+
+def _check_delta_min(delta_min: float) -> None:
+    """ValueError unless the smallest admissible margin is positive (nan is not)."""
+    if not delta_min > 0:
+        raise ValueError(f"delta_min must be positive, got {delta_min}")
 
 
 def _decay_rate(margin, exact_indicator: bool):
@@ -202,7 +206,7 @@ def _g_values(fn: TestFunction, theta, omegas, budget: QuadratureBudget, source:
 
 def directional_transform(query: TransformQuery) -> IntegralResult:
     """g_theta(omega) by adaptive ray quadrature; OutsideDomain below delta_min margin."""
-    ind, exact = query.indicator or indicator_value(query.fn, query.theta, query.indicator_source)
+    ind, exact = query.indicator or indicator_value(query.fn, query.theta)
     return _ray_transform(
         query.fn, query.theta, query.omega, query.budget, ind, exact, query.delta_min
     )
@@ -212,17 +216,19 @@ def directional_transform(query: TransformQuery) -> IntegralResult:
 class ConcatenatedTransform:
     """Immutable bundle of an entry with its fan of half-planes on [-alpha, alpha].
 
-    When the indicator source picks the entry's oracle the offsets come from
-    it directly; otherwise they are interpolated from numeric estimates
-    precomputed on a 65-point theta grid at construction (one estimate call),
-    so the object stays immutable and cheap to query afterwards.
+    ``exact`` fans take their offsets from the entry's indicator oracle;
+    the others interpolate numeric estimates on a 65-point theta grid, which
+    ``_grid`` makes in one estimate call on first use.  ``build`` picks
+    ``exact`` from an indicator source.
     """
 
     fn: TestFunction
     alpha: float
     min_margin: float = DELTA_MIN_DEFAULT
-    _grid_thetas: Optional[tuple[float, ...]] = None
-    _grid_offsets: Optional[tuple[float, ...]] = None
+    exact: bool = True
+
+    def __post_init__(self):
+        _check_delta_min(self.min_margin)
 
     @classmethod
     def build(
@@ -235,25 +241,13 @@ class ConcatenatedTransform:
         eff = min(alpha, fn.spec.alpha) if alpha is not None else fn.spec.alpha
         if not (0.0 < eff < math.pi / 2):
             raise ValueError(f"effective alpha must lie in (0, pi/2), got {eff}")
-        if pick_oracle(fn, "indicator", indicator_source) is not None:
-            return cls(fn=fn, alpha=eff, min_margin=min_margin)
-        thetas = np.linspace(-eff, eff, 65)
-        return cls(
-            fn=fn,
-            alpha=eff,
-            min_margin=min_margin,
-            _grid_thetas=tuple(thetas.tolist()),
-            _grid_offsets=tuple((-estimate_indicator(fn, thetas).value).tolist()),
-        )
-
-    @property
-    def exact(self) -> bool:
-        return self._grid_thetas is None
+        return cls(fn, eff, min_margin, pick_oracle(fn, "indicator", indicator_source) is not None)
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The numeric grid as float arrays, built once: np.interp would convert the tuples on every call."""
-        return np.array(self._grid_thetas), np.array(self._grid_offsets)
+        """A numeric fan's 65 grid directions and their estimated offsets -I(theta)."""
+        thetas = np.linspace(-self.alpha, self.alpha, 65)
+        return thetas, -estimate_indicator(self.fn, thetas).value
 
     def offset(self, theta: float | np.ndarray):
         if not self.exact:
@@ -419,12 +413,14 @@ def consistency_residual(
     """|g_theta1(w) - g_theta2(w)| on an overlap, with the combined error estimate.
 
     Well-definedness of the concatenation predicts a residual at quadrature
-    tolerance; returns (residual, est_error_1 + est_error_2).
+    tolerance; returns (residual, est_error_1 + est_error_2), from one numeric
+    ``_g_values`` pass that gives each value the bits of its ``directional_transform``.
     """
+    _check_direction(fn, theta1)
+    _check_direction(fn, theta2)
     budget = budget or QuadratureBudget()
-    r1 = directional_transform(TransformQuery(fn, theta1, omega, budget))
-    r2 = directional_transform(TransformQuery(fn, theta2, omega, budget))
-    return abs(r1.value - r2.value), r1.est_error + r2.est_error
+    (g1, g2), (e1, e2) = _g_values(fn, [theta1, theta2], [omega, omega], budget, "numeric", DELTA_MIN_DEFAULT)
+    return abs(g1 - g2), e1 + e2
 
 
 def gamma_bound_check(

@@ -361,7 +361,7 @@ def probe_report(
     r: complex | None = None,
     alpha: float | None = None,
 ) -> ProbeReport:
-    """Bundle the boundary sweep with a radius scan (and J diagnostics when asked)."""
+    """Bundle the boundary sweep with a radius scan (empty when IllConditioned) and J diagnostics when asked."""
     scan = blowup_scan(fn, theta, budget=budget, g_source=g_source)
     radius = None
     predicted = None
@@ -371,7 +371,7 @@ def probe_report(
     try:
         rs = radius_scan(fn, center, budget=budget, theta=theta, g_source=g_source)
         radius, predicted = rs.radius_estimate, rs.predicted_distance
-    except (IllConditioned, ValueError):
+    except IllConditioned:
         pass
     slopes = None
     if q is not None and r is not None:

@@ -261,5 +261,5 @@ def run_criteria(numbers: Optional[Iterable[int]] = None) -> list[CriterionResul
         elapsed = time.perf_counter() - start
         results.append(CriterionResult(number, name, passed, detail, elapsed))
         status = "PASS" if passed else "FAIL"
-        print(f"{status} criterion {number:02d} [{name}]: {detail} ({elapsed:.1f}s)")
+        print(f"{status} criterion {number:02d} [{name}]: {detail} ({elapsed * 1e3:.0f} ms)")
     return results

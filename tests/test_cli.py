@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from sectorlap import cli, indicator, laplace
+from sectorlap import cli, indicator, laplace, probe
 from sectorlap.cli import main
 
 
@@ -237,6 +237,15 @@ def test_probe_csv(tmp_path):
     assert math.isclose(float(row["j_slope_chord"]), 0.5, abs_tol=1e-6)
 
 
+def test_probe_chord_of_length_zero_gets_the_slope_sentinel(tmp_path):
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--fn", "exp:a=1", "--q", "-0.5+0i", "--r", "-0.5+0i", "--out", str(out)]) == 0
+    row = read_csv(out)[0]
+    assert float(row["j_slope_chord"]) == probe.J_SLOPE_SENTINEL
+    assert math.isclose(float(row["j_slope_upper"]), 0.45737907228341412, rel_tol=1e-9)
+    assert row["j_slope_lower"] == row["j_slope_upper"]
+
+
 def test_probe_rejects_a_direction_outside_the_sector(capsys):
     rc = main(["probe", "--fn", "rational", "--theta", "3", "--g-source", "numeric"])
     assert rc == 2
@@ -361,13 +370,23 @@ def test_transform_at_fixed_theta_estimates_the_indicator_once(monkeypatch, tmp_
     assert thetas == [0.3]
 
 
-def test_missing_required_pieces_exit_code():
+def test_missing_required_pieces_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invert", "--fn", "exp:a=-1", "--z", "1+0i"])  # no --p anywhere
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["transform", "--theta", "0", "--omega", "-1+0i"])  # no --fn
     assert exc.value.code == 2
+    for argv, message in [
+        (["transform", "--fn", "exp:a=1"], "transform: --omega is required"),
+        (["probe", "--fn", "exp:a=1", "--q", "-0.5-1.2i"], "probe: --q and --r must be given together"),
+        (["selftest", "--only", "99"], "selftest: no criteria match --only [99]"),
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_selftest_subcommand(capsys):
@@ -386,6 +405,7 @@ def test_selftest_subcommand(capsys):
         ["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1", "--angles", "nan"],
         ["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1", "--max-rel", "nan"],
         ["indicator", "--fn", "exp:a=1", "--s-max", "inf"],
+        ["transform", "--fn", "exp:a=1", "--omega", "nan+0i"],
     ],
 )
 def test_non_finite_values_are_usage_errors(argv, monkeypatch, capsys):
@@ -396,6 +416,39 @@ def test_non_finite_values_are_usage_errors(argv, monkeypatch, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", [[], ["--theta", "0"]], ids=["selected", "fixed-theta"])
+@pytest.mark.parametrize("delta_min", ["nan", "0", "-1", "inf"])
+def test_a_delta_min_that_is_not_positive_and_finite_is_a_usage_error(delta_min, theta, capsys):
+    argv = ["transform", "--fn", "exp:a=1", "--omega", "-2+0i", "--delta-min", delta_min] + theta
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # nan and inf are refused while parsing
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid _finite value" in err if delta_min in ("nan", "inf") else "delta_min must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transform", "--fn", "exp:a", "--omega", "-2+0i"], "malformed parameter 'a'; expected key=value"),
+        (["transform", "--fn", "exp:a=1", "--alpha", "0", "--omega", "-2+0i"],
+         "effective alpha must lie in (0, pi/2), got 0.0"),
+        (["invert", "--fn", "exp:a=-1", "--p", "-1", "--z", "1+0i", "--check-bound", "--epsilon", "0"],
+         "epsilon must be positive, got 0.0"),
+        (["probe", "--fn", "exp:a=1", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i", "--alpha", "2"],
+         "alpha must lie in (0, pi/2), got 2.0"),
+        (["probe", "--fn", "exp:a=1", "--center", "5+0i"], "center (5+0j) lies outside Omega_theta at theta=0.0"),
+    ],
+    ids=["malformed-fn", "transform-alpha", "check-bound-epsilon", "probe-alpha", "probe-center-outside"],
+)
+def test_invalid_values_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: ValueError: {message}" in captured.err
 
 
 def test_oversized_indicator_request_is_a_usage_error(monkeypatch, capsys):

@@ -131,7 +131,7 @@ def _reference_margin(ct, exponents, omega: complex, theta: float) -> float:
         indicator = _reference_oracle(exponents, theta) if exponents is not None else -math.inf
         offset = -max(indicator, INDICATOR_SENTINEL)
     else:
-        offset = float(np.interp(theta, ct._grid_thetas, ct._grid_offsets))
+        offset = float(np.interp(theta, *ct._grid))
     return offset - (omega * cmath.exp(1j * theta)).real
 
 
@@ -151,8 +151,8 @@ def test_fan_margins_and_selection_equal_the_scalar_formulas(fn, exponents, sour
     ct = ConcatenatedTransform.build(fn, alpha=1.2, indicator_source=source)
     if source == "numeric":
         grid = np.linspace(-1.2, 1.2, 65)
-        assert ct._grid_thetas == tuple(grid.tolist())
-        assert ct._grid_offsets == tuple(-_reference_estimate(fn, t, S_GRID)[0] for t in grid.tolist())
+        assert ct._grid[0].tolist() == grid.tolist()
+        assert ct._grid[1].tolist() == [-_reference_estimate(fn, t, S_GRID)[0] for t in grid.tolist()]
     rng = np.random.default_rng(10)
     thetas = rng.uniform(-1.2, 1.2, 300)
     omegas = rng.normal(0.0, 3.0, 12) + 1j * rng.normal(0.0, 3.0, 12)

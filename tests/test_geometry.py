@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from sectorlap import (
     ContourGamma,
+    GrowthCertificate,
     InvalidApex,
     SectorSpec,
     build_gamma,
@@ -22,6 +23,13 @@ def test_sector_spec_validation():
         SectorSpec(alpha=math.pi / 4, h=-0.5)
     with pytest.raises(ValueError):
         SectorSpec(alpha=math.pi / 4, h=math.inf)
+
+
+def test_growth_certificate_validation():
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        GrowthCertificate(0.0, 1.0)
+    with pytest.raises(ValueError, match="c_epsilon must be finite and >= 0"):
+        GrowthCertificate(0.1, -1.0)
 
 
 def test_sector_membership_open_vs_closed():

@@ -2,14 +2,15 @@
 
 A name counts as used when the module reads it or lists it in ``__all__``.
 An import kept on purpose for code outside the module carries ``noqa: F401``
-on one of its lines.  Every name in a module's ``__all__`` must be bound at
-the module's top level.  The package's ``__init__`` builds its namespace with
-``from .m import *`` and its ``__all__`` from ``*m.__all__``; the static check
-reads both from module ``m``'s own ``__all__``, and a runtime check asserts
-that the package exports each name once, as the very object of the one module
-that lists it.  A module-level private name (``_name``, not a dunder) must be
-read by some module of the package, so that code left behind by a refactor
-shows up.
+on one of its lines, and must bind a name that ``bench/tracer.py`` replaces:
+its ``WRAPPED`` table, read with ``ast``, lists each (module, name) pair.
+Every name in a module's ``__all__`` must be bound at the module's top level.
+The package's ``__init__`` builds its namespace with ``from .m import *`` and
+its ``__all__`` from ``*m.__all__``; the static check reads both from module
+``m``'s own ``__all__``, and a runtime check asserts that the package exports
+each name once, as the very object of the one module that lists it.  A
+module-level private name (``_name``, not a dunder) must be read by some
+module of the package, so that code left behind by a refactor shows up.
 """
 
 import ast
@@ -21,6 +22,7 @@ import pytest
 import sectorlap
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "sectorlap"
+TRACER = PACKAGE.parent.parent / "bench" / "tracer.py"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -53,6 +55,38 @@ def test_no_unused_imports(module):
 def test_an_unused_import_is_caught():
     source = "from .catalog import pick_oracle, type_for\nfrom .quadrature import x  # noqa: F401\ntype_for(1)\n"
     assert _unused_imports(source) == ["line 1: pick_oracle"]
+
+
+def _tracer_only_imports(module: str, source: str) -> set[tuple[str, str]]:
+    """The (module, name) pairs that ``noqa: F401`` imports in ``source`` bind."""
+    lines = source.splitlines()
+    return {
+        (module, alias.asname or alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        for alias in node.names
+    }
+
+
+def _wrapped(tracer_source: str) -> set[tuple[str, str]]:
+    """The (module, name) pairs of the ``WRAPPED`` table of ``bench/tracer.py``."""
+    (table,) = [
+        node.value for node in ast.parse(tracer_source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"]
+    ]
+    return {(row.elts[0].id, row.elts[1].value) for row in table.elts}
+
+
+def test_every_kept_import_is_a_binding_the_tracer_wraps():
+    kept = set().union(*(_tracer_only_imports(p.stem, p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
+    assert kept and kept - _wrapped(TRACER.read_text(encoding="utf-8")) == set()
+
+
+def test_a_stray_kept_import_is_caught():
+    tracer = 'import sectorlap.probe as probe\n\nWRAPPED = (\n    (probe, "integrate_ray", "quadrature"),\n)\n'
+    source = "from .quadrature import integrate_ray, integrate_segment  # noqa: F401\nimport numpy as np\n"
+    assert _tracer_only_imports("probe", source) - _wrapped(tracer) == {("probe", "integrate_segment")}
 
 
 def _exports(source: str, siblings: dict[str, str]) -> tuple[set[str], list[str]]:

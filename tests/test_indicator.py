@@ -76,6 +76,8 @@ def test_estimate_validation():
         estimate_indicator(fn, 2.0)
     with pytest.raises(ValueError):
         estimate_indicator(fn, 0.0, s_grid=np.array([1.0, 2.0, 3.0]))  # < 3 windows
+    with pytest.raises(ValueError, match="strictly increasing"):
+        estimate_indicator(fn, 0.0, s_grid=np.geomspace(100.0, 1.0, 30))
 
 
 def test_indicator_value_sources():

@@ -84,12 +84,34 @@ def test_query_validation():
         TransformQuery(make_exp(1), 2.0, -2.0, BUDGET)
     with pytest.raises(ValueError, match="delta_min"):
         TransformQuery(make_exp(1), 0.0, -2.0, BUDGET, delta_min=0.0)
+    # the fan's min_margin gets the same check and message
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"delta_min must be positive, got {bad}"):
+            ConcatenatedTransform.build(make_exp(1), min_margin=bad)
+
+
+def test_the_transform_layer_stores_only_what_its_caller_chooses():
+    assert [f.name for f in dataclasses.fields(ConcatenatedTransform)] == ["fn", "alpha", "min_margin", "exact"]
+    assert [f.name for f in dataclasses.fields(TransformQuery)] == [
+        "fn", "theta", "omega", "budget", "delta_min", "indicator"
+    ]
+
+
+def test_a_numeric_fan_estimates_its_grid_once_on_first_use(monkeypatch):
+    thetas = []
+    real = laplace.estimate_indicator
+    monkeypatch.setattr(laplace, "estimate_indicator", lambda fn, theta: thetas.append(theta) or real(fn, theta))
+    ct = ConcatenatedTransform.build(make_exp(1), alpha=math.pi / 4, indicator_source="numeric")
+    assert not ct.exact and thetas == []
+    select_direction(ct, -2.0)
+    select_direction(ct, -1.5 + 0.5j)
+    assert len(thetas) == 1 and thetas[0].tolist() == np.linspace(-math.pi / 4, math.pi / 4, 65).tolist()
 
 
 def test_numeric_indicator_transform_matches_oracle():
     fn = make_exp(-1)
     res = directional_transform(
-        TransformQuery(fn, 0.0, -0.5, BUDGET, indicator_source="numeric")
+        TransformQuery(fn, 0.0, -0.5, BUDGET, indicator=indicator_value(fn, 0.0, "numeric"))
     )
     np.testing.assert_allclose(res.value, fn.transform_oracle(-0.5), rtol=1e-8)
 
@@ -126,7 +148,7 @@ def test_select_direction_keeps_the_larger_of_two_peaks_of_a_numeric_fan():
     ct = ConcatenatedTransform.build(make_exp(1), indicator_source="numeric")
     omega = -1.5 + 0.5j
     theta = select_direction(ct, omega)
-    assert theta not in ct._grid_thetas
+    assert theta not in ct._grid[0]
     assert ct.margin(omega, theta) >= 0.70721651
     assert math.isclose(theta, 0.77297, abs_tol=1e-5)
     assert ct.margin(omega, theta) >= np.max(ct.margin(omega, np.linspace(0.7, 0.85, 20001)))
@@ -168,6 +190,21 @@ def test_consistency_between_directions():
     fn = make_exp(-1 + 1j)
     residual, combined = consistency_residual(fn, -math.pi / 8, math.pi / 8, -2.5 + 0.5j, BUDGET)
     assert residual <= 2.0 * combined
+
+
+def test_consistency_is_one_engine_pass_with_each_direction_bits(monkeypatch):
+    fn, omega = make_exp(-1 + 1j), -2.5 + 0.5j
+    one = [directional_transform(TransformQuery(fn, theta, omega, BUDGET)) for theta in (-0.3, 0.5)]
+    passes = []
+    real = laplace._g_values
+    monkeypatch.setattr(laplace, "_g_values", lambda *args: passes.append(args) or real(*args))
+    monkeypatch.setattr(laplace, "directional_transform", None)
+    residual, combined = consistency_residual(fn, -0.3, 0.5, omega, BUDGET)
+    assert len(passes) == 1
+    assert residual == abs(one[0].value - one[1].value)
+    assert combined == one[0].est_error + one[1].est_error
+    with pytest.raises(ValueError, match="theta=2.0 outside"):
+        consistency_residual(fn, 0.0, 2.0, omega, BUDGET)
 
 
 def test_gamma_bound_certificate():

@@ -158,6 +158,12 @@ def test_segment_polynomial():
     assert abs(res.value - (1.0 + 1.0j)) <= res.est_error + 1e-15
 
 
+def test_segment_endpoints():
+    with pytest.raises(ValueError, match=r"a <= b, got \[1\.0, 0\.0\]"):
+        integrate_segment(lambda t: t, 1.0, 0.0)
+    assert integrate_segment(lambda t: t, 1.0, 1.0) == quadrature.IntegralResult(0j, 0.0, 0.0, 0)
+
+
 def test_segment_oscillatory():
     # antiderivative: -i e^{i t} over [0, pi] gives exactly 2i; F = e^{i t / 4} times the carrier e^{3i t / 4}
     res = integrate_segment(lambda t: np.exp(0.25j * t), 0.0, math.pi, TIGHT, freq=0.75)

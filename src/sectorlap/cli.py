@@ -31,8 +31,8 @@ from .errors import (
     OutsideSector,
     OutsideUnion,
 )
-from .geometry import GrowthCertificate, SectorSpec, build_gamma
-from .indicator import estimate_indicator, indicator_value
+from .geometry import GrowthCertificate, SectorSpec, _check_alpha, build_gamma
+from .indicator import _check_direction, estimate_indicator, indicator_value
 from .inversion import ReconstructionQuery, reconstruct, roundtrip_report
 from .laplace import (
     ConcatenatedTransform,
@@ -155,17 +155,16 @@ def _cmd_transform(args, parser) -> int:
         "theta", "omega_re", "omega_im", "value_re", "value_im",
         "est_error", "margin", "truncation_T", "panels",
     ]
-    ct = None
-    if args.theta is None:
-        ct = ConcatenatedTransform.build(
-            fn, alpha=args.alpha, indicator_source=args.indicator_source, min_margin=args.delta_min
-        )
-    else:
+    ct = ConcatenatedTransform.build(
+        fn, alpha=args.alpha, indicator_source=args.indicator_source, min_margin=args.delta_min
+    )
+    if args.theta is not None:
+        _check_direction(args.theta, ct.alpha)
         known = indicator_value(fn, args.theta, args.indicator_source)  # theta is fixed for every omega
         ind = known[0]
 
     def row(omega):
-        if ct is None:
+        if args.theta is not None:
             theta = args.theta
             margin = -ind - (omega * cmath.exp(1j * theta)).real
             res = directional_transform(
@@ -291,8 +290,9 @@ def _cmd_indicator(args, parser) -> int:
         parser.error(f"indicator: {count} directions x {args.s_points} s-points exceed 1e7 evaluations")
     if not args.s_max > 1.0:  # np.geomspace would warn on a grid from 1 down to it
         parser.error(f"indicator: --s-max must exceed 1, got {args.s_max}")
-    alpha = args.alpha if args.alpha is not None else fn.spec.alpha
+    alpha = fn.spec.alpha if args.alpha is None else _check_alpha(args.alpha)
     thetas = np.array(args.thetas) if args.thetas is not None else np.linspace(-alpha, alpha, args.theta_grid)
+    _check_direction(thetas, alpha)
     est = estimate_indicator(fn, thetas, s_grid=np.geomspace(1.0, args.s_max, args.s_points))
     exact = fn.indicator_oracle(thetas)
     deviation = np.abs(est.value - exact)

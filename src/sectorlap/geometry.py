@@ -41,10 +41,16 @@ class SectorSpec:
     h: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < math.pi / 2):
-            raise ValueError(f"sector half-angle must satisfy 0 < alpha < pi/2, got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (self.h >= 0.0 and math.isfinite(self.h)):
             raise ValueError(f"exponential type h must be finite and >= 0, got {self.h}")
+
+
+def _check_alpha(alpha: float) -> float:
+    """alpha itself, or ValueError unless 0 < alpha < pi/2 (nan is not)."""
+    if not (0.0 < alpha < math.pi / 2):
+        raise ValueError(f"sector half-angle must satisfy 0 < alpha < pi/2, got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)

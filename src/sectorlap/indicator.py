@@ -40,16 +40,22 @@ class IndicatorEstimate:
     s_max: float
 
 
+def _check_direction(theta, alpha: float) -> None:
+    """ValueError naming the first of theta (a float or an array) outside the closed sector |theta| <= alpha + 1e-12."""
+    th = np.asarray(theta, dtype=float)
+    outside = th[~(np.abs(th) <= alpha + 1e-12)].tolist()
+    if outside:
+        raise ValueError(f"theta={outside[0]} outside the sector |theta| <= {alpha}")
+
+
 def estimate_indicator(fn: TestFunction, theta, s_grid: np.ndarray | None = None) -> IndicatorEstimate:
     """Numeric indicator estimate at direction theta, from sliding windows of _WINDOW slopes.
 
     Requires |theta| <= fn.spec.alpha and an increasing radius grid of at least
     3*_WINDOW points.  For an array theta every field is an array of its shape.
     """
+    _check_direction(theta, fn.spec.alpha)
     th = np.asarray(theta, dtype=float)
-    outside = th[~(np.abs(th) <= fn.spec.alpha + 1e-12)].tolist()
-    if outside:
-        raise ValueError(f"direction theta={outside[0]} outside the closed sector |theta| <= {fn.spec.alpha}")
     s = S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
     if s.ndim != 1 or len(s) < 3 * _WINDOW:
         raise ValueError(f"s_grid needs at least 3*window={3 * _WINDOW} increasing points, got {len(s)}")

@@ -62,8 +62,8 @@ import numpy as np
 
 from .catalog import TestFunction, _rotated, pick_oracle, type_for
 from .errors import OutsideDomain, OutsideUnion
-from .geometry import ContourGamma, GrowthCertificate
-from .indicator import INDICATOR_SENTINEL, OFFSET_CAP, estimate_indicator, indicator_value
+from .geometry import ContourGamma, GrowthCertificate, _check_alpha
+from .indicator import INDICATOR_SENTINEL, OFFSET_CAP, _check_direction, estimate_indicator, indicator_value
 from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate_rays, integrate_ray
 
 __all__ = [
@@ -78,8 +78,6 @@ __all__ = [
 
 DELTA_MIN_DEFAULT = 1e-3
 _RATE_HAIRCUT = 0.9
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -95,14 +93,8 @@ class TransformQuery:
     indicator: Optional[tuple[float, bool]] = None
 
     def __post_init__(self):
-        _check_direction(self.fn, self.theta)
+        _check_direction(self.theta, self.fn.spec.alpha)
         _check_delta_min(self.delta_min)
-
-
-def _check_direction(fn: TestFunction, theta: float) -> None:
-    """ValueError unless theta lies in the entry's closed sector (up to 1e-12)."""
-    if not abs(theta) <= fn.spec.alpha + 1e-12:
-        raise ValueError(f"theta={theta} outside the entry's sector |theta| <= {fn.spec.alpha}")
 
 
 def _check_delta_min(delta_min: float) -> None:
@@ -238,9 +230,7 @@ class ConcatenatedTransform:
         indicator_source: str = "auto",
         min_margin: float = DELTA_MIN_DEFAULT,
     ) -> "ConcatenatedTransform":
-        eff = min(alpha, fn.spec.alpha) if alpha is not None else fn.spec.alpha
-        if not (0.0 < eff < math.pi / 2):
-            raise ValueError(f"effective alpha must lie in (0, pi/2), got {eff}")
+        eff = fn.spec.alpha if alpha is None else min(_check_alpha(alpha), fn.spec.alpha)
         return cls(fn, eff, min_margin, pick_oracle(fn, "indicator", indicator_source) is not None)
 
     @cached_property
@@ -257,74 +247,6 @@ class ConcatenatedTransform:
 
     def margin(self, omega: complex, theta: float | np.ndarray):
         return self.offset(theta) - _rotated(omega, theta)
-
-
-def _maximize(fun, lo: float, hi: float, tol: float, start=None) -> tuple[float, float]:
-    """Brent's maximizer of ``fun`` over [lo, hi], one peak inside: (x, fun(x)), x the first best point evaluated.
-
-    Parabolic steps through the three best points, with Brent's golden-section
-    fallback (*Algorithms for Minimization without Derivatives*, 1973, ch. 5).
-    It stops once the whole bracket lies within ``tol`` > 0 of x, so x is
-    within ``tol`` of the peak.  No step is shorter than max(tol / 2, eps |x|),
-    so a ``tol`` below rounding ends within a few ulps of x.  ``start`` is an
-    optional known point (x, fun(x), fun(lo), fun(hi)) with lo < x < hi and
-    fun(x) >= fun(lo), fun(hi), such as the argmax of a coarse grid between
-    its neighbours: the first step is then the parabola through the three.
-    """
-    # Brent's minimization of -fun
-    a, b = lo, hi
-    if start is None:
-        x = w = v = a + _GOLDEN * (b - a)
-        fx = fw = fv = -fun(x)
-        d = e = 0.0
-    else:
-        x, fx, fw, fv = start[0], -start[1], -start[2], -start[3]
-        w, v = lo, hi
-        if fv < fw:
-            w, v, fw, fv = v, w, fv, fw
-        d = e = b - a  # earlier steps as wide as the bracket admit the first parabola
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = max(0.5 * tol, _EPS * abs(x))
-        tol2 = 2.0 * tol1
-        if max(x - a, b - x) <= tol2:
-            return x, -fx
-        p = q = r = 0.0
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            else:
-                q = -q
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            u = x + d
-            if u - a < tol2 or b - u < tol2:
-                d = tol1 if x < m else -tol1
-        else:
-            e = (b - x) if x < m else (a - x)
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = -fun(u)
-        if fu < fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
 
 
 def _best_direction(ct: ConcatenatedTransform, omega: complex) -> tuple[float, float]:
@@ -416,8 +338,7 @@ def consistency_residual(
     tolerance; returns (residual, est_error_1 + est_error_2), from one numeric
     ``_g_values`` pass that gives each value the bits of its ``directional_transform``.
     """
-    _check_direction(fn, theta1)
-    _check_direction(fn, theta2)
+    _check_direction([theta1, theta2], fn.spec.alpha)
     budget = budget or QuadratureBudget()
     (g1, g2), (e1, e2) = _g_values(fn, [theta1, theta2], [omega, omega], budget, "numeric", DELTA_MIN_DEFAULT)
     return abs(g1 - g2), e1 + e2

@@ -8,10 +8,11 @@ transform as their ``g_source`` picks, one batch of omegas per call:
   centered on its closest point to the origin and approaches it along the
   inward normal w(delta) = w_b - delta e^{-i theta}, whose margin is exactly
   delta.  A singularity on the boundary shows up as |g| growing like
-  delta^{-1}; the scan reports the location (the peak of |g| on the outermost
-  level, refined by Brent's method from the sweep's peak to the resolution
-  g's est_error allows), the fitted growth exponent, and whether any blow-up
-  was seen at all (quiet boundaries are reported, not raised).
+  delta^{-1}; the scan reports the location (the zero of 1/g, found by secant
+  steps from the peak of the outermost level's sweep, with location_tol, the
+  last root's move plus its distance from the boundary point reported), the
+  fitted growth exponent, and whether any blow-up was seen at all (quiet
+  boundaries are reported, not raised).
 
 * ``radius_scan`` fits the distance from an interior point to the nearest
   singularity of g out of Taylor coefficients computed by discrete Cauchy
@@ -44,9 +45,9 @@ import numpy as np
 
 from .catalog import TestFunction, pick_oracle
 from .errors import IllConditioned
-from .geometry import _ray_distance
-from .indicator import indicator_value
-from .laplace import DELTA_MIN_DEFAULT, ConcatenatedTransform, _best_direction, _check_direction, _g_values, _maximize
+from .geometry import _check_alpha, _ray_distance
+from .indicator import _check_direction, indicator_value
+from .laplace import DELTA_MIN_DEFAULT, ConcatenatedTransform, _best_direction, _g_values
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import QuadratureBudget, _integrate_rays, _integrate_segments
 # unused here; bench/tracer.py wraps these bindings
@@ -65,6 +66,7 @@ __all__ = [
 
 J_SLOPE_SENTINEL = -1e9
 _DEGREE = 24  # Taylor coefficients used by the radius fit
+_SECANT_STEPS = 20  # the blow-up locator's cap on one-omega passes
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class BlowupScan:
     blowup_exponent: Optional[float]
     growth_ratio: float
     offset: float
-    location_tol: Optional[float] = None  # the final bracket's half-width along the boundary, not an error bound
+    location_tol: Optional[float] = None  # last secant root's move + its distance from boundary_point; no bound
 
 
 @dataclass(frozen=True)
@@ -119,19 +121,23 @@ def blowup_scan(
     point to the origin; the margins descend geometrically from 0.1 to 1e-4
     (13 levels) with an oracle g, to 1e-3 (7 levels) with a numeric one, and
     a blow-up counts as detected once |g| grows at least 10-fold over them.
-    The peak at the outermost margin d0 has width about d0, so |g| drops by
-    |g| t^2 / d0^2 at a distance t from it.  Brent's method (``_maximize``)
-    searches the sweep's cells on either side of its largest |g|, starting
-    from the sweep's values there, one omega per step, and stops once the
-    bracket lies within location_tol = d0 * sqrt(max(est_error / |g|, eps))
-    of its best point, where that drop meets g's est_error.  location_tol is
-    that final bracket half-width, not a bound: rounding in |g| left the
-    location up to 1.49 location_tol off the pole in 28 oracle scans, and the
-    tests check 2 location_tol.  The exponent is fitted over the descent's
-    magnitudes above their est_error.  ValueError for a theta outside the
-    sector.
+    The location is the zero of 1/g, which a simple pole of g is, found by
+    secant steps in u = omega e^{i theta}, where the margin is offset - Re u
+    and tau = Im u.  They start from the sweep's largest |g| and its larger
+    neighbour.  Each clips its root's tau to the sweep cells beside that
+    peak and evaluates g there, one omega per step, at a margin of the
+    distance tau moved, kept between the innermost and the outermost
+    margin.  The steps stop at a root within 0.1 times the innermost margin
+    of the one before (the sweep's peak before the first), after 20 steps,
+    or at a root that is not finite or a g of 0.  The location is the point
+    of the boundary at the last root's clipped tau.  One pole makes 1/g
+    linear, so one step finds it up to rounding.  location_tol is the last
+    root's move plus its distance from the location, plus 4 eps |root|: an
+    estimate of the secant's own error, not a bound.  The exponent is fitted
+    over the descent's magnitudes above their est_error.  ValueError for a
+    theta outside the sector.
     """
-    _check_direction(fn, theta)
+    _check_direction(theta, fn.spec.alpha)
     budget = budget or QuadratureBudget()
     has_oracle = pick_oracle(fn, "transform", g_source) is not None
     # numeric transforms cannot go below the default admission margin
@@ -146,29 +152,37 @@ def blowup_scan(
     def boundary(tau):
         return (offset + 1j * tau) * back
 
-    far, far_err = _g_values(
-        fn, theta, [boundary(t) - deltas[0] * back for t in taus], budget, g_source, delta_min / 2
-    )
+    far, _ = _g_values(fn, theta, [boundary(t) - deltas[0] * back for t in taus], budget, g_source, delta_min / 2)
     far_mags = np.abs(far)
     if float(np.max(far_mags)) == 0.0:
         return BlowupScan(theta, False, None, None, 0.0, offset)
 
-    # The coarse sweep locates the peak only to grid resolution, which would
-    # cap |g| near the boundary far below its true blow-up; refine tau at the
-    # outermost (smooth) level before descending.
+    # secant steps on 1/g in u = omega e^{i theta}; before the first, the sweep's peak stands as the root, as if
+    # a step from its larger neighbour had reached it
     j = int(np.argmax(far_mags))
-    tol = float(deltas[0] * math.sqrt(max(far_err[j] / far_mags[j], np.finfo(float).eps)))
-    lo, hi = max(j - 1, 0), min(j + 1, len(taus) - 1)
-    # the sweep's values are those of one-omega passes bit for bit: start from the grid's peak
-    start = (taus[j], far_mags[j], far_mags[lo], far_mags[hi]) if lo < j < hi else None
-    tau_star, _ = _maximize(
-        lambda t: abs(_g_values(fn, theta, [boundary(t) - deltas[0] * back], budget, g_source, delta_min / 2)[0][0]),
-        taus[lo],
-        taus[hi],
-        tol,
-        start,
-    )
+    i = j + 1 if j == 0 or (j < len(taus) - 1 and far_mags[j + 1] > far_mags[j - 1]) else j - 1
+    lo, hi = taus[max(j - 1, 0)], taus[min(j + 1, len(taus) - 1)]
+    u_a, g_a = complex(offset - deltas[0], taus[i]), complex(far[i])
+    u_b, g_b = complex(offset - deltas[0], taus[j]), complex(far[j])
+    root, step, tau_star = u_b, abs(u_b - u_a), u_b.imag
+    for _ in range(_SECANT_STEPS):
+        # the zero of the line through (u_a, 1/g_a) and (u_b, 1/g_b), written without dividing by g
+        new_root = u_b - g_a * (u_b - u_a) / (g_a - g_b) if g_a != g_b else complex(math.nan)
+        if not cmath.isfinite(new_root):
+            break
+        root, step = new_root, abs(new_root - root)
+        tau_star = min(max(root.imag, lo), hi)
+        if step <= 0.1 * delta_min:
+            break
+        margin = min(max(abs(tau_star - u_b.imag), delta_min), deltas[0])
+        (g_new,), _ = _g_values(fn, theta, [boundary(tau_star) - margin * back], budget, g_source, delta_min / 2)
+        u_a, g_a, u_b, g_b = u_b, g_b, complex(offset - margin, tau_star), complex(g_new)
+        if g_b == 0:
+            break
     point = boundary(tau_star)
+    # a pole on the boundary lies on the line Re u = offset: the root's distance from the reported point on it
+    # measures the secant's own error, and the clip's
+    tol = step + abs(root - complex(offset, tau_star)) + 4.0 * np.finfo(float).eps * abs(root)
 
     values, errors = _g_values(fn, theta, [point - d * back for d in deltas], budget, g_source, delta_min / 2)
     mags = np.abs(values)
@@ -198,7 +212,7 @@ def radius_scan(
     picks it; ValueError for a theta outside the fan.
     """
     if theta is not None:
-        _check_direction(fn, theta)
+        _check_direction(theta, fn.spec.alpha)
     budget = budget or QuadratureBudget()
     center = complex(center)
     fan = ConcatenatedTransform.build(fn)
@@ -275,8 +289,7 @@ def gamma_prime_diagnostics(
     budget = budget or QuadratureBudget()
     if fn.transform_oracle is None:
         raise ValueError(f"entry {fn.id!r} has no transform oracle; diagnostics need exact g")
-    if not (0.0 < alpha < math.pi / 2):
-        raise ValueError(f"alpha must lie in (0, pi/2), got {alpha}")
+    _check_alpha(alpha)
     if not abs(theta) < alpha:
         raise ValueError(f"need |theta| < alpha for positive ray decay, got theta={theta}")
     q, r = complex(q), complex(r)
@@ -361,7 +374,12 @@ def probe_report(
     r: complex | None = None,
     alpha: float | None = None,
 ) -> ProbeReport:
-    """Bundle the boundary sweep with a radius scan (empty when IllConditioned) and J diagnostics when asked."""
+    """Bundle the boundary sweep with a radius scan (empty when IllConditioned) and J diagnostics when asked.
+
+    ``alpha``, the diagnostics' sector half-angle, is checked even when they are not asked for; it
+    defaults to the entry's own, at most pi/4.
+    """
+    alpha = min(fn.spec.alpha, math.pi / 4) if alpha is None else _check_alpha(alpha)
     scan = blowup_scan(fn, theta, budget=budget, g_source=g_source)
     radius = None
     predicted = None
@@ -375,10 +393,7 @@ def probe_report(
         pass
     slopes = None
     if q is not None and r is not None:
-        diag = gamma_prime_diagnostics(
-            fn, alpha if alpha is not None else min(fn.spec.alpha, math.pi / 4), theta, q, r, budget=budget
-        )
-        slopes = diag.slopes
+        slopes = gamma_prime_diagnostics(fn, alpha, theta, q, r, budget=budget).slopes
     return ProbeReport(
         theta=theta,
         boundary_point=scan.boundary_point,

@@ -249,7 +249,45 @@ def test_probe_chord_of_length_zero_gets_the_slope_sentinel(tmp_path):
 def test_probe_rejects_a_direction_outside_the_sector(capsys):
     rc = main(["probe", "--fn", "rational", "--theta", "3", "--g-source", "numeric"])
     assert rc == 2
-    assert "ValueError: theta=3.0 outside the entry's sector" in capsys.readouterr().err
+    assert "ValueError: theta=3.0 outside the sector" in capsys.readouterr().err
+
+
+def test_a_direction_outside_the_sector_reads_the_same_from_either_indicator_source(capsys):
+    argv = ["transform", "--fn", "exp:a=1", "--theta", "3", "--omega", "-2+0i"]
+    errs = []
+    for source in ("oracle", "numeric"):
+        assert main(argv + ["--indicator-source", source]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "error: ValueError: theta=3.0 outside the sector |theta| <= 1.5707963267933258\n"
+
+
+ALPHA_COMMANDS = {
+    "transform": ["transform", "--fn", "exp:a=1", "--omega", "-2+0i"],
+    "transform-theta": ["transform", "--fn", "exp:a=1", "--theta", "0", "--omega", "-2+0i"],
+    "invert": ["invert", "--fn", "exp:a=-1", "--p", "-1", "--z", "1+0i"],
+    "roundtrip": ["roundtrip", "--fn", "exp:a=-1", "--p", "-1"],
+    "indicator": ["indicator", "--fn", "exp:a=1"],
+    "probe": ["probe", "--fn", "exp:a=1"],
+    "probe-q-r": ["probe", "--fn", "exp:a=1", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
+}
+
+
+@pytest.mark.parametrize("alpha", ["2", "0"])
+@pytest.mark.parametrize("name", sorted(ALPHA_COMMANDS))
+def test_an_alpha_outside_the_open_quarter_turn_is_one_usage_error(name, alpha, capsys):
+    # checked before the entry's own alpha clamps it, and by every subcommand, also where it would go unused
+    assert main(ALPHA_COMMANDS[name] + ["--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: sector half-angle must satisfy 0 < alpha < pi/2, got {float(alpha)}\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["transform", "--theta", "0.5", "--omega", "-2+0i"], ["indicator", "--thetas", "0,0.5"]]
+)
+def test_a_direction_outside_the_alpha_fan_is_a_usage_error(command, capsys):
+    assert main(command[:1] + ["--fn", "exp:a=1", "--alpha", "0.1"] + command[1:]) == 2
+    assert capsys.readouterr().err == "error: ValueError: theta=0.5 outside the sector |theta| <= 0.1\n"
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -436,11 +474,11 @@ def test_a_delta_min_that_is_not_positive_and_finite_is_a_usage_error(delta_min,
     [
         (["transform", "--fn", "exp:a", "--omega", "-2+0i"], "malformed parameter 'a'; expected key=value"),
         (["transform", "--fn", "exp:a=1", "--alpha", "0", "--omega", "-2+0i"],
-         "effective alpha must lie in (0, pi/2), got 0.0"),
+         "sector half-angle must satisfy 0 < alpha < pi/2, got 0.0"),
         (["invert", "--fn", "exp:a=-1", "--p", "-1", "--z", "1+0i", "--check-bound", "--epsilon", "0"],
          "epsilon must be positive, got 0.0"),
         (["probe", "--fn", "exp:a=1", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i", "--alpha", "2"],
-         "alpha must lie in (0, pi/2), got 2.0"),
+         "sector half-angle must satisfy 0 < alpha < pi/2, got 2.0"),
         (["probe", "--fn", "exp:a=1", "--center", "5+0i"], "center (5+0j) lies outside Omega_theta at theta=0.0"),
     ],
     ids=["malformed-fn", "transform-alpha", "check-bound-epsilon", "probe-alpha", "probe-center-outside"],

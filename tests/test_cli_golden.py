@@ -44,6 +44,7 @@ CASES = {
     "probe-q-r": ["probe", "--fn", "exp:a=1", "--theta", "0", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
     "probe-zero-q-r": ["probe", "--fn", "zero", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
     "probe-numeric": ["probe", "--fn", "exp:a=-1+1i", "--theta", "0.2", "--g-source", "numeric"],
+    "probe-sum-off-axis": ["probe", "--fn", "sum:a1=-1,c1=1,a2=-2,c2=2", "--theta", "0.5"],
     "probe-missing-oracle": ["probe", "--fn", "rational", "--g-source", "oracle"],
     "unknown-fn": ["transform", "--fn", "gauss", "--theta", "0", "--omega", "-1+0i"],
 }

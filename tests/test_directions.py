@@ -27,7 +27,8 @@ from sectorlap import (
     zero_function,
 )
 from sectorlap.indicator import INDICATOR_SENTINEL, S_GRID
-from sectorlap.laplace import _best_direction, _maximize
+from sectorlap.laplace import _best_direction
+from test_probe import _scan_with
 
 # exponents a_k of sum_k c_k e^{a_k z}, non-integer, with a complex coefficient
 SUM_TERMS = [(1, -1.3 + 0.7j), (2.5, 0.4 - 1.1j), (-0.3j, 2.2)]
@@ -90,7 +91,7 @@ def test_estimate_keeps_the_shape_of_theta():
 
 
 def test_estimate_names_the_first_direction_outside_the_sector():
-    with pytest.raises(ValueError, match=r"^direction theta=-2\.0 outside the closed sector"):
+    with pytest.raises(ValueError, match=r"^theta=-2\.0 outside the sector"):
         estimate_indicator(make_exp(1), np.array([0.1, -2.0, 3.0]))
 
 
@@ -194,62 +195,36 @@ def test_the_sentinel_floor_crosses_the_diagram_and_ties_go_to_the_positive_thet
     assert math.isclose(ct.margin(1e9, -theta), margin, rel_tol=1e-12)
 
 
-GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+# The blow-up locator's tests, kept here under the ids of the Brent maximizer's that it replaced.  The scans run
+# on exp:a=1 at theta = 0, whose boundary is Re w = -1 and tau = Im w, with a g given as a function of w.
+POLE = -1 + 0.3j
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-5, 1e-9, 3e-13])
-def test_golden_section_stops_at_its_tolerance(tol):
-    # -c (x - x0)^2 on [x0 - 0.7, x0 + 0.4]: Brent's method within golden section's bound, 1/phi a step
-    calls = []
-    x0, lo, hi = 0.3, -0.4, 0.7
-    x, fx = _maximize(lambda t: calls.append(t) or -2.5 * (t - x0) ** 2, lo, hi, tol)
-    assert abs(x - x0) <= tol
-    assert fx == -2.5 * (x - x0) ** 2 and x in calls
-    assert len(calls) <= math.ceil(math.log((hi - lo) / 2 / tol, GOLDEN_RATIO)) + 2
+def test_golden_section_stops_at_its_tolerance(tol, monkeypatch):
+    # a second pole of weight tol bends 1/g away from a line; the roots of the secants through the sweep's peak,
+    # its larger neighbour and the steps, recomputed here, each move by more than 0.1 times the innermost margin
+    # 1e-4 from the one before (the peak before the first), but the last, and the scan reports the last one's tau
+    g = lambda w: 1 / (w - POLE) + tol / (w - (-0.5 + 0.7j))  # noqa: E731
+    scan, steps = _scan_with(monkeypatch, g)
+    sweep = -1.1 + 1j * np.linspace(-4.0, 4.0, 128)
+    j = int(np.argmax(np.abs(g(sweep))))
+    i = j - 1 if abs(g(sweep[j - 1])) >= abs(g(sweep[j + 1])) else j + 1
+    points = [sweep[i], sweep[j]] + steps
+    roots = [sweep[j]] + [b - g(a) * (b - a) / (g(a) - g(b)) for a, b in zip(points, points[1:])]
+    moves = np.abs(np.diff(roots))
+    assert np.all(moves[:-1] > 1e-5) and moves[-1] <= 1e-5
+    assert len(steps) <= 3
+    assert math.isclose(scan.boundary_point.imag, roots[-1].imag, abs_tol=1e-15)
+    assert abs(scan.boundary_point - POLE) <= min(scan.location_tol, max(tol, 1e-15))
 
 
 @pytest.mark.parametrize("e", [1e-4, 1e-8, 1e-12])
-def test_golden_section_under_noise_lands_within_its_resolution(e):
-    # noise of size e hides a peak of curvature c within sqrt(e / c) of its top; the search stops there
-    c, x0 = 2.5, 0.3
+def test_golden_section_under_noise_lands_within_its_resolution(e, monkeypatch):
+    # relative noise of size e in g moves the secant's zero of 1/g by about e times the distance of its points
+    # from the pole, which is below 0.1 from the sweep on
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        x, _ = _maximize(lambda t: -c * (t - x0) ** 2 + e * rng.uniform(-1, 1), -0.4, 0.7, math.sqrt(e / c))
-        assert abs(x - x0) <= 2 * math.sqrt(e / c)
-
-
-@pytest.mark.parametrize("t0", [0.3, -0.1, 0.55])
-def test_maximizer_takes_parabolic_steps_on_a_lorentzian(t0):
-    # |1/(t - t0 + 0.1i)|, a pole's profile at margin 0.1: golden section takes 44 evaluations to 1e-9
-    calls = []
-    x, _ = _maximize(lambda t: calls.append(t) or abs(1 / (t - t0 + 0.1j)), -0.4, 0.7, 1e-9)
-    assert abs(x - t0) <= 1e-9
-    assert len(calls) <= 14
-
-
-def test_maximizer_warm_start_reuses_the_grid_values():
-    # the grid's peak and its neighbours come in with their values; the first step is their parabola
-    f = lambda t: abs(1 / (t - 0.337 + 0.1j))  # noqa: E731
-    grid = np.linspace(-0.4, 0.7, 12)
-    j = int(np.argmax([f(t) for t in grid]))
-    calls = []
-    start = (grid[j], f(grid[j]), f(grid[j - 1]), f(grid[j + 1]))
-    x, fx = _maximize(lambda t: calls.append(t) or f(t), grid[j - 1], grid[j + 1], 1e-9, start)
-    assert abs(x - 0.337) <= 1e-9 and fx == f(x)
-    assert len(calls) <= 10 and not {grid[j - 1], grid[j], grid[j + 1]} & set(calls)
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-def test_maximizer_finds_a_peak_at_the_bracket_end(sign):
-    # a peak at the end of the bracket: the function still rises there
-    calls = []
-    lo, hi, tol = 0.3, 1.2, 1e-9
-    x, _ = _maximize(lambda t: calls.append(t) or sign * math.sin(t), lo, hi, tol)
-    assert abs(x - (hi if sign > 0 else lo)) <= tol
-    assert len(calls) <= math.ceil(math.log((hi - lo) / 2 / tol, GOLDEN_RATIO)) + 2
-
-
-def test_maximizer_ends_with_a_tolerance_below_rounding():
-    # the bracket cannot shrink below an ulp of 1e6 (1.2e-10): the steps stop at eps |x|
-    x, _ = _maximize(lambda t: -((t - 1e6) ** 2), 1e6 - 1, 1e6 + 1, 1e-12)
-    assert abs(x - 1e6) <= 4 * np.finfo(float).eps * 1e6
+        scan, steps = _scan_with(monkeypatch, lambda w: (1 + e * rng.uniform(-1, 1, len(w))) / (w - POLE))
+        assert scan.detected and len(steps) <= 2
+        assert abs(scan.boundary_point - POLE) <= min(scan.location_tol, 0.1 * e + 1e-15)

@@ -23,6 +23,9 @@ from sectorlap import probe, quadrature
 from sectorlap.catalog import resolve
 from sectorlap.probe import J_SLOPE_SENTINEL
 
+EPS = float(np.finfo(float).eps)
+SUM = "sum:a1=-1,c1=1,a2=-2,c2=2"
+
 
 def test_blowup_locates_boundary_pole():
     for a in (1, -1, 2, -1 + 1j):
@@ -71,21 +74,24 @@ def _one_omega_passes(monkeypatch) -> list:
 
 
 def test_numeric_peak_search_stops_at_the_est_error_resolution(monkeypatch):
-    # the search stops where |g|'s drop from its peak meets g's est_error, within criterion 9
+    # 1/g of one pole is linear up to g's quadrature error: one secant step from the sweep finds its zero, and
+    # location_tol, the last step plus the root's distance off the boundary line plus 4 eps |root|, stays
+    # within a few hundred eps of the floor 4 eps |root| = 4 eps
     sizes = _one_omega_passes(monkeypatch)
     scan = blowup_scan(make_exp(-1), 0.0, g_source="numeric")
-    assert sizes.count(1) <= 10
-    assert abs(scan.boundary_point - 1.0) <= 1e-3
+    assert sizes.count(1) <= 2
+    assert abs(scan.boundary_point - 1.0) <= scan.location_tol
     assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.1)
-    assert 0.1 * math.sqrt(np.finfo(float).eps) < scan.location_tol < 1e-3
+    assert 4 * EPS <= scan.location_tol < 1e-12
 
 
 def test_numeric_peak_search_takes_few_one_omega_passes(monkeypatch):
-    # Brent's method from the sweep's peak and its neighbours; golden section made 31 passes here
+    # secant steps on 1/g from the sweep's peak and its larger neighbour; golden section made 31 passes here,
+    # and Brent's method up to 10
     sizes = _one_omega_passes(monkeypatch)
     scan = blowup_scan(make_exp(-1), 0.3, g_source="numeric")
     assert scan.detected
-    assert sizes.count(1) <= 10
+    assert sizes.count(1) <= 2
 
 
 @pytest.mark.parametrize("theta", [-0.05, 0.0, 0.04])
@@ -119,18 +125,85 @@ def test_the_sweep_of_a_numeric_sum_scan_refines_in_one_round(theta, monkeypatch
 def test_blowup_location_lies_within_its_tolerance(a, g_source):
     fn = make_exp(a)
     scan = blowup_scan(fn, 0.0, g_source=g_source)
-    assert abs(scan.boundary_point - fn.singularities_of_g[0]) <= 2 * scan.location_tol
+    assert abs(scan.boundary_point - fn.singularities_of_g[0]) <= scan.location_tol
 
 
-def test_location_tol_of_oracle_and_quiet_scans():
-    assert blowup_scan(make_exp(1), 0.0).location_tol == 0.1 * math.sqrt(np.finfo(float).eps)
+def test_location_tol_of_oracle_and_quiet_scans(monkeypatch):
+    # the oracle's 1/g is linear: its secant root is the pole -1 up to rounding, and location_tol is about
+    # its floor 4 eps |root| = 4 eps
+    assert 4 * EPS <= blowup_scan(make_exp(1), 0.0).location_tol < 8 * EPS
     assert blowup_scan(zero_function(), 0.0).location_tol is None
+    # g(w) = 1/(-1 - Re w) is the same along the boundary: the first secant divides by 0 and the sweep's peak
+    # tau = -4 stands, as if reached from its neighbour, at margin 0.1 off the boundary line
+    scan, steps = _scan_with(monkeypatch, lambda w: 1 / (-1 - w.real))
+    assert steps == [] and scan.boundary_point == -1 - 4j
+    assert math.isclose(scan.location_tol, 8 / 127 + 0.1 + 4 * EPS * abs(-1.1 - 4j), rel_tol=1e-14)
+
+
+def _scan_with(monkeypatch, g):
+    """blowup_scan(exp:a=1, 0), whose boundary is Re w = -1, with g(w) for g: the scan and its one-omega points."""
+    steps = []
+
+    def fake(fn, theta, omegas, *rest):
+        w = np.asarray(omegas, dtype=complex)
+        steps.extend(w if len(w) == 1 else ())
+        return np.asarray(g(w), dtype=complex), np.zeros(len(w))
+
+    monkeypatch.setattr(probe, "_g_values", fake)
+    return blowup_scan(make_exp(1), 0.0), steps
+
+
+@pytest.mark.parametrize("tau", [-4 + 1e-3, 4 - 1e-3])
+def test_the_locator_starts_from_the_one_neighbour_of_a_peak_at_the_window_edge(tau, monkeypatch):
+    pole = -1 + 1j * tau
+    scan, steps = _scan_with(monkeypatch, lambda w: 1 / (w - pole))
+    assert scan.detected and len(steps) == 1
+    assert abs(scan.boundary_point - pole) <= min(scan.location_tol, 1e-12)
+
+
+def test_a_pole_beyond_the_window_edge_is_not_reached(monkeypatch):
+    # the secant root, the pole -1 - 4.5i, is clipped to the edge tau = -4, and the one step there finds it again:
+    # the descent at tau = -4 is 0.5 from the pole, so |g| hardly grows
+    scan, steps = _scan_with(monkeypatch, lambda w: 1 / (w - (-1 - 4.5j)))
+    assert steps == [-1.0001 - 4j] and not scan.detected
+
+
+def test_a_zero_g_at_a_step_ends_the_steps(monkeypatch):
+    # the one-omega pass returns 0: the steps end at the root that led there, the pole itself
+    scan, steps = _scan_with(monkeypatch, lambda w: 1 / (w - (-1 + 0.3j)) if len(w) > 1 else np.zeros(1))
+    assert len(steps) == 1 and scan.detected
+    assert abs(scan.boundary_point - (-1 + 0.3j)) <= min(scan.location_tol, 1e-12)
+
+
+def _survey():
+    for fn_id in ("exp:a=-1", "exp:a=1", "exp:a=-1+1i"):
+        alpha = resolve(fn_id).spec.alpha
+        yield from ((fn_id, theta) for theta in (-alpha, -0.3, 0.0, 0.3, alpha))
+    yield from (("trig", theta) for theta in (-0.6, -0.3, 0.0, 0.3, 0.6))
+    alpha = resolve(SUM).spec.alpha
+    yield from ((SUM, theta) for theta in (-alpha, -0.5, -0.3, -0.05, 0.0, 0.05, 0.3, 0.5, alpha))
+
+
+@pytest.mark.parametrize("g_source", ["oracle", "numeric"])
+@pytest.mark.parametrize("fn_id, theta", list(_survey()))
+def test_blowup_survey_locates_each_pole_within_its_tolerance(fn_id, theta, g_source, monkeypatch):
+    # one pole makes 1/g linear, so one secant step finds it; the sum's second pole bends 1/g, and the steps
+    # converge to the nearer pole within the tolerances of criterion 9 and far inside them
+    sizes = _one_omega_passes(monkeypatch)
+    fn = resolve(fn_id)
+    scan = blowup_scan(fn, theta, g_source=g_source)
+    assert scan.detected
+    error = min(abs(scan.boundary_point - pole) for pole in fn.singularities_of_g)
+    assert error <= scan.location_tol
+    assert error <= (1e-12 if fn_id != SUM else 1e-6 if g_source == "oracle" else 1e-4)
+    assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.05)
+    assert sizes.count(1) <= (2 if fn_id != SUM else 8)
 
 
 def test_probes_reject_directions_outside_the_sector():
-    with pytest.raises(ValueError, match=r"^theta=2\.0 outside the entry's sector"):
+    with pytest.raises(ValueError, match=r"^theta=2\.0 outside the sector"):
         blowup_scan(make_exp(1), 2.0)
-    with pytest.raises(ValueError, match=r"^theta=-2\.0 outside the entry's sector"):
+    with pytest.raises(ValueError, match=r"^theta=-2\.0 outside the sector"):
         radius_scan(rational_function(), -2.0, theta=-2.0, g_source="numeric")
 
 

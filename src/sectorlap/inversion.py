@@ -15,11 +15,12 @@ margin min(alpha - phi, alpha + phi) >= delta_ang = DELTA_ANG_DEFAULT is enforce
 g comes from ``laplace._g_values``: each outer integrand call gets g on
 both legs as one batch, from the entry's transform oracle or from nested
 numeric transforms along theta = -+ alpha with a budget 100x tighter than
-the outer one.  Every inner omega of a leg has Re(omega e^{i theta}) =
-p cos alpha up to rounding; the omegas for which it rounds to the same
-float share the smooth factor of their ray integrals, which the engine
-evaluates once per such family, and each omega still gets the bits of its
-transform alone.  On each leg the kernel's rotation e^{-i Im(leg_dir z) t}
+the outer one.  The outer integrand hands g its leg parameters t, and g
+hands ``_g_values`` each inner omega's rotated point u = omega e^{-+i alpha}
+= p cos alpha -+ i (p sin alpha + t): every inner omega of a leg has the
+same Re u, so a leg is one family, whose smooth factor the engine evaluates
+once per seed panel, and each omega still gets the bits of its transform
+alone at that u.  On each leg the kernel's rotation e^{-i Im(leg_dir z) t}
 is the quadrature's carrier, and the integrand hands over the rest.  |g| is
 bounded on the legs by (K / 2 pi) / -(h + p cos alpha), which feeds the
 outer truncation.  Both legs are integrated in one engine pass, and the
@@ -50,7 +51,7 @@ from .catalog import ORACLE_SOURCES, TestFunction, pick_oracle, type_for
 from .errors import AngularMarginTooSmall, IllConditioned, InvalidApex, OutsideSector, SectorLapError
 from .geometry import ContourGamma, SectorSpec, _ray_distance, build_gamma, sector_contains
 from .indicator import indicator_value
-from .laplace import DELTA_MIN_DEFAULT, _decay_rate, _g_values
+from .laplace import DELTA_MIN_DEFAULT, _decay_rate, _g_values, _leg_points
 from .laplace import _ray_transform  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate_rays, integrate_ray
 
@@ -82,25 +83,30 @@ class ReconstructionQuery:
 
 
 def _g_evaluator(q: ReconstructionQuery):
-    """Vectorized (w, leg) -> g(w) on both legs, one ``_g_values`` batch per call.
+    """Vectorized (t, leg) -> g at leg parameters t on both legs, one ``_g_values`` batch per call.
 
-    Leg 0 is the lower leg (theta = -alpha), leg 1 the upper one.  Also
-    returns an array holding, per leg, the largest inner est_error g has
-    returned so far.
+    Leg 0 is the lower leg (theta = -alpha), leg 1 the upper one.  A numeric
+    g gets each leg's rotated points (``_leg_points``), so that a leg is one
+    family; the oracle needs only the omegas.  Also returns an array holding, per leg, the largest inner
+    est_error g has returned so far.
     """
     fn = q.fn
-    pick_oracle(fn, "transform", q.g_source)  # a missing oracle raises ValueError here, before any quadrature
+    # a missing oracle raises ValueError here, before any quadrature
+    numeric = pick_oracle(fn, "transform", q.g_source) is None
     inner_err = np.zeros(2)
     inner = q.budget.tighten()
     thetas = np.array([-q.gamma.alpha, q.gamma.alpha])
+    dirs = np.array([q.gamma.lower_direction, q.gamma.upper_direction])
 
-    def g(ws, legs):
+    def g(ts, legs):
+        omegas = (q.gamma.p + dirs[legs] * ts).ravel()
+        u = _leg_points(q.gamma, ts, legs) if numeric else None
         values, errors = _g_values(
-            fn, thetas[legs].repeat(ws.shape[1]), ws.ravel(), inner, q.g_source, DELTA_MIN_DEFAULT
+            fn, thetas[legs].repeat(ts.shape[1]), omegas, inner, q.g_source, DELTA_MIN_DEFAULT, u
         )
         if errors.any():
-            np.maximum.at(inner_err, legs[:, 0], errors.reshape(ws.shape).max(axis=1))
-        return values.reshape(ws.shape)
+            np.maximum.at(inner_err, legs[:, 0], errors.reshape(ts.shape).max(axis=1))
+        return values.reshape(ts.shape)
 
     return g, inner_err
 
@@ -153,7 +159,7 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
     g, inner_err = _g_evaluator(q)
 
     def integrand(ts, legs):
-        return jacs[legs] * g(p + dirs[legs] * ts, legs) * np.exp(pz - dz.real[legs] * ts)
+        return jacs[legs] * g(ts, legs) * np.exp(pz - dz.real[legs] * ts)
 
     values, errors, ts, used = _integrate_rays(
         integrand, np.array(rates), np.array([amp, amp]), q.budget, -dz.imag

@@ -38,18 +38,20 @@ rotation costs panels.
 ``_g_values`` is the one primitive that turns a batch of omegas, each with
 its direction, into g, for the inversion legs, the probe scans and the
 contour-bound check: it returns (values, est_errors), from the entry's
-transform oracle (est_errors all 0) or numerically, as the source picks.  A
-numeric batch is a single quadrature engine pass over the ray integrals of
-all its omegas; the indicator and nu are computed once per distinct
-direction.  Omegas of one direction whose Re(w e^{i theta}) are the same
-float have the same margin, rate and F, and only their carriers differ:
-``_ray_integrands`` keys each omega by the bits of its direction and of
-Re(w e^{i theta}), and the engine evaluates F once per family of equal keys
-and seed panel.  On an inversion leg or a constant-margin sweep, rounding
-leaves a few dozen such families among hundreds of omegas.  Each omega
-still gets the panels, value and est_error of its transform alone, bit for
-bit.  An entry's ``weighted_eval(z, w)`` then receives one omega per row of
-points z and must broadcast over them elementwise.
+transform oracle (est_errors all 0), which it evaluates at the omegas, or
+numerically, as the source picks.  A numeric batch is a single quadrature
+engine pass over the ray integrals of all its omegas; the indicator and nu
+are computed once per distinct direction.  The numeric path works in each
+direction's rotated frame, u = omega e^{i theta} = r + i s: the margin, the
+rate, F's weight (r - i nu) e^{-i theta}, the carrier s + nu and the family
+key (the bits of theta and of r) all come from u.  Callers that know r
+exactly hand g its rotated points: every inner omega of an inversion leg
+has r = p cos alpha, and every omega of one blow-up level r = offset -
+delta, so a leg or a sweep level is one family, whose F the engine
+evaluates once per seed panel; the others take u = omega e^{i theta}.  Each
+omega still gets the panels, value and est_error of its transform alone at
+the same u, bit for bit.  An entry's ``weighted_eval(z, w)`` then receives
+one omega per row of points z and must broadcast over them elementwise.
 """
 
 import cmath
@@ -121,38 +123,40 @@ def _phase_rate(fn: TestFunction, theta: float) -> float:
     return max((a * direction for a in fn.diagram), key=lambda v: v.real).imag
 
 
-def _ray_integrands(fn: TestFunction, theta, omegas, indicator, nu, exact_indicator: bool, delta_min: float):
+def _ray_integrands(fn: TestFunction, theta, omegas, indicator, nu, exact_indicator: bool, delta_min: float, u=None):
     """The ray integrals of g_theta at a 1-D sequence of omegas, as one batch.
 
     ``theta``, ``indicator`` and ``nu`` are scalars or hold one value per
-    omega.  Returns (integrand, rate, amplitude, freq, key):
-    g_theta(omegas[k]) is the integral of integrand(t, k) e^{i freq[k] t}
-    over [0, inf), with envelope amplitude * e^{-rate[k] t}, and ``key`` is
-    the bits of Re(omegas[k] e^{i theta}), preceded by those of theta when it
-    is given per omega: the family key of ``_integrate_rays``, bitwise so
-    that -0.0 and 0.0 stay apart.  Raises OutsideDomain for the first
-    omega, in input order, whose margin is below delta_min.
-    ``fn.weighted_eval(z, w)`` gets an array w of the omegas owning the
-    points z and must broadcast over them elementwise.
+    omega.  ``u`` holds the rotated points omega e^{i theta} = r + i s, by
+    default computed from the omegas; everything below comes from u, and
+    the omegas only name the first one outside the domain.  Returns
+    (integrand, rate, amplitude, freq, key): g_theta(omegas[k]) is the
+    integral of integrand(t, k) e^{i freq[k] t} over [0, inf), with envelope
+    amplitude * e^{-rate[k] t}, and ``key`` is the bits of r, preceded by
+    those of theta when it is given per omega: the family key of
+    ``_integrate_rays``, bitwise so that -0.0 and 0.0 stay apart.  Raises
+    OutsideDomain for the first omega, in input order, whose margin is below
+    delta_min.  ``fn.weighted_eval(z, w)`` gets an array w of the omegas
+    owning the points z and must broadcast over them elementwise.
     """
-    om = np.asarray(omegas, dtype=complex)
     th = np.asarray(theta, dtype=float)
-    direction = np.exp(1j * th) if th.ndim else np.array([cmath.exp(1j * theta)] * len(om))
-    proj = om * direction
-    margin = np.minimum(-indicator - proj.real, OFFSET_CAP)
+    n = len(omegas)
+    direction = np.exp(1j * th) if th.ndim else np.array([cmath.exp(1j * theta)] * n)
+    u = np.asarray(omegas, dtype=complex) * direction if u is None else np.asarray(u, dtype=complex)
+    margin = np.minimum(-indicator - u.real, OFFSET_CAP)
     inside = margin >= delta_min
-    if np.count_nonzero(inside) < len(om):
+    if np.count_nonzero(inside) < n:
         i = int(np.argmin(inside))
         raise OutsideDomain(
             f"omega={omegas[i]} has margin {margin[i]:.3e} < delta_min={delta_min:.3e} "
             f"in Omega_theta at theta={float(th[i] if th.ndim else th)}"
         )
     rate = _decay_rate(margin, exact_indicator)
-    weight = (proj.real - 1j * nu) * direction.conjugate()
+    weight = (u.real - 1j * nu) * direction.conjugate()
     prefactor = direction / (2j * math.pi)
     integrand = lambda t, k: prefactor[k] * fn.weighted_eval(t * direction[k], weight[k])
-    key = (th.view(np.int64), proj.real.view(np.int64)) if th.ndim else (proj.real.view(np.int64),)
-    return integrand, rate, fn.envelope_const / (2.0 * math.pi), proj.imag + nu, key
+    key = (th.view(np.int64), u.real.view(np.int64)) if th.ndim else (u.real.view(np.int64),)
+    return integrand, rate, fn.envelope_const / (2.0 * math.pi), u.imag + nu, key
 
 
 def _ray_transform(
@@ -172,14 +176,15 @@ def _ray_transform(
     return integrate_ray(lambda t: integrand(t, 0), decay, budget, freq=float(freq[0]))
 
 
-def _g_values(fn: TestFunction, theta, omegas, budget: QuadratureBudget, source: str, delta_min: float):
+def _g_values(fn: TestFunction, theta, omegas, budget: QuadratureBudget, source: str, delta_min: float, u=None):
     """g at a 1-D sequence of omegas: (values, est_errors), from the oracle ``source`` picks or numerically.
 
     ``theta`` is one direction for every omega or one per omega.  The
-    oracle's values come with est_errors of 0.  Numeric values are g_theta in
-    one engine pass, each omega with the value, est_error and panels of
-    ``_ray_transform`` at that omega alone; the omegas of one family
-    (``_ray_integrands``) share the evaluations of their smooth factor.
+    oracle's values, at the omegas, come with est_errors of 0.  Numeric
+    values are g_theta in one engine pass at the rotated points ``u``
+    (``_ray_integrands``; by default omega e^{i theta}), each omega with the
+    value, est_error and panels of its one-omega pass at the same u; the
+    omegas of one family share the evaluations of their smooth factor.
     """
     om = np.asarray(omegas, dtype=complex)
     oracle = pick_oracle(fn, "transform", source)
@@ -191,7 +196,7 @@ def _g_values(fn: TestFunction, theta, omegas, budget: QuadratureBudget, source:
     indicator = np.array([value for value, _ in per_theta])[which]
     nu = np.array([_phase_rate(fn, t) for t in thetas.tolist()])[which]
     exact = all(flag for _, flag in per_theta)
-    integrand, rate, amplitude, freq, key = _ray_integrands(fn, th, om, indicator, nu, exact, delta_min)
+    integrand, rate, amplitude, freq, key = _ray_integrands(fn, th, om, indicator, nu, exact, delta_min, u)
     values, errors, _, _ = _integrate_rays(integrand, rate, np.full(len(om), amplitude), budget, freq, key)
     return values, errors
 
@@ -344,6 +349,16 @@ def consistency_residual(
     return abs(g1 - g2), e1 + e2
 
 
+def _leg_points(gamma: ContourGamma, t, legs) -> np.ndarray:
+    """The rotated points u = omega e^{-+i alpha}, flattened, at leg parameters t on legs 0 (lower) or 1 (upper).
+
+    In its direction's frame a leg lies on the line Re u = p cos(alpha), at
+    Im u = -+(p sin(alpha) + t).
+    """
+    r, s = gamma.p * math.cos(gamma.alpha), gamma.p * math.sin(gamma.alpha)
+    return (r + 1j * (np.array([-1.0, 1.0])[legs] * (s + t))).ravel()
+
+
 def gamma_bound_check(
     fn: TestFunction,
     cert: GrowthCertificate,
@@ -370,5 +385,6 @@ def gamma_bound_check(
     ts = np.geomspace(1e-2, 1e2, samples)
     thetas = np.repeat([-gamma.alpha, gamma.alpha], samples)
     omegas = np.concatenate((gamma.p + gamma.lower_direction * ts, gamma.p + gamma.upper_direction * ts))
-    g, _ = _g_values(fn, thetas, omegas, budget, "numeric", DELTA_MIN_DEFAULT)
+    u = _leg_points(gamma, ts, np.array([[0], [1]]))
+    g, _ = _g_values(fn, thetas, omegas, budget, "numeric", DELTA_MIN_DEFAULT, u)
     return float(np.max(np.abs(g))) - bound

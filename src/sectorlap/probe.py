@@ -9,10 +9,13 @@ transform as their ``g_source`` picks, one batch of omegas per call:
   inward normal w(delta) = w_b - delta e^{-i theta}, whose margin is exactly
   delta.  A singularity on the boundary shows up as |g| growing like
   delta^{-1}; the scan reports the location (the zero of 1/g, found by secant
-  steps from the peak of the outermost level's sweep, with location_tol, the
-  last root's move plus its distance from the boundary point reported), the
-  fitted growth exponent, and whether any blow-up was seen at all (quiet
-  boundaries are reported, not raised).
+  steps from each local peak of the outermost level's sweep, keeping the
+  root nearest the boundary line, with location_tol, the last root's move
+  plus its distance from the boundary point reported), the fitted growth
+  exponent, and whether any blow-up was seen at all (quiet boundaries are
+  reported, not raised).  The scan hands g the rotated points
+  u = omega e^{i theta} = (offset - delta) + i tau of its omegas, so each
+  level, the sweep's 128 omegas among them, is one family of ray integrals.
 
 * ``radius_scan`` fits the distance from an interior point to the nearest
   singularity of g out of Taylor coefficients computed by discrete Cauchy
@@ -123,17 +126,23 @@ def blowup_scan(
     a blow-up counts as detected once |g| grows at least 10-fold over them.
     The location is the zero of 1/g, which a simple pole of g is, found by
     secant steps in u = omega e^{i theta}, where the margin is offset - Re u
-    and tau = Im u.  They start from the sweep's largest |g| and its larger
-    neighbour.  Each clips its root's tau to the sweep cells beside that
-    peak and evaluates g there, one omega per step, at a margin of the
+    and tau = Im u; g gets these rotated points, so each margin of the sweep
+    and the descent is one family of ray integrals.  The steps start from
+    each local peak of the sweep, a |g| above its left neighbour's and at
+    least its right one's (so a two-point plateau counts once), and its
+    larger neighbour.  Each clips its root's tau to the sweep cells beside
+    that peak and evaluates g there, one omega per step, at a margin of the
     distance tau moved, kept between the innermost and the outermost
     margin.  The steps stop at a root within 0.1 times the innermost margin
-    of the one before (the sweep's peak before the first), after 20 steps,
-    or at a root that is not finite or a g of 0.  The location is the point
-    of the boundary at the last root's clipped tau.  One pole makes 1/g
-    linear, so one step finds it up to rounding.  location_tol is the last
-    root's move plus its distance from the location, plus 4 eps |root|: an
-    estimate of the secant's own error, not a bound.  The exponent is fitted
+    of the one before (the peak before the first), after 20 steps, or at a
+    root that is not finite or a g of 0.  A pole on the boundary lies on the
+    line Re u = offset, so the run whose last root lies nearest that line
+    wins: a second pole beyond the boundary may hold the sweep's largest
+    |g|, but not the location.  The location is the point of the boundary at
+    that root's clipped tau.  One pole makes 1/g linear, so one step finds
+    it up to rounding.  location_tol is the last root's move plus its
+    distance from the location, plus 4 eps |root|: an estimate of the
+    secant's own error, not a bound.  The exponent is fitted
     over the descent's magnitudes above their est_error.  ValueError for a
     theta outside the sector.
     """
@@ -152,39 +161,53 @@ def blowup_scan(
     def boundary(tau):
         return (offset + 1j * tau) * back
 
-    far, _ = _g_values(fn, theta, [boundary(t) - deltas[0] * back for t in taus], budget, g_source, delta_min / 2)
+    far, _ = _g_values(
+        fn, theta, [boundary(t) - deltas[0] * back for t in taus], budget, g_source, delta_min / 2,
+        (offset - deltas[0]) + 1j * taus,
+    )
     far_mags = np.abs(far)
     if float(np.max(far_mags)) == 0.0:
         return BlowupScan(theta, False, None, None, 0.0, offset)
 
-    # secant steps on 1/g in u = omega e^{i theta}; before the first, the sweep's peak stands as the root, as if
-    # a step from its larger neighbour had reached it
-    j = int(np.argmax(far_mags))
-    i = j + 1 if j == 0 or (j < len(taus) - 1 and far_mags[j + 1] > far_mags[j - 1]) else j - 1
-    lo, hi = taus[max(j - 1, 0)], taus[min(j + 1, len(taus) - 1)]
-    u_a, g_a = complex(offset - deltas[0], taus[i]), complex(far[i])
-    u_b, g_b = complex(offset - deltas[0], taus[j]), complex(far[j])
-    root, step, tau_star = u_b, abs(u_b - u_a), u_b.imag
-    for _ in range(_SECANT_STEPS):
-        # the zero of the line through (u_a, 1/g_a) and (u_b, 1/g_b), written without dividing by g
-        new_root = u_b - g_a * (u_b - u_a) / (g_a - g_b) if g_a != g_b else complex(math.nan)
-        if not cmath.isfinite(new_root):
-            break
-        root, step = new_root, abs(new_root - root)
-        tau_star = min(max(root.imag, lo), hi)
-        if step <= 0.1 * delta_min:
-            break
-        margin = min(max(abs(tau_star - u_b.imag), delta_min), deltas[0])
-        (g_new,), _ = _g_values(fn, theta, [boundary(tau_star) - margin * back], budget, g_source, delta_min / 2)
-        u_a, g_a, u_b, g_b = u_b, g_b, complex(offset - margin, tau_star), complex(g_new)
-        if g_b == 0:
-            break
+    def locate(j):
+        """Secant steps on 1/g in u = omega e^{i theta} from the sweep's peak j: (root, its last move, clipped tau)."""
+        # before the first step, the peak stands as the root, as if a step from its larger neighbour had reached it
+        i = j + 1 if j == 0 or (j < len(taus) - 1 and far_mags[j + 1] > far_mags[j - 1]) else j - 1
+        lo, hi = taus[max(j - 1, 0)], taus[min(j + 1, len(taus) - 1)]
+        u_a, g_a = complex(offset - deltas[0], taus[i]), complex(far[i])
+        u_b, g_b = complex(offset - deltas[0], taus[j]), complex(far[j])
+        root, step, tau_star = u_b, abs(u_b - u_a), u_b.imag
+        for _ in range(_SECANT_STEPS):
+            # the zero of the line through (u_a, 1/g_a) and (u_b, 1/g_b), written without dividing by g
+            new_root = u_b - g_a * (u_b - u_a) / (g_a - g_b) if g_a != g_b else complex(math.nan)
+            if not cmath.isfinite(new_root):
+                break
+            root, step = new_root, abs(new_root - root)
+            tau_star = min(max(root.imag, lo), hi)
+            if step <= 0.1 * delta_min:
+                break
+            margin = min(max(abs(tau_star - u_b.imag), delta_min), deltas[0])
+            u_new = complex(offset - margin, tau_star)
+            (g_new,), _ = _g_values(
+                fn, theta, [boundary(tau_star) - margin * back], budget, g_source, delta_min / 2, [u_new]
+            )
+            u_a, g_a, u_b, g_b = u_b, g_b, u_new, complex(g_new)
+            if g_b == 0:
+                break
+        return root, step, tau_star
+
+    # every local peak of the sweep, > its left neighbour and >= its right one, so that a plateau counts once;
+    # a pole on the boundary lies on the line Re u = offset, so the root nearest that line wins
+    rising = np.concatenate(([True], far_mags[1:] > far_mags[:-1]))
+    falling = np.concatenate((far_mags[:-1] >= far_mags[1:], [True]))
+    peaks = np.flatnonzero(rising & falling).tolist() or [int(np.argmax(far_mags))]  # none only where |g| is NaN
+    root, step, tau_star = min((locate(j) for j in peaks), key=lambda run: abs(run[0].real - offset))
     point = boundary(tau_star)
-    # a pole on the boundary lies on the line Re u = offset: the root's distance from the reported point on it
-    # measures the secant's own error, and the clip's
+    # the root's distance from the reported point on the boundary line measures the secant's own error, and the clip's
     tol = step + abs(root - complex(offset, tau_star)) + 4.0 * np.finfo(float).eps * abs(root)
 
-    values, errors = _g_values(fn, theta, [point - d * back for d in deltas], budget, g_source, delta_min / 2)
+    descent = [point - d * back for d in deltas]
+    values, errors = _g_values(fn, theta, descent, budget, g_source, delta_min / 2, (offset - deltas) + 1j * tau_star)
     mags = np.abs(values)
     ratio = float(mags[-1] / mags[0]) if mags[0] > 0 else 0.0
     if ratio < 10.0:

@@ -316,6 +316,96 @@ def test_batched_transform_matches_each_omega_alone(batch):
     assert np.array_equal(laplace._g_values(fn, theta, omegas, budget, "numeric", DELTA_MIN_DEFAULT)[0], values)
 
 
+def _rotated_batch(fn_id, theta, rs_and_ss, budget_index):
+    """A batch given in the rotated frame of theta: its omegas, and u = omega e^{i theta} = r + i s as given."""
+    fn = BATCH_ENTRIES[fn_id]
+    u = np.array([complex(r, s) for r, s in rs_and_ss])
+    return fn, theta, u * np.exp(-1j * theta), u, BATCH_BUDGETS[budget_index]
+
+
+@st.composite
+def _rotated_batches(draw):
+    fn_id = draw(st.sampled_from(sorted(BATCH_ENTRIES)))
+    theta = draw(st.floats(-0.6, 0.6))
+    offset = -indicator_value(BATCH_ENTRIES[fn_id], theta)[0]
+    # a few lines Re u = r, margins down to delta_min (a hair above it against rounding), several s on each
+    rs = draw(st.lists(st.floats(1.000001 * DELTA_MIN_DEFAULT, 4.0), min_size=1, max_size=3))
+    size = draw(st.integers(1, 9))
+    lines = draw(st.lists(st.sampled_from([offset - m for m in rs]), min_size=size, max_size=size))
+    ss = draw(st.lists(st.one_of(st.just(0.0), st.floats(-30.0, 30.0)), min_size=size, max_size=size))
+    return _rotated_batch(fn_id, theta, zip(lines, ss), draw(st.integers(0, len(BATCH_BUDGETS) - 1)))
+
+
+def _one_pass_at(fn, theta, omega, u, budget):
+    """(value, est_error, T, panels) of the one-omega pass at the rotated point u, or the error it raises."""
+    ind, exact = indicator_value(fn, theta)
+    try:
+        integrand, rate, amplitude, freq, _ = laplace._ray_integrands(
+            fn, theta, [omega], ind, laplace._phase_rate(fn, theta), exact, DELTA_MIN_DEFAULT, [u]
+        )
+        return quadrature._integrate_rays(integrand, rate, np.array([amplitude]), budget, freq)
+    except SectorLapError as exc:
+        return exc
+
+
+@given(_rotated_batches())
+# three omegas on one line off the axis, where omega e^{i theta} rounds each to its own Re, and one more line
+@example(_rotated_batch("exp", 0.3, [(-1.6, 2.0), (-1.6, -5.0), (-1.6, 0.0), (-3.0, 1.0)], 0))
+@example(_rotated_batch("trig", -0.45, [(-0.5, 3.0), (-0.5, 20.0), (-0.5, -8.0)], 2))
+@settings(max_examples=30, deadline=None)
+def test_a_batch_in_rotated_coordinates_matches_each_one_omega_pass_at_its_u(batch):
+    fn, theta, omegas, u, budget = batch
+    singles = [_one_pass_at(fn, theta, w, v, budget) for w, v in zip(omegas, u)]
+    failed = [s for s in singles if isinstance(s, SectorLapError)]
+    if failed:
+        with pytest.raises(type(failed[0])) as caught:
+            laplace._g_values(fn, theta, omegas, budget, "numeric", DELTA_MIN_DEFAULT, u)
+        assert str(caught.value) == str(failed[0])
+        return
+    ind, exact = indicator_value(fn, theta)
+    integrand, rate, amplitude, freq, key = laplace._ray_integrands(
+        fn, theta, omegas, ind, laplace._phase_rate(fn, theta), exact, DELTA_MIN_DEFAULT, u
+    )
+    # one family per line Re u = r, its bits exactly as given
+    assert key[0].tolist() == u.real.view(np.int64).tolist()
+    batch = quadrature._integrate_rays(integrand, rate, np.full(len(u), amplitude), budget, freq, key)
+    for k, single in enumerate(singles):
+        assert [column[k] for column in batch] == [column[0] for column in single]
+    values, errors = laplace._g_values(fn, theta, omegas, budget, "numeric", DELTA_MIN_DEFAULT, u)
+    assert np.array_equal(values, batch[0]) and np.array_equal(errors, batch[1])
+
+
+def _families_per_pass(monkeypatch) -> list:
+    """Patch the engine binding that ``_g_values`` calls to append the family count of every pass it makes."""
+    counts, integrate_rays = [], laplace._integrate_rays
+
+    def counted(fn, rate, amplitude, budget, freq, key=None):
+        counts.append(len(rate) if key is None else np.unique(np.stack(key), axis=1).shape[1])
+        return integrate_rays(fn, rate, amplitude, budget, freq, key)
+
+    monkeypatch.setattr(laplace, "_integrate_rays", counted)
+    return counts
+
+
+def test_a_leg_a_sweep_level_and_the_contour_check_are_one_family_each(monkeypatch):
+    # callers hand g its rotated points, so rounding omega e^{i theta} cannot split a line Re u = r into families
+    from sectorlap import ReconstructionQuery, blowup_scan, reconstruct
+
+    counts = _families_per_pass(monkeypatch)
+    gamma = build_gamma(SectorSpec(alpha=math.pi / 4, h=0.0), -1.0)
+    budget = QuadratureBudget(rel_tol=1e-7, abs_floor=1e-10)
+    for fn, z in ((make_exp(-1), 0.8 + 0.2j), (make_exp(-1 + 1j), 1.1 - 0.4j), (BATCH_ENTRIES["sum"], 0.7 + 0.1j)):
+        res = reconstruct(ReconstructionQuery(fn, gamma, z, budget, "numeric"))
+        assert abs(res.value - fn.evaluate(z)) <= res.est_error
+    assert counts and max(counts) <= 2  # every inner pass: at most one family per leg
+    counts.clear()
+    assert blowup_scan(make_exp(-1 + 1j), 0.3, g_source="numeric").detected
+    assert counts[0] == 1  # the 128 omegas of the sweep
+    counts.clear()
+    assert gamma_bound_check(make_exp(-1), GrowthCertificate(0.1, 1.0), gamma, samples=40, budget=BUDGET) <= 0.0
+    assert counts == [2]
+
+
 def test_batched_transform_covers_shortcut_and_refinement():
     fn, theta = BATCH_ENTRIES["exp"], 0.2
     shortcut = _single_or_error(fn, theta, _omega_at(fn, theta, 2.0, 0.0), BATCH_BUDGETS[1])
@@ -450,7 +540,7 @@ def test_a_family_evaluates_its_smooth_factor_once_while_seeding():
     fn = BATCH_ENTRIES["exp"]
     weighted_eval = fn.weighted_eval
     counted = dataclasses.replace(fn, weighted_eval=lambda z, w: points.append(np.size(z)) or weighted_eval(z, w))
-    # 288 omegas, one margin: a leg of a numeric inversion has a few dozen such families
+    # 288 omegas, one margin: a leg of a numeric inversion is one such family
     omegas = [_omega_at(fn, 0.0, 1.0, f) for f in np.linspace(-20.0, 20.0, 288)]
     ind, exact = indicator_value(fn, 0.0)
     integrand, rate, amplitude, freq, key = laplace._ray_integrands(

@@ -181,14 +181,18 @@ def _survey():
         yield from ((fn_id, theta) for theta in (-alpha, -0.3, 0.0, 0.3, alpha))
     yield from (("trig", theta) for theta in (-0.6, -0.3, 0.0, 0.3, 0.6))
     alpha = resolve(SUM).spec.alpha
-    yield from ((SUM, theta) for theta in (-alpha, -0.5, -0.3, -0.05, 0.0, 0.05, 0.3, 0.5, alpha))
+    # from |theta| = 0.78 on, the sum's second pole, cos(theta) past the boundary, makes a second local peak of
+    # the sweep, and from about 1.49 on the larger one
+    thetas = (-alpha, -1.52, -1.5, -0.5, -0.3, -0.05, 0.0, 0.05, 0.3, 0.5, 1.5, 1.52, alpha)
+    yield from ((SUM, theta) for theta in thetas)
 
 
 @pytest.mark.parametrize("g_source", ["oracle", "numeric"])
 @pytest.mark.parametrize("fn_id, theta", list(_survey()))
 def test_blowup_survey_locates_each_pole_within_its_tolerance(fn_id, theta, g_source, monkeypatch):
     # one pole makes 1/g linear, so one secant step finds it; the sum's second pole bends 1/g, and the steps
-    # converge to the nearer pole within the tolerances of criterion 9 and far inside them
+    # converge to the nearer pole within the tolerances of criterion 9 and far inside them; where the sweep has
+    # two local peaks, steps start from each, and the root nearest the boundary line is the boundary pole
     sizes = _one_omega_passes(monkeypatch)
     fn = resolve(fn_id)
     scan = blowup_scan(fn, theta, g_source=g_source)
@@ -197,7 +201,22 @@ def test_blowup_survey_locates_each_pole_within_its_tolerance(fn_id, theta, g_so
     assert error <= scan.location_tol
     assert error <= (1e-12 if fn_id != SUM else 1e-6 if g_source == "oracle" else 1e-4)
     assert math.isclose(scan.blowup_exponent, -1.0, abs_tol=0.05)
-    assert sizes.count(1) <= (2 if fn_id != SUM else 8)
+    assert sizes.count(1) <= (2 if fn_id != SUM else 8 if abs(theta) < 0.78 else 16)
+
+
+def test_the_locator_starts_from_each_local_peak_of_the_sweep(monkeypatch):
+    # the boundary Re w = -1 holds the pole -1 - 1i; the pole -0.95 + 2i beyond it, of residue 4, holds the
+    # sweep's largest |g|: steps start from both peaks, and the root on the boundary line wins
+    scan, steps = _scan_with(monkeypatch, lambda w: 1 / (w - (-1 - 1j)) + 4 / (w - (-0.95 + 2j)))
+    assert scan.detected and len(steps) >= 2
+    assert abs(scan.boundary_point - (-1 - 1j)) <= min(scan.location_tol, 1e-6)
+
+
+def test_a_two_point_plateau_of_the_sweep_is_one_local_peak(monkeypatch):
+    # the pole -1 lies halfway between the sweep points tau = -+4/127, whose |g| are equal: one start, one step
+    scan, steps = _scan_with(monkeypatch, lambda w: 1 / (w + 1))
+    assert scan.detected and len(steps) == 1
+    assert abs(scan.boundary_point - (-1.0)) <= min(scan.location_tol, 1e-12)
 
 
 def test_probes_reject_directions_outside_the_sector():

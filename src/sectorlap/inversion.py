@@ -82,27 +82,25 @@ class ReconstructionQuery:
             raise ValueError(f"g_source must be auto|oracle|numeric, got {self.g_source!r}")
 
 
-def _g_evaluator(q: ReconstructionQuery):
+def _g_evaluator(q: ReconstructionQuery, dirs: np.ndarray):
     """Vectorized (t, leg) -> g at leg parameters t on both legs, one ``_g_values`` batch per call.
 
-    Leg 0 is the lower leg (theta = -alpha), leg 1 the upper one.  A numeric
-    g gets each leg's rotated points (``_leg_points``), so that a leg is one
-    family; the oracle needs only the omegas.  Also returns an array holding, per leg, the largest inner
-    est_error g has returned so far.
+    Leg 0 is the lower leg (theta = -alpha, direction ``dirs[0]``), leg 1 the
+    upper one.  g gets each leg's omegas and their rotated points
+    (``_leg_points``), so that a leg is one family.  Also returns an array
+    holding, per leg, the largest inner est_error g has returned so far.
     """
     fn = q.fn
-    # a missing oracle raises ValueError here, before any quadrature
-    numeric = pick_oracle(fn, "transform", q.g_source) is None
+    pick_oracle(fn, "transform", q.g_source)  # a missing oracle raises ValueError here, before any quadrature
     inner_err = np.zeros(2)
     inner = q.budget.tighten()
     thetas = np.array([-q.gamma.alpha, q.gamma.alpha])
-    dirs = np.array([q.gamma.lower_direction, q.gamma.upper_direction])
 
     def g(ts, legs):
         omegas = (q.gamma.p + dirs[legs] * ts).ravel()
-        u = _leg_points(q.gamma, ts, legs) if numeric else None
         values, errors = _g_values(
-            fn, thetas[legs].repeat(ts.shape[1]), omegas, inner, q.g_source, DELTA_MIN_DEFAULT, u
+            fn, thetas[legs].repeat(ts.shape[1]), omegas, inner, q.g_source, DELTA_MIN_DEFAULT,
+            _leg_points(q.gamma, ts, legs),
         )
         if errors.any():
             np.maximum.at(inner_err, legs[:, 0], errors.reshape(ts.shape).max(axis=1))
@@ -156,7 +154,7 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
     # e^{-w(t) z} = e^{-p z - Re(leg_dir z) t} times the carrier e^{i Im(-leg_dir z) t}
     dz = dirs * z
     pz = -p * z
-    g, inner_err = _g_evaluator(q)
+    g, inner_err = _g_evaluator(q, dirs)
 
     def integrand(ts, legs):
         return jacs[legs] * g(ts, legs) * np.exp(pz - dz.real[legs] * ts)

@@ -356,7 +356,7 @@ def _leg_points(gamma: ContourGamma, t, legs) -> np.ndarray:
     Im u = -+(p sin(alpha) + t).
     """
     r, s = gamma.p * math.cos(gamma.alpha), gamma.p * math.sin(gamma.alpha)
-    return (r + 1j * (np.array([-1.0, 1.0])[legs] * (s + t))).ravel()
+    return (r + np.array([-1j, 1j])[legs] * (s + t)).ravel()
 
 
 def gamma_bound_check(

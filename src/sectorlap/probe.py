@@ -9,13 +9,14 @@ transform as their ``g_source`` picks, one batch of omegas per call:
   inward normal w(delta) = w_b - delta e^{-i theta}, whose margin is exactly
   delta.  A singularity on the boundary shows up as |g| growing like
   delta^{-1}; the scan reports the location (the zero of 1/g, found by secant
-  steps from each local peak of the outermost level's sweep, keeping the
-  root nearest the boundary line, with location_tol, the last root's move
-  plus its distance from the boundary point reported), the fitted growth
-  exponent, and whether any blow-up was seen at all (quiet boundaries are
-  reported, not raised).  The scan hands g the rotated points
-  u = omega e^{i theta} = (offset - delta) + i tau of its omegas, so each
-  level, the sweep's 128 omegas among them, is one family of ray integrals.
+  steps from each local peak of the outermost level's sweep, all peaks'
+  steps in lockstep, keeping the root nearest its point on the boundary
+  line, with location_tol, the last root's move plus its distance from the
+  boundary point reported), the fitted growth exponent, and whether any
+  blow-up was seen at all (quiet boundaries are reported, not raised).  The
+  scan hands g the rotated points u = omega e^{i theta} = (offset - delta) +
+  i tau of its omegas, so each level, the sweep's 128 omegas among them, is
+  one family of ray integrals.
 
 * ``radius_scan`` fits the distance from an interior point to the nearest
   singularity of g out of Taylor coefficients computed by discrete Cauchy
@@ -130,17 +131,19 @@ def blowup_scan(
     and the descent is one family of ray integrals.  The steps start from
     each local peak of the sweep, a |g| above its left neighbour's and at
     least its right one's (so a two-point plateau counts once), and its
-    larger neighbour.  Each clips its root's tau to the sweep cells beside
-    that peak and evaluates g there, one omega per step, at a margin of the
-    distance tau moved, kept between the innermost and the outermost
-    margin.  The steps stop at a root within 0.1 times the innermost margin
+    larger neighbour.  Each run clips its root's tau to the sweep cells
+    beside its peak and evaluates g there, one omega per step, at a margin of
+    the distance tau moved, kept between the innermost and the outermost
+    margin; the runs step in lockstep, one pass of g per step for the points
+    of every unfinished run, so a scan makes as many passes as its longest
+    run steps.  A run stops at a root within 0.1 times the innermost margin
     of the one before (the peak before the first), after 20 steps, or at a
-    root that is not finite or a g of 0.  A pole on the boundary lies on the
-    line Re u = offset, so the run whose last root lies nearest that line
+    root that is not finite or a g of 0.  The location is the point of the
+    boundary at a root's clipped tau.  A pole on the boundary lies on the
+    line Re u = offset, so the run whose last root lies nearest its location
     wins: a second pole beyond the boundary may hold the sweep's largest
-    |g|, but not the location.  The location is the point of the boundary at
-    that root's clipped tau.  One pole makes 1/g linear, so one step finds
-    it up to rounding.  location_tol is the last root's move plus its
+    |g|, but not the location.  One pole makes 1/g linear, so one step
+    finds it up to rounding.  location_tol is the last root's move plus its
     distance from the location, plus 4 eps |root|: an estimate of the
     secant's own error, not a bound.  The exponent is fitted
     over the descent's magnitudes above their est_error.  ValueError for a
@@ -169,8 +172,11 @@ def blowup_scan(
     if float(np.max(far_mags)) == 0.0:
         return BlowupScan(theta, False, None, None, 0.0, offset)
 
-    def locate(j):
-        """Secant steps on 1/g in u = omega e^{i theta} from the sweep's peak j: (root, its last move, clipped tau)."""
+    def secant(j):
+        """Secant steps on 1/g in u = omega e^{i theta} from the sweep's peak j, as a generator.
+
+        Yields each (omega, u) it needs g at and is sent g there; returns (root, its last move, clipped tau).
+        """
         # before the first step, the peak stands as the root, as if a step from its larger neighbour had reached it
         i = j + 1 if j == 0 or (j < len(taus) - 1 and far_mags[j + 1] > far_mags[j - 1]) else j - 1
         lo, hi = taus[max(j - 1, 0)], taus[min(j + 1, len(taus) - 1)]
@@ -188,20 +194,33 @@ def blowup_scan(
                 break
             margin = min(max(abs(tau_star - u_b.imag), delta_min), deltas[0])
             u_new = complex(offset - margin, tau_star)
-            (g_new,), _ = _g_values(
-                fn, theta, [boundary(tau_star) - margin * back], budget, g_source, delta_min / 2, [u_new]
-            )
+            g_new = yield boundary(tau_star) - margin * back, u_new
             u_a, g_a, u_b, g_b = u_b, g_b, u_new, complex(g_new)
             if g_b == 0:
                 break
         return root, step, tau_star
 
-    # every local peak of the sweep, > its left neighbour and >= its right one, so that a plateau counts once;
-    # a pole on the boundary lies on the line Re u = offset, so the root nearest that line wins
+    # every local peak of the sweep, > its left neighbour and >= its right one, so that a plateau counts once
     rising = np.concatenate(([True], far_mags[1:] > far_mags[:-1]))
     falling = np.concatenate((far_mags[:-1] >= far_mags[1:], [True]))
     peaks = np.flatnonzero(rising & falling).tolist() or [int(np.argmax(far_mags))]  # none only where |g| is NaN
-    root, step, tau_star = min((locate(j) for j in peaks), key=lambda run: abs(run[0].real - offset))
+    # the runs from all peaks step in lockstep: one _g_values pass per step holds every unfinished run's point
+    runs, sent, found = dict(enumerate(map(secant, peaks))), dict.fromkeys(range(len(peaks))), [None] * len(peaks)
+    while runs:
+        asks = {}
+        for k, run in runs.items():
+            try:
+                asks[k] = run.send(sent[k])
+            except StopIteration as stop:
+                found[k] = stop.value
+        runs = {k: runs[k] for k in asks}
+        if asks:
+            omegas, points = zip(*asks.values())
+            values, _ = _g_values(fn, theta, list(omegas), budget, g_source, delta_min / 2, list(points))
+            sent = dict(zip(asks, values))
+    # a pole on the boundary lies on the line Re u = offset: the run whose root lies nearest its reported point
+    # there wins (the clip of tau may move that point off the root)
+    root, step, tau_star = min(found, key=lambda run: abs(run[0] - complex(offset, run[2])))
     point = boundary(tau_star)
     # the root's distance from the reported point on the boundary line measures the secant's own error, and the clip's
     tol = step + abs(root - complex(offset, tau_star)) + 4.0 * np.finfo(float).eps * abs(root)

@@ -30,10 +30,12 @@ from .errors import (
     OutsideDomain,
     OutsideSector,
     OutsideUnion,
+    SectorLapError,
 )
 from .geometry import GrowthCertificate, SectorSpec, _check_alpha, build_gamma
 from .indicator import _check_direction, estimate_indicator, indicator_value
-from .inversion import ReconstructionQuery, reconstruct, roundtrip_report
+from .inversion import reconstruct_each, roundtrip_report
+from .inversion import reconstruct  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .laplace import (
     ConcatenatedTransform,
     DELTA_MIN_DEFAULT,
@@ -227,8 +229,12 @@ def _cmd_invert(args, parser) -> int:
         "abs_residual", "est_error", "truncation_T", "panels",
     ]
 
+    outcomes = reconstruct_each(fn, gamma, args.z, budget, args.g_source)
+
     def row(z):
-        res = reconstruct(ReconstructionQuery(fn, gamma, z, budget, args.g_source))
+        res = next(outcomes)  # _per_point asks for the rows of the points in input order
+        if isinstance(res, SectorLapError):
+            raise res
         expected = complex(fn.evaluate(z))
         return [z.real, z.imag, res.value.real, res.value.imag, expected.real, expected.imag,
                 abs(res.value - expected), res.est_error, res.truncation_T, res.panels_used]

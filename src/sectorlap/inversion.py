@@ -23,9 +23,14 @@ once per seed panel, and each omega still gets the bits of its transform
 alone at that u.  On each leg the kernel's rotation e^{-i Im(leg_dir z) t}
 is the quadrature's carrier, and the integrand hands over the rest.  |g| is
 bounded on the legs by (K / 2 pi) / -(h + p cos alpha), which feeds the
-outer truncation.  Both legs are integrated in one engine pass, and the
-inner error is part of est_error: with max|delta g| the largest inner
-est_error on a leg (0 for the oracle), the leg adds
+outer truncation.
+
+``reconstruct_each`` integrates every leg of every z of a request in one
+engine pass, of which ``reconstruct`` is the one-z case: the lower legs of
+all its points share one inner family per integrand call, and so do the
+upper ones, and each leg still gets the bits of its pass alone.  The inner
+error is part of est_error, per point and leg: with max|delta g| the
+largest inner est_error on a leg of z (0 for the oracle), the leg adds
 
     max|delta g| int |e^{-w z}| |dw| = max|delta g| e^{-p Re z} / (|z| sin(alpha +- phi)),
 
@@ -43,7 +48,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from statistics import median
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -58,6 +63,7 @@ from .quadrature import DecayModel, IntegralResult, QuadratureBudget, _integrate
 __all__ = [
     "ReconstructionQuery",
     "reconstruct",
+    "reconstruct_each",
     "RoundtripRow",
     "RoundtripReport",
     "roundtrip_report",
@@ -82,28 +88,30 @@ class ReconstructionQuery:
             raise ValueError(f"g_source must be auto|oracle|numeric, got {self.g_source!r}")
 
 
-def _g_evaluator(q: ReconstructionQuery, dirs: np.ndarray):
-    """Vectorized (t, leg) -> g at leg parameters t on both legs, one ``_g_values`` batch per call.
+def _g_evaluator(q: ReconstructionQuery, dirs: np.ndarray, n: int):
+    """Vectorized (t, k) -> g at leg parameters t of integral k, leg k % 2, one ``_g_values`` batch per call.
 
     Leg 0 is the lower leg (theta = -alpha, direction ``dirs[0]``), leg 1 the
     upper one.  g gets each leg's omegas and their rotated points
-    (``_leg_points``), so that a leg is one family.  Also returns an array
-    holding, per leg, the largest inner est_error g has returned so far.
+    (``_leg_points``), so that a leg is one family, across points z too.
+    Also returns an array holding, per integral k < n, the largest inner
+    est_error g has returned for it so far.
     """
     fn = q.fn
     pick_oracle(fn, "transform", q.g_source)  # a missing oracle raises ValueError here, before any quadrature
-    inner_err = np.zeros(2)
+    inner_err = np.zeros(n)
     inner = q.budget.tighten()
     thetas = np.array([-q.gamma.alpha, q.gamma.alpha])
 
-    def g(ts, legs):
+    def g(ts, k):
+        legs = k % 2
         omegas = (q.gamma.p + dirs[legs] * ts).ravel()
         values, errors = _g_values(
             fn, thetas[legs].repeat(ts.shape[1]), omegas, inner, q.g_source, DELTA_MIN_DEFAULT,
             _leg_points(q.gamma, ts, legs),
         )
         if errors.any():
-            np.maximum.at(inner_err, legs[:, 0], errors.reshape(ts.shape).max(axis=1))
+            np.maximum.at(inner_err, k[:, 0], errors.reshape(ts.shape).max(axis=1))
         return values.reshape(ts.shape)
 
     return g, inner_err
@@ -126,6 +134,102 @@ def _admit(z: complex, alpha: float, p: float) -> tuple[float, float]:
         return phi, math.inf  # an envelope amplitude the engine rejects with InvalidDecay
 
 
+def _legs(q: ReconstructionQuery, leg_gap: float, points: list[tuple[complex, float, float]]) -> list:
+    """Both legs of every point (z, phase, weight) in one engine pass: per point its result or IllConditioned.
+
+    ``q`` is any query of the request, for its entry, contour, budget and g
+    source; leg_gap = -(h + p cos alpha) > 0 bounds |g| on the legs.
+    Integral 2 i + leg is the lower (leg 0) or upper (leg 1) leg of point i.
+    Raises the pass's first failure, in the order of the integrals.
+    """
+    alpha, p = q.gamma.alpha, q.gamma.p
+    g_bound = q.fn.envelope_const / (2.0 * math.pi) / leg_gap
+    dirs = np.array([q.gamma.lower_direction, q.gamma.upper_direction])
+    jacs = np.array([1j * cmath.exp(1j * alpha), 1j * cmath.exp(-1j * alpha)])
+    rates = [abs(z) * math.sin(alpha + sign * phi) for z, phi, _ in points for sign in (1.0, -1.0)]
+    amps = [g_bound * weight for _, _, weight in points for _ in dirs]
+    # e^{-w(t) z} = e^{-p z - Re(leg_dir z) t} times the carrier e^{i Im(-leg_dir z) t}
+    dz = (dirs * np.array([z for z, _, _ in points])[:, None]).ravel()
+    pz = np.array([-p * z for z, _, _ in points]).repeat(2)
+    g, inner_err = _g_evaluator(q, dirs, len(dz))
+
+    def integrand(ts, k):
+        return jacs[k % 2] * g(ts, k) * np.exp(pz[k] - dz.real[k] * ts)
+
+    values, errors, ts, used = _integrate_rays(integrand, np.array(rates), np.array(amps), q.budget, -dz.imag)
+    results = []
+    for i, (z, _, weight) in enumerate(points):
+        total = 0j
+        err = 0.0
+        for j in (2 * i, 2 * i + 1):
+            total += complex(values[j])
+            # g's inner error enters weighted by |e^{-wz}|, whose integral along the leg is e^{-p Re z} / rate
+            err += float(errors[j]) + float(inner_err[j]) * weight / rates[j]
+        if total != 0 and not err < abs(total):
+            # written "not <" so that a NaN estimate fails too
+            results.append(IllConditioned(
+                f"z={z}: est_error {err:.3e} is not below |value| {abs(total):.3e}, so no digit of the value is certain"
+            ))
+        else:
+            legs = slice(2 * i, 2 * i + 2)
+            results.append(IntegralResult(total, err, max(0.0, *ts[legs].tolist()), int(used[legs].sum())))
+    return results
+
+
+def reconstruct_each(
+    fn: TestFunction,
+    gamma: ContourGamma,
+    zs,
+    budget: QuadratureBudget | None = None,
+    g_source: str = "auto",
+) -> Iterator[IntegralResult | SectorLapError]:
+    """Per z, in input order, what ``reconstruct`` gives for it: its result, or the SectorLapError it raises.
+
+    Every z is checked first, in input order: its domain (``_admit``), then
+    the apex gate.  The points that pass are reconstructed together, both
+    legs of each in one engine pass, when the first of them is reached; each
+    gets the bits of its own ``reconstruct``.  Should that pass fail, each
+    point is reconstructed alone when it is reached, so that every point
+    still gets its own outcome.  Exceptions other than SectorLapError, such
+    as ``reconstruct``'s ValueError for a missing oracle, propagate when the
+    first point that passes its checks is reached.
+    """
+    budget = budget or QuadratureBudget()
+    queries = [ReconstructionQuery(fn, gamma, complex(z), budget, g_source) for z in zs]
+    leg_gap = None  # -(h + p cos alpha) at the entry's own type h, from the first point inside the sector
+    points = []  # per z: (z, phase, weight), or the SectorLapError it fails its checks with
+    for q in queries:
+        try:
+            phi, weight = _admit(q.z, gamma.alpha, gamma.p)
+            if leg_gap is None:
+                leg_gap = -(type_for(fn, gamma.alpha) + gamma.p * math.cos(gamma.alpha))
+            if not leg_gap > 0.0:
+                raise InvalidApex(f"contour apex violates p*cos(alpha) < -h for this entry (gap {leg_gap!r})")
+        except SectorLapError as exc:
+            points.append(exc)
+        else:
+            points.append((q.z, phi, weight))
+    admitted = [point for point in points if not isinstance(point, SectorLapError)]
+    together = None  # the outcomes of the joint pass, once the first admitted point reaches it
+    for point in points:
+        if isinstance(point, SectorLapError):
+            yield point
+            continue
+        if together is None:
+            try:
+                together = iter(_legs(queries[0], leg_gap, admitted))
+            except SectorLapError as exc:
+                # a lone point's failure is its own; of several, each point is reconstructed alone below
+                together = iter([exc] if len(admitted) == 1 else [])
+        outcome = next(together, None)
+        if outcome is None:
+            try:
+                [outcome] = _legs(queries[0], leg_gap, [point])
+            except SectorLapError as exc:
+                outcome = exc
+        yield outcome
+
+
 def reconstruct(q: ReconstructionQuery) -> IntegralResult:
     """f(z) from g by the two-leg contour integral, both legs in one engine pass.
 
@@ -135,45 +239,10 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
     its digits, not even its sign, is certain.  A value of exactly 0 (the
     zero entry) claims no digit and is returned with its est_error.
     """
-    z = complex(q.z)
-    alpha, p = q.gamma.alpha, q.gamma.p
-    phi, weight = _admit(z, alpha, p)
-    h = type_for(q.fn, alpha)
-    leg_gap = -(h + p * math.cos(alpha))
-    if not leg_gap > 0.0:
-        raise InvalidApex(
-            f"contour apex violates p*cos(alpha) < -h for this entry (gap {leg_gap!r})"
-        )
-    g_bound = q.fn.envelope_const / (2.0 * math.pi) / leg_gap
-    amp = g_bound * weight
-
-    # integral 0 is the lower leg, 1 the upper one
-    dirs = np.array([q.gamma.lower_direction, q.gamma.upper_direction])
-    jacs = np.array([1j * cmath.exp(1j * alpha), 1j * cmath.exp(-1j * alpha)])
-    rates = [abs(z) * math.sin(alpha + phi), abs(z) * math.sin(alpha + -phi)]
-    # e^{-w(t) z} = e^{-p z - Re(leg_dir z) t} times the carrier e^{i Im(-leg_dir z) t}
-    dz = dirs * z
-    pz = -p * z
-    g, inner_err = _g_evaluator(q, dirs)
-
-    def integrand(ts, legs):
-        return jacs[legs] * g(ts, legs) * np.exp(pz - dz.real[legs] * ts)
-
-    values, errors, ts, used = _integrate_rays(
-        integrand, np.array(rates), np.array([amp, amp]), q.budget, -dz.imag
-    )
-    total = 0j
-    err = 0.0
-    for leg, rate in enumerate(rates):
-        total += complex(values[leg])
-        # g's inner error enters weighted by |e^{-wz}|, whose integral along the leg is e^{-p Re z} / rate
-        err += float(errors[leg]) + float(inner_err[leg]) * weight / rate
-    if total != 0 and not err < abs(total):
-        # written "not <" so that a NaN estimate fails too
-        raise IllConditioned(
-            f"z={z}: est_error {err:.3e} is not below |value| {abs(total):.3e}, so no digit of the value is certain"
-        )
-    return IntegralResult(total, err, max(0.0, *ts.tolist()), int(used.sum()))
+    [outcome] = reconstruct_each(q.fn, q.gamma, [q.z], q.budget, q.g_source)
+    if isinstance(outcome, SectorLapError):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -213,15 +282,15 @@ def roundtrip_report(
     """
     budget = budget or QuadratureBudget()
     gamma = build_gamma(SectorSpec(spec.alpha, max(spec.h, type_for(fn, spec.alpha))), p)
+    zs = [complex(z) for z in z_grid]
+    outcomes = reconstruct_each(fn, gamma, zs, budget, g_source)
     rows = []
-    for z in z_grid:
-        z = complex(z)
+    for z in zs:
         expected = complex(fn.evaluate(z))
-        try:
-            res = reconstruct(ReconstructionQuery(fn, gamma, z, budget, g_source))
-        except SectorLapError as exc:
+        res = next(outcomes)
+        if isinstance(res, SectorLapError):
             rows.append(
-                RoundtripRow(z, expected, None, math.nan, math.nan, math.nan, f"{type(exc).__name__}: {exc}", type(exc))
+                RoundtripRow(z, expected, None, math.nan, math.nan, math.nan, f"{type(res).__name__}: {res}", type(res))
             )
             continue
         abs_res = abs(res.value - expected)

@@ -37,14 +37,14 @@ bound, seed panels), and its first integral owns its seed panels.
 One kernel, ``_sums``, serves seeding (the whole panels, left halves and
 right halves of all seed panels) and refinement.  It evaluates F on up to
 3 * _CHUNK_PANELS panels per integrand call, across family boundaries, and
-projects every panel of the call once (vals @ project, vals @ weights).
-Then each entry, one integral on one panel, applies its carrier: the dot
-product of the panel's coefficients with the moments of its kappa h, times
-h e^{i kappa m}, in input order.  The moments are computed once per
-distinct kappa h of a call, split into near and far rows once, for the rows
-that ``_seed_rows`` finds from the panels' structure: as a ray's seed
-panels double in width, an integral of d seed panels takes d + 1 rows, not
-3d.  Each integral is then checked against its own target
+projects every panel of the call once (vals @ project, vals @ weights) as
+the call returns.  Then each entry, one integral on one panel, applies its
+carrier: the dot product of the panel's coefficients with the moments of
+its kappa h, times h e^{i kappa m}, in input order.  The moments are
+computed once per distinct kappa h of a call, split into near and far rows
+once, for the rows that ``_seed_rows`` finds from the panels' structure: as
+a ray's seed panels double in width, an integral of d seed panels takes
+d + 1 rows, not 3d.  Each integral is then checked against its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
@@ -84,6 +84,17 @@ ahead of an earlier integral's failure in a later round.
 ``integrate_segment`` and ``integrate_ray`` are the one-integral case, and
 hand their integrands a 1-D array of points.
 
+The carrier step works in memory kept from one ``_sums`` call to the next,
+one set per thread (``_WorkMemory``): the moment rows of a call, grown to
+the most rows any call has had, and, for one block of 3 * _CARRY_COLUMNS
+rows or entries, the gathered Taylor tables, the near rows and the
+entries' dot products and phases.  Allocated anew in every call, these
+arrays (the Taylor tables alone take 768 KB) would go back to the system
+after each call and be faulted in again by the next.  F may itself run a
+quadrature (a numeric g inside an inversion) whose ``_sums`` calls use the
+same memory, so a call touches it only after its last integrand call, and
+allocates what it returns afresh.
+
 Ray integrals over [0, inf) are truncated analytically: given a certified
 envelope |F(t)| <= A e^{-m t}, the tail beyond T is bounded by A e^{-m T}/m
 and T is chosen so that this bound is at most half of abs_floor.  The tail
@@ -100,6 +111,7 @@ import functools
 import heapq
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -169,24 +181,55 @@ def _rule() -> _Rule:
     return _Rule(nodes, weights, project, taylor)
 
 
-def _moments(x: np.ndarray) -> np.ndarray:
+class _WorkMemory(threading.local):
+    """The carrier step's work arrays, one set per thread, kept from one ``_sums`` call to the next."""
+
+    def __init__(self):
+        self.arrays = {}
+
+    def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The work array ``name`` as a view of this shape, grown only when a call needs more than it holds."""
+        size = math.prod(shape)
+        kept = self.arrays.get(name)
+        if kept is None or len(kept) < size:
+            kept = self.arrays[name] = np.empty(size, dtype)
+        return kept[:size].reshape(shape)
+
+
+_work = _WorkMemory()
+
+
+def _moments(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """m_n(x) = 2 j_n(x) for n < 16, one row per x, so that int_{-1}^{1} P_n(u) e^{ixu} du = i^n m_n(x).
 
-    The rows are split into near and far ones once.  A near row is the stacked product sum_k (x - c)^k
-    taylor[c, k], 3 * _CARRY_COLUMNS rows at a time; the far rows follow the forward recurrence.  Each row
-    depends on its own x only.
+    The rows go to ``out`` (len(x) x 16) when given, else to a new array.
+    The rows are split into near and far ones once.  A near row is the
+    stacked product sum_k (x - c)^k taylor[c, k], 3 * _CARRY_COLUMNS rows at
+    a time, each block's Taylor tables gathered into the thread's work
+    memory; the far rows follow the forward recurrence.  Each row depends on
+    its own x only.
     """
+    moments = np.empty((len(x), _ORDER)) if out is None else out
     near = np.abs(x) < _FAR_FROM
     split = np.count_nonzero(near) < len(x)
-    x_near = x[near] if split else x
-    moments = np.empty((len(x_near), _ORDER))
+    at = np.flatnonzero(near) if split else None
+    x_near = x[at] if split else x
     step = 3 * _CARRY_COLUMNS
+    block = min(step, len(x_near))
+    tables = _work.array("taylor", (block, _ORDER, _ORDER))
+    staged = _work.array("near", (block, _ORDER)) if split else None
     for s in range(0, len(x_near), step):
         c = np.rint(x_near[s : s + step])
         powers = np.repeat((x_near[s : s + step] - c)[:, None], _ORDER, axis=1)
         powers[:, 0] = 1.0
         np.multiply.accumulate(powers, axis=1, out=powers)
-        np.matmul(powers[:, None, :], _rule().taylor[c.astype(np.intp)], out=moments[s : s + step, None, :])
+        # into the work array directly, which the default mode="raise" would not; "wrap" reads the rows
+        # -24..-1 of negative c as indexing does
+        np.take(_rule().taylor, c.astype(np.intp), axis=0, out=tables[: len(c)], mode="wrap")
+        rows = moments[s : s + step] if not split else staged[: len(c)]
+        np.matmul(powers[:, None, :], tables[: len(c)], out=rows[:, None, :])
+        if split:
+            moments[at[s : s + step]] = rows
     if not split:
         return moments
     x_far = x[~near]
@@ -195,9 +238,8 @@ def _moments(x: np.ndarray) -> np.ndarray:
     far[1] = (far[0] - 2.0 * np.cos(x_far)) / x_far
     for n in range(1, _ORDER - 1):
         np.subtract((2 * n + 1) * far[n] / x_far, far[n - 1], out=far[n + 1])
-    every = np.empty((len(x), _ORDER))
-    every[near], every[~near] = moments, far.T
-    return every
+    moments[~near] = far.T
+    return moments
 
 
 @dataclass(frozen=True)
@@ -250,49 +292,51 @@ def _sums(fn, mid: np.ndarray, half: np.ndarray, owner: np.ndarray, src, freq: n
     before any entry is carried.  Entry q takes the moments of x[row[q]] =
     freq[q] * half[src[q]], computed once per row of x: its sum is the Filon
     sum where x != 0, the plain Gauss-Legendre sum where x = 0.  The entries
-    go in input order, their dot products 3 * _CARRY_COLUMNS at a time.
+    go in input order, 3 * _CARRY_COLUMNS at a time, in the thread's work
+    memory, which fn, called only before it, may use in turn.
     """
     rule = _rule()
-    chunks = [slice(s, s + 3 * _CHUNK_PANELS) for s in range(0, len(mid), 3 * _CHUNK_PANELS)]
-    vals = []
-    for c in chunks:
-        pts = mid[c, None] + half[c, None] * rule.nodes
-        v = np.ascontiguousarray(fn(pts, owner[c, None]), dtype=complex)
-        if v.shape != pts.shape:
-            v = v.reshape(pts.shape) if v.size == pts.size else np.ascontiguousarray(np.broadcast_to(v, pts.shape))
-        vals.append(v)
     carried = np.count_nonzero(x)  # rows x != 0, whose entries take the Filon sum
     # per panel, the real parts of i^n c_n, then their imaginary parts
     coeffs = np.empty((len(mid), 2, _ORDER)) if carried else None
     plain = np.empty(len(mid), dtype=complex) if carried < len(x) else None
-    if src is not None:
-        mid, half = mid[src], half[src]
-    with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
-        for c, v in zip(chunks, vals):
+    for s in range(0, len(mid), 3 * _CHUNK_PANELS):
+        c = slice(s, s + 3 * _CHUNK_PANELS)
+        pts = mid[c, None] + half[c, None] * rule.nodes
+        v = np.ascontiguousarray(fn(pts, owner[c, None]), dtype=complex)
+        if v.shape != pts.shape:
+            v = v.reshape(pts.shape) if v.size == pts.size else np.ascontiguousarray(np.broadcast_to(v, pts.shape))
+        with np.errstate(invalid="ignore", over="ignore"):  # callers reject non-finite sums with IllConditioned
             if carried:
                 np.matmul(v.view(float), rule.project, out=coeffs[c].reshape(-1, 2 * _ORDER))
             if plain is not None:
                 np.matmul(v, rule.weights, out=plain[c])
-        vals.clear()  # F's values are projected; free them before the moments and carriers
+    # fn is called no more: from here on the thread's work memory is this call's alone
+    with np.errstate(invalid="ignore", over="ignore"):
         if plain is not None:
-            plain = half * (plain if src is None else plain[src])
+            plain = half * plain if src is None else half[src] * plain[src]
             if not carried:
                 return plain
-        # per entry, sum_n i^n c_n m_n(x) for the panel's coefficients and the row's moments, in blocks that
-        # keep the gathered rows in cache
-        moments = _moments(x)
-        dots = np.empty(len(freq), dtype=complex)
-        parts = dots.view(float).reshape(-1, 2)
+        # per entry, the dot product of its panel's coefficients with its row's moments, times h e^{i freq m},
+        # in blocks that keep what they gather in cache
+        sums = np.empty(len(freq), dtype=complex)
+        moments = _moments(x, _work.array("moments", (len(x), _ORDER)))
         step = 3 * _CARRY_COLUMNS
+        dots = _work.array("dots", (min(step, len(freq)),), complex)
+        filon = _work.array("filon", dots.shape, complex)
         for q in range(0, len(freq), step):
             block = slice(q, q + step)
-            np.einsum(
-                "ikn,in->ik", coeffs[block if src is None else src[block]], moments[row[block]], out=parts[block]
-            )
-        filon = np.exp(1j * (freq * mid))
-        filon *= half
-        filon *= dots
-        return filon if plain is None else np.where(x[row] == 0.0, plain, filon)
+            panel = block if src is None else src[block]
+            n = min(step, len(freq) - q)
+            d, f = dots[:n], filon[:n]
+            np.einsum("ikn,in->ik", coeffs[panel], moments[row[block]], out=d.view(float).reshape(-1, 2))
+            np.multiply(1j, np.multiply(freq[block], mid[panel]), out=f)
+            np.exp(f, out=f)
+            np.multiply(f, half[panel], out=f)
+            np.multiply(f, d, out=sums[block])
+    if plain is not None:
+        np.copyto(sums, plain, where=x[row] == 0.0)
+    return sums
 
 
 def _seed_rows(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,17 @@
 """End-to-end CLI behavior through main(); no subprocesses needed."""
 
 import ast
+import cmath
+import contextlib
 import csv
+import io
 import math
 import pathlib
 import warnings
 
 import pytest
 
-from sectorlap import cli, indicator, laplace, probe
+from sectorlap import cli, indicator, inversion, laplace, probe
 from sectorlap.cli import main
 
 
@@ -194,6 +197,65 @@ def test_invert_skip_invalid_skips_points_outside_the_sector(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("skipping z=(0.6967067093471654+0.7173560908995228j): ")
     assert err.endswith("invert: skipped 1 of 3 points\n")
+
+
+def _one_by_one(fn, gamma, zs, budget=None, g_source="auto", each=inversion.reconstruct_each):
+    """The per-point loop that a request's joint pass replaces: each z's outcome alone, when it is reached."""
+    for z in zs:
+        yield from each(fn, gamma, [z], budget, g_source)
+
+
+def _outputs(argv, out):
+    """Exit code, stdout, stderr and the CSV bytes (None where none was written) of one in-process main call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", str(out)])
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+_SMALL_MARGIN = cmath.exp(0.77j)  # 0.015 from the upper boundary of the sector of half-angle pi/4
+INVERT_FAILURES = {
+    "outside-sector": (["--z", "1+0i,0.6967067093471654+0.7173560908995228i,2+0i"], 3, 0),
+    "small-angular-margin": (["--z", f"0.5+0.2i,{_SMALL_MARGIN.real!r}+{_SMALL_MARGIN.imag!r}i,1+0i"], 3, 0),
+    "ill-conditioned-second": (["--z", "1+0i,700"], 3, 3),
+    # the third point's domain failure is never reached: no skip message either
+    "ill-conditioned-before-outside-sector": (["--z", "1+0i,700,-1+0i"], 3, 3),
+    "numeric-g-outside-sector": (
+        ["--z", "0.8+0.1i,-1+0i,1.2-0.2i", "--g-source", "numeric", "--rel-tol", "1e-7"], 3, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["abort", "skip-invalid"])
+@pytest.mark.parametrize("case", sorted(INVERT_FAILURES))
+def test_invert_failures_read_as_the_per_point_loop(case, skip, monkeypatch, tmp_path):
+    # a request's points share one engine pass; its CSV, stderr and exit code are those of the per-point loop
+    extra, code, skipped_code = INVERT_FAILURES[case]
+    argv = ["invert", "--fn", "exp:a=-1", "--p", "-1"] + extra + (["--skip-invalid"] if skip else [])
+    got = _outputs(argv, tmp_path / "joint.csv")
+    monkeypatch.setattr(cli, "reconstruct_each", _one_by_one)
+    assert got == _outputs(argv, tmp_path / "alone.csv")
+    assert got[0] == (skipped_code if skip else code)
+    assert (got[3] is None) == (got[0] != 0)
+
+
+@pytest.mark.parametrize(
+    "argv, integrals",
+    [
+        (["invert", "--fn", "exp:a=-1", "--p", "-1", "--z", "1+0i,0.5+0.2i,2-0.3i"], 6),
+        (["roundtrip", "--fn", "exp:a=1", "--p", "-2", "--radii", "0.5,1"], 12),
+        (["roundtrip", "--fn", "rational", "--p", "-1", "--radii", "1", "--g-source", "numeric",
+          "--rel-tol", "1e-7"], 6),
+    ],
+    ids=["invert", "roundtrip", "roundtrip-numeric-g"],
+)
+def test_invert_and_roundtrip_make_one_outer_pass(argv, integrals, monkeypatch, tmp_path):
+    # both legs of every point in one _integrate_rays call; a numeric g's inner passes are laplace's own
+    passes, integrate_rays = [], inversion._integrate_rays
+    counted = lambda *args: passes.append(len(args[1])) or integrate_rays(*args)
+    monkeypatch.setattr(inversion, "_integrate_rays", counted)
+    assert main(argv + ["--out", str(tmp_path / "f.csv")]) == 0
+    assert passes == [integrals]
 
 
 def test_roundtrip_skip_invalid_skips_domain_violations(tmp_path, capsys):

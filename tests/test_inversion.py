@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from sectorlap import (
     ReconstructionQuery,
     SectorSpec,
     build_gamma,
+    builtin_catalog,
     cauchy_path_check,
     make_exp,
     make_sum,
@@ -218,3 +221,89 @@ def test_numeric_g_evaluates_each_smooth_factor_once_per_family():
     assert abs(res.value - cmath.exp(-(0.8 + 0.2j))) <= res.est_error
     # the omegas of a leg that share Re(omega e^{i theta}) share F and its seed panels
     assert sum(points) <= PER_INTEGRAL_POINTS / 4
+
+
+def _one_by_one(fn, gamma, zs, budget=None, g_source="auto", each=inversion.reconstruct_each):
+    """The per-point loop that a request's joint pass replaces: each z's outcome alone, when it is reached."""
+    for z in zs:
+        yield from each(fn, gamma, [z], budget, g_source)
+
+
+ALPHA = math.pi / 4
+# every built-in entry with a transform oracle, and rational, which has none, with a numeric g
+REQUEST_CASES = [(fn, "oracle") for fn in builtin_catalog() if fn.transform_oracle is not None]
+REQUEST_CASES.append((rational_function(), "numeric"))
+
+
+@pytest.mark.parametrize("fn, source", REQUEST_CASES, ids=lambda case: getattr(case, "id", case))
+def test_each_z_of_a_request_gets_the_bits_of_its_own_reconstruct(fn, source):
+    h = fn.type_oracle(ALPHA)
+    gamma = build_gamma(SectorSpec(ALPHA, h), -h / math.cos(ALPHA) - 1.0)
+    budget = QuadratureBudget(rel_tol=1e-7, abs_floor=1e-10) if source == "numeric" else BUDGET
+    zs = [0.5, 0.8 + 0.2j, 1.2 - 0.3j, 1.7 + 0.5j, 0.6 - 0.45j]
+    together = list(inversion.reconstruct_each(fn, gamma, zs, budget, source))
+    alone = [reconstruct(ReconstructionQuery(fn, gamma, z, budget, source)) for z in zs]
+    # value, est_error (with its inner part per point and leg), truncation_T and panels, bit for bit
+    assert together == alone
+    assert all(isinstance(res, inversion.IntegralResult) for res in together)
+
+
+def test_a_request_is_one_outer_pass(monkeypatch):
+    passes, integrate_rays = [], inversion._integrate_rays
+    counted = lambda *args: passes.append(len(args[1])) or integrate_rays(*args)
+    monkeypatch.setattr(inversion, "_integrate_rays", counted)
+    gamma = build_gamma(SPEC, -1.0)
+    results = list(inversion.reconstruct_each(make_exp(-1), gamma, [0.5, 1.0, -1.0, 1 + 0.4j], BUDGET, "oracle"))
+    # the point outside the sector fails its checks and takes no part: both legs of three points
+    assert passes == [6]
+    assert isinstance(results[2], OutsideSector) and [type(r) for r in results].count(inversion.IntegralResult) == 3
+
+
+@pytest.mark.parametrize(
+    "grid, failed",
+    [
+        # a point outside the sector and one whose value is not above its est_error: the joint pass holds
+        ([1.0, -1.0, 0.5 + 0.3j, 700.0, 2.0], [OutsideSector, IllConditioned]),
+        # an envelope that overflows fails the joint pass, and every point is reconstructed alone
+        ([1.0, 1000.0, cmath.exp(0.77j), 0.5 + 0.3j, 700.0], [InvalidDecay, AngularMarginTooSmall, IllConditioned]),
+    ],
+    ids=["joint-pass", "point-by-point"],
+)
+def test_a_roundtrip_with_failing_points_matches_the_per_point_loop(grid, failed, monkeypatch):
+    fn = make_exp(-1)
+    report = roundtrip_report(fn, SPEC, -1.0, grid, BUDGET, "oracle")
+    monkeypatch.setattr(inversion, "reconstruct_each", _one_by_one)
+    reference = roundtrip_report(fn, SPEC, -1.0, grid, BUDGET, "oracle")
+    assert [row.error_class for row in report.rows if row.error_class] == failed
+    assert report.failures == len(failed) and report.max_rel <= 1e-8
+    # rows (z, values, residuals, est_errors, messages, classes) and summary, bit for bit
+    assert repr(report) == repr(reference)
+
+
+def test_numeric_reconstructions_in_threads_get_the_bits_of_one_after_another():
+    # each thread keeps its own work memory, which inner and outer passes re-enter: four threads on two or
+    # more points each, switching every microsecond, give the bits of the calls made one after another
+    fn, gamma = rational_function(), build_gamma(SPEC, -1.0)
+    budget = QuadratureBudget(rel_tol=1e-7, abs_floor=1e-10)
+    work = [[0.5, 1.2 - 0.3j], [0.8 + 0.2j, 0.6], [1.7 + 0.5j, 0.9 - 0.1j], [1.1 + 0.35j, 1.4]]
+    queries = [[ReconstructionQuery(fn, gamma, z, budget, "numeric") for z in zs] for zs in work]
+    alone = [[reconstruct(q) for q in qs] for qs in queries]
+    got = [None] * len(work)
+    start = threading.Barrier(len(work))
+
+    def run(i):
+        start.wait(timeout=60)
+        got[i] = [reconstruct(q) for q in queries[i]]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == alone

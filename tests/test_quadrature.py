@@ -325,7 +325,7 @@ def test_sums_do_not_depend_on_the_order_of_the_entries():
 def _counted_moments(monkeypatch):
     """A log of the number of rows of each _moments call."""
     rows, moments = [], quadrature._moments
-    monkeypatch.setattr(quadrature, "_moments", lambda x: rows.append(len(x)) or moments(x))
+    monkeypatch.setattr(quadrature, "_moments", lambda x, out=None: rows.append(len(x)) or moments(x, out))
     return rows
 
 
@@ -757,3 +757,43 @@ def test_segment_linearity(a, b):
     parts = a * integrate_segment(f, 0.0, 2.0, TIGHT).value
     parts += b * integrate_segment(g, 0.0, 2.0, TIGHT).value
     assert abs(combined.value - parts) <= 1e-10 * max(1.0, abs(parts))
+
+
+def _work_memory() -> dict:
+    return {name: (array.__array_interface__["data"][0], array.size) for name, array in quadrature._work.arrays.items()}
+
+
+def test_a_repeated_pass_of_one_size_reuses_the_work_memory():
+    # plain, near and far moment rows over three integrand calls: the second pass finds the carrier step's
+    # arrays where the first one left them, and grows none
+    rates = np.array([0.5, 1.0, 2.0, 4.0, 0.25] * 40)
+    freq = np.tile([0.0, 0.3, 3.0, 40.0, 1e3], 40) * np.repeat(np.linspace(1.0, 2.0, 40), 5)
+    F = lambda t, k: np.exp(-rates[k] * t)
+    run = lambda: quadrature._integrate_rays(F, rates, np.ones(len(rates)), TIGHT, freq)
+    first = run()
+    kept = _work_memory()
+    assert {"moments", "taylor", "near", "dots", "filon"} <= set(kept)
+    second = run()
+    assert _work_memory() == kept
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert np.abs(first[0] - 1.0 / (rates - 1j * freq)).max() <= 1e-10
+
+
+def test_the_sums_of_a_call_are_its_own():
+    # a later call, here one re-entered from the integrand as a nested quadrature is, reuses the work memory
+    # but leaves the sums an earlier call returned as they were
+    mid, half, owner = np.linspace(0.5, 4.5, 5), np.full(5, 0.5), np.zeros(5, dtype=np.intp)
+    freq = np.array([0.0, 0.3, 3.0, 60.0, 1e3])
+    x, row = np.unique(freq * half, return_inverse=True)
+    nested = lambda: quadrature._sums(lambda t, k: np.cos(t), mid, half, owner, None, 2.0 * freq, 2.0 * x, row)
+    inner = []
+
+    def fn(t, k):
+        inner.append(nested())
+        return np.exp(-t)
+
+    sums = quadrature._sums(fn, mid, half, owner, None, freq, x, row)
+    alone = quadrature._sums(lambda t, k: np.exp(-t), mid, half, owner, None, freq, x, row)
+    later = quadrature._sums(lambda t, k: np.sin(t), mid, half, owner, None, freq, x, row)
+    assert np.array_equal(sums, alone) and not np.array_equal(sums, later)
+    assert np.array_equal(inner[0], nested())

@@ -70,16 +70,23 @@ def _finite(text: str) -> float:
     return value
 
 
+def _parts(text: str) -> list[str]:
+    """The values of a comma separated list flag; a usage error when it names none."""
+    if not text.replace(",", " ").strip():
+        raise argparse.ArgumentTypeError(f"expected at least one comma separated value, got {text!r}")
+    return [part for part in text.split(",") if part.strip()]
+
+
 def _float_list(text: str) -> list[float]:
-    return [_finite(part) for part in text.split(",") if part.strip()]
+    return [_finite(part) for part in _parts(text)]
 
 
 def _complex_list(text: str) -> list[complex]:
-    return [parse_complex(part) for part in text.split(",") if part.strip()]
+    return [parse_complex(part) for part in _parts(text)]
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    return [int(part) for part in _parts(text)]
 
 
 def _fmt(value) -> str:
@@ -292,6 +299,8 @@ def _cmd_roundtrip(args, parser) -> int:
 def _cmd_indicator(args, parser) -> int:
     fn = _require_fn(args, parser)
     count = len(args.thetas) if args.thetas is not None else args.theta_grid
+    if count < 1:  # --thetas names at least one direction
+        parser.error(f"indicator: --theta-grid must be at least 1, got {count}")
     if count * args.s_points > 10**7:
         parser.error(f"indicator: {count} directions x {args.s_points} s-points exceed 1e7 evaluations")
     if not args.s_max > 1.0:  # np.geomspace would warn on a grid from 1 down to it

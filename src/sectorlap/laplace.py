@@ -15,13 +15,14 @@ agree on overlaps, so the concatenated transform simply evaluates along the
 direction of largest margin.
 
 The fan's offsets -I(theta) and margins take a float theta or an array of
-directions.  They come from the indicator oracle when one exists; otherwise
-from the numeric estimate, and ``_decay_rate`` then takes 10% off the decay
-rate, since an estimated indicator can be slightly low.  Either way the
-margin peaks at one of a few directions known in closed form, of which
-``select_direction`` takes the best: the margin is a minimum of shifted
-cosines, one per point of the entry's conjugate indicator diagram D, or
-linear minus one cosine on each cell of the numeric estimate's grid.
+directions.  With the indicator oracle the margin is a minimum of shifted
+cosines, one per point of the entry's conjugate indicator diagram D, and
+peaks at one of a few directions known in closed form; otherwise -I is the
+numeric estimate at the 65 directions of the fan's grid, and ``_decay_rate``
+takes 10% off the decay rate, since an estimated indicator can be slightly
+low.  ``select_direction`` takes the best of those directions.  Between grid
+directions the offset is a chord of the estimates, which can overstate the
+margin, and feeds no selection and no decay rate.
 
 On the ray theta the kernel e^{w t e^{i theta}} turns at the known rate
 Im(w e^{i theta}), and f's own phase at the rate nu(theta) = Im(a* e^{i theta}),
@@ -214,9 +215,10 @@ class ConcatenatedTransform:
     """Immutable bundle of an entry with its fan of half-planes on [-alpha, alpha].
 
     ``exact`` fans take their offsets from the entry's indicator oracle;
-    the others interpolate numeric estimates on a 65-point theta grid, which
-    ``_grid`` makes in one estimate call on first use.  ``build`` picks
-    ``exact`` from an indicator source.
+    the others take numeric estimates on a 65-point theta grid, which
+    ``_grid`` makes in one estimate call on first use, and interpolate them
+    linearly between its nodes, where no selection or decay rate looks.
+    ``build`` picks ``exact`` from an indicator source.
     """
 
     fn: TestFunction
@@ -255,35 +257,29 @@ class ConcatenatedTransform:
 
 
 def _best_direction(ct: ConcatenatedTransform, omega: complex) -> tuple[float, float]:
-    """(theta, ct.margin(omega, theta)) of largest margin over the fan, from a few candidates in one margin call.
+    """(theta, ct.margin(omega, theta)) of largest margin over the fan's candidates, in one margin call.
 
     With the oracle the margin is the least of the pieces c - Re(b e^{i theta}),
     one per point a of the diagram (c = 0, b = a + omega) and the sentinel's
     floor (c = 1e9, b = omega), so it peaks at +-alpha, at a piece's top
     pi - arg b, or where two cross, -arg(b_p - b_q) +- arccos((c_p - c_q) /
-    |b_p - b_q|).  A numeric fan's margin is linear minus |omega| cos(theta +
-    arg omega) on each cell of its grid: it peaks at a node or at a root of
-    s + |omega| sin(theta + arg omega) = 0 inside the cell of slope s.
+    |b_p - b_q|).  A numeric fan's margin is that of an estimate only at
+    its grid directions, which are its candidates.
     Margins within 1e-9 (relative above 1) of the largest tie, and ties go to
     the smallest |theta|, then to the positive theta.
     """
     omega = complex(omega)
-    with np.errstate(divide="ignore", invalid="ignore"):  # parallel pieces and a flat omega give nan: no candidate
-        if ct.exact:
-            b = np.array([a + omega for a in ct.fn.diagram] + [omega])
-            c = np.append(np.zeros(len(b) - 1), OFFSET_CAP)
-            gap = np.subtract.outer(b, b).ravel()  # each pair in both orders, which name the same crossings
+    if ct.exact:
+        b = np.array([a + omega for a in ct.fn.diagram] + [omega])
+        c = np.append(np.zeros(len(b) - 1), OFFSET_CAP)
+        gap = np.subtract.outer(b, b).ravel()  # each pair in both orders, which name the same crossings
+        with np.errstate(divide="ignore", invalid="ignore"):  # parallel pieces give nan: no candidate
             turn = np.arccos(np.subtract.outer(c, c).ravel() / np.abs(gap))
-            peaks = np.concatenate((math.pi - np.angle(b), turn - np.angle(gap), -turn - np.angle(gap)))
-            nodes = np.array([ct.alpha, -ct.alpha])
-        else:
-            nodes, offsets = ct._grid
-            turn = np.arcsin(-np.diff(offsets) / np.diff(nodes) / abs(omega))
-            peaks = np.concatenate((turn, math.pi - turn)) - cmath.phase(omega)
-    peaks = np.remainder(peaks + math.pi, 2.0 * math.pi) - math.pi
-    if not ct.exact:  # a cell's root counts inside that cell only
-        peaks = peaks[(np.tile(nodes[:-1], 2) <= peaks) & (peaks <= np.tile(nodes[1:], 2))]
-    thetas = np.concatenate(([0.0], nodes, peaks[np.abs(peaks) <= ct.alpha]))
+        peaks = np.concatenate((math.pi - np.angle(b), turn - np.angle(gap), -turn - np.angle(gap)))
+        peaks = np.remainder(peaks + math.pi, 2.0 * math.pi) - math.pi
+        thetas = np.concatenate(([0.0, ct.alpha, -ct.alpha], peaks[np.abs(peaks) <= ct.alpha]))
+    else:
+        thetas = ct._grid[0]
     margins = ct.margin(omega, thetas)
     best = float(np.max(margins))
     tied = np.flatnonzero(margins >= best - 1e-9 * (1.0 + abs(best)))
@@ -292,7 +288,7 @@ def _best_direction(ct: ConcatenatedTransform, omega: complex) -> tuple[float, f
 
 
 def select_direction(ct: ConcatenatedTransform, omega: complex) -> float:
-    """Direction of largest margin, computed in closed form by ``_best_direction``.
+    """Direction of largest margin by ``_best_direction``: in closed form, or a numeric fan's best grid direction.
 
     Ties within 1e-9 relative break toward the smallest |theta|, then the
     positive theta.  Raises OutsideUnion when even the best margin falls
@@ -318,16 +314,8 @@ def concatenated_transform(
 def _transform_along(
     ct: ConcatenatedTransform, omega: complex, theta: float, budget: QuadratureBudget
 ) -> IntegralResult:
-    """g(omega) along the fan's direction theta, for a caller that already selected it."""
-    return _ray_transform(
-        ct.fn,
-        theta,
-        omega,
-        budget,
-        indicator=-ct.offset(theta),
-        exact_indicator=ct.exact,
-        delta_min=ct.min_margin,
-    )
+    """g(omega) along the fan's direction theta, which ``_best_direction`` gave: a numeric fan's offset is a node's."""
+    return _ray_transform(ct.fn, theta, omega, budget, -ct.offset(theta), ct.exact, ct.min_margin)
 
 
 def consistency_residual(

@@ -481,12 +481,20 @@ def test_missing_required_pieces_exit_code(capsys):
         (["transform", "--fn", "exp:a=1"], "transform: --omega is required"),
         (["probe", "--fn", "exp:a=1", "--q", "-0.5-1.2i"], "probe: --q and --r must be given together"),
         (["selftest", "--only", "99"], "selftest: no criteria match --only [99]"),
+        # an empty list or count is refused before any output
+        (["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", ","], "argument --radii: expected at least one"),
+        (["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--angles", ","], "argument --angles: expected at least one"),
+        (["indicator", "--fn", "exp:a=1", "--thetas", ","], "argument --thetas: expected at least one"),
+        (["indicator", "--fn", "exp:a=1", "--theta-grid", "0"], "indicator: --theta-grid must be at least 1"),
+        (["indicator", "--fn", "exp:a=1", "--theta-grid", "-2"], "indicator: --theta-grid must be at least 1"),
+        (["selftest", "--only", ","], "argument --only: expected at least one"),
     ]:
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
 
 
 def test_selftest_subcommand(capsys):

@@ -5,7 +5,8 @@ np.convolve window means of one direction's samples for the indicator
 estimate, (a * cmath.exp(1j * theta)).real for the indicator oracles, and
 offset - (omega * cmath.exp(1j * theta)).real, one float theta at a time, for
 the fan's margins.  ``select_direction``, which computes the best direction
-in closed form, is checked against a dense scan of those scalar margins.
+in closed form, is checked against a dense scan of those scalar margins, and
+against the scalar margins of its grid directions for a numeric fan.
 """
 
 import cmath
@@ -137,8 +138,11 @@ def _reference_margin(ct, exponents, omega: complex, theta: float) -> float:
 
 
 def _reference_best(ct, exponents, omega: complex) -> float:
-    """The largest margin over the fan, one float theta at a time: 2 001 directions, then 2 001 about the best."""
+    """The largest margin over the fan, one float theta at a time: over a numeric fan's 65 grid directions, or
+    over 2 001 directions, then 2 001 about the best."""
     margin = lambda t: _reference_margin(ct, exponents, omega, t)  # noqa: E731
+    if not ct.exact:
+        return max(margin(t) for t in ct._grid[0].tolist())
     coarse = np.linspace(-ct.alpha, ct.alpha, 2001)
     best = max(coarse.tolist(), key=margin)
     step = coarse[1] - coarse[0]
@@ -170,8 +174,30 @@ def test_fan_margins_and_selection_equal_the_scalar_formulas(fn, exponents, sour
         theta = select_direction(ct, omega)
         got = _reference_margin(ct, exponents, omega, theta)
         assert abs(theta) <= 1.2 and type(theta) is float
+        assert ct.exact or theta in ct._grid[0].tolist()
         assert _best_direction(ct, omega) == (theta, got) == (theta, ct.margin(omega, theta))
         assert got >= want - 1e-9 * (1.0 + abs(want))
+
+
+# numeric fans whose grid estimates are the indicator to rounding; rational's and the sum's are biased
+UNBIASED_ESTIMATES = [make_exp(1), make_exp(3), make_exp(-1 + 1j), trig_decay()]
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 4, 1.2], ids=["pi/4", "1.2"])
+@pytest.mark.parametrize("fn", UNBIASED_ESTIMATES, ids=lambda fn: fn.id)
+def test_a_numeric_fan_never_selects_more_than_the_true_margin(fn, alpha):
+    # omega lies 1e-3 to 3 inside the boundary of Omega_theta along a random theta; between its grid directions
+    # the fan's interpolated offset can overstate -I, which a selected margin must not take for its own
+    ct = ConcatenatedTransform.build(fn, alpha=alpha, indicator_source="numeric")
+    rng = np.random.default_rng(11)
+    thetas = rng.uniform(-ct.alpha, ct.alpha, 2000)
+    depths = np.geomspace(1e-3, 3.0, 2000)[rng.permutation(2000)]
+    spins = rng.uniform(-3.0, 3.0, 2000)
+    for theta, depth, spin in zip(thetas.tolist(), depths.tolist(), spins.tolist()):
+        omega = complex(-fn.indicator_oracle(theta) - depth, spin) * cmath.exp(-1j * theta)
+        best, margin = _best_direction(ct, omega)
+        if margin >= ct.min_margin:
+            assert margin - (-fn.indicator_oracle(best) - (omega * cmath.exp(1j * best)).real) <= 1e-13
 
 
 def test_a_three_term_sum_peaks_where_two_terms_cross():

@@ -142,16 +142,19 @@ def test_select_direction_asymmetric_optimum():
     assert math.isclose(theta, math.pi / 4, abs_tol=1e-6)
 
 
-def test_select_direction_keeps_the_larger_of_two_peaks_of_a_numeric_fan():
-    # the interpolated offset bulges above the grid's nodes on both sides of the best one; the peak in
-    # the cell below it is the larger (the one above has 0.70720998 at theta = 0.79750)
+def test_select_direction_takes_the_best_grid_direction_of_a_numeric_fan():
+    # the true margin 0.5 (cos theta + sin theta) peaks at pi/4 with 1/sqrt(2); the interpolated offset bulges
+    # above it on both sides of the grid's node nearest pi/4 (to 0.70721651 at theta = 0.77297), but the fan
+    # takes that node, whose margin is its estimate's
     ct = ConcatenatedTransform.build(make_exp(1), indicator_source="numeric")
     omega = -1.5 + 0.5j
+    nodes, offsets = ct._grid
     theta = select_direction(ct, omega)
-    assert theta not in ct._grid[0]
-    assert ct.margin(omega, theta) >= 0.70721651
-    assert math.isclose(theta, 0.77297, abs_tol=1e-5)
-    assert ct.margin(omega, theta) >= np.max(ct.margin(omega, np.linspace(0.7, 0.85, 20001)))
+    node_margins = [offsets[k] - (omega * cmath.exp(1j * t)).real for k, t in enumerate(nodes.tolist())]
+    assert ct.margin(omega, theta) == node_margins[nodes.tolist().index(theta)] == max(node_margins)
+    assert math.isclose(theta, math.pi / 4, abs_tol=1e-11)
+    assert math.sqrt(0.5) - 1e-15 <= ct.margin(omega, theta) <= math.sqrt(0.5) + 1e-15
+    assert np.max(ct.margin(omega, np.linspace(0.7, 0.85, 20001))) >= 0.70721651
 
 
 def test_select_direction_outside_union():

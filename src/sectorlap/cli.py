@@ -33,7 +33,7 @@ from .errors import (
     SectorLapError,
 )
 from .geometry import GrowthCertificate, SectorSpec, _check_alpha, build_gamma
-from .indicator import _check_direction, estimate_indicator, indicator_value
+from .indicator import _WINDOW, _check_direction, estimate_indicator, indicator_value
 from .inversion import reconstruct_each, roundtrip_report
 from .inversion import reconstruct  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
 from .laplace import (
@@ -251,6 +251,8 @@ def _cmd_invert(args, parser) -> int:
 
 def _cmd_roundtrip(args, parser) -> int:
     fn = _require_fn(args, parser)
+    if args.max_rel < 0.0:  # no residual is below it, so the whole grid would be reconstructed to fail
+        parser.error(f"roundtrip: --max-rel must be at least 0, got {args.max_rel}")
     spec = _sector_for(args, fn)
     gamma = build_gamma(spec, args.p)  # fail fast on a bad apex before any quadrature
     if args.check_bound:
@@ -301,6 +303,8 @@ def _cmd_indicator(args, parser) -> int:
     count = len(args.thetas) if args.thetas is not None else args.theta_grid
     if count < 1:  # --thetas names at least one direction
         parser.error(f"indicator: --theta-grid must be at least 1, got {count}")
+    if args.s_points < 3 * _WINDOW:  # estimate_indicator's least grid
+        parser.error(f"indicator: --s-points must be at least {3 * _WINDOW}, got {args.s_points}")
     if count * args.s_points > 10**7:
         parser.error(f"indicator: {count} directions x {args.s_points} s-points exceed 1e7 evaluations")
     if not args.s_max > 1.0:  # np.geomspace would warn on a grid from 1 down to it

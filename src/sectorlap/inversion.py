@@ -137,10 +137,10 @@ def _admit(z: complex, alpha: float, p: float) -> tuple[float, float]:
 def _legs(q: ReconstructionQuery, leg_gap: float, points: list[tuple[complex, float, float]]) -> list:
     """Both legs of every point (z, phase, weight) in one engine pass: per point its result or IllConditioned.
 
-    ``q`` is any query of the request, for its entry, contour, budget and g
-    source; leg_gap = -(h + p cos alpha) > 0 bounds |g| on the legs.
-    Integral 2 i + leg is the lower (leg 0) or upper (leg 1) leg of point i.
-    Raises the pass's first failure, in the order of the integrals.
+    ``q`` is the request, read for its entry, contour, budget and g source;
+    leg_gap = -(h + p cos alpha) > 0 bounds |g| on the legs.  Integral
+    2 i + leg is the lower (leg 0) or upper (leg 1) leg of point i.  Raises
+    the first failure the pass meets, whichever point's it is.
     """
     alpha, p = q.gamma.alpha, q.gamma.p
     g_bound = q.fn.envelope_const / (2.0 * math.pi) / leg_gap
@@ -188,19 +188,19 @@ def reconstruct_each(
     Every z is checked first, in input order: its domain (``_admit``), then
     the apex gate.  The points that pass are reconstructed together, both
     legs of each in one engine pass, when the first of them is reached; each
-    gets the bits of its own ``reconstruct``.  Should that pass fail, each
-    point is reconstructed alone when it is reached, so that every point
-    still gets its own outcome.  Exceptions other than SectorLapError, such
-    as ``reconstruct``'s ValueError for a missing oracle, propagate when the
-    first point that passes its checks is reached.
+    gets the bits of its own ``reconstruct``.  Should that pass fail, with
+    the first failure it meets, each point is reconstructed alone when it is
+    reached and gets its own outcome.  Exceptions other than SectorLapError,
+    such as ``reconstruct``'s ValueError for a missing oracle, propagate when
+    the first point that passes its checks is reached.
     """
-    budget = budget or QuadratureBudget()
-    queries = [ReconstructionQuery(fn, gamma, complex(z), budget, g_source) for z in zs]
+    zs = [complex(z) for z in zs]
+    q = ReconstructionQuery(fn, gamma, zs[0], budget or QuadratureBudget(), g_source) if zs else None  # the request
     leg_gap = None  # -(h + p cos alpha) at the entry's own type h, from the first point inside the sector
     points = []  # per z: (z, phase, weight), or the SectorLapError it fails its checks with
-    for q in queries:
+    for z in zs:
         try:
-            phi, weight = _admit(q.z, gamma.alpha, gamma.p)
+            phi, weight = _admit(z, gamma.alpha, gamma.p)
             if leg_gap is None:
                 leg_gap = -(type_for(fn, gamma.alpha) + gamma.p * math.cos(gamma.alpha))
             if not leg_gap > 0.0:
@@ -208,7 +208,7 @@ def reconstruct_each(
         except SectorLapError as exc:
             points.append(exc)
         else:
-            points.append((q.z, phi, weight))
+            points.append((z, phi, weight))
     admitted = [point for point in points if not isinstance(point, SectorLapError)]
     together = None  # the outcomes of the joint pass, once the first admitted point reaches it
     for point in points:
@@ -217,14 +217,14 @@ def reconstruct_each(
             continue
         if together is None:
             try:
-                together = iter(_legs(queries[0], leg_gap, admitted))
+                together = iter(_legs(q, leg_gap, admitted))
             except SectorLapError as exc:
                 # a lone point's failure is its own; of several, each point is reconstructed alone below
                 together = iter([exc] if len(admitted) == 1 else [])
         outcome = next(together, None)
         if outcome is None:
             try:
-                [outcome] = _legs(queries[0], leg_gap, [point])
+                [outcome] = _legs(q, leg_gap, [point])
             except SectorLapError as exc:
                 outcome = exc
         yield outcome

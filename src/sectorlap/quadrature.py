@@ -70,17 +70,13 @@ own), so every integral gets the same panels, values and estimates, bit for
 bit, as when integrated alone.  A pass seeds all its integrals in one step;
 those that meet their target take their plain seed sums, and the sums'
 rounding bound n eps sum |panel sum| over their n panels is added to
-est_error after the check; the others are refined.  A NaN or infinite seed
-or refinement sum is an IllConditioned failure naming the first affected
-panel, instead of a NaN estimate ending refinement as if it had converged;
-so are seed sums that are all exactly 0 where F at the start is not
-negligible, as F then underflows at every node (``_check_blank``).  Each
-integral's failure is recorded, and the integrals after a failed one are
-refined no further; after the rounds, in input order, the blank checks run
-and the first failure is raised, as if the integrals were computed one
-after another.  One exception surfaces otherwise: an exception raised by
-the integrand itself propagates from the round it is raised in, possibly
-ahead of an earlier integral's failure in a later round.
+est_error after the check; the others are refined.  A pass raises the first
+failure it meets: right after seeding, a NaN or infinite seed sum (naming
+the first affected panel, where a NaN estimate would end refinement as if
+converged), then, in input order, seed sums that are all exactly 0 where F
+at the start is not negligible, as F then underflows at every node
+(``_check_blank``), both IllConditioned; then, in the round it comes in, a
+refinement's BudgetExceeded, non-finite sum or exception of the integrand.
 ``integrate_segment`` and ``integrate_ray`` are the one-integral case, and
 hand their integrands a 1-D array of points.
 
@@ -449,14 +445,13 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
     children of all of them in one ``_sums`` call, one moment row per split;
     splits of one owner, midpoint and half-width evaluate F once.  An
     integral leaves the rounds once its target is met or its top estimate is
-    exactly 0, and fails at _MAX_PANELS panels (BudgetExceeded) or on a
-    non-finite sum (IllConditioned).  Returns per integral (value,
-    est_error, panels) or the error it failed with; the integrals after a
-    failed one are dropped, with None, as their results can no longer
-    surface.  An exception of fn propagates at once.
+    exactly 0.  Returns per integral (value, est_error, panels).  Raises the
+    first failure it meets, in the round it comes in: BudgetExceeded for an
+    integral at _MAX_PANELS panels, IllConditioned for a non-finite sum, or
+    an exception of fn.
     """
     results = [None] * len(heaps)
-    age = itertools.count(max(map(len, heaps)))  # creation indices, increasing within every heap
+    age = itertools.count(max(map(len, heaps), default=0))  # creation indices, increasing within every heap
     live = range(len(heaps))
     while live:
         splits, panels, mids, halves, owners, freqs, x = [], {}, [], [], [], [], []
@@ -469,12 +464,11 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
             if len(heap) >= _MAX_PANELS:
                 key, _, m, h, _, _ = heap[0]
                 a, b = span[i]
-                results[i] = BudgetExceeded(
+                raise BudgetExceeded(
                     f"panel budget {_MAX_PANELS} exhausted with est_error={total_err[i]:.3e} (target {target:.3e}) "
                     f"by the integral of carrier frequency {freq[i]!r} over [{a!r}, {b!r}]; its worst panel "
                     f"[{m - h!r}, {m + h!r}] has estimate {-key:.3e}: the integrand is harder than the budget allows"
                 )
-                break
             if heap[0][0] == 0.0:
                 # every estimate is exactly zero: the running total is rounding residue no split can lower
                 results[i] = _finish(heap)
@@ -505,10 +499,9 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
             (left0, left1), (right0, right1) = child_sums
             fine0, fine1 = left0 + right0, left1 + right1
             err0, err1 = abs(fine0 - coarse0), abs(fine1 - coarse1)
-            # a non-finite half-panel sum makes an estimate non-finite; the integrals after it no longer matter
+            # a non-finite half-panel sum makes an estimate non-finite
             if not math.isfinite(err0 + err1) and not all(map(cmath.isfinite, (left0, left1, right0, right1))):
-                results[i] = _non_finite(np.array(child_sums), (m - h, m), (m, m + h))
-                break
+                raise _non_finite(np.array(child_sums), (m - h, m), (m, m + h))
             heap, child = heaps[i], 0.5 * h
             heapq.heappush(heap, (-err0, next(age), m - child, child, left0, right0))
             heapq.heappush(heap, (-err1, next(age), m + child, child, left1, right1))
@@ -529,16 +522,13 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     after those of the families before it, a ray's from ``_ray_breakpoints``
     or a single panel (see ``_seed_rows``); families are numbered in the
     order of their first integral.  Every integral is seeded in one step;
-    those whose seed sums are finite and meet their target take their plain
-    sums, off by less than n eps sum |panel sum| over their n panels (Higham,
-    Accuracy and Stability of Numerical Algorithms, section 4.2), which
-    est_error includes.  The others fail for a non-finite seed sum or are
-    refined in rounds (``_refine``), and those whose seed sums are all
-    exactly 0 are checked by ``_check_blank`` after the rounds.  Failures
-    surface in input order: the blank checks run in input order and the first
-    failing integral's error is raised.  Only an exception of fn itself
-    propagates from the round in which fn raises it.  Returns value,
-    est_error and panels used per integral.
+    those whose seed sums meet their target take their plain sums, off by
+    less than n eps sum |panel sum| over their n panels (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 4.2), which est_error
+    includes, and the others are refined in rounds (``_refine``).  Raises the
+    first failure it meets: right after seeding, a non-finite seed sum, then
+    ``_check_blank`` in input order where all seed sums are exactly 0; then
+    one of the rounds.  Returns value, est_error and panels used per integral.
     """
     # column q of the sums is panel q - starts[j] of integral j, family panel src[q]; with one integral
     # per family, family[j] = j and the columns are the family panels themselves
@@ -549,16 +539,15 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     if shared:
         src = np.arange(starts[-1] + counts[-1]) + np.repeat((count.cumsum() - count)[family] - starts, counts)
     sums = _seed(fn, a, b, owners.repeat(count), src, freq.repeat(counts), counts)
-    finite = np.isfinite(sums)
-    finite = None if np.count_nonzero(finite) == finite.size else finite.all(axis=0)
-    coarse, left, right = sums if finite is None else np.where(finite, sums, 0.0)
+    if np.count_nonzero(np.isfinite(sums)) < sums.size:  # columns go in input order: name the first integral's panel
+        cols = slice(None) if src is None else src
+        raise _non_finite(sums, a[cols], b[cols])
+    coarse, left, right = sums
     fine = left + right
     err = np.abs(fine - coarse)
     # per integral, each over its own panels alone: the plain sum, its estimate and sum |fine|
     values, total_errs, sizes = (np.add.reduceat(v, starts) for v in (fine, err, np.abs(fine)))
     done = total_errs <= budget.rel_tol * np.abs(values) + budget.abs_floor
-    if finite is not None:
-        done &= np.logical_and.reduceat(finite, starts)
     errors, used = total_errs + counts * math.ulp(1.0) * sizes, counts  # ulp(1) = eps
     pending = [] if np.count_nonzero(done) == len(done) else np.flatnonzero(~done).tolist()
     if np.count_nonzero(values) < len(values):
@@ -566,7 +555,6 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     if not pending:
         return values, errors, used
 
-    blank, outcome = {}, {}
     refined, owner, freqs, span, heaps, total, total_err = [], [], [], [], [], [], []
     for j in pending:
         p, q = int(starts[j]), int(starts[j] + counts[j])
@@ -574,11 +562,8 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
         lo, hi = a[seeds], b[seeds]
         if done[j]:
             if not sums[:, p:q].any():
-                blank[j] = lo, hi
+                _check_blank(fn, owners[family[j]], lo, hi, freq[j], budget.abs_floor)
             continue
-        if finite is not None and not finite[p:q].all():
-            outcome[j] = _non_finite(sums[:, p:q], lo, hi)
-            break  # the integrals after it can no longer fail first
         refined.append(j)
         owner.append(int(owners[family[j]]))
         freqs.append(float(freq[j]))
@@ -586,17 +571,8 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
         heaps.append(_heap(lo, hi, left[p:q], right[p:q], err[p:q]))
         total.append(complex(values[j]))
         total_err.append(float(total_errs[j]))
-    if refined:
-        outcome.update(zip(refined, _refine(fn, owner, freqs, span, heaps, total, total_err, budget)))
-    # failures surface in input order: the first integral that failed seeding or refinement, or fails its blank check
-    for j in pending:
-        result = outcome.get(j)
-        if isinstance(result, Exception):
-            raise result
-        if result is not None:
-            values[j], errors[j], used[j] = result
-        elif j in blank:
-            _check_blank(fn, owners[family[j]], *blank[j], freq[j], budget.abs_floor)
+    for j, result in zip(refined, _refine(fn, owner, freqs, span, heaps, total, total_err, budget)):
+        values[j], errors[j], used[j] = result
     return values, errors, used
 
 

@@ -487,6 +487,11 @@ def test_missing_required_pieces_exit_code(capsys):
         (["indicator", "--fn", "exp:a=1", "--thetas", ","], "argument --thetas: expected at least one"),
         (["indicator", "--fn", "exp:a=1", "--theta-grid", "0"], "indicator: --theta-grid must be at least 1"),
         (["indicator", "--fn", "exp:a=1", "--theta-grid", "-2"], "indicator: --theta-grid must be at least 1"),
+        (["indicator", "--fn", "exp:a=1", "--s-points", "0"], "indicator: --s-points must be at least 24, got 0"),
+        (["indicator", "--fn", "exp:a=1", "--s-points", "10"], "indicator: --s-points must be at least 24, got 10"),
+        (["indicator", "--fn", "exp:a=1", "--s-points", "-1"], "indicator: --s-points must be at least 24, got -1"),
+        # a threshold no residual can meet is refused before any quadrature
+        (["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--max-rel", "-1"], "roundtrip: --max-rel must be at least 0"),
         (["selftest", "--only", ","], "argument --only: expected at least one"),
     ]:
         capsys.readouterr()

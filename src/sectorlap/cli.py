@@ -32,7 +32,7 @@ from .errors import (
     OutsideUnion,
     SectorLapError,
 )
-from .geometry import GrowthCertificate, SectorSpec, _check_alpha, build_gamma
+from .geometry import ContourGamma, GrowthCertificate, SectorSpec, _check_alpha, build_gamma
 from .indicator import _WINDOW, _check_direction, estimate_indicator, indicator_value
 from .inversion import reconstruct_each, roundtrip_report
 from .inversion import reconstruct  # noqa: F401  (unused here; bench/tracer.py wraps this binding)
@@ -205,38 +205,35 @@ def _per_point(args, name: str, points: list, header: list[str], row) -> int:
     return 0
 
 
-def _sector_for(args, fn) -> SectorSpec:
+def _contour(args, fn) -> tuple[SectorSpec, ContourGamma]:
+    """The sector at the entry's own type and its V contour; a bad apex fails here, before any quadrature.
+
+    Under --check-bound the uniform |g| bound on the contour is checked and reported on stderr.
+    """
     # contour commands need a strict-interior opening: at the entry's own cap
     # (near pi/2 for wide entries) the V-contour degenerates into a line
     alpha = args.alpha if args.alpha is not None else min(fn.spec.alpha, math.pi / 4)
-    return SectorSpec(alpha=alpha, h=type_for(fn, alpha))
-
-
-def _preflight_bound(args, fn, gamma) -> None:
-    cert = GrowthCertificate(epsilon=args.epsilon, c_epsilon=fn.envelope_const)
-    excess = gamma_bound_check(fn, cert, gamma, samples=50, budget=_budget(args))
-    status = "holds" if excess <= 0 else "VIOLATED"
-    print(
-        f"contour bound (epsilon={args.epsilon}) {status}: worst |g| excess {excess:.3e}",
-        file=sys.stderr,
-    )
+    spec = SectorSpec(alpha=alpha, h=type_for(fn, alpha))
+    gamma = build_gamma(spec, args.p)
+    if args.check_bound:
+        cert = GrowthCertificate(epsilon=args.epsilon, c_epsilon=fn.envelope_const)
+        excess = gamma_bound_check(fn, cert, gamma, samples=50, budget=_budget(args))
+        status = "holds" if excess <= 0 else "VIOLATED"
+        print(f"contour bound (epsilon={args.epsilon}) {status}: worst |g| excess {excess:.3e}", file=sys.stderr)
+    return spec, gamma
 
 
 def _cmd_invert(args, parser) -> int:
     fn = _require_fn(args, parser)
     if not args.z:
         parser.error("invert: --z is required (comma separated complex values)")
-    spec = _sector_for(args, fn)
-    gamma = build_gamma(spec, args.p)
-    budget = _budget(args)
-    if args.check_bound:
-        _preflight_bound(args, fn, gamma)
+    _, gamma = _contour(args, fn)
     header = [
         "z_re", "z_im", "value_re", "value_im", "expected_re", "expected_im",
         "abs_residual", "est_error", "truncation_T", "panels",
     ]
 
-    outcomes = reconstruct_each(fn, gamma, args.z, budget, args.g_source)
+    outcomes = iter(reconstruct_each(fn, gamma, args.z, _budget(args), args.g_source))
 
     def row(z):
         res = next(outcomes)  # _per_point asks for the rows of the points in input order
@@ -253,10 +250,7 @@ def _cmd_roundtrip(args, parser) -> int:
     fn = _require_fn(args, parser)
     if args.max_rel < 0.0:  # no residual is below it, so the whole grid would be reconstructed to fail
         parser.error(f"roundtrip: --max-rel must be at least 0, got {args.max_rel}")
-    spec = _sector_for(args, fn)
-    gamma = build_gamma(spec, args.p)  # fail fast on a bad apex before any quadrature
-    if args.check_bound:
-        _preflight_bound(args, fn, gamma)
+    spec, _ = _contour(args, fn)
     angles = args.angles if args.angles is not None else [-spec.alpha / 2, 0.0, spec.alpha / 2]
     grid = [radius * cmath.exp(1j * angle) for radius in args.radii for angle in angles]
     report = roundtrip_report(fn, spec, args.p, grid, _budget(args), args.g_source)

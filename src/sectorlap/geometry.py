@@ -88,18 +88,12 @@ class ContourGamma:
         return 1j * cmath.exp(-1j * self.alpha)
 
 
-def sector_contains(spec: SectorSpec, z: complex, closed: bool = False) -> bool:
-    """Membership of z in the open sector, or its closure when ``closed``.
+def sector_contains(spec: SectorSpec, z: complex) -> bool:
+    """Membership of z in the open sector, which holds neither the origin nor the boundary rays.
 
-    The origin belongs only to the closed sector.  arg is taken in (-pi, pi],
-    so the negative real axis never belongs.
+    arg is taken in (-pi, pi], so the negative real axis never belongs.
     """
-    if z == 0:
-        return closed
-    phi = cmath.phase(z)
-    if closed:
-        return abs(phi) <= spec.alpha
-    return -spec.alpha < phi < spec.alpha
+    return z != 0 and -spec.alpha < cmath.phase(z) < spec.alpha
 
 
 def _ray_distance(pt: complex, start: complex, theta: float) -> float:

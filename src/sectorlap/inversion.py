@@ -25,10 +25,11 @@ is the quadrature's carrier, and the integrand hands over the rest.  |g| is
 bounded on the legs by (K / 2 pi) / -(h + p cos alpha), which feeds the
 outer truncation.
 
-``reconstruct_each`` integrates every leg of every z of a request in one
-engine pass, of which ``reconstruct`` is the one-z case: the lower legs of
-all its points share one inner family per integrand call, and so do the
-upper ones, and each leg still gets the bits of its pass alone.  The inner
+``reconstruct_each`` checks a request once, then each z, and integrates every
+leg of the admitted z in one engine pass (each point alone should it raise),
+of which ``reconstruct`` is the one-z case: the lower legs of all its points
+share one inner family per integrand call, and so do the upper ones, and each
+leg still gets the bits of its pass alone.  The inner
 error is part of est_error, per point and leg: with max|delta g| the
 largest inner est_error on a leg of z (0 for the oracle), the leg adds
 
@@ -48,12 +49,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from statistics import median
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .catalog import ORACLE_SOURCES, TestFunction, pick_oracle, type_for
-from .errors import AngularMarginTooSmall, IllConditioned, InvalidApex, OutsideSector, SectorLapError
+from .errors import AngularMarginTooSmall, IllConditioned, OutsideSector, SectorLapError
 from .geometry import ContourGamma, SectorSpec, _ray_distance, build_gamma, sector_contains
 from .indicator import indicator_value
 from .laplace import DELTA_MIN_DEFAULT, _decay_rate, _g_values, _leg_points
@@ -98,7 +99,6 @@ def _g_evaluator(q: ReconstructionQuery, dirs: np.ndarray, n: int):
     est_error g has returned for it so far.
     """
     fn = q.fn
-    pick_oracle(fn, "transform", q.g_source)  # a missing oracle raises ValueError here, before any quadrature
     inner_err = np.zeros(n)
     inner = q.budget.tighten()
     thetas = np.array([-q.gamma.alpha, q.gamma.alpha])
@@ -119,7 +119,7 @@ def _g_evaluator(q: ReconstructionQuery, dirs: np.ndarray, n: int):
 
 def _admit(z: complex, alpha: float, p: float) -> tuple[float, float]:
     """The phase of z and the weight e^{-p Re z}, once z lies in the open sector with angular margin."""
-    if not sector_contains(SectorSpec(alpha=alpha, h=0.0), z, closed=False):
+    if not sector_contains(SectorSpec(alpha=alpha, h=0.0), z):
         raise OutsideSector(f"z={z} is not inside the open sector of half-angle {alpha}")
     phi = cmath.phase(z)
     ang = min(alpha - phi, alpha + phi)
@@ -176,65 +176,52 @@ def _legs(q: ReconstructionQuery, leg_gap: float, points: list[tuple[complex, fl
     return results
 
 
+def _outcomes(q: ReconstructionQuery, leg_gap: float, points: list[tuple[complex, float, float]]) -> list:
+    """Per point its ``_legs`` outcome from one pass; should the pass raise, a lone point's failure, or each point alone."""
+    try:
+        return _legs(q, leg_gap, points) if points else []
+    except SectorLapError as exc:
+        return [exc] if len(points) == 1 else [out for point in points for out in _outcomes(q, leg_gap, [point])]
+
+
 def reconstruct_each(
     fn: TestFunction,
     gamma: ContourGamma,
     zs,
     budget: QuadratureBudget | None = None,
     g_source: str = "auto",
-) -> Iterator[IntegralResult | SectorLapError]:
-    """Per z, in input order, what ``reconstruct`` gives for it: its result, or the SectorLapError it raises.
+) -> list[IntegralResult | SectorLapError]:
+    """A list holding, per z in input order, what ``reconstruct`` gives for it: its result, or its SectorLapError.
 
-    Every z is checked first, in input order: its domain (``_admit``), then
-    the apex gate.  The points that pass are reconstructed together, both
-    legs of each in one engine pass, when the first of them is reached; each
-    gets the bits of its own ``reconstruct``.  Should that pass fail, with
-    the first failure it meets, each point is reconstructed alone when it is
-    reached and gets its own outcome.  Exceptions other than SectorLapError,
-    such as ``reconstruct``'s ValueError for a missing oracle, propagate when
-    the first point that passes its checks is reached.
+    The request is checked once, before any point: ValueError for a g source
+    the entry has no oracle for, then ``build_gamma``'s InvalidApex at the
+    entry's own type, both raised.  Then each z gets its checks (``_admit``) in
+    input order, and the points that pass are reconstructed in one engine pass,
+    both legs of each, with the bits of their own ``reconstruct``.  Should that
+    pass raise, each point is reconstructed alone and gets its own outcome.
     """
     zs = [complex(z) for z in zs]
-    q = ReconstructionQuery(fn, gamma, zs[0], budget or QuadratureBudget(), g_source) if zs else None  # the request
-    leg_gap = None  # -(h + p cos alpha) at the entry's own type h, from the first point inside the sector
+    q = ReconstructionQuery(fn, gamma, zs[0] if zs else 0j, budget or QuadratureBudget(), g_source)  # the request
+    pick_oracle(fn, "transform", g_source)
+    h = type_for(fn, gamma.alpha)
+    build_gamma(SectorSpec(gamma.alpha, h), gamma.p)
     points = []  # per z: (z, phase, weight), or the SectorLapError it fails its checks with
     for z in zs:
         try:
-            phi, weight = _admit(z, gamma.alpha, gamma.p)
-            if leg_gap is None:
-                leg_gap = -(type_for(fn, gamma.alpha) + gamma.p * math.cos(gamma.alpha))
-            if not leg_gap > 0.0:
-                raise InvalidApex(f"contour apex violates p*cos(alpha) < -h for this entry (gap {leg_gap!r})")
+            points.append((z, *_admit(z, gamma.alpha, gamma.p)))
         except SectorLapError as exc:
             points.append(exc)
-        else:
-            points.append((z, phi, weight))
     admitted = [point for point in points if not isinstance(point, SectorLapError)]
-    together = None  # the outcomes of the joint pass, once the first admitted point reaches it
-    for point in points:
-        if isinstance(point, SectorLapError):
-            yield point
-            continue
-        if together is None:
-            try:
-                together = iter(_legs(q, leg_gap, admitted))
-            except SectorLapError as exc:
-                # a lone point's failure is its own; of several, each point is reconstructed alone below
-                together = iter([exc] if len(admitted) == 1 else [])
-        outcome = next(together, None)
-        if outcome is None:
-            try:
-                [outcome] = _legs(q, leg_gap, [point])
-            except SectorLapError as exc:
-                outcome = exc
-        yield outcome
+    outcomes = iter(_outcomes(q, -(h + gamma.p * math.cos(gamma.alpha)), admitted))
+    return [point if isinstance(point, SectorLapError) else next(outcomes) for point in points]
 
 
 def reconstruct(q: ReconstructionQuery) -> IntegralResult:
     """f(z) from g by the two-leg contour integral, both legs in one engine pass.
 
-    Raises InvalidApex when the apex fails p*cos(alpha) < -h at the entry's
-    own type h, which a gamma built for a smaller h can.  Raises
+    Raises ValueError when ``q.g_source`` asks for an oracle the entry lacks,
+    and ``build_gamma``'s InvalidApex when the apex fails p*cos(alpha) < -h at
+    the entry's own type h, which a gamma built for a smaller h can.  Raises
     IllConditioned when a nonzero value is not above its est_error: none of
     its digits, not even its sign, is certain.  A value of exactly 0 (the
     zero entry) claims no digit and is returned with its est_error.
@@ -277,17 +264,14 @@ def roundtrip_report(
     """Reconstruct f on a z grid and compare with direct evaluation.
 
     Per-point failures are recorded in their row with their class, not raised; the summary
-    aggregates over the successful points.  The apex fails every point alike, so it is checked
-    once, at the larger of spec.h and the entry's own type: InvalidApex, raised.
+    aggregates over the successful points.  The request's own failures are raised before any
+    point: InvalidApex for an apex that fails spec.h or the entry's own type, and
+    ``reconstruct_each``'s ValueError for a missing g oracle.
     """
-    budget = budget or QuadratureBudget()
-    gamma = build_gamma(SectorSpec(spec.alpha, max(spec.h, type_for(fn, spec.alpha))), p)
     zs = [complex(z) for z in z_grid]
-    outcomes = reconstruct_each(fn, gamma, zs, budget, g_source)
     rows = []
-    for z in zs:
+    for z, res in zip(zs, reconstruct_each(fn, build_gamma(spec, p), zs, budget, g_source)):
         expected = complex(fn.evaluate(z))
-        res = next(outcomes)
         if isinstance(res, SectorLapError):
             rows.append(
                 RoundtripRow(z, expected, None, math.nan, math.nan, math.nan, f"{type(res).__name__}: {res}", type(res))

@@ -607,6 +607,24 @@ def test_flags_a_subcommand_would_ignore_are_unknown(command, flag, tmp_path, ca
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["invert", "--z", "-1+0i,1+0i"],
+        ["invert", "--z", "1+0i,-1+0i"],
+        ["invert", "--z", "-1+0i", "--skip-invalid"],
+        ["roundtrip", "--radii", "1", "--angles", "2", "--skip-invalid"],
+    ],
+    ids=["invert-outside-first", "invert-outside-second", "invert-all-skipped", "roundtrip-all-skipped"],
+)
+def test_a_missing_g_oracle_exits_2_whatever_the_points(argv, capsys):
+    # the request is checked before any of its points: no point's failure, skip or CSV comes first
+    assert main(argv[:1] + ["--fn", "rational", "--p", "-1", "--g-source", "oracle"] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ValueError: entry 'rational' has no transform oracle" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["invert", "--fn", "exp:a=1", "--p", "-0.5", "--z", "1+0i"],
      ["roundtrip", "--fn", "exp:a=1", "--p", "-0.5", "--radii", "1"]],
 )

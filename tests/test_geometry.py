@@ -38,17 +38,15 @@ def test_sector_membership_open_vs_closed():
     assert sector_contains(spec, 0.5 - 0.2j)
     assert not sector_contains(spec, -1.0)
     assert not sector_contains(spec, 2j)
-    # the origin belongs to the closure only
+    # the origin does not belong to the open sector
     assert not sector_contains(spec, 0.0)
-    assert sector_contains(spec, 0.0, closed=True)
 
 
 def test_sector_boundary_point_exact_phase():
     # atan2(1, 1) reproduces the phase of 1+1j bit for bit, so the open
-    # sector must exclude it while the closed one keeps it
+    # sector must exclude it
     spec = SectorSpec(alpha=math.atan2(1.0, 1.0))
     assert not sector_contains(spec, 1 + 1j)
-    assert sector_contains(spec, 1 + 1j, closed=True)
 
 
 def test_build_gamma_legs():

@@ -42,8 +42,11 @@ def test_reconstruct_decaying_exponential():
 def test_reconstruct_checks_the_apex_at_the_entry_own_type():
     # a gamma built for h = 0 passes build_gamma at p = -0.5, but exp:a=1 has type cos(pi/4) there
     gamma = build_gamma(SPEC, -0.5)
-    with pytest.raises(InvalidApex, match=r"p\*cos\(alpha\) < -h for this entry"):
+    with pytest.raises(InvalidApex, match="invalid apex p=-0.5"):
         reconstruct(ReconstructionQuery(make_exp(1), gamma, 1.0, BUDGET, "oracle"))
+    # the apex fails the request once, before any point gets its checks
+    with pytest.raises(InvalidApex, match="invalid apex p=-0.5"):
+        inversion.reconstruct_each(make_exp(1), gamma, [-1.0, 1.0])
 
 
 def test_reconstruct_growing_exponential_off_axis():

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import ORACLE_SOURCES, parse_complex, resolve, type_for
+from .catalog import ORACLE_SOURCES, parse_complex, pick_oracle, resolve, type_for
 from .errors import (
     AngularMarginTooSmall,
     BudgetExceeded,
@@ -206,15 +206,17 @@ def _per_point(args, name: str, points: list, header: list[str], row) -> int:
 
 
 def _contour(args, fn) -> tuple[SectorSpec, ContourGamma]:
-    """The sector at the entry's own type and its V contour; a bad apex fails here, before any quadrature.
+    """The sector at the entry's own type and its V contour; a bad apex, then a g source the entry has no oracle
+    for, fails here, before any quadrature.
 
-    Under --check-bound the uniform |g| bound on the contour is checked and reported on stderr.
+    Under --check-bound the uniform |g| bound on the contour is then checked and reported on stderr.
     """
     # contour commands need a strict-interior opening: at the entry's own cap
     # (near pi/2 for wide entries) the V-contour degenerates into a line
     alpha = args.alpha if args.alpha is not None else min(fn.spec.alpha, math.pi / 4)
     spec = SectorSpec(alpha=alpha, h=type_for(fn, alpha))
     gamma = build_gamma(spec, args.p)
+    pick_oracle(fn, "transform", args.g_source)
     if args.check_bound:
         cert = GrowthCertificate(epsilon=args.epsilon, c_epsilon=fn.envelope_const)
         excess = gamma_bound_check(fn, cert, gamma, samples=50, budget=_budget(args))

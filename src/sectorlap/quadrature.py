@@ -38,37 +38,46 @@ One kernel, ``_sums``, serves seeding (the whole panels, left halves and
 right halves of all seed panels) and refinement.  It evaluates F on up to
 3 * _CHUNK_PANELS panels per integrand call, across family boundaries, and
 projects every panel of the call once (vals @ project, vals @ weights) as
-the call returns.  Then each entry, one integral on one panel, applies its
-carrier: the dot product of the panel's coefficients with the moments of
-its kappa h, times h e^{i kappa m}, in input order.  The moments are
-computed once per distinct kappa h of a call, split into near and far rows
-once, for the rows that ``_seed_rows`` finds from the panels' structure: as
-a ray's seed panels double in width, an integral of d seed panels takes
-d + 1 rows, not 3d.  Each integral is then checked against its own target
+the call returns.  Then it applies the carriers on a grid of carriers by
+panels: the whole panels of a family, its left halves and its right halves
+are each a block of the family's kappas by those panels, and each cell's sum
+is the dot product of its panel's coefficients with the moments of its
+kappa h, times h e^{i kappa m}.  The moments are computed once per moment
+row of a call, split into near and far rows once.  As a ray's seed
+panels double in width, a family of K integrals of d seed panels takes
+K (d + 1) rows, not 3 K d (``_seed_rows``), ordered by half-width class and
+contiguous in kappa, so that a panel's cells read the K rows of its class as
+one slice: one einsum per panel against its 2 x 16 coefficients and one
+e^{i outer(kappa, m)} per block, with no gather per cell.  Blocks of fewer
+than _GRID_CARRIERS carriers, among them families of one integral and most
+refinement rounds, are carried cell by cell instead, 3 * _CARRY_COLUMNS
+cells at a time, each gathering its panel's coefficients and its row.  Each
+integral is then checked against its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
 and those that miss it are refined from the panel state seeding left, each
 on its family's F.  Every integral keeps its panels on its own heap, worst
-estimate first and the older panel on ties.  Refinement goes in rounds:
-each round pops the top panel of every integral still above its target and
-computes the four half-panels of both children of all of them, of one
-width per split and so of one moment row, in one ``_sums`` call; integrals
-of one family that split the same panel evaluate F on it once.  An
-integral's running value and estimate are updated per split as if it were
-refined alone, until its target is met or it holds _MAX_PANELS panels
-(BudgetExceeded, naming the integral and its worst panel: never silent
-degradation).  If rounding leaves the estimate above the target once the
-top estimate is exactly 0, no panel can usefully be split, so refinement
-stops there and reports the re-summed estimate, 0.
+estimate first and the older panel on ties.  Refinement goes in rounds: each
+round pops the top panel of every integral still above its target and
+computes the four half-panels of both children of all of them, of one width
+per split and so of one moment row, in one ``_sums`` call; integrals of one
+family that split the same panel evaluate F on it once, as a block of their
+carriers by its four half-panels.  An integral's running value and estimate
+are updated per split as if it were refined alone, until its target is met
+or it holds _MAX_PANELS panels (BudgetExceeded, naming the integral and its
+worst panel: never silent degradation).  If rounding leaves the estimate
+above the target once the top estimate is exactly 0, no panel can usefully
+be split, so refinement stops there and reports the re-summed estimate, 0.
 
 A panel's sums come out the same whichever panels and integrals share its
 integrand call (every call holds at least three panels, numpy's matrix
-products over two or more rows compute each row on its own, each moment
-row depends on its own kappa h alone, and each entry's dot product is its
-own), so every integral gets the same panels, values and estimates, bit for
-bit, as when integrated alone.  A pass seeds all its integrals in one step;
-those that meet their target take their plain seed sums, and the sums'
+products over two or more rows compute each row on its own, each moment row
+depends on its own kappa h alone, and each cell's dot product is its own,
+summed by einsum in one order whether it is carried panel by panel or cell
+by cell), so every integral gets the same panels, values and estimates, bit
+for bit, as when integrated alone.  A pass seeds all its integrals in one
+step; those that meet their target take their plain seed sums, and the sums'
 rounding bound n eps sum |panel sum| over their n panels is added to
 est_error after the check; the others are refined.  A pass raises the first
 failure it meets: right after seeding, a NaN or infinite seed sum (naming
@@ -81,15 +90,17 @@ refinement's BudgetExceeded, non-finite sum or exception of the integrand.
 hand their integrands a 1-D array of points.
 
 The carrier step works in memory kept from one ``_sums`` call to the next,
-one set per thread (``_WorkMemory``): the moment rows of a call, grown to
-the most rows any call has had, and, for one block of 3 * _CARRY_COLUMNS
-rows or entries, the gathered Taylor tables, the near rows and the
-entries' dot products and phases.  Allocated anew in every call, these
-arrays (the Taylor tables alone take 768 KB) would go back to the system
-after each call and be faulted in again by the next.  F may itself run a
-quadrature (a numeric g inside an inversion) whose ``_sums`` calls use the
-same memory, so a call touches it only after its last integrand call, and
-allocates what it returns afresh.
+one set per thread (``_WorkMemory``), each array grown to the power of two
+at or above the most any call has needed: the moment rows of a call, the
+gathered Taylor tables and near rows of 3 * _CARRY_COLUMNS rows, the far
+rows' recurrence (16 x 8 bytes a row, about 200 KB in an inversion's inner
+pass), and the dot products, phases and kappa m of a grid block, or of
+3 * _CARRY_COLUMNS cells carried one by one.  Allocated anew in every call,
+these arrays (the Taylor tables alone take 768 KB) would go back to the
+system after each call and be faulted in again by the next.  F may itself
+run a quadrature (a numeric g inside an inversion) whose ``_sums`` calls use
+the same memory, so a call touches it only after its last integrand call,
+and allocates what it returns afresh.
 
 Ray integrals over [0, inf) are truncated analytically: given a certified
 envelope |F(t)| <= A e^{-m t}, the tail beyond T is bounded by A e^{-m T}/m
@@ -128,10 +139,15 @@ __all__ = [
 _CHUNK_PANELS = 64
 # panels one integral may use; a ray seeds at most 13 and a segment 1, so only refinement reaches it
 _MAX_PANELS = 4000
-# 3 * 128 near moment rows per stacked product, and entries per block of carrier dot products: a near row
-# gathers a 16 x 16 Taylor table and an entry its panel's coefficients and its row's moments, so bounded blocks
-# keep what they gather in cache and out of peak memory
+# 3 * 128 near moment rows per stacked product, and cells carried one by one per block of dot products: a near row
+# gathers a 16 x 16 Taylor table and such a cell its row's moments, so bounded blocks keep what they gather in cache
+# and out of peak memory
 _CARRY_COLUMNS = 128
+
+# carriers from which a block of a grid takes one dot product per panel, its cells gathering nothing; smaller blocks
+# are carried cell by cell, as below it an einsum call per panel costs more than the gathers it saves (the two break
+# even at about 64 carriers on 7 panels)
+_GRID_CARRIERS = 64
 
 _ORDER = 16  # Gauss-Legendre nodes per panel
 _FAR_FROM = 24.0  # |kappa h| from which the moments take the forward recurrence
@@ -184,11 +200,16 @@ class _WorkMemory(threading.local):
         self.arrays = {}
 
     def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        """The work array ``name`` as a view of this shape, grown only when a call needs more than it holds."""
+        """The work array ``name`` as a view of this shape, grown only when a call needs more than it holds.
+
+        It grows to the power of two at or above what the call needs, so that
+        calls of slowly rising size do not each take a fresh array, whose
+        pages the system faults in anew; pages no call reaches stay untouched.
+        """
         size = math.prod(shape)
         kept = self.arrays.get(name)
         if kept is None or len(kept) < size:
-            kept = self.arrays[name] = np.empty(size, dtype)
+            kept = self.arrays[name] = np.empty(1 << (size - 1).bit_length(), dtype)
         return kept[:size].reshape(shape)
 
 
@@ -202,8 +223,8 @@ def _moments(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     The rows are split into near and far ones once.  A near row is the
     stacked product sum_k (x - c)^k taylor[c, k], 3 * _CARRY_COLUMNS rows at
     a time, each block's Taylor tables gathered into the thread's work
-    memory; the far rows follow the forward recurrence.  Each row depends on
-    its own x only.
+    memory; the far rows follow the forward recurrence, there too.  Each row
+    depends on its own x only.
     """
     moments = np.empty((len(x), _ORDER)) if out is None else out
     near = np.abs(x) < _FAR_FROM
@@ -229,7 +250,7 @@ def _moments(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if not split:
         return moments
     x_far = x[~near]
-    far = np.empty((_ORDER, len(x_far)))
+    far = _work.array("far", (_ORDER, len(x_far)))
     far[0] = 2.0 * np.sin(x_far) / x_far
     far[1] = (far[0] - 2.0 * np.cos(x_far)) / x_far
     for n in range(1, _ORDER - 1):
@@ -279,20 +300,26 @@ class IntegralResult:
     panels_used: int
 
 
-def _sums(fn, mid: np.ndarray, half: np.ndarray, owner: np.ndarray, src, freq: np.ndarray, x, row) -> np.ndarray:
-    """Sums of F e^{i freq[q] t} over the panels of midpoint mid[src[q]] and half-width half[src[q]], one per entry q.
+def _sums(fn, mid: np.ndarray, half: np.ndarray, owner: np.ndarray, grid, freq: np.ndarray, x, row) -> np.ndarray:
+    """Sums of F e^{i kappa t} over panels of midpoint mid[i] and half-width half[i], one per cell of a grid.
 
-    F is fn with column owner[i] on panel i; ``src`` None stands for src[q] =
-    q.  F is evaluated (nodes as rows, owners as a column) on up to
+    F is fn with column owner[i] on panel i.  ``grid`` None makes one cell
+    per panel, cell i on panel i with carrier freq[i].  Otherwise ``grid``
+    is (kappas, widths): block b is a grid of kappas[b] carriers by
+    widths[b] panels, its panels following those of block b - 1 and its
+    cells those of block b - 1, carrier-major, so that cell (j, p) of a
+    block holds carrier j on panel p, freq giving the carrier of every cell.
+    Cell (j, p) takes the moments of x[row[p] + j] = kappa_j half[p]: its
+    sum is the Filon sum where x != 0, the plain Gauss-Legendre sum where
+    x = 0.  F is evaluated (nodes as rows, owners as a column) on up to
     3 * _CHUNK_PANELS panels per integrand call, and every panel projected,
-    before any entry is carried.  Entry q takes the moments of x[row[q]] =
-    freq[q] * half[src[q]], computed once per row of x: its sum is the Filon
-    sum where x != 0, the plain Gauss-Legendre sum where x = 0.  The entries
-    go in input order, 3 * _CARRY_COLUMNS at a time, in the thread's work
-    memory, which fn, called only before it, may use in turn.
+    before any cell is carried, in the thread's work memory, which fn,
+    called only before it, may use in turn.  A block of _GRID_CARRIERS
+    carriers or more takes one dot product of its rows per panel; the cells
+    of smaller blocks are carried one by one, 3 * _CARRY_COLUMNS at a time.
     """
     rule = _rule()
-    carried = np.count_nonzero(x)  # rows x != 0, whose entries take the Filon sum
+    carried = np.count_nonzero(x)  # rows x != 0, whose cells take the Filon sum
     # per panel, the real parts of i^n c_n, then their imaginary parts
     coeffs = np.empty((len(mid), 2, _ORDER)) if carried else None
     plain = np.empty(len(mid), dtype=complex) if carried < len(x) else None
@@ -308,58 +335,98 @@ def _sums(fn, mid: np.ndarray, half: np.ndarray, owner: np.ndarray, src, freq: n
             if plain is not None:
                 np.matmul(v, rule.weights, out=plain[c])
     # fn is called no more: from here on the thread's work memory is this call's alone
+    # per cell, its panel (None: cell i on panel i) and its moment row; the cells carried one by one (None: all)
+    panel, rows, small = None, row, None
+    if grid is not None and (plain is not None or np.count_nonzero(grid[0] < _GRID_CARRIERS)):
+        kappas, widths = grid
+        panel = _ranges((widths.cumsum() - widths).repeat(kappas), widths.repeat(kappas))
+        rows = row[panel] + _ranges(np.zeros_like(kappas), kappas).repeat(widths.repeat(kappas))
+        if np.count_nonzero(kappas >= _GRID_CARRIERS):
+            small = np.flatnonzero(kappas.repeat(kappas * widths) < _GRID_CARRIERS)
     with np.errstate(invalid="ignore", over="ignore"):
         if plain is not None:
-            plain = half * plain if src is None else half[src] * plain[src]
+            plain *= half
             if not carried:
-                return plain
-        # per entry, the dot product of its panel's coefficients with its row's moments, times h e^{i freq m},
-        # in blocks that keep what they gather in cache
+                return plain if panel is None else plain[panel]
         sums = np.empty(len(freq), dtype=complex)
         moments = _moments(x, _work.array("moments", (len(x), _ORDER)))
+        if grid is not None:
+            kappas, widths = grid
+            size, large = kappas * widths, kappas >= _GRID_CARRIERS
+            blocks = (kappas, widths, widths.cumsum() - widths, size.cumsum() - size)
+            for k, w, p, start in zip(*(v[large].tolist() for v in blocks)):
+                # k carriers by w panels: per panel, the dot products of its coefficients with the k rows of its
+                # class, then h e^{i kappa m} for all cells at once
+                panels = slice(p, p + w)
+                f, kappa_m = _work.array("filon", (k, w), complex), _work.array("phase", (k, w))
+                np.multiply.outer(freq[start : start + k * w : w], mid[panels], out=kappa_m)
+                np.multiply(1j, kappa_m, out=f)
+                np.exp(f, out=f)
+                np.multiply(f, half[panels], out=f)
+                d = _work.array("dots", (w, k), complex)
+                for i, r in enumerate(row[panels].tolist()):
+                    np.einsum("jn,kn->jk", moments[r : r + k], coeffs[p + i], out=d[i].view(float).reshape(k, 2))
+                np.multiply(f, d.T, out=sums[start : start + k * w].reshape(k, w))
+            if panel is None:  # every block large
+                return sums
+        # cell by cell: the dot product of its panel's coefficients with its row's moments, times h e^{i kappa m},
+        # in blocks that keep what they gather in cache
+        count = len(freq) if small is None else len(small)
         step = 3 * _CARRY_COLUMNS
-        dots = _work.array("dots", (min(step, len(freq)),), complex)
+        dots = _work.array("dots", (min(step, count),), complex)
         filon = _work.array("filon", dots.shape, complex)
-        for q in range(0, len(freq), step):
-            block = slice(q, q + step)
-            panel = block if src is None else src[block]
-            n = min(step, len(freq) - q)
+        for q in range(0, count, step):
+            n = min(step, count - q)
+            cells = slice(q, q + n) if small is None else small[q : q + n]
+            p = cells if panel is None else panel[cells]
             d, f = dots[:n], filon[:n]
-            np.einsum("ikn,in->ik", coeffs[panel], moments[row[block]], out=d.view(float).reshape(-1, 2))
-            np.multiply(1j, np.multiply(freq[block], mid[panel]), out=f)
+            np.einsum("ikn,in->ik", coeffs[p], moments[rows[cells]], out=d.view(float).reshape(-1, 2))
+            np.multiply(1j, np.multiply(freq[cells], mid[p]), out=f)
             np.exp(f, out=f)
-            np.multiply(f, half[panel], out=f)
-            np.multiply(f, d, out=sums[block])
+            np.multiply(f, half[p], out=f)
+            np.multiply(f, d, out=sums[cells] if small is None else d)
+            if small is not None:
+                sums[cells] = d
     if plain is not None:
-        np.copyto(sums, plain, where=x[row] == 0.0)
+        np.copyto(sums, plain if panel is None else plain[panel], where=x[rows] == 0.0)
     return sums
 
 
-def _seed_rows(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The moment row of each of ``_seed``'s entries, and an entry of each row, for integrals of count[j] panels.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]), one after another."""
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + lengths).repeat(lengths)
 
-    Integral j's panels are one panel or a ray's [0, s], [s, 2s], [2s, 4s],
-    ... up to T from ``_ray_breakpoints``.  A panel's halves share a row,
-    right before its own; panels 0 and 1 have one half-width (b - a) / 2,
-    and the halves of panel d + 1 that of panel d, bit for bit, as the ends
-    double.  Only the last panel, ending at T, needs rows of its own.
+
+def _seed_rows(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The half-width class of each of ``_seed``'s panels, and a panel of each class, for families of count[f] panels.
+
+    Family f's panels are one panel or a ray's [0, s], [s, 2s], [2s, 4s],
+    ... up to T from ``_ray_breakpoints``, whole panels, then left halves,
+    then right halves.  A panel's halves share a class, right before its
+    own; panels 0 and 1 have one half-width (b - a) / 2, and the halves of
+    panel d + 1 that of panel d, bit for bit, as the ends double.  Only the
+    last panel, ending at T, needs classes of its own, so d panels take
+    d + 1 classes (4 for d = 2), numbered family by family.  They are the
+    moment rows of one carrier per family; ``_seed`` gives each class as
+    many rows as its family has carriers.
     """
     ends = count.cumsum()
     last = ends - 1
-    d = np.arange(ends[-1]) - (ends - count).repeat(count)  # each panel's place in its integral
+    d = np.arange(ends[-1]) - (ends - count).repeat(count)  # each panel's place in its family
     whole = np.maximum(d, 1)  # rows 0 and 1 for the halves and wholes of panels 0 and 1
     whole[last] = count + (count == 2)
     size = whole[last] + 1
     whole += (size.cumsum() - size).repeat(count)
     row = np.concatenate((whole, whole - 1, whole - 1))
     first = np.empty(int(whole[-1]) + 1, dtype=np.intp)
-    first[row] = np.arange(len(row))  # an entry of each row
+    first[row] = np.arange(len(row))  # a panel of each class
     return row, first
 
 
 @functools.lru_cache(maxsize=16)
 def _one_seed_rows(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_seed_rows`` of one integral, kept for the one-integral passes of probes and the CLI; read only."""
+    """``_seed_rows`` of one family, kept for the one-family passes of probes, the CLI and inversion legs; read only."""
     return _seed_rows(np.array([count]))
 
 
@@ -368,25 +435,36 @@ _SEED_SCALE = np.array([[1.0], [0.5], [0.5]])
 _SEED_SHIFT = np.array([[0.0], [-1.0], [1.0]])
 
 
-def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, src, freq: np.ndarray, count) -> np.ndarray:
-    """Whole-panel, left-half and right-half sums of F e^{i freq[q] t} over the seed panel [a[src[q]], b[src[q]]].
+def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, count: np.ndarray, kappas, freq: np.ndarray):
+    """Whole-panel, left-half and right-half sums of F e^{i kappa t} over the seed panels of families of integrals.
 
-    F is as in ``_sums``, on the seed panels [a[i], b[i]] of midpoint a + h
-    and half-width h = (b - a) / 2.  Integral j's columns q are count[j]
-    consecutive ones, and the entries share the moment rows of
-    ``_seed_rows``.  Returns three rows of one column q each.
+    Family f has count[f] consecutive seed panels [a[i], b[i]] of midpoint
+    a + h and half-width h = (b - a) / 2, F as in ``_sums`` with column
+    owner[i] on them, and kappas[f] consecutive carriers of freq (kappas
+    None: one each).  Each kind of panel (whole, left half, right half) of
+    a family is a block of ``_sums``' grid, its carriers by its panels; the
+    rows of one carrier from ``_seed_rows`` become kappas[f] rows each, so
+    that a family's rows go by half-width class and then carrier.  Returns
+    three rows, one per kind, of one column per integral and panel: family
+    by family, each integral's count[f] panels in turn.
     """
-    n, half = len(a), 0.5 * (b - a)
+    half = 0.5 * (b - a)
     # rows: whole panels, left halves, right halves
     halves = _SEED_SCALE * half
     mids = ((a + half) + _SEED_SHIFT * halves).ravel()
     halves = halves.ravel()
-    if src is not None:
-        src = np.concatenate((src, src + n, src + 2 * n))
-    freq = np.concatenate((freq,) * 3)
     row, first = _one_seed_rows(int(count[0])) if len(count) == 1 else _seed_rows(count)
-    x = (freq * (halves if src is None else halves[src]))[first]
-    return _sums(fn, mids, halves, np.concatenate((owner,) * 3), src, freq, x, row).reshape(3, -1)
+    owner = np.concatenate((owner,) * 3)
+    if kappas is None:
+        freq = np.concatenate((freq.repeat(count),) * 3)
+        return _sums(fn, mids, halves, owner, None, freq, (freq * halves)[first], row).reshape(3, -1)
+    # each row of one carrier, of family f, as kappas[f] rows: its half-width times each of f's carriers
+    family = np.concatenate((np.arange(len(count)).repeat(count),) * 3)[first]
+    n = kappas[family]
+    x = halves[first].repeat(n) * freq[_ranges((kappas.cumsum() - kappas)[family], n)]
+    grid = (np.concatenate((kappas,) * 3), np.concatenate((count,) * 3))
+    freq = np.concatenate((freq.repeat(count.repeat(kappas)),) * 3)
+    return _sums(fn, mids, halves, owner, grid, freq, x, (n.cumsum() - n)[row]).reshape(3, -1)
 
 
 def _non_finite(sums: np.ndarray, a, b) -> IllConditioned:
@@ -454,7 +532,7 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
     age = itertools.count(max(map(len, heaps), default=0))  # creation indices, increasing within every heap
     live = range(len(heaps))
     while live:
-        splits, panels, mids, halves, owners, freqs, x = [], {}, [], [], [], [], []
+        splits, which, panels, mids, halves, owners, freqs, x = [], [], {}, [], [], [], [], []
         for i in live:
             heap = heaps[i]
             target = budget.rel_tol * abs(total[i]) + budget.abs_floor
@@ -476,7 +554,8 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
             popped = heapq.heappop(heap)
             _, _, m, h, _, _ = popped
             quarter = 0.25 * h
-            if panels.setdefault((owner[i], m, h), len(panels)) == len(mids) // 4:
+            which.append(panels.setdefault((owner[i], m, h), len(panels)))
+            if which[-1] == len(mids) // 4:
                 child = 0.5 * h
                 mid0, mid1 = m - child, m + child
                 # per split: left halves, then right halves, of both children
@@ -484,15 +563,21 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
                 halves += (quarter,) * 4
                 owners += (owner[i],) * 4
             splits.append((i, popped))
-            freqs += (freq[i],) * 4
+            freqs.append(freq[i])
             x.append(freq[i] * quarter)
         if not splits:
             break
-        src = None
-        if len(panels) < len(splits):  # the four half-panels of each split's panel
-            src = (4 * np.array([panels[owner[i], p[2], p[3]] for i, p in splits])[:, None] + np.arange(4)).ravel()
+        freqs, x, grid = np.array(freqs), np.array(x), None
         row = _ONE_ROW if len(splits) == 1 else np.arange(len(splits)).repeat(4)
-        sums = _sums(fn, np.array(mids), np.array(halves), np.array(owners), src, np.array(freqs), np.array(x), row)
+        if len(panels) < len(splits):
+            # the four half-panels of a panel that several splits share are a block, with their carriers in turn
+            order = np.argsort(which, kind="stable")
+            kappas = np.bincount(which)
+            grid, row = (kappas, np.full(len(kappas), 4)), (kappas.cumsum() - kappas).repeat(4)
+            freqs, x = freqs[order], x[order]
+        sums = _sums(fn, np.array(mids), np.array(halves), np.array(owners), grid, freqs.repeat(4), x, row)
+        if grid is not None:
+            sums = sums.reshape(-1, 4)[np.argsort(order)]  # in split order
         live = []
         # per split, rows left and right halves, columns its children, whose coarse sums are the split panel's halves
         for (i, (key, _, m, h, coarse0, coarse1)), child_sums in zip(splits, sums.reshape(-1, 2, 2).tolist()):
@@ -530,23 +615,31 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     ``_check_blank`` in input order where all seed sums are exactly 0; then
     one of the rounds.  Returns value, est_error and panels used per integral.
     """
-    # column q of the sums is panel q - starts[j] of integral j, family panel src[q]; with one integral
-    # per family, family[j] = j and the columns are the family panels themselves
-    shared = len(family) != len(count)  # a family of more than one integral
-    counts = count[family] if shared else count
-    starts = counts.cumsum() - counts
-    src = None
-    if shared:
-        src = np.arange(starts[-1] + counts[-1]) + np.repeat((count.cumsum() - count)[family] - starts, counts)
-    sums = _seed(fn, a, b, owners.repeat(count), src, freq.repeat(counts), counts)
-    if np.count_nonzero(np.isfinite(sums)) < sums.size:  # columns go in input order: name the first integral's panel
-        cols = slice(None) if src is None else src
-        raise _non_finite(sums, a[cols], b[cols])
+    # the sums come family by family (``_seed``); with one integral per family, family[j] = j and they come in
+    # input order.  Integral j is then integral rank[j] of that order, and its columns start at starts[j]
+    kappas = rank = None
+    counts = count  # per integral
+    if len(family) != len(count):  # a family of more than one integral
+        counts = count[family]
+        kappas = np.bincount(family, minlength=len(count))
+        order = np.argsort(family, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+    sums = _seed(fn, a, b, owners.repeat(count), count, kappas, freq if rank is None else freq[order])
+    grouped = count.repeat(kappas) if rank is not None else counts
+    starts = grouped.cumsum() - grouped
+    seeds = count.cumsum() - count  # each family's first seed panel
+    if np.count_nonzero(np.isfinite(sums)) < sums.size:  # name the first integral's panel, in input order
+        src = _ranges(seeds[family], counts)
+        cols = slice(None) if rank is None else _ranges(starts[rank], counts)
+        raise _non_finite(sums[:, cols], a[src], b[src])
     coarse, left, right = sums
     fine = left + right
-    err = np.abs(fine - coarse)
+    err = np.abs(np.subtract(fine, coarse, out=coarse))  # a zero panel stays zero in all three rows
     # per integral, each over its own panels alone: the plain sum, its estimate and sum |fine|
     values, total_errs, sizes = (np.add.reduceat(v, starts) for v in (fine, err, np.abs(fine)))
+    if rank is not None:
+        values, total_errs, sizes, starts = values[rank], total_errs[rank], sizes[rank], starts[rank]
     done = total_errs <= budget.rel_tol * np.abs(values) + budget.abs_floor
     errors, used = total_errs + counts * math.ulp(1.0) * sizes, counts  # ulp(1) = eps
     pending = [] if np.count_nonzero(done) == len(done) else np.flatnonzero(~done).tolist()
@@ -558,8 +651,8 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
     refined, owner, freqs, span, heaps, total, total_err = [], [], [], [], [], [], []
     for j in pending:
         p, q = int(starts[j]), int(starts[j] + counts[j])
-        seeds = slice(p, q) if src is None else slice(int(src[p]), int(src[p]) + q - p)  # its family's seed panels
-        lo, hi = a[seeds], b[seeds]
+        first = int(seeds[family[j]])  # its family's seed panels
+        lo, hi = a[first : first + q - p], b[first : first + q - p]
         if done[j]:
             if not sums[:, p:q].any():
                 _check_blank(fn, owners[family[j]], lo, hi, freq[j], budget.abs_floor)

@@ -624,6 +624,19 @@ def test_a_missing_g_oracle_exits_2_whatever_the_points(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "command", [["invert", "--z", "1+0i"], ["roundtrip", "--radii", "1"]], ids=["invert", "roundtrip"]
+)
+def test_a_missing_g_oracle_exits_2_before_the_contour_bound_check(command, capsys):
+    # --check-bound runs its own quadrature; a request the g source rejects never gets to it
+    argv = command[:1] + ["--fn", "rational", "--p", "-1", "--g-source", "oracle", "--check-bound"] + command[1:]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "contour bound" not in err
+    assert "ValueError: entry 'rational' has no transform oracle" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [["invert", "--fn", "exp:a=1", "--p", "-0.5", "--z", "1+0i"],
      ["roundtrip", "--fn", "exp:a=1", "--p", "-0.5", "--radii", "1"]],

@@ -300,26 +300,55 @@ def test_moments_match_a_40_digit_reference():
         assert np.abs(row - _mpmath_moments(mpmath, x)).max() <= 2e-15, x
 
 
+def _grid_sums(fn, mid, half, owner, blocks):
+    """``_sums`` over blocks (carriers, panel indices), each panel with a row of its own per carrier: per block its
+    sums, carrier by carrier, and the rows."""
+    kappas = np.array([len(kappa) for kappa, _ in blocks])
+    widths = np.array([len(panels) for _, panels in blocks])
+    order = np.concatenate([panels for _, panels in blocks])
+    freq = np.concatenate([np.repeat(kappa, len(panels)) for kappa, panels in blocks])
+    x = np.concatenate([np.multiply.outer(half[panels], kappa).ravel() for kappa, panels in blocks])
+    row = np.concatenate([[0], (kappas.repeat(widths)).cumsum()[:-1]])
+    sums = quadrature._sums(fn, mid[order], half[order], owner[order], (kappas, widths), freq, x, row)
+    return np.split(sums, (kappas * widths).cumsum()[:-1]), x
+
+
 def test_sums_do_not_depend_on_the_order_of_the_entries():
-    # 300 panels over two integrand calls, 1 200 entries over four carrier blocks, with plain (x = 0), near and
-    # far rows: permuting the entries, each with its src and row, and the rows themselves moves no bit
+    # 300 panels over two integrand calls, in blocks of one to 100 carriers, carried cell by cell and panel by panel,
+    # with plain (x = 0), near and far rows: permuting the blocks, the panels of each and its carriers, each with its
+    # rows, moves no bit
     rng = np.random.default_rng(18)
-    panels, entries = 300, 1200
+    panels = 300
     mid, half = rng.uniform(-5.0, 5.0, panels), rng.uniform(0.01, 2.0, panels)
     owner = rng.integers(0, 4, panels)
     rates = np.array([0.5 + 1j, 1.0, 2.0 - 3j, 0.25])
     fn = lambda t, k: np.exp(-rates[k] * t)
-    src = rng.integers(0, panels, entries)
-    freq = rng.choice([0.0, 0.3, -7.0, 40.0, 1e3], entries) * rng.choice([1.0, 2.0], entries)
-    x, row = np.unique(freq * half[src], return_inverse=True)
-    assert 0 < np.count_nonzero(np.abs(x) >= 24.0) < np.count_nonzero(x) == len(x) - 1  # one row x = 0
-    assert panels > 3 * quadrature._CHUNK_PANELS and entries > 3 * 3 * quadrature._CARRY_COLUMNS
-    sums = quadrature._sums(fn, mid, half, owner, src, freq, x, row)
-    order, relabel = rng.permutation(entries), rng.permutation(len(x))
-    rows = np.argsort(relabel)  # row r of x is row rows[r] of the relabelled x[relabel]
-    shuffled = quadrature._sums(fn, mid, half, owner, src[order], freq[order], x[relabel], rows[row[order]])
-    assert np.array_equal(shuffled, sums[order])
-    assert np.all(np.isfinite(sums)) and np.count_nonzero(sums) == entries
+    kappas = [1] * 30 + [2, 7, 63, 64, 100] * 4
+    assert 63 < quadrature._GRID_CARRIERS <= 64
+    splits = np.sort(rng.choice(np.arange(1, panels), len(kappas) - 1, replace=False))
+    blocks = [
+        (rng.choice([0.0, 0.3, -7.0, 40.0, 1e3], k) * rng.choice([1.0, 2.0], k), panels)
+        for k, panels in zip(kappas, np.split(rng.permutation(panels), splits))
+    ]
+    sums, x = _grid_sums(fn, mid, half, owner, blocks)
+    assert 0 < np.count_nonzero(np.abs(x) >= 24.0) < np.count_nonzero(x) < len(x)
+    assert panels > 3 * quadrature._CHUNK_PANELS and sum(len(p) for k, p in blocks if len(k) == 1) > 20
+    assert len(np.concatenate(sums)) > 3 * 3 * quadrature._CARRY_COLUMNS
+    moved = [(rng.permutation(len(kappa)), rng.permutation(len(panels))) for kappa, panels in blocks]
+    order = rng.permutation(len(blocks))
+    shuffled, _ = _grid_sums(
+        fn, mid, half, owner, [(blocks[b][0][moved[b][0]], blocks[b][1][moved[b][1]]) for b in order]
+    )
+    for b, block in zip(order, shuffled):
+        carriers, columns = moved[b]
+        assert np.array_equal(block, sums[b].reshape(len(carriers), -1)[carriers][:, columns].ravel())
+    assert all(np.all(np.isfinite(s)) and np.count_nonzero(s) == len(s) for s in sums)
+    # and each cell's sum is that of its panel alone with its carrier: one cell per panel, without a grid
+    cells = np.concatenate([np.tile(panels, len(kappa)) for kappa, panels in blocks])
+    freq = np.concatenate([np.repeat(kappa, len(panels)) for kappa, panels in blocks])
+    x = freq * half[cells]
+    alone = quadrature._sums(fn, mid[cells], half[cells], owner[cells], None, freq, x, np.arange(len(cells)))
+    assert np.array_equal(alone, np.concatenate(sums))
 
 
 def _counted_moments(monkeypatch):
@@ -551,6 +580,34 @@ def test_a_round_is_one_sums_call_and_evaluates_a_shared_panel_once(monkeypatch)
     # of its integrals split the same panel in rounds 3 and 4
     assert all(len(distinct) == panels for _, distinct, panels in calls)
     assert [panels for _, _, panels in calls[1:]] == [20, 16, 4, 4, 4]
+
+
+def test_a_family_on_its_grid_gets_the_results_of_each_integral_alone(monkeypatch):
+    # one pass: a family of 301 carriers (0, negative, duplicate and far ones, |kappa h| up to 1 000) over 7 seed
+    # panels, whose cells span many carrier blocks and of which some refine, a family of 40 that does not, and
+    # five one-integral families, all interleaved in input order
+    rows = _counted_moments(monkeypatch)
+    rng = np.random.default_rng(29)
+    spin = {0: 1.0, 1: 0.0, 2: 0.0, 3: 3.0, 4: 6.0, 5: 1.0, 6: 2.0}  # F = e^{(-1 + i spin) t} per family
+    wide = np.concatenate((np.linspace(-60.0, 60.0, 291), [0.0, 0.0, -0.0, 1.0, 1.0, 2.5, -2.5, 24.0, 48.0, 1e3]))
+    kappa = {0: wide, 1: np.linspace(-3.0, 8.0, 40), 2: [0.0], 3: [-5.0], 4: [60.0], 5: [0.0], 6: [7.0]}
+    family = np.concatenate([np.full(len(k), f) for f, k in kappa.items()])
+    freq = np.concatenate(list(kappa.values()))
+    order = rng.permutation(len(freq))
+    family, freq = family[order], freq[order]
+    w = np.array([spin[f] for f in family.tolist()])
+    fn = lambda t, k: np.exp((-1.0 + 1j * w[k]) * t)
+    n = len(freq)
+    values, errors, T, used = quadrature._integrate_rays(fn, np.ones(n), np.ones(n), TIGHT, freq, (family,))
+    seeds = len(quadrature._ray_breakpoints([T[0]], [1.0])[0])
+    assert seeds == 7 and rows[0] == n * (seeds + 1)  # a moment row per carrier and half-width class
+    assert 0 < np.count_nonzero(used[family == 0] > seeds) < len(wide)
+    assert np.all(used[family == 1] == seeds) and np.any(used[family >= 2] > seeds)
+    for j in range(n):
+        alone = integrate_ray(lambda t: np.exp((-1.0 + 1j * w[j]) * t), DecayModel(1.0, 1.0), TIGHT, freq=freq[j])
+        assert (alone.value, alone.est_error, alone.truncation_T, alone.panels_used) == (
+            values[j], errors[j], T[j], used[j]
+        ), j
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -9,14 +9,16 @@ transform as their ``g_source`` picks, one batch of omegas per call:
   inward normal w(delta) = w_b - delta e^{-i theta}, whose margin is exactly
   delta.  A singularity on the boundary shows up as |g| growing like
   delta^{-1}; the scan reports the location (the zero of 1/g, found by secant
-  steps from each local peak of the outermost level's sweep, all peaks'
-  steps in lockstep, keeping the root nearest its point on the boundary
-  line, with location_tol, the last root's move plus its distance from the
-  boundary point reported), the fitted growth exponent, and whether any
-  blow-up was seen at all (quiet boundaries are reported, not raised).  The
-  scan hands g the rotated points u = omega e^{i theta} = (offset - delta) +
-  i tau of its omegas, so each level, the sweep's 128 omegas among them, is
-  one family of ray integrals.
+  steps from each local peak of the outermost level's sweep, the runs held
+  in plain per-run lists and stepped in one loop, one pass of g per step,
+  keeping the root nearest its point on the boundary line, with
+  location_tol, the last root's move plus its distance from the boundary
+  point reported), the fitted growth exponent, and whether any blow-up was
+  seen at all (quiet boundaries are reported, not raised).  One helper gets
+  g at margins delta inside boundary points tau, for the sweep, every step
+  and the descent: it hands g the rotated points u = omega e^{i theta} =
+  (offset - delta) + i tau of its omegas, so each level, the sweep's 128
+  omegas among them, is one family of ray integrals.
 
 * ``radius_scan`` fits the distance from an interior point to the nearest
   singularity of g out of Taylor coefficients computed by discrete Cauchy
@@ -127,27 +129,30 @@ def blowup_scan(
     a blow-up counts as detected once |g| grows at least 10-fold over them.
     The location is the zero of 1/g, which a simple pole of g is, found by
     secant steps in u = omega e^{i theta}, where the margin is offset - Re u
-    and tau = Im u; g gets these rotated points, so each margin of the sweep
-    and the descent is one family of ray integrals.  The steps start from
-    each local peak of the sweep, a |g| above its left neighbour's and at
-    least its right one's (so a two-point plateau counts once), and its
-    larger neighbour.  Each run clips its root's tau to the sweep cells
-    beside its peak and evaluates g there, one omega per step, at a margin of
-    the distance tau moved, kept between the innermost and the outermost
-    margin; the runs step in lockstep, one pass of g per step for the points
-    of every unfinished run, so a scan makes as many passes as its longest
-    run steps.  A run stops at a root within 0.1 times the innermost margin
-    of the one before (the peak before the first), after 20 steps, or at a
-    root that is not finite or a g of 0.  The location is the point of the
-    boundary at a root's clipped tau.  A pole on the boundary lies on the
-    line Re u = offset, so the run whose last root lies nearest its location
-    wins: a second pole beyond the boundary may hold the sweep's largest
-    |g|, but not the location.  One pole makes 1/g linear, so one step
-    finds it up to rounding.  location_tol is the last root's move plus its
-    distance from the location, plus 4 eps |root|: an estimate of the
-    secant's own error, not a bound.  The exponent is fitted
-    over the descent's magnitudes above their est_error.  ValueError for a
-    theta outside the sector.
+    and tau = Im u; one helper gets g at (margin, tau) for the sweep, every
+    step and the descent, handing g these rotated points, so each margin of
+    the sweep and the descent is one family of ray integrals.  The steps
+    start from each local peak of the sweep, a |g| above its left
+    neighbour's and at least its right one's (so a two-point plateau counts
+    once), and its larger neighbour.  Each run clips its root's tau to the
+    sweep cells beside its peak and evaluates g there, one omega per step,
+    at a margin of the distance tau moved, kept between the innermost and
+    the outermost margin.  The runs' last two points and g values, roots,
+    steps, taus and clips are plain per-run lists, stepped in one loop: each
+    pass computes every live run's new root and gets g in one batch at the
+    points of the runs whose root moved, so a scan makes as many passes as
+    its longest run steps, and a run that stops leaves the loop.  A run
+    stops at a root within 0.1 times the innermost margin of the one before
+    (the peak before the first), after 20 steps, or at a root that is not
+    finite or a g of 0.  The location is the point of the boundary at a
+    root's clipped tau.  A pole on the boundary lies on the line Re u =
+    offset, so the run whose last root lies nearest its location wins: a
+    second pole beyond the boundary may hold the sweep's largest |g|, but
+    not the location.  One pole makes 1/g linear, so one step finds it up to
+    rounding.  location_tol is the last root's move plus its distance from
+    the location, plus 4 eps |root|: an estimate of the secant's own error,
+    not a bound.  The exponent is fitted over the descent's magnitudes above
+    their est_error.  ValueError for a theta outside the sector.
     """
     _check_direction(theta, fn.spec.alpha)
     budget = budget or QuadratureBudget()
@@ -164,69 +169,55 @@ def blowup_scan(
     def boundary(tau):
         return (offset + 1j * tau) * back
 
-    far, _ = _g_values(
-        fn, theta, [boundary(t) - deltas[0] * back for t in taus], budget, g_source, delta_min / 2,
-        (offset - deltas[0]) + 1j * taus,
-    )
+    def g_at(margins, tau):
+        """g and its est_errors at the margins inside the boundary points of tau, one family of ray integrals."""
+        margins, tau = np.broadcast_arrays(margins, tau)
+        # each omega in Python's complex arithmetic: numpy's complex array products may round differently
+        omegas = [boundary(t) - m * back for m, t in zip(margins.tolist(), tau.tolist())]
+        return _g_values(fn, theta, omegas, budget, g_source, delta_min / 2, (offset - margins) + 1j * tau)
+
+    far, _ = g_at(deltas[0], taus)
     far_mags = np.abs(far)
     if float(np.max(far_mags)) == 0.0:
         return BlowupScan(theta, False, None, None, 0.0, offset)
-
-    def secant(j):
-        """Secant steps on 1/g in u = omega e^{i theta} from the sweep's peak j, as a generator.
-
-        Yields each (omega, u) it needs g at and is sent g there; returns (root, its last move, clipped tau).
-        """
-        # before the first step, the peak stands as the root, as if a step from its larger neighbour had reached it
-        i = j + 1 if j == 0 or (j < len(taus) - 1 and far_mags[j + 1] > far_mags[j - 1]) else j - 1
-        lo, hi = taus[max(j - 1, 0)], taus[min(j + 1, len(taus) - 1)]
-        u_a, g_a = complex(offset - deltas[0], taus[i]), complex(far[i])
-        u_b, g_b = complex(offset - deltas[0], taus[j]), complex(far[j])
-        root, step, tau_star = u_b, abs(u_b - u_a), u_b.imag
-        for _ in range(_SECANT_STEPS):
-            # the zero of the line through (u_a, 1/g_a) and (u_b, 1/g_b), written without dividing by g
-            new_root = u_b - g_a * (u_b - u_a) / (g_a - g_b) if g_a != g_b else complex(math.nan)
-            if not cmath.isfinite(new_root):
-                break
-            root, step = new_root, abs(new_root - root)
-            tau_star = min(max(root.imag, lo), hi)
-            if step <= 0.1 * delta_min:
-                break
-            margin = min(max(abs(tau_star - u_b.imag), delta_min), deltas[0])
-            u_new = complex(offset - margin, tau_star)
-            g_new = yield boundary(tau_star) - margin * back, u_new
-            u_a, g_a, u_b, g_b = u_b, g_b, u_new, complex(g_new)
-            if g_b == 0:
-                break
-        return root, step, tau_star
 
     # every local peak of the sweep, > its left neighbour and >= its right one, so that a plateau counts once
     rising = np.concatenate(([True], far_mags[1:] > far_mags[:-1]))
     falling = np.concatenate((far_mags[:-1] >= far_mags[1:], [True]))
     peaks = np.flatnonzero(rising & falling).tolist() or [int(np.argmax(far_mags))]  # none only where |g| is NaN
-    # the runs from all peaks step in lockstep: one _g_values pass per step holds every unfinished run's point
-    runs, sent, found = dict(enumerate(map(secant, peaks))), dict.fromkeys(range(len(peaks))), [None] * len(peaks)
-    while runs:
-        asks = {}
-        for k, run in runs.items():
-            try:
-                asks[k] = run.send(sent[k])
-            except StopIteration as stop:
-                found[k] = stop.value
-        runs = {k: runs[k] for k in asks}
-        if asks:
-            omegas, points = zip(*asks.values())
-            values, _ = _g_values(fn, theta, list(omegas), budget, g_source, delta_min / 2, list(points))
-            sent = dict(zip(asks, values))
+    # secant steps on 1/g in u = omega e^{i theta}, one run from each peak and its larger neighbour (its one
+    # neighbour at the window's edge); before the first step the peak stands as the root, as if reached from there
+    starts = [j + 1 if j == 0 or (j < len(taus) - 1 and far_mags[j + 1] > far_mags[j - 1]) else j - 1 for j in peaks]
+    lo, hi = [taus[max(j - 1, 0)] for j in peaks], [taus[min(j + 1, len(taus) - 1)] for j in peaks]
+    u_a, g_a = [complex(offset - deltas[0], taus[i]) for i in starts], [complex(far[i]) for i in starts]
+    u_b, g_b = [complex(offset - deltas[0], taus[j]) for j in peaks], [complex(far[j]) for j in peaks]
+    root, step, tau = list(u_b), [abs(b - a) for a, b in zip(u_a, u_b)], [u.imag for u in u_b]
+    live = range(len(peaks))
+    # the runs step in lockstep: one pass of g per step holds the points of every run that has not stopped
+    for _ in range(_SECANT_STEPS):
+        moved = []
+        for k in live:
+            # the zero of the line through (u_a, 1/g_a) and (u_b, 1/g_b), written without dividing by g
+            new = u_b[k] - g_a[k] * (u_b[k] - u_a[k]) / (g_a[k] - g_b[k]) if g_a[k] != g_b[k] else complex(math.nan)
+            if cmath.isfinite(new):
+                root[k], step[k], tau[k] = new, abs(new - root[k]), min(max(new.imag, lo[k]), hi[k])
+                if step[k] > 0.1 * delta_min:
+                    moved.append(k)
+        if not moved:
+            break
+        margins = np.array([min(max(abs(tau[k] - u_b[k].imag), delta_min), deltas[0]) for k in moved])
+        values, _ = g_at(margins, np.array([tau[k] for k in moved]))
+        for k, margin, value in zip(moved, margins, values):
+            u_a[k], g_a[k], u_b[k], g_b[k] = u_b[k], g_b[k], complex(offset - margin, tau[k]), complex(value)
+        live = [k for k in moved if g_b[k] != 0]
     # a pole on the boundary lies on the line Re u = offset: the run whose root lies nearest its reported point
     # there wins (the clip of tau may move that point off the root)
-    root, step, tau_star = min(found, key=lambda run: abs(run[0] - complex(offset, run[2])))
-    point = boundary(tau_star)
+    k = min(range(len(peaks)), key=lambda k: abs(root[k] - complex(offset, tau[k])))
+    point = boundary(tau[k])
     # the root's distance from the reported point on the boundary line measures the secant's own error, and the clip's
-    tol = step + abs(root - complex(offset, tau_star)) + 4.0 * np.finfo(float).eps * abs(root)
+    tol = step[k] + abs(root[k] - complex(offset, tau[k])) + 4.0 * np.finfo(float).eps * abs(root[k])
 
-    descent = [point - d * back for d in deltas]
-    values, errors = _g_values(fn, theta, descent, budget, g_source, delta_min / 2, (offset - deltas) + 1j * tau_star)
+    values, errors = g_at(deltas, tau[k])
     mags = np.abs(values)
     ratio = float(mags[-1] / mags[0]) if mags[0] > 0 else 0.0
     if ratio < 10.0:
@@ -418,21 +409,25 @@ def probe_report(
 ) -> ProbeReport:
     """Bundle the boundary sweep with a radius scan (empty when IllConditioned) and J diagnostics when asked.
 
-    ``alpha``, the diagnostics' sector half-angle, is checked even when they are not asked for; it
-    defaults to the entry's own, at most pi/4.
+    ``alpha``, the diagnostics' sector half-angle, is checked even when they are not asked for, and
+    a theta outside it is a ValueError; it defaults to the entry's own, at most pi/4.  The radius
+    scan runs first, so that a ``center`` outside Omega_theta is refused before any sweep.
     """
-    alpha = min(fn.spec.alpha, math.pi / 4) if alpha is None else _check_alpha(alpha)
-    scan = blowup_scan(fn, theta, budget=budget, g_source=g_source)
+    if alpha is None:
+        alpha = min(fn.spec.alpha, math.pi / 4)
+    else:
+        _check_direction(theta, _check_alpha(alpha))
     radius = None
     predicted = None
     if center is None:
         # default center: unit margin inward from the boundary's closest point to the origin
-        center = (scan.offset - 1.0) * cmath.exp(-1j * theta)
+        center = (-indicator_value(fn, theta)[0] - 1.0) * cmath.exp(-1j * theta)
     try:
         rs = radius_scan(fn, center, budget=budget, theta=theta, g_source=g_source)
         radius, predicted = rs.radius_estimate, rs.predicted_distance
     except IllConditioned:
         pass
+    scan = blowup_scan(fn, theta, budget=budget, g_source=g_source)
     slopes = None
     if q is not None and r is not None:
         slopes = gamma_prime_diagnostics(fn, alpha, theta, q, r, budget=budget).slopes

@@ -564,6 +564,22 @@ def test_invalid_values_are_usage_errors(argv, message, capsys):
     assert captured.out == "" and f"error: ValueError: {message}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--center", "5+0i"], "center (5+0j) lies outside Omega_theta at theta=0.0"),
+     (["--alpha", "0.3", "--theta", "0.5"], "theta=0.5 outside the sector |theta| <= 0.3")],
+    ids=["outside-center", "outside-alpha"],
+)
+def test_probe_refuses_its_request_before_any_blowup_scan(extra, message, monkeypatch, capsys):
+    # a numeric blow-up scan takes many ray transforms; a center outside Omega_theta, or a theta outside the
+    # --alpha the request sets, as transform and indicator refuse it, never gets to one
+    scans = []
+    monkeypatch.setattr(probe, "blowup_scan", lambda *args, **kwargs: scans.append(args))
+    assert main(["probe", "--fn", "exp:a=1", "--g-source", "numeric"] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: ValueError: {message}" in err and scans == []
+
+
 def test_oversized_indicator_request_is_a_usage_error(monkeypatch, capsys):
     # 9 directions x 1e15 s-points: refused before any grid exists, as np.geomspace could not allocate it
     monkeypatch.setattr(cli, "estimate_indicator", None)

@@ -224,6 +224,22 @@ def test_the_locator_starts_from_each_local_peak_of_the_sweep(monkeypatch):
     assert abs(scan.boundary_point - (-1 - 1j)) <= min(scan.location_tol, 1e-6)
 
 
+def test_a_finished_run_leaves_the_lockstep(monkeypatch):
+    # the two peaks above; a g of 0 at the first step point of the run from the pole beyond the boundary ends
+    # that run, and the run from the boundary pole steps on alone, as it did beside it
+    def two_poles(w):
+        return 1 / (w - (-1 - 1j)) + 4 / (w - (-0.95 + 2j))
+
+    passes, alone = [], []
+    scan, _ = _scan_with(monkeypatch, lambda w: passes.append(w.tolist()) or two_poles(w))
+    near, far = passes[1]  # the runs' first steps, in the order of their peaks
+    stopped, _ = _scan_with(monkeypatch, lambda w: alone.append(w.tolist()) or np.where(w == far, 0, two_poles(w)))
+    assert alone[1] == [near, far] and len(alone[2:-1]) >= 2
+    assert alone[2:-1] == [[steps[0]] for steps in passes[2:-1]]
+    assert stopped.detected and stopped.boundary_point == scan.boundary_point
+    assert stopped.location_tol == scan.location_tol
+
+
 def test_a_two_point_plateau_of_the_sweep_is_one_local_peak(monkeypatch):
     # the pole -1 lies halfway between the sweep points tau = -+4/127, whose |g| are equal: one start, one step
     scan, steps = _scan_with(monkeypatch, lambda w: 1 / (w + 1))

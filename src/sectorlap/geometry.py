@@ -108,9 +108,12 @@ def _ray_distance(pt: complex, start: complex, theta: float) -> float:
 def build_gamma(spec: SectorSpec, p: float) -> ContourGamma:
     """Validated contour constructor.
 
-    Raises InvalidApex unless p*cos(alpha) < -h; that inequality is exactly
-    what keeps the transform margin positive along both legs.
+    Raises InvalidApex unless p is finite and p*cos(alpha) < -h; that
+    inequality is exactly what keeps the transform margin positive along
+    both legs.
     """
+    if not math.isfinite(p):
+        raise InvalidApex(f"invalid apex p={p!r}: the apex must be finite")
     gate = p * math.cos(spec.alpha)
     if not gate < -spec.h:
         raise InvalidApex(

@@ -297,6 +297,27 @@ def _fit_slope(s: np.ndarray, values: np.ndarray, errors: np.ndarray) -> float:
     return float(np.polyfit(s_ok[start:], v_ok[start:], 1)[0])
 
 
+def _check_chord(fn: TestFunction, alpha: float, theta: float, q: complex, r: complex) -> None:
+    """ValueError unless ``gamma_prime_diagnostics`` can take the chord [q, r] and its rays.
+
+    They need a transform oracle, 0 < alpha < pi/2, |theta| < alpha, and
+    pieces at least 1e-6 from every singularity of g.
+    """
+    if fn.transform_oracle is None:
+        raise ValueError(f"entry {fn.id!r} has no transform oracle; diagnostics need exact g")
+    _check_alpha(alpha)
+    if not abs(theta) < alpha:
+        raise ValueError(f"need |theta| < alpha for positive ray decay, got theta={theta}")
+    for sing in fn.singularities_of_g or ():
+        clear = min(
+            _point_segment_distance(sing, q, r),
+            _ray_distance(sing, r, math.pi / 2 - alpha),
+            _ray_distance(sing, q, alpha - math.pi / 2),
+        )
+        if clear < 1e-6:
+            raise ValueError(f"singularity {sing} lies on the truncated contour (distance {clear:.2e})")
+
+
 def gamma_prime_diagnostics(
     fn: TestFunction,
     alpha: float,
@@ -317,30 +338,17 @@ def gamma_prime_diagnostics(
     must stay at or below -inf Re(w e^{i theta}) over the truncated contour;
     an indicator strictly above that infimum therefore rules the
     representation out.  Requires a transform oracle, pieces clear of its
-    singularities, and |theta| < alpha.
+    singularities, and |theta| < alpha (``_check_chord``).
     """
     budget = budget or QuadratureBudget()
-    if fn.transform_oracle is None:
-        raise ValueError(f"entry {fn.id!r} has no transform oracle; diagnostics need exact g")
-    _check_alpha(alpha)
-    if not abs(theta) < alpha:
-        raise ValueError(f"need |theta| < alpha for positive ray decay, got theta={theta}")
     q, r = complex(q), complex(r)
+    _check_chord(fn, alpha, theta, q, r)
     s_grid = np.linspace(4.0, 28.0, 9)
 
     phase = cmath.exp(1j * theta)
     down = -1j * cmath.exp(1j * alpha)
     up = 1j * cmath.exp(-1j * alpha)
     g = fn.transform_oracle
-
-    for sing in fn.singularities_of_g or ():
-        clear = min(
-            _point_segment_distance(sing, q, r),
-            _ray_distance(sing, r, math.pi / 2 - alpha),
-            _ray_distance(sing, q, alpha - math.pi / 2),
-        )
-        if clear < 1e-6:
-            raise ValueError(f"singularity {sing} lies on the truncated contour (distance {clear:.2e})")
 
     # Re(w e^{i theta}) is linear on the chord and increasing along both rays
     inf_proj = min((q * phase).real, (r * phase).real)
@@ -410,13 +418,16 @@ def probe_report(
     """Bundle the boundary sweep with a radius scan (empty when IllConditioned) and J diagnostics when asked.
 
     ``alpha``, the diagnostics' sector half-angle, is checked even when they are not asked for, and
-    a theta outside it is a ValueError; it defaults to the entry's own, at most pi/4.  The radius
+    a theta outside it is a ValueError; it defaults to the entry's own, at most pi/4.  A chord
+    [q, r] the diagnostics cannot take (``_check_chord``) is refused before any scan.  The radius
     scan runs first, so that a ``center`` outside Omega_theta is refused before any sweep.
     """
     if alpha is None:
         alpha = min(fn.spec.alpha, math.pi / 4)
     else:
         _check_direction(theta, _check_alpha(alpha))
+    if q is not None and r is not None:
+        _check_chord(fn, alpha, theta, q, r)
     radius = None
     predicted = None
     if center is None:

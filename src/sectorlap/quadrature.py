@@ -38,21 +38,24 @@ One kernel, ``_sums``, serves seeding (the whole panels, left halves and
 right halves of all seed panels) and refinement.  It evaluates F on up to
 3 * _CHUNK_PANELS panels per integrand call, across family boundaries, and
 projects every panel of the call once (vals @ project, vals @ weights) as
-the call returns.  Then it applies the carriers on a grid of carriers by
-panels: the whole panels of a family, its left halves and its right halves
-are each a block of the family's kappas by those panels, and each cell's sum
-is the dot product of its panel's coefficients with the moments of its
-kappa h, times h e^{i kappa m}.  The moments are computed once per moment
-row of a call, split into near and far rows once.  As a ray's seed
-panels double in width, a family of K integrals of d seed panels takes
-K (d + 1) rows, not 3 K d (``_seed_rows``), ordered by half-width class and
-contiguous in kappa, so that a panel's cells read the K rows of its class as
-one slice: one einsum per panel against its 2 x 16 coefficients and one
-e^{i outer(kappa, m)} per block, with no gather per cell.  Blocks of fewer
-than _GRID_CARRIERS carriers, among them families of one integral and most
-refinement rounds, are carried cell by cell instead, 3 * _CARRY_COLUMNS
-cells at a time, each gathering its panel's coefficients and its row.  Each
-integral is then checked against its own target
+the call returns.  Then it applies the carriers in one of two layouts.  A
+call with a grid of carriers by panels has blocks: the whole panels of a
+family, its left halves and its right halves are each a block of the
+family's kappas by those panels, and in a refinement round where splits
+share a panel, the four half-panels of its children are a block of the
+carriers that split it.  Each cell's sum is the dot product of its panel's
+coefficients with the moments of its kappa h, times h e^{i kappa m}.  The
+moments are computed once per moment row of a call, split into near and far
+rows once.  As a ray's seed panels double in width, a family of K integrals
+of d seed panels takes K (d + 1) rows, not 3 K d (``_seed_rows``), ordered
+by half-width class and contiguous in kappa, so that a panel's cells read
+the K rows of its class as one slice: one einsum per panel against its
+2 x 16 coefficients and one e^{i outer(kappa, m)} per block, with no gather
+per cell, whatever the block's size.  A call without a grid (families of
+one integral only, or a round whose splits share no panel) has one cell per
+panel and is carried cell by cell, 3 * _CARRY_COLUMNS cells at a time, each
+gathering its panel's coefficients and its row.  Each integral is then
+checked against its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
@@ -143,11 +146,6 @@ _MAX_PANELS = 4000
 # gathers a 16 x 16 Taylor table and such a cell its row's moments, so bounded blocks keep what they gather in cache
 # and out of peak memory
 _CARRY_COLUMNS = 128
-
-# carriers from which a block of a grid takes one dot product per panel, its cells gathering nothing; smaller blocks
-# are carried cell by cell, as below it an einsum call per panel costs more than the gathers it saves (the two break
-# even at about 64 carriers on 7 panels)
-_GRID_CARRIERS = 64
 
 _ORDER = 16  # Gauss-Legendre nodes per panel
 _FAR_FROM = 24.0  # |kappa h| from which the moments take the forward recurrence
@@ -314,9 +312,9 @@ def _sums(fn, mid: np.ndarray, half: np.ndarray, owner: np.ndarray, grid, freq: 
     x = 0.  F is evaluated (nodes as rows, owners as a column) on up to
     3 * _CHUNK_PANELS panels per integrand call, and every panel projected,
     before any cell is carried, in the thread's work memory, which fn,
-    called only before it, may use in turn.  A block of _GRID_CARRIERS
-    carriers or more takes one dot product of its rows per panel; the cells
-    of smaller blocks are carried one by one, 3 * _CARRY_COLUMNS at a time.
+    called only before it, may use in turn.  With a grid, every block takes
+    one dot product of its rows per panel; without one, the cells are
+    carried one by one, 3 * _CARRY_COLUMNS at a time.
     """
     rule = _rule()
     carried = np.count_nonzero(x)  # rows x != 0, whose cells take the Filon sum
@@ -335,14 +333,12 @@ def _sums(fn, mid: np.ndarray, half: np.ndarray, owner: np.ndarray, grid, freq: 
             if plain is not None:
                 np.matmul(v, rule.weights, out=plain[c])
     # fn is called no more: from here on the thread's work memory is this call's alone
-    # per cell, its panel (None: cell i on panel i) and its moment row; the cells carried one by one (None: all)
-    panel, rows, small = None, row, None
-    if grid is not None and (plain is not None or np.count_nonzero(grid[0] < _GRID_CARRIERS)):
+    # per cell, its panel (None: cell i on panel i) and its moment row, for the plain sums
+    panel, rows = None, row
+    if grid is not None and plain is not None:
         kappas, widths = grid
         panel = _ranges((widths.cumsum() - widths).repeat(kappas), widths.repeat(kappas))
         rows = row[panel] + _ranges(np.zeros_like(kappas), kappas).repeat(widths.repeat(kappas))
-        if np.count_nonzero(kappas >= _GRID_CARRIERS):
-            small = np.flatnonzero(kappas.repeat(kappas * widths) < _GRID_CARRIERS)
     with np.errstate(invalid="ignore", over="ignore"):
         if plain is not None:
             plain *= half
@@ -352,9 +348,9 @@ def _sums(fn, mid: np.ndarray, half: np.ndarray, owner: np.ndarray, grid, freq: 
         moments = _moments(x, _work.array("moments", (len(x), _ORDER)))
         if grid is not None:
             kappas, widths = grid
-            size, large = kappas * widths, kappas >= _GRID_CARRIERS
+            size = kappas * widths
             blocks = (kappas, widths, widths.cumsum() - widths, size.cumsum() - size)
-            for k, w, p, start in zip(*(v[large].tolist() for v in blocks)):
+            for k, w, p, start in zip(*(v.tolist() for v in blocks)):
                 # k carriers by w panels: per panel, the dot products of its coefficients with the k rows of its
                 # class, then h e^{i kappa m} for all cells at once
                 panels = slice(p, p + w)
@@ -367,26 +363,20 @@ def _sums(fn, mid: np.ndarray, half: np.ndarray, owner: np.ndarray, grid, freq: 
                 for i, r in enumerate(row[panels].tolist()):
                     np.einsum("jn,kn->jk", moments[r : r + k], coeffs[p + i], out=d[i].view(float).reshape(k, 2))
                 np.multiply(f, d.T, out=sums[start : start + k * w].reshape(k, w))
-            if panel is None:  # every block large
-                return sums
-        # cell by cell: the dot product of its panel's coefficients with its row's moments, times h e^{i kappa m},
-        # in blocks that keep what they gather in cache
-        count = len(freq) if small is None else len(small)
-        step = 3 * _CARRY_COLUMNS
-        dots = _work.array("dots", (min(step, count),), complex)
-        filon = _work.array("filon", dots.shape, complex)
-        for q in range(0, count, step):
-            n = min(step, count - q)
-            cells = slice(q, q + n) if small is None else small[q : q + n]
-            p = cells if panel is None else panel[cells]
-            d, f = dots[:n], filon[:n]
-            np.einsum("ikn,in->ik", coeffs[p], moments[rows[cells]], out=d.view(float).reshape(-1, 2))
-            np.multiply(1j, np.multiply(freq[cells], mid[p]), out=f)
-            np.exp(f, out=f)
-            np.multiply(f, half[p], out=f)
-            np.multiply(f, d, out=sums[cells] if small is None else d)
-            if small is not None:
-                sums[cells] = d
+        else:
+            # cell by cell: the dot product of its panel's coefficients with its row's moments, times h e^{i kappa m},
+            # in blocks that keep what they gather in cache
+            step = 3 * _CARRY_COLUMNS
+            dots = _work.array("dots", (min(step, len(freq)),), complex)
+            filon = _work.array("filon", dots.shape, complex)
+            for q in range(0, len(freq), step):
+                cells = slice(q, q + step)
+                d, f = dots[: len(freq) - q], filon[: len(freq) - q]
+                np.einsum("ikn,in->ik", coeffs[cells], moments[row[cells]], out=d.view(float).reshape(-1, 2))
+                np.multiply(1j, np.multiply(freq[cells], mid[cells]), out=f)
+                np.exp(f, out=f)
+                np.multiply(f, half[cells], out=f)
+                np.multiply(f, d, out=sums[cells])
     if plain is not None:
         np.copyto(sums, plain if panel is None else plain[panel], where=x[rows] == 0.0)
     return sums
@@ -568,7 +558,7 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
         if not splits:
             break
         freqs, x, grid = np.array(freqs), np.array(x), None
-        row = _ONE_ROW if len(splits) == 1 else np.arange(len(splits)).repeat(4)
+        row = np.arange(len(splits)).repeat(4)
         if len(panels) < len(splits):
             # the four half-panels of a panel that several splits share are a block, with their carriers in turn
             order = np.argsort(which, kind="stable")
@@ -594,10 +584,6 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
             total_err[i] += err0 + err1 + key  # key = -err of the split panel; adding it rounds as subtracting err
             live.append(i)
     return results
-
-
-# the moment row of each half-panel of a round of one split
-_ONE_ROW = np.zeros(4, dtype=np.intp)
 
 
 def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, freq: np.ndarray, budget):

@@ -565,19 +565,29 @@ def test_invalid_values_are_usage_errors(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra, message",
-    [(["--center", "5+0i"], "center (5+0j) lies outside Omega_theta at theta=0.0"),
-     (["--alpha", "0.3", "--theta", "0.5"], "theta=0.5 outside the sector |theta| <= 0.3")],
-    ids=["outside-center", "outside-alpha"],
+    "argv, message, radius_scans",
+    [(["--fn", "exp:a=1", "--g-source", "numeric", "--center", "5+0i"],
+      "center (5+0j) lies outside Omega_theta at theta=0.0", 1),
+     (["--fn", "exp:a=1", "--g-source", "numeric", "--alpha", "0.3", "--theta", "0.5"],
+      "theta=0.5 outside the sector |theta| <= 0.3", 0),
+     (["--fn", "rational", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
+      "entry 'rational' has no transform oracle; diagnostics need exact g", 0),
+     (["--fn", "exp:a=1", "--theta", "0.7853981633974483", "--q", "-0.5-1.2i", "--r", "-0.5+1.2i"],
+      "need |theta| < alpha for positive ray decay, got theta=0.7853981633974483", 0),
+     (["--fn", "exp:a=1", "--q", "-1-0.5i", "--r", "-1+0.5i"],
+      "singularity (-1-0j) lies on the truncated contour (distance 0.00e+00)", 0)],
+    ids=["outside-center", "outside-alpha", "chord-without-oracle", "chord-theta-at-alpha", "chord-through-pole"],
 )
-def test_probe_refuses_its_request_before_any_blowup_scan(extra, message, monkeypatch, capsys):
+def test_probe_refuses_its_request_before_any_blowup_scan(argv, message, radius_scans, monkeypatch, capsys):
     # a numeric blow-up scan takes many ray transforms; a center outside Omega_theta, or a theta outside the
-    # --alpha the request sets, as transform and indicator refuse it, never gets to one
-    scans = []
+    # --alpha the request sets, as transform and indicator refuse it, never gets to one.  The radius scan refuses
+    # the center before its ring; a chord the J diagnostics cannot take is refused before the radius scan too
+    scans, radii, radius_scan = [], [], probe.radius_scan
     monkeypatch.setattr(probe, "blowup_scan", lambda *args, **kwargs: scans.append(args))
-    assert main(["probe", "--fn", "exp:a=1", "--g-source", "numeric"] + extra) == 2
+    monkeypatch.setattr(probe, "radius_scan", lambda *args, **kw: radii.append(args) or radius_scan(*args, **kw))
+    assert main(["probe"] + argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"error: ValueError: {message}" in err and scans == []
+    assert out == "" and f"error: ValueError: {message}" in err and scans == [] and len(radii) == radius_scans
 
 
 def test_oversized_indicator_request_is_a_usage_error(monkeypatch, capsys):
@@ -655,10 +665,13 @@ def test_a_missing_g_oracle_exits_2_before_the_contour_bound_check(command, caps
 @pytest.mark.parametrize(
     "argv",
     [["invert", "--fn", "exp:a=1", "--p", "-0.5", "--z", "1+0i"],
-     ["roundtrip", "--fn", "exp:a=1", "--p", "-0.5", "--radii", "1"]],
+     ["roundtrip", "--fn", "exp:a=1", "--p", "-0.5", "--radii", "1"],
+     ["invert", "--fn", "exp:a=-1", "--p", "-inf", "--z", "1"],
+     ["roundtrip", "--fn", "exp:a=-1", "--p", "-inf"]],
 )
 def test_the_contour_takes_the_entry_own_type_and_no_h_flag(argv, capsys):
-    # p = -0.5 fails p cos(alpha) < -h at the entry's own type h = cos(pi/4), and no flag can lower h
+    # p = -0.5 fails p cos(alpha) < -h at the entry's own type h = cos(pi/4), and no flag can lower h; p = -inf
+    # passes it, but is no apex, and is refused before any quadrature
     assert main(argv) == 2
     assert "InvalidApex" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sectorlap import (
     ContourGamma,
@@ -71,9 +71,10 @@ def test_build_gamma_rejects_shallow_apex():
     h=st.floats(0.0, 4.0),
     p=st.floats(-8.0, 2.0),
 )
+@example(alpha=math.pi / 4, h=1.0, p=-math.inf)  # passes the inequality, but no contour has its apex at infinity
 def test_apex_gate_matches_inequality(alpha, h, p):
     spec = SectorSpec(alpha=alpha, h=h)
-    admissible = p * math.cos(alpha) < -h
+    admissible = math.isfinite(p) and p * math.cos(alpha) < -h
     if admissible:
         gamma = build_gamma(spec, p)
         assert isinstance(gamma, ContourGamma)

@@ -313,10 +313,12 @@ def _grid_sums(fn, mid, half, owner, blocks):
     return np.split(sums, (kappas * widths).cumsum()[:-1]), x
 
 
-def test_sums_do_not_depend_on_the_order_of_the_entries():
-    # 300 panels over two integrand calls, in blocks of one to 100 carriers, carried cell by cell and panel by panel,
-    # with plain (x = 0), near and far rows: permuting the blocks, the panels of each and its carriers, each with its
-    # rows, moves no bit
+@pytest.mark.parametrize("layout", ["grid", "cells"])
+def test_sums_do_not_depend_on_the_order_of_the_entries(layout):
+    # 300 panels over two integrand calls, with plain (x = 0), near and far rows, as blocks of one to 100 carriers
+    # on a grid, each block carried panel by panel, or as one cell per panel without a grid, carried cell by cell
+    # 3 * _CARRY_COLUMNS at a time: permuting the blocks, the panels of each and its carriers, each with its rows, or
+    # the cells, moves no bit; and each cell's sum is the same in both layouts
     rng = np.random.default_rng(18)
     panels = 300
     mid, half = rng.uniform(-5.0, 5.0, panels), rng.uniform(0.01, 2.0, panels)
@@ -324,7 +326,6 @@ def test_sums_do_not_depend_on_the_order_of_the_entries():
     rates = np.array([0.5 + 1j, 1.0, 2.0 - 3j, 0.25])
     fn = lambda t, k: np.exp(-rates[k] * t)
     kappas = [1] * 30 + [2, 7, 63, 64, 100] * 4
-    assert 63 < quadrature._GRID_CARRIERS <= 64
     splits = np.sort(rng.choice(np.arange(1, panels), len(kappas) - 1, replace=False))
     blocks = [
         (rng.choice([0.0, 0.3, -7.0, 40.0, 1e3], k) * rng.choice([1.0, 2.0], k), panels)
@@ -334,21 +335,28 @@ def test_sums_do_not_depend_on_the_order_of_the_entries():
     assert 0 < np.count_nonzero(np.abs(x) >= 24.0) < np.count_nonzero(x) < len(x)
     assert panels > 3 * quadrature._CHUNK_PANELS and sum(len(p) for k, p in blocks if len(k) == 1) > 20
     assert len(np.concatenate(sums)) > 3 * 3 * quadrature._CARRY_COLUMNS
-    moved = [(rng.permutation(len(kappa)), rng.permutation(len(panels))) for kappa, panels in blocks]
-    order = rng.permutation(len(blocks))
-    shuffled, _ = _grid_sums(
-        fn, mid, half, owner, [(blocks[b][0][moved[b][0]], blocks[b][1][moved[b][1]]) for b in order]
-    )
-    for b, block in zip(order, shuffled):
-        carriers, columns = moved[b]
-        assert np.array_equal(block, sums[b].reshape(len(carriers), -1)[carriers][:, columns].ravel())
-    assert all(np.all(np.isfinite(s)) and np.count_nonzero(s) == len(s) for s in sums)
-    # and each cell's sum is that of its panel alone with its carrier: one cell per panel, without a grid
     cells = np.concatenate([np.tile(panels, len(kappa)) for kappa, panels in blocks])
     freq = np.concatenate([np.repeat(kappa, len(panels)) for kappa, panels in blocks])
-    x = freq * half[cells]
-    alone = quadrature._sums(fn, mid[cells], half[cells], owner[cells], None, freq, x, np.arange(len(cells)))
-    assert np.array_equal(alone, np.concatenate(sums))
+
+    def alone(c):
+        """The sums of the grid's cells c, each on a panel of its own, without a grid."""
+        p = cells[c]
+        return quadrature._sums(fn, mid[p], half[p], owner[p], None, freq[c], freq[c] * half[p], np.arange(len(c)))
+
+    if layout == "grid":
+        moved = [(rng.permutation(len(kappa)), rng.permutation(len(panels))) for kappa, panels in blocks]
+        order = rng.permutation(len(blocks))
+        shuffled, _ = _grid_sums(
+            fn, mid, half, owner, [(blocks[b][0][moved[b][0]], blocks[b][1][moved[b][1]]) for b in order]
+        )
+        for b, block in zip(order, shuffled):
+            carriers, columns = moved[b]
+            assert np.array_equal(block, sums[b].reshape(len(carriers), -1)[carriers][:, columns].ravel())
+    else:
+        moved = rng.permutation(len(cells))
+        assert np.array_equal(alone(moved), np.concatenate(sums)[moved])
+    assert all(np.all(np.isfinite(s)) and np.count_nonzero(s) == len(s) for s in sums)
+    assert np.array_equal(alone(np.arange(len(cells))), np.concatenate(sums))
 
 
 def _counted_moments(monkeypatch):

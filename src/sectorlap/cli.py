@@ -365,9 +365,9 @@ def _add_output_flags(sp, budget=True, skip=True, check_bound=False):
                         help="verify the uniform |g| bound on the contour before inverting")
     sp.add_argument("--config", help="flat key=value file; explicit flags override it")
     if budget:
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9,
+        sp.add_argument("--rel-tol", dest="rel_tol", type=_finite, default=1e-9,
                         help="relative quadrature tolerance (default 1e-9)")
-        sp.add_argument("--abs-floor", dest="abs_floor", type=float, default=None,
+        sp.add_argument("--abs-floor", dest="abs_floor", type=_finite, default=None,
                         help="absolute quadrature floor (default rel-tol/1000)")
     sp.add_argument("--out", default="-", help="CSV output path, '-' for stdout")
     if skip:

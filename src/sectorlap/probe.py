@@ -240,7 +240,9 @@ def radius_scan(
     radius 0.8x the margin of ``center``; the fit uses those of degree 12
     to 24.  Each FFT coefficient is a mean of the ring values, so it is off
     by at most their largest est_error: IllConditioned when one of those
-    fitted is not above it, or underflows.  Without ``theta``, the direction
+    fitted is not above it, or underflows, and also, with no numpy warning,
+    where rho^n for n up to 24 overflows or underflows (a center very far
+    from or very near its boundary).  Without ``theta``, the direction
     is the one of largest margin over the entry's fan, as ``select_direction``
     picks it; ValueError for a theta outside the fan.
     """
@@ -259,11 +261,16 @@ def radius_scan(
     vals, errors = _g_values(fn, theta, ring, budget, g_source, min(DELTA_MIN_DEFAULT, 0.1 * margin))
     coeffs = np.fft.fft(vals) / 256
     n = np.arange(_DEGREE + 1)
-    cn = np.abs(coeffs[: _DEGREE + 1]) / rho**n
+    with np.errstate(all="ignore"):  # where rho^n or a quotient leaves the doubles, refused right below
+        powers = rho**n
+        cn = np.abs(coeffs[: _DEGREE + 1]) / powers
+    if not (powers[-1] < math.inf and np.all(np.isfinite(cn))):
+        kind = "overflows: the center lies too far from" if rho > 1.0 else "underflows: the center lies too near"
+        raise IllConditioned(f"rho^n {kind} its boundary for a radius fit (rho = {rho!r}, n <= {_DEGREE})")
 
     lo = _DEGREE // 2
     used = cn[lo:]
-    if np.any(used < 1e-280) or not np.all(np.isfinite(used)):
+    if np.any(used < 1e-280):
         raise IllConditioned(
             f"Taylor coefficients underflow before degree {_DEGREE}; "
             "g is too flat at this center for a radius fit"

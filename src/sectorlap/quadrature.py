@@ -23,16 +23,19 @@ n < |x| (Gautschi, SIAM Review 9, 1967).
 A panel is carried as m and h, its halves as m -+ h/2 with half-width h/2
 exactly, and it has a two-level error estimate |sum(halves) - sum(panel)|.
 
-One engine pass computes many independent integrals.  Every seed panel has
-an owner, the index of the integral it belongs to, and the engine calls its
-integrand as ``fn(t, k)``: ``t`` holds the Gauss-Legendre nodes of one
-interval per row and the column ``k`` the owner of each row, so one call can
-hold panels of many integrals.  A segment's seed panel is the segment
-itself; a ray's seed panels are geometric intervals (below).  A family is a
-set of ray integrals with one F, one rate and one amplitude, whose carriers
-alone differ (the omegas of a ray transform with the same margin), named by
-equal keys (``_integrate_rays``); it is planned once (truncation point, tail
-bound, seed panels), and its first integral owns its seed panels.
+One engine pass computes many independent integrals, family by family.  A
+family is a set of integrals with one F on one seed interval, whose carriers
+alone differ: the omegas of a ray transform with one margin, named by equal
+keys (``_integrate_rays``), or a loner, an integral alone in its family.  It
+is planned once (truncation point, tail bound, seed panels), and its first
+integral owns its seed panels: the engine calls its integrand as
+``fn(t, k)``, where ``t`` holds the Gauss-Legendre nodes of one interval per
+row and the column ``k`` the owner of each row, so one call can hold panels
+of many families.  A segment's seed panel is the segment itself; a ray's
+seed panels are geometric intervals (below).  From planning through seeding
+to refinement a pass holds its integrals in one order, family-major:
+families in the order of their first integral, each family's integrals in
+input order.
 
 One kernel, ``_sums``, serves seeding (the whole panels, left halves and
 right halves of all seed panels) and refinement.  It evaluates F on up to
@@ -51,11 +54,11 @@ of d seed panels takes K (d + 1) rows, not 3 K d (``_seed_rows``), ordered
 by half-width class and contiguous in kappa, so that a panel's cells read
 the K rows of its class as one slice: one einsum per panel against its
 2 x 16 coefficients and one e^{i outer(kappa, m)} per block, with no gather
-per cell, whatever the block's size.  A call without a grid (families of
-one integral only, or a round whose splits share no panel) has one cell per
-panel and is carried cell by cell, 3 * _CARRY_COLUMNS cells at a time, each
-gathering its panel's coefficients and its row.  Each integral is then
-checked against its own target
+per cell, whatever the block's size.  A call without a grid (loners only,
+or a round whose splits share no panel) has one cell per panel and is
+carried cell by cell, 3 * _CARRY_COLUMNS cells at a time, each gathering its
+panel's coefficients and its row.  Each integral is then checked against
+its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
@@ -83,12 +86,15 @@ for bit, as when integrated alone.  A pass seeds all its integrals in one
 step; those that meet their target take their plain seed sums, and the sums'
 rounding bound n eps sum |panel sum| over their n panels is added to
 est_error after the check; the others are refined.  A pass raises the first
-failure it meets: right after seeding, a NaN or infinite seed sum (naming
-the first affected panel, where a NaN estimate would end refinement as if
-converged), then, in input order, seed sums that are all exactly 0 where F
-at the start is not negligible, as F then underflows at every node
-(``_check_blank``), both IllConditioned; then, in the round it comes in, a
-refinement's BudgetExceeded, non-finite sum or exception of the integrand.
+failure it meets, visiting the integrals family by family: right after
+seeding, a NaN or infinite seed sum (naming the first affected panel, where
+a NaN estimate would end refinement as if converged), then seed sums that
+are all exactly 0 where F at the start is not negligible, as F then
+underflows at every node (``_check_blank``), both IllConditioned; then, in
+the round it comes in, a refinement's BudgetExceeded, non-finite sum or
+exception of the integrand.  So where integrals of two families interleave
+in the input and both fail in one step, the one raised is the first in the
+family-major order, not in input order.
 ``integrate_segment`` and ``integrate_ray`` are the one-integral case, and
 hand their integrands a 1-D array of points.
 
@@ -263,8 +269,8 @@ class QuadratureBudget:
     abs_floor: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol >= 1e-14):
-            raise ValueError(f"rel_tol must be >= 1e-14 (double precision floor), got {self.rel_tol}")
+        if not (1e-14 <= self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be finite and >= 1e-14 (double precision floor), got {self.rel_tol}")
         if not (self.abs_floor > 0.0 and math.isfinite(self.abs_floor)):
             raise ValueError(f"abs_floor must be positive, got {self.abs_floor}")
 
@@ -425,18 +431,20 @@ _SEED_SCALE = np.array([[1.0], [0.5], [0.5]])
 _SEED_SHIFT = np.array([[0.0], [-1.0], [1.0]])
 
 
-def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, count: np.ndarray, kappas, freq: np.ndarray):
+def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, count: np.ndarray, kappas: np.ndarray, freq):
     """Whole-panel, left-half and right-half sums of F e^{i kappa t} over the seed panels of families of integrals.
 
     Family f has count[f] consecutive seed panels [a[i], b[i]] of midpoint
     a + h and half-width h = (b - a) / 2, F as in ``_sums`` with column
-    owner[i] on them, and kappas[f] consecutive carriers of freq (kappas
-    None: one each).  Each kind of panel (whole, left half, right half) of
-    a family is a block of ``_sums``' grid, its carriers by its panels; the
-    rows of one carrier from ``_seed_rows`` become kappas[f] rows each, so
-    that a family's rows go by half-width class and then carrier.  Returns
-    three rows, one per kind, of one column per integral and panel: family
-    by family, each integral's count[f] panels in turn.
+    owner[i] on them, and kappas[f] consecutive carriers of freq.  Where
+    every family is a loner, of one carrier, each panel is one cell of
+    ``_sums``, carried cell by cell.  Otherwise each kind of panel (whole,
+    left half, right half) of a family is a block of ``_sums``' grid, its
+    carriers by its panels; the rows of one carrier from ``_seed_rows``
+    become kappas[f] rows each, so that a family's rows go by half-width
+    class and then carrier.  Returns three rows, one per kind, of one column
+    per integral and panel: family by family, each integral's count[f]
+    panels in turn.
     """
     half = 0.5 * (b - a)
     # rows: whole panels, left halves, right halves
@@ -445,16 +453,15 @@ def _seed(fn, a: np.ndarray, b: np.ndarray, owner: np.ndarray, count: np.ndarray
     halves = halves.ravel()
     row, first = _one_seed_rows(int(count[0])) if len(count) == 1 else _seed_rows(count)
     owner = np.concatenate((owner,) * 3)
-    if kappas is None:
-        freq = np.concatenate((freq.repeat(count),) * 3)
-        return _sums(fn, mids, halves, owner, None, freq, (freq * halves)[first], row).reshape(3, -1)
+    cells = np.concatenate((freq.repeat(count.repeat(kappas)),) * 3)
+    if len(freq) == len(count):  # one carrier per family: cell i on panel i
+        return _sums(fn, mids, halves, owner, None, cells, (cells * halves)[first], row).reshape(3, -1)
     # each row of one carrier, of family f, as kappas[f] rows: its half-width times each of f's carriers
     family = np.concatenate((np.arange(len(count)).repeat(count),) * 3)[first]
     n = kappas[family]
     x = halves[first].repeat(n) * freq[_ranges((kappas.cumsum() - kappas)[family], n)]
     grid = (np.concatenate((kappas,) * 3), np.concatenate((count,) * 3))
-    freq = np.concatenate((freq.repeat(count.repeat(kappas)),) * 3)
-    return _sums(fn, mids, halves, owner, grid, freq, x, (n.cumsum() - n)[row]).reshape(3, -1)
+    return _sums(fn, mids, halves, owner, grid, cells, x, (n.cumsum() - n)[row]).reshape(3, -1)
 
 
 def _non_finite(sums: np.ndarray, a, b) -> IllConditioned:
@@ -586,46 +593,34 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
     return results
 
 
-def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, freq: np.ndarray, budget):
-    """Integrals j of fn(t, owners[f]) e^{i freq[j] t} over the seed panels of their family f = family[j].
+def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, kappas: np.ndarray, freq: np.ndarray, budget):
+    """Integrals of fn(t, owners[f]) e^{i kappa t} over the seed panels of families f, kappas[f] carriers each.
 
     Family f's seed panels are count[f] consecutive panels [a[i], b[i]],
     after those of the families before it, a ray's from ``_ray_breakpoints``
-    or a single panel (see ``_seed_rows``); families are numbered in the
-    order of their first integral.  Every integral is seeded in one step;
-    those whose seed sums meet their target take their plain sums, off by
-    less than n eps sum |panel sum| over their n panels (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 4.2), which est_error
-    includes, and the others are refined in rounds (``_refine``).  Raises the
-    first failure it meets: right after seeding, a non-finite seed sum, then
-    ``_check_blank`` in input order where all seed sums are exactly 0; then
-    one of the rounds.  Returns value, est_error and panels used per integral.
+    or a single panel (see ``_seed_rows``), and its integrals are kappas[f]
+    consecutive carriers of freq, after those of the families before it.
+    Every integral is seeded in one step; those whose seed sums meet their
+    target take their plain sums, off by less than n eps sum |panel sum|
+    over their n panels (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 4.2), which est_error includes, and the others are
+    refined in rounds (``_refine``).  Raises the first failure it meets, in
+    the integrals' order, family by family: right after seeding, a
+    non-finite seed sum, then ``_check_blank`` where all seed sums are
+    exactly 0; then one of the rounds.  Returns value, est_error and panels
+    used per integral, in the order of freq.
     """
-    # the sums come family by family (``_seed``); with one integral per family, family[j] = j and they come in
-    # input order.  Integral j is then integral rank[j] of that order, and its columns start at starts[j]
-    kappas = rank = None
-    counts = count  # per integral
-    if len(family) != len(count):  # a family of more than one integral
-        counts = count[family]
-        kappas = np.bincount(family, minlength=len(count))
-        order = np.argsort(family, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-    sums = _seed(fn, a, b, owners.repeat(count), count, kappas, freq if rank is None else freq[order])
-    grouped = count.repeat(kappas) if rank is not None else counts
-    starts = grouped.cumsum() - grouped
-    seeds = count.cumsum() - count  # each family's first seed panel
-    if np.count_nonzero(np.isfinite(sums)) < sums.size:  # name the first integral's panel, in input order
-        src = _ranges(seeds[family], counts)
-        cols = slice(None) if rank is None else _ranges(starts[rank], counts)
-        raise _non_finite(sums[:, cols], a[src], b[src])
+    counts, seeds = count.repeat(kappas), (count.cumsum() - count).repeat(kappas)  # per integral: panels, first
+    sums = _seed(fn, a, b, owners.repeat(count), count, kappas, freq)
+    if np.count_nonzero(np.isfinite(sums)) < sums.size:  # name the first integral's panel
+        src = _ranges(seeds, counts)
+        raise _non_finite(sums, a[src], b[src])
     coarse, left, right = sums
     fine = left + right
     err = np.abs(np.subtract(fine, coarse, out=coarse))  # a zero panel stays zero in all three rows
     # per integral, each over its own panels alone: the plain sum, its estimate and sum |fine|
+    starts = counts.cumsum() - counts
     values, total_errs, sizes = (np.add.reduceat(v, starts) for v in (fine, err, np.abs(fine)))
-    if rank is not None:
-        values, total_errs, sizes, starts = values[rank], total_errs[rank], sizes[rank], starts[rank]
     done = total_errs <= budget.rel_tol * np.abs(values) + budget.abs_floor
     errors, used = total_errs + counts * math.ulp(1.0) * sizes, counts  # ulp(1) = eps
     pending = [] if np.count_nonzero(done) == len(done) else np.flatnonzero(~done).tolist()
@@ -635,16 +630,16 @@ def _integrate_seeds(fn, a, b, count: np.ndarray, owners: np.ndarray, family, fr
         return values, errors, used
 
     refined, owner, freqs, span, heaps, total, total_err = [], [], [], [], [], [], []
+    owned = owners.repeat(kappas)
     for j in pending:
-        p, q = int(starts[j]), int(starts[j] + counts[j])
-        first = int(seeds[family[j]])  # its family's seed panels
-        lo, hi = a[first : first + q - p], b[first : first + q - p]
+        p, q, first = int(starts[j]), int(starts[j] + counts[j]), int(seeds[j])
+        lo, hi = a[first : first + q - p], b[first : first + q - p]  # its family's seed panels
         if done[j]:
             if not sums[:, p:q].any():
-                _check_blank(fn, owners[family[j]], lo, hi, freq[j], budget.abs_floor)
+                _check_blank(fn, owned[j], lo, hi, freq[j], budget.abs_floor)
             continue
         refined.append(j)
-        owner.append(int(owners[family[j]]))
+        owner.append(int(owned[j]))
         freqs.append(float(freq[j]))
         span.append((float(lo[0]), float(hi[-1])))
         heaps.append(_heap(lo, hi, left[p:q], right[p:q], err[p:q]))
@@ -661,8 +656,8 @@ def _integrate_segments(fn, a: np.ndarray, b: np.ndarray, budget: QuadratureBudg
     Returns value, est_error and panels used per integral, each as
     ``integrate_segment`` computes it alone.
     """
-    j = np.arange(len(a))
-    return _integrate_seeds(fn, a, b, np.ones(len(a), dtype=np.intp), j, j, freq, budget)
+    ones = np.ones(len(a), dtype=np.intp)
+    return _integrate_seeds(fn, a, b, ones, np.arange(len(a)), ones, freq, budget)
 
 
 def integrate_segment(
@@ -716,8 +711,12 @@ def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: Quadrat
     ``key`` is a tuple of 1-D int64 arrays, one value per integral in each.
     Integrals whose key values are bitwise equal form a family: the caller
     promises that they have one F, and they must have one rate and
-    amplitude, else ValueError.  A family is planned, and its F evaluated on
-    its seed panels, once: fn is called with its first integral as the owner.
+    amplitude, else ValueError.  Without a key every integral is a loner, a
+    family of one.  Families are numbered in the order of their first
+    integral; each is planned, and its F evaluated on its seed panels, once:
+    fn is called with its first integral as the owner.  A family whose whole
+    integral lies below half the floor takes value 0 and no panels; the
+    integrals of the others go to ``_integrate_seeds`` family by family.
 
     Validates every envelope first (InvalidDecay with DecayModel's message
     for the first bad one in input order), the families next, and then every
@@ -726,19 +725,22 @@ def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: Quadrat
     integral, each as ``integrate_ray`` computes it alone.
     """
     n = len(rate)
-    family = None  # integral j's family, where families are not the integrals themselves
+    # integral j's family, each family's first integral, and the integrals family by family: the identity for loners
+    family = leaders = order = np.arange(n)
     if key is not None and n > 1:
-        order = np.lexsort(key[::-1])  # stable: each family in input order
-        new = np.concatenate(([True], np.any([c[order[1:]] != c[order[:-1]] for c in key], axis=0)))
+        lex = np.lexsort(key[::-1])  # stable: each family in input order
+        new = np.concatenate(([True], np.any([c[lex[1:]] != c[lex[:-1]] for c in key], axis=0)))
         if not new.all():
-            leaders = np.sort(order[new])  # each family's first integral: families are numbered in their order
-            family = np.empty(n, dtype=np.intp)
-            family[order] = np.searchsorted(leaders, order[new])[np.cumsum(new) - 1]
+            # families are numbered in the order of their first integral
+            leaders, family = np.sort(lex[new]), np.empty(n, dtype=np.intp)
+            family[lex] = np.searchsorted(leaders, lex[new])[np.cumsum(new) - 1]
             first = leaders[family]
             if not (np.array_equal(rate[first], rate) and np.array_equal(amplitude[first], amplitude)):
                 _check_envelopes(rate.tolist(), amplitude.tolist())  # a bad envelope is reported first
                 raise ValueError("integrals that share a smooth factor must have the same rate and amplitude")
             rate, amplitude = rate[leaders], amplitude[leaders]
+            order = np.argsort(family, kind="stable")
+    kappas = np.bincount(family)  # integrals per family
     # sharers have their family's envelope, so the first bad family holds the first bad integral
     rates, amplitudes = rate.tolist(), amplitude.tolist()
     _check_envelopes(rates, amplitudes)
@@ -756,21 +758,15 @@ def _integrate_rays(fn, rate: np.ndarray, amplitude: np.ndarray, budget: Quadrat
                 raise InvalidDecay(f"decay rate {m!r} is too small: the truncation point T overflows")
             bound[f] = A * math.exp(-m * T[f]) / m
             live.append(f)
-    value, panels = np.zeros(n, dtype=complex), np.zeros(n, dtype=np.intp)
-    err = np.array(bound) if family is None else np.array(bound)[family]
+    value, err, panels = np.zeros(n, dtype=complex), np.array(bound)[family], np.zeros(n, dtype=np.intp)
     if live:
         a, b, count = _ray_breakpoints([T[f] for f in live], [rates[f] for f in live])
-        mine, renumbered = slice(None), range(n) if family is None else family
-        if len(live) < len(rates):  # the integrals of live families, and those families numbered among them
-            renumbered = np.full(len(rates), -1)
-            renumbered[live] = np.arange(len(live))
-            renumbered = renumbered if family is None else renumbered[family]
-            mine = np.flatnonzero(renumbered >= 0)
-            renumbered = renumbered[mine]
-        owners = np.array(live) if family is None else leaders[live]
-        values, errors, used = _integrate_seeds(fn, a, b, count, owners, renumbered, freq[mine], budget)
-        value[mine], err[mine], panels[mine] = values, errors + err[mine], used
-    return value, err, np.array(T) if family is None else np.array(T)[family], panels
+        if len(live) < len(rates):  # seed the integrals of live families alone, still family by family
+            order = order[np.bincount(live, minlength=len(rates)).repeat(kappas) > 0]
+            leaders, kappas = leaders[live], kappas[live]
+        values, errors, used = _integrate_seeds(fn, a, b, count, leaders, kappas, freq[order], budget)
+        value[order], err[order], panels[order] = values, errors + err[order], used
+    return value, err, np.array(T)[family], panels
 
 
 def integrate_ray(

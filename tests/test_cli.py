@@ -519,6 +519,9 @@ def test_selftest_subcommand(capsys):
         ["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "1", "--max-rel", "nan"],
         ["indicator", "--fn", "exp:a=1", "--s-max", "inf"],
         ["transform", "--fn", "exp:a=1", "--omega", "nan+0i"],
+        ["transform", "--fn", "exp:a=1", "--omega", "-2", "--rel-tol", "inf", "--abs-floor", "1e-12"],
+        ["transform", "--fn", "exp:a=1", "--omega", "-2", "--rel-tol", "inf"],
+        ["transform", "--fn", "exp:a=1", "--omega", "-2", "--abs-floor", "inf"],
     ],
 )
 def test_non_finite_values_are_usage_errors(argv, monkeypatch, capsys):

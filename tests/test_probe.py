@@ -297,6 +297,18 @@ def test_radius_scan_flat_transform_ill_conditioned():
         radius_scan(zero_function(), -2.0)
 
 
+@pytest.mark.parametrize(
+    "center, kind, rho",
+    [(-1e100, "overflows", "8.000000000000001e\\+99"), (-1.0 - 1e-14, "underflows", "7.993605777301127e-15")],
+    ids=["far", "near-the-pole"],
+)
+def test_radius_scan_refuses_a_center_where_rho_to_the_degree_leaves_the_doubles(center, kind, rho):
+    # rho = 0.8 x the margin: 8e99, whose 24th power overflows, or 8e-15, whose 24th power underflows to 0; either
+    # is an IllConditioned naming which, with no numpy warning (which tier-1 turns into an error)
+    with pytest.raises(IllConditioned, match=rf"rho\^n {kind}: .* \(rho = {rho}, n <= 24\)"):
+        radius_scan(make_exp(1), center)
+
+
 def _with_errors(monkeypatch, size: int, rule):
     """Patch probe._g_values so that its batches of ``size`` omegas return rule(values, errors)."""
     g_values = probe._g_values

@@ -33,6 +33,8 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 def test_budget_validation():
     with pytest.raises(ValueError):
         QuadratureBudget(rel_tol=1e-15)
+    with pytest.raises(ValueError, match="rel_tol must be finite"):
+        QuadratureBudget(rel_tol=math.inf)
     with pytest.raises(ValueError):
         QuadratureBudget(abs_floor=0.0)
 
@@ -121,22 +123,28 @@ SHARED_KEY = (np.array([0, 1, 0, 3, 0, 1, 6]),)
 
 
 def test_integrals_sharing_a_smooth_factor_get_their_results_alone():
-    freq = np.array([0.0, 3.0, -5.0, 1.0, 40.0, 0.0, 7.5])
+    # SHARED_C's families, and interleaved with them (integrals 2 and 6) one whose envelope 1e-20 e^{-t} lies below
+    # half the floor: it takes value 0, no panels and no F, and the live families' integrals are the others
+    c, scale = np.insert(SHARED_C, [2, 5], 1.0), np.insert(np.ones(len(SHARED_C)), [2, 5], 1e-20)
+    key = (np.insert(SHARED_KEY[0], [2, 5], 9),)
+    freq = np.array([0.0, 3.0, 2.0, -5.0, 1.0, 40.0, -1.0, 0.0, 7.5])
     owners = []
 
     def fn(t, k):
         owners.extend(np.unique(k).tolist())
-        return np.exp(-SHARED_C[k] * t)
+        return scale[k] * np.exp(-c[k] * t)
 
-    rate, amplitude = SHARED_C.real.copy(), np.ones(len(SHARED_C))
-    shared = quadrature._integrate_rays(fn, rate, amplitude, TIGHT, freq, SHARED_KEY)
-    alone = quadrature._integrate_rays(lambda t, k: np.exp(-SHARED_C[k] * t), rate, amplitude, TIGHT, freq)
+    rate, amplitude = c.real.copy(), scale
+    shared = quadrature._integrate_rays(fn, rate, amplitude, TIGHT, freq, key)
+    alone = quadrature._integrate_rays(lambda t, k: scale[k] * np.exp(-c[k] * t), rate, amplitude, TIGHT, freq)
     for mine, theirs in zip(shared, alone):
         assert np.array_equal(mine, theirs)
-    # F is evaluated for the first integral of each family only
-    assert set(owners) == {0, 1, 3, 6}
-    values, errors = shared[:2]
-    assert np.all(np.abs(values - 1.0 / (SHARED_C - 1j * freq)) <= errors)
+    # F is evaluated for the first integral of each live family only
+    assert set(owners) == {0, 1, 4, 8}
+    values, errors, T, panels = shared
+    assert values[[2, 6]].tolist() == [0, 0] and T[[2, 6]].tolist() == [0, 0] and panels[[2, 6]].tolist() == [0, 0]
+    assert np.all(panels[[0, 1, 3, 4, 5, 7, 8]] > 0)
+    assert np.all(np.abs(values - scale / (c - 1j * freq)) <= errors)
 
 
 @pytest.mark.parametrize(
@@ -423,9 +431,9 @@ def test_a_seed_finished_integral_counts_its_summation_rounding(monkeypatch):
     monkeypatch.setattr(math, "fsum", lambda values: fsums.append(1) or fsum(values))
     a, b, count = quadrature._ray_breakpoints([1.0, 8.0, 2.0] * 100, [1.0] * 300)
     assert count.tolist() == [1, 4, 2] * 100
-    j = np.arange(len(count))
+    ones = np.ones(len(count), dtype=np.intp)  # one integral per family
     values, errors, used = quadrature._integrate_seeds(
-        lambda t, k: np.ones(t.shape), a, b, count, j, j, np.zeros(len(count)), TIGHT
+        lambda t, k: np.ones(t.shape), a, b, count, np.arange(len(count)), ones, np.zeros(len(count)), TIGHT
     )
     assert fsums == []  # no integral took the refinement path, which sums with math.fsum
     assert np.array_equal(used, count)

@@ -58,16 +58,32 @@ __all__ = ["main", "console_main", "build_parser"]
 _SKIPPABLE = (OutsideDomain, OutsideUnion, OutsideSector, AngularMarginTooSmall)
 _NUMERIC_ERRORS = (BudgetExceeded, IllConditioned, InvalidDecay) + _SKIPPABLE
 _REQUEST_ERRORS = (InvalidApex, ValueError)
-_BOOL_KEYS = {"skip_invalid", "check_bound"}
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
+def _checked(parse):
+    """``parse`` as an argparse type whose ValueError is a usage error with its own message.
+
+    argparse would report a ValueError as "invalid <parse's name> value".
+    """
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return checked
+
+
+@_checked
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"value must be finite, got {text!r}")
     return value
+
+
+_complex = _checked(parse_complex)
 
 
 def _parts(text: str) -> list[str]:
@@ -82,9 +98,10 @@ def _float_list(text: str) -> list[float]:
 
 
 def _complex_list(text: str) -> list[complex]:
-    return [parse_complex(part) for part in _parts(text)]
+    return [_complex(part) for part in _parts(text)]
 
 
+@_checked
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in _parts(text)]
 
@@ -130,17 +147,18 @@ def _config_tokens(path: str, command: str, sp) -> list[str]:
     for a malformed line, then a bad bool, then keys that are not flags of ``sp``.
     """
     pairs = _load_config(path)
+    bools = {a.dest for a in sp._actions if a.nargs == 0 and a.dest != "help"}  # the store-true flags
     for key, value in pairs.items():
-        if key in _BOOL_KEYS and value.lower() not in _TRUE + _FALSE:
+        if key in bools and value.lower() not in _TRUE + _FALSE:
             raise ValueError(f"config key {key!r} expects a boolean, got {value!r}")
     flags = {a.dest: a.option_strings[0] for a in sp._actions if a.dest not in ("help", "config")}
     unknown = set(pairs) - set(flags)
     if unknown:
         raise ValueError(f"unknown config key(s) for {command}: {', '.join(sorted(unknown))}")
     return [
-        flags[key] if key in _BOOL_KEYS else f"{flags[key]}={value}"
+        flags[key] if key in bools else f"{flags[key]}={value}"
         for key, value in pairs.items()
-        if key not in _BOOL_KEYS or value.lower() in _TRUE
+        if key not in bools or value.lower() in _TRUE
     ]
 
 
@@ -259,12 +277,12 @@ def _cmd_roundtrip(args, parser) -> int:
 
     # --skip-invalid skips domain violations only; any other per-point failure still exits 3
     skip = _SKIPPABLE if args.skip_invalid else ()
-    bad = [row for row in report.rows if row.error is not None and not issubclass(row.error_class, skip)]
+    bad = [row for row in report.rows if row.error is not None and not isinstance(row.error, skip)]
     if bad:
         # reconstruct's messages name the point themselves when it is at fault; name it once
         row = bad[0]
-        where = "" if f"z={row.z}" in row.error else f"z={row.z}: "
-        print(f"error: {where}{row.error}", file=sys.stderr)
+        where = "" if f"z={row.z}" in str(row.error) else f"z={row.z}: "
+        print(f"error: {where}{type(row.error).__name__}: {row.error}", file=sys.stderr)
         return 3
 
     header = [
@@ -334,14 +352,19 @@ def _cmd_probe(args, parser) -> int:
         "theta", "detected", "singularity_re", "singularity_im", "blowup_exponent",
         "radius_estimate", "predicted_distance", "j_slope_chord", "j_slope_upper", "j_slope_lower",
     ]
-    point = rep.boundary_point
-    slopes = rep.J_slopes if rep.J_slopes is not None else (None, None, None)
+    scan, radius = rep.blowup, rep.radius
+    if isinstance(radius, IllConditioned):  # its columns stay empty
+        print(f"probe: no radius estimate: {type(radius).__name__}: {radius}", file=sys.stderr)
+        radius = None
+    point = scan.boundary_point
     rows = [[
-        rep.theta, rep.detected,
+        rep.theta, scan.detected,
         None if point is None else point.real,
         None if point is None else point.imag,
-        rep.blowup_exponent, rep.radius_estimate, rep.predicted_distance,
-        slopes[0], slopes[1], slopes[2],
+        scan.blowup_exponent,
+        None if radius is None else radius.radius_estimate,
+        None if radius is None else radius.predicted_distance,
+        *(rep.diagnostics.slopes if rep.diagnostics is not None else (None, None, None)),
     ]]
     _write_csv(args.out, header, rows)
     return 0
@@ -447,11 +470,11 @@ def build_parser():
     sp = sub.add_parser("probe", help="boundary blow-up sweep, radius scan, slope diagnostics")
     _add_fn_flags(sp)
     sp.add_argument("--theta", type=float, default=0.0, help="probed direction")
-    sp.add_argument("--center", type=parse_complex, default=None,
+    sp.add_argument("--center", type=_complex, default=None,
                     help="Taylor expansion center for the radius scan")
-    sp.add_argument("--q", type=parse_complex, default=None,
+    sp.add_argument("--q", type=_complex, default=None,
                     help="chord start for truncated-contour diagnostics")
-    sp.add_argument("--r", type=parse_complex, default=None,
+    sp.add_argument("--r", type=_complex, default=None,
                     help="chord end for truncated-contour diagnostics")
     _add_g_source_flag(sp)
     _add_output_flags(sp, skip=False)
@@ -467,25 +490,27 @@ def build_parser():
 
 @functools.cache
 def _shared_parser():
-    """The one (parser, registry) pair of the process; parsing never changes it."""
-    return build_parser()
+    """The one (parser, registry, flags) triple of the process; parsing never changes it.
+
+    The flags map each option string of every subcommand to whether it takes a value.
+    """
+    parser, registry = build_parser()
+    flags = {s: a.nargs != 0 for sp in registry.values() for a in sp._actions for s in a.option_strings}
+    return parser, registry, flags
 
 
-# flags whose values are often negative numbers, which bare argparse would
-# misread as option strings; their values get joined with '='
-_VALUE_FLAGS = {
-    "--omega", "--z", "--center", "--q", "--r", "--theta", "--thetas",
-    "--angles", "--radii", "--alpha", "--p", "--epsilon", "--delta-min",
-}
+def _normalize_argv(argv, flags) -> list[str]:
+    """``argv`` with each flag that takes a value joined by '=' to a next token that starts with '-' but is no flag.
 
-
-def _normalize_argv(argv) -> list[str]:
+    Such values are often negative numbers (-1e-9, -0.5-1.2i), which bare argparse would misread as option strings.
+    """
     out = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{token}={argv[i + 1]}")
+        value = argv[i + 1] if flags.get(token) and i + 1 < len(argv) else ""
+        if value.startswith("-") and value.partition("=")[0] not in flags:
+            out.append(f"{token}={value}")
             i += 2
             continue
         out.append(token)
@@ -494,8 +519,8 @@ def _normalize_argv(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = _normalize_argv(list(sys.argv[1:] if argv is None else argv))
-    parser, registry = _shared_parser()
+    parser, registry, flags = _shared_parser()
+    argv = _normalize_argv(list(sys.argv[1:] if argv is None else argv), flags)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:

@@ -234,14 +234,15 @@ def reconstruct(q: ReconstructionQuery) -> IntegralResult:
 
 @dataclass(frozen=True)
 class RoundtripRow:
+    """One grid point of ``roundtrip_report``: its residuals, or the SectorLapError it failed with."""
+
     z: complex
     expected: complex
     reconstructed: Optional[complex]
     abs_residual: float
     rel_residual: float
     est_error: float
-    error: Optional[str] = None  # "Type: message" of the point's SectorLapError
-    error_class: Optional[type] = None
+    error: Optional[SectorLapError] = None  # the point's failure, with nan residuals and est_error
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,7 @@ def roundtrip_report(
 ) -> RoundtripReport:
     """Reconstruct f on a z grid and compare with direct evaluation.
 
-    Per-point failures are recorded in their row with their class, not raised; the summary
+    A point's failure is its row's ``error``, the SectorLapError itself, not raised; the summary
     aggregates over the successful points.  The request's own failures are raised before any
     point: InvalidApex for an apex that fails spec.h or the entry's own type, and
     ``reconstruct_each``'s ValueError for a missing g oracle.
@@ -273,9 +274,7 @@ def roundtrip_report(
     for z, res in zip(zs, reconstruct_each(fn, build_gamma(spec, p), zs, budget, g_source)):
         expected = complex(fn.evaluate(z))
         if isinstance(res, SectorLapError):
-            rows.append(
-                RoundtripRow(z, expected, None, math.nan, math.nan, math.nan, f"{type(res).__name__}: {res}", type(res))
-            )
+            rows.append(RoundtripRow(z, expected, None, math.nan, math.nan, math.nan, res))
             continue
         abs_res = abs(res.value - expected)
         rel_res = abs_res / abs(expected) if expected != 0 else abs_res

@@ -106,13 +106,12 @@ class GammaPrimeDiagnostics:
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """One direction's probes as ``probe_report`` got them: the radius scan's result or its IllConditioned."""
+
     theta: float
-    boundary_point: Optional[complex]
-    blowup_exponent: Optional[float]
-    detected: bool
-    radius_estimate: Optional[float]
-    predicted_distance: Optional[float]
-    J_slopes: Optional[tuple[float, float, float]] = None
+    blowup: BlowupScan
+    radius: RadiusScan | IllConditioned
+    diagnostics: GammaPrimeDiagnostics | None  # only for a chord [q, r]
 
 
 def blowup_scan(
@@ -422,39 +421,27 @@ def probe_report(
     r: complex | None = None,
     alpha: float | None = None,
 ) -> ProbeReport:
-    """Bundle the boundary sweep with a radius scan (empty when IllConditioned) and J diagnostics when asked.
+    """The boundary sweep, the radius scan (or the IllConditioned it raised) and, for a chord [q, r], its J diagnostics.
 
     ``alpha``, the diagnostics' sector half-angle, is checked even when they are not asked for, and
     a theta outside it is a ValueError; it defaults to the entry's own, at most pi/4.  A chord
     [q, r] the diagnostics cannot take (``_check_chord``) is refused before any scan.  The radius
-    scan runs first, so that a ``center`` outside Omega_theta is refused before any sweep.
+    scan runs first, so that a ``center`` outside Omega_theta is refused before any sweep; its
+    ``center`` defaults to a unit margin inward from the boundary's closest point to the origin.
     """
     if alpha is None:
         alpha = min(fn.spec.alpha, math.pi / 4)
     else:
         _check_direction(theta, _check_alpha(alpha))
-    if q is not None and r is not None:
+    chord = q is not None and r is not None
+    if chord:
         _check_chord(fn, alpha, theta, q, r)
-    radius = None
-    predicted = None
     if center is None:
-        # default center: unit margin inward from the boundary's closest point to the origin
         center = (-indicator_value(fn, theta)[0] - 1.0) * cmath.exp(-1j * theta)
     try:
-        rs = radius_scan(fn, center, budget=budget, theta=theta, g_source=g_source)
-        radius, predicted = rs.radius_estimate, rs.predicted_distance
-    except IllConditioned:
-        pass
+        radius = radius_scan(fn, center, budget=budget, theta=theta, g_source=g_source)
+    except IllConditioned as exc:
+        radius = exc
     scan = blowup_scan(fn, theta, budget=budget, g_source=g_source)
-    slopes = None
-    if q is not None and r is not None:
-        slopes = gamma_prime_diagnostics(fn, alpha, theta, q, r, budget=budget).slopes
-    return ProbeReport(
-        theta=theta,
-        boundary_point=scan.boundary_point,
-        blowup_exponent=scan.blowup_exponent,
-        detected=scan.detected,
-        radius_estimate=radius,
-        predicted_distance=predicted,
-        J_slopes=slopes,
-    )
+    diagnostics = gamma_prime_diagnostics(fn, alpha, theta, q, r, budget=budget) if chord else None
+    return ProbeReport(theta, scan, radius, diagnostics)

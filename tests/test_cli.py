@@ -299,6 +299,25 @@ def test_probe_csv(tmp_path):
     assert math.isclose(float(row["j_slope_chord"]), 0.5, abs_tol=1e-6)
 
 
+def test_a_failed_radius_scan_leaves_its_columns_empty_and_says_why(capsys):
+    # the center is so far inside Omega_0 that rho^24 overflows: the radius scan raises IllConditioned, and the
+    # row keeps the blow-up scan's columns, the same as at the default center, and leaves the radius columns empty
+    outputs = []
+    for center in ([], ["--center", "-1e100"]):
+        assert main(["probe", "--fn", "exp:a=1", "--theta", "0"] + center) == 0
+        outputs.append(capsys.readouterr())
+    [near], [far] = (list(csv.DictReader(io.StringIO(out.out))) for out in outputs)
+    assert outputs[0].err == ""
+    assert far["radius_estimate"] == far["predicted_distance"] == ""
+    assert near["radius_estimate"] != ""
+    radius_columns = ("radius_estimate", "predicted_distance")
+    assert {k: v for k, v in far.items() if k not in radius_columns} == {
+        k: v for k, v in near.items() if k not in radius_columns
+    }
+    assert outputs[1].err.startswith("probe: no radius estimate: IllConditioned: rho^n overflows: ")
+    assert outputs[1].err.count("\n") == 1
+
+
 def test_probe_chord_of_length_zero_gets_the_slope_sentinel(tmp_path):
     out = tmp_path / "probe.csv"
     assert main(["probe", "--fn", "exp:a=1", "--q", "-0.5+0i", "--r", "-0.5+0i", "--out", str(out)]) == 0
@@ -531,7 +550,8 @@ def test_non_finite_values_are_usage_errors(argv, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "invalid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be finite, got" in err and "invalid _" not in err
 
 
 @pytest.mark.parametrize("theta", [[], ["--theta", "0"]], ids=["selected", "fixed-theta"])
@@ -544,7 +564,64 @@ def test_a_delta_min_that_is_not_positive_and_finite_is_a_usage_error(delta_min,
         rc = exc.code
     assert rc == 2
     err = capsys.readouterr().err
-    assert "invalid _finite value" in err if delta_min in ("nan", "inf") else "delta_min must be positive" in err
+    if delta_min in ("nan", "inf"):
+        assert f"argument --delta-min: value must be finite, got '{delta_min}'" in err
+    else:
+        assert "delta_min must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transform", "--fn", "exp:a=1", "--omega", "-2+0i", "--delta-min", "inf"],
+         "argument --delta-min: value must be finite, got 'inf'"),
+        (["transform", "--fn", "exp:a=1", "--omega", "abc"],
+         "argument --omega: cannot parse complex value 'abc'; expected e.g. '-1+0.5i'"),
+        (["probe", "--fn", "exp:a=1", "--center", "abc"],
+         "argument --center: cannot parse complex value 'abc'; expected e.g. '-1+0.5i'"),
+        (["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--radii", "x"],
+         "argument --radii: could not convert string to float: 'x'"),
+        (["selftest", "--only", "x"], "argument --only: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["delta-min", "omega", "center", "radii", "only"],
+)
+def test_a_value_the_parser_refuses_is_named_by_its_own_check(argv, message, capsys):
+    # argparse would say "invalid <helper name> value" for a ValueError; the check's own message says what is wrong
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "invalid _" not in err and "invalid parse_complex" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transform", "--fn", "exp:a=1", "--omega", "-2", "--rel-tol", "-1e-9"],
+         "error: ValueError: rel_tol must be finite and >= 1e-14 (double precision floor), got -1e-09"),
+        (["transform", "--fn", "exp:a=1", "--omega", "-2", "--abs-floor", "-1e-12"],
+         "error: ValueError: abs_floor must be positive, got -1e-12"),
+        (["roundtrip", "--fn", "exp:a=-1", "--p", "-1", "--max-rel", "-1e-3"],
+         "roundtrip: --max-rel must be at least 0, got -0.001"),
+    ],
+    ids=["rel-tol", "abs-floor", "max-rel"],
+)
+def test_every_flag_that_takes_a_value_takes_a_negative_one(argv, message, capsys):
+    # the value reaches the flag's own check instead of argparse's "expected one argument"
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "expected one argument" not in err
+
+
+def test_a_flag_followed_by_another_flag_misses_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--fn", "exp:a=1", "--theta", "--omega", "-2"])
+    assert exc.value.code == 2
+    assert "argument --theta: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -143,8 +143,7 @@ def test_roundtrip_report_records_bad_points():
     fn = make_exp(-1)
     report = roundtrip_report(fn, SPEC, -1.0, [1.0, -1.0], BUDGET, "oracle")
     assert report.failures == 1
-    assert report.rows[1].error is not None
-    assert "OutsideSector" in report.rows[1].error
+    assert isinstance(report.rows[1].error, OutsideSector)
     # aggregates come from the good rows only
     assert report.max_rel <= 1e-8
 
@@ -154,9 +153,9 @@ def test_a_value_within_its_est_error_of_zero_is_ill_conditioned():
     gamma = build_gamma(SPEC, -1.0)
     with pytest.raises(IllConditioned, match=r"z=\(700\+0j\): est_error .* is not below \|value\|"):
         reconstruct(ReconstructionQuery(make_exp(-1), gamma, 700.0, BUDGET, "oracle"))
-    # a roundtrip records the point as a failure, with its class
+    # a roundtrip records the point as a failure, its IllConditioned itself
     report = roundtrip_report(make_exp(-1), SPEC, -1.0, [1.0, 700.0], BUDGET, "oracle")
-    assert report.failures == 1 and report.rows[1].error_class is IllConditioned
+    assert report.failures == 1 and type(report.rows[1].error) is IllConditioned
     assert report.max_rel <= 1e-8
 
 
@@ -277,9 +276,9 @@ def test_a_roundtrip_with_failing_points_matches_the_per_point_loop(grid, failed
     report = roundtrip_report(fn, SPEC, -1.0, grid, BUDGET, "oracle")
     monkeypatch.setattr(inversion, "reconstruct_each", _one_by_one)
     reference = roundtrip_report(fn, SPEC, -1.0, grid, BUDGET, "oracle")
-    assert [row.error_class for row in report.rows if row.error_class] == failed
+    assert [type(row.error) for row in report.rows if row.error] == failed
     assert report.failures == len(failed) and report.max_rel <= 1e-8
-    # rows (z, values, residuals, est_errors, messages, classes) and summary, bit for bit
+    # rows (z, values, residuals, est_errors, errors with their messages) and summary, bit for bit
     assert repr(report) == repr(reference)
 
 

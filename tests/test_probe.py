@@ -394,18 +394,18 @@ def test_truncated_contour_input_checks():
 
 def test_probe_report_bundles():
     rep = probe_report(make_exp(1), 0.0)
-    assert rep.detected
-    assert abs(rep.boundary_point - (-1.0)) <= 1e-6
-    assert math.isclose(rep.radius_estimate, 1.0, rel_tol=5e-3)
-    assert rep.J_slopes is None
+    assert rep.blowup.detected
+    assert abs(rep.blowup.boundary_point - (-1.0)) <= 1e-6
+    assert math.isclose(rep.radius.radius_estimate, 1.0, rel_tol=5e-3)
+    assert rep.diagnostics is None
 
     rep = probe_report(make_exp(1), 0.0, q=-0.5 - 1.2j, r=-0.5 + 1.2j)
-    assert rep.J_slopes is not None
-    assert math.isclose(rep.J_slopes[0], 0.5, abs_tol=1e-6)
+    assert rep.diagnostics is not None
+    assert math.isclose(rep.diagnostics.slopes[0], 0.5, abs_tol=1e-6)
 
 
 def test_probe_report_survives_flat_radius():
     # zero entry: no blow-up, radius fit ill conditioned; report still forms
     rep = probe_report(zero_function(), 0.0)
-    assert not rep.detected
-    assert rep.radius_estimate is None
+    assert not rep.blowup.detected
+    assert isinstance(rep.radius, IllConditioned)

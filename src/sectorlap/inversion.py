@@ -272,7 +272,8 @@ def roundtrip_report(
     zs = [complex(z) for z in z_grid]
     rows = []
     for z, res in zip(zs, reconstruct_each(fn, build_gamma(spec, p), zs, budget, g_source)):
-        expected = complex(fn.evaluate(z))
+        with np.errstate(over="ignore", invalid="ignore"):  # a point where f overflows fails in its own row
+            expected = complex(fn.evaluate(z))
         if isinstance(res, SectorLapError):
             rows.append(RoundtripRow(z, expected, None, math.nan, math.nan, math.nan, res))
             continue

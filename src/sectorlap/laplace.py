@@ -185,7 +185,8 @@ def _g_values(fn: TestFunction, theta, omegas, budget: QuadratureBudget, source:
     values are g_theta in one engine pass at the rotated points ``u``
     (``_ray_integrands``; by default omega e^{i theta}), each omega with the
     value, est_error and panels of its one-omega pass at the same u; the
-    omegas of one family share the evaluations of their smooth factor.
+    omegas of one family share the evaluations of their smooth factor on
+    the seed panels.
     """
     om = np.asarray(omegas, dtype=complex)
     oracle = pick_oracle(fn, "transform", source)

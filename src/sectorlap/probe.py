@@ -437,6 +437,7 @@ def probe_report(
     if chord:
         _check_chord(fn, alpha, theta, q, r)
     if center is None:
+        _check_direction(theta, fn.spec.alpha)  # as the radius scan does, before cmath.exp meets a theta of inf
         center = (-indicator_value(fn, theta)[0] - 1.0) * cmath.exp(-1j * theta)
     try:
         radius = radius_scan(fn, center, budget=budget, theta=theta, g_source=g_source)

@@ -41,24 +41,22 @@ One kernel, ``_sums``, serves seeding (the whole panels, left halves and
 right halves of all seed panels) and refinement.  It evaluates F on up to
 3 * _CHUNK_PANELS panels per integrand call, across family boundaries, and
 projects every panel of the call once (vals @ project, vals @ weights) as
-the call returns.  Then it applies the carriers in one of two layouts.  A
-call with a grid of carriers by panels has blocks: the whole panels of a
-family, its left halves and its right halves are each a block of the
-family's kappas by those panels, and in a refinement round where splits
-share a panel, the four half-panels of its children are a block of the
-carriers that split it.  Each cell's sum is the dot product of its panel's
-coefficients with the moments of its kappa h, times h e^{i kappa m}.  The
-moments are computed once per moment row of a call, split into near and far
-rows once.  As a ray's seed panels double in width, a family of K integrals
-of d seed panels takes K (d + 1) rows, not 3 K d (``_seed_rows``), ordered
-by half-width class and contiguous in kappa, so that a panel's cells read
-the K rows of its class as one slice: one einsum per panel against its
-2 x 16 coefficients and one e^{i outer(kappa, m)} per block, with no gather
-per cell, whatever the block's size.  A call without a grid (loners only,
-or a round whose splits share no panel) has one cell per panel and is
-carried cell by cell, 3 * _CARRY_COLUMNS cells at a time, each gathering its
-panel's coefficients and its row.  Each integral is then checked against
-its own target
+the call returns.  Then it applies the carriers in one of two layouts.  Only
+seeding makes a call with a grid of carriers by panels, whose blocks are the
+whole panels of a family, its left halves and its right halves, each a block
+of the family's kappas by those panels.  Each cell's sum is the dot product
+of its panel's coefficients with the moments of its kappa h, times
+h e^{i kappa m}.  The moments are computed once per moment row of a call,
+split into near and far rows once.  As a ray's seed panels double in width,
+a family of K integrals of d seed panels takes K (d + 1) rows, not 3 K d
+(``_seed_rows``), ordered by half-width class and contiguous in kappa, so
+that a panel's cells read the K rows of its class as one slice: one einsum
+per panel against its 2 x 16 coefficients and one e^{i outer(kappa, m)} per
+block, with no gather per cell, whatever the block's size.  A call without
+a grid (the seeding of loners only, or a refinement round) has one cell per
+panel and is carried cell by cell, 3 * _CARRY_COLUMNS cells at a time, each
+gathering its panel's coefficients and its row.  Each integral is then
+checked against its own target
 
     est_error <= rel_tol * |value| + abs_floor
 
@@ -67,14 +65,15 @@ on its family's F.  Every integral keeps its panels on its own heap, worst
 estimate first and the older panel on ties.  Refinement goes in rounds: each
 round pops the top panel of every integral still above its target and
 computes the four half-panels of both children of all of them, of one width
-per split and so of one moment row, in one ``_sums`` call; integrals of one
-family that split the same panel evaluate F on it once, as a block of their
-carriers by its four half-panels.  An integral's running value and estimate
-are updated per split as if it were refined alone, until its target is met
-or it holds _MAX_PANELS panels (BudgetExceeded, naming the integral and its
-worst panel: never silent degradation).  If rounding leaves the estimate
-above the target once the top estimate is exactly 0, no panel can usefully
-be split, so refinement stops there and reports the re-summed estimate, 0.
+per split and so of one moment row, in one ``_sums`` call without a grid:
+each split evaluates F on its own four half-panels, so integrals of one
+family that split the same panel evaluate F on it once each, with the same
+values.  An integral's running value and estimate are updated per split as
+if it were refined alone, until its target is met or it holds _MAX_PANELS
+panels (BudgetExceeded, naming the integral and its worst panel: never
+silent degradation).  If rounding leaves the estimate above the target once
+the top estimate is exactly 0, no panel can usefully be split, so refinement
+stops there and reports the re-summed estimate, 0.
 
 A panel's sums come out the same whichever panels and integrals share its
 integrand call (every call holds at least three panels, numpy's matrix
@@ -517,8 +516,8 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
     its running value and estimate in total[i] and total_err[i], which are
     updated in place.  Each round pops the worst panel of every integral
     still above its target and computes the four half-panels of both
-    children of all of them in one ``_sums`` call, one moment row per split;
-    splits of one owner, midpoint and half-width evaluate F once.  An
+    children of all of them in one ``_sums`` call without a grid, one moment
+    row per split, each split on its own four half-panels.  An
     integral leaves the rounds once its target is met or its top estimate is
     exactly 0.  Returns per integral (value, est_error, panels).  Raises the
     first failure it meets, in the round it comes in: BudgetExceeded for an
@@ -529,7 +528,7 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
     age = itertools.count(max(map(len, heaps), default=0))  # creation indices, increasing within every heap
     live = range(len(heaps))
     while live:
-        splits, which, panels, mids, halves, owners, freqs, x = [], [], {}, [], [], [], [], []
+        splits, mids, halves, owners, freqs, x = [], [], [], [], [], []
         for i in live:
             heap = heaps[i]
             target = budget.rel_tol * abs(total[i]) + budget.abs_floor
@@ -550,31 +549,19 @@ def _refine(fn, owner: list, freq: list, span: list, heaps: list, total: list, t
                 continue
             popped = heapq.heappop(heap)
             _, _, m, h, _, _ = popped
-            quarter = 0.25 * h
-            which.append(panels.setdefault((owner[i], m, h), len(panels)))
-            if which[-1] == len(mids) // 4:
-                child = 0.5 * h
-                mid0, mid1 = m - child, m + child
-                # per split: left halves, then right halves, of both children
-                mids += (mid0 - quarter, mid1 - quarter, mid0 + quarter, mid1 + quarter)
-                halves += (quarter,) * 4
-                owners += (owner[i],) * 4
+            quarter, child = 0.25 * h, 0.5 * h
+            mid0, mid1 = m - child, m + child
+            # per split: left halves, then right halves, of both children
+            mids += (mid0 - quarter, mid1 - quarter, mid0 + quarter, mid1 + quarter)
+            halves += (quarter,) * 4
+            owners += (owner[i],) * 4
+            freqs += (freq[i],) * 4
             splits.append((i, popped))
-            freqs.append(freq[i])
             x.append(freq[i] * quarter)
         if not splits:
             break
-        freqs, x, grid = np.array(freqs), np.array(x), None
-        row = np.arange(len(splits)).repeat(4)
-        if len(panels) < len(splits):
-            # the four half-panels of a panel that several splits share are a block, with their carriers in turn
-            order = np.argsort(which, kind="stable")
-            kappas = np.bincount(which)
-            grid, row = (kappas, np.full(len(kappas), 4)), (kappas.cumsum() - kappas).repeat(4)
-            freqs, x = freqs[order], x[order]
-        sums = _sums(fn, np.array(mids), np.array(halves), np.array(owners), grid, freqs.repeat(4), x, row)
-        if grid is not None:
-            sums = sums.reshape(-1, 4)[np.argsort(order)]  # in split order
+        row = np.arange(len(splits)).repeat(4)  # each half-panel's split, whose moment row it takes
+        sums = _sums(fn, np.array(mids), np.array(halves), np.array(owners), None, np.array(freqs), np.array(x), row)
         live = []
         # per split, rows left and right halves, columns its children, whose coarse sums are the split panel's halves
         for (i, (key, _, m, h, coarse0, coarse1)), child_sums in zip(splits, sums.reshape(-1, 2, 2).tolist()):

@@ -331,6 +331,9 @@ def test_probe_rejects_a_direction_outside_the_sector(capsys):
     rc = main(["probe", "--fn", "rational", "--theta", "3", "--g-source", "numeric"])
     assert rc == 2
     assert "ValueError: theta=3.0 outside the sector" in capsys.readouterr().err
+    # an infinite theta, before the default centre is computed from it
+    assert main(["probe", "--fn", "exp:a=1", "--theta", "inf"]) == 2
+    assert capsys.readouterr().err == "error: ValueError: theta=inf outside the sector |theta| <= 1.5707963267933258\n"
 
 
 def test_a_direction_outside_the_sector_reads_the_same_from_either_indicator_source(capsys):

@@ -146,6 +146,11 @@ def test_roundtrip_report_records_bad_points():
     assert isinstance(report.rows[1].error, OutsideSector)
     # aggregates come from the good rows only
     assert report.max_rel <= 1e-8
+    # e^z overflows at z = 1e308, where the legs' envelope is infinite: the point fails in its row, without the
+    # overflow warning that tier-1 makes an error
+    report = roundtrip_report(make_exp(1), SPEC, -2.0, [1e308, 1.0], BUDGET, "oracle")
+    assert type(report.rows[0].error) is InvalidDecay and report.rows[1].error is None
+    assert report.failures == 1 and report.max_rel <= 1e-8
 
 
 def test_a_value_within_its_est_error_of_zero_is_ill_conditioned():

@@ -96,20 +96,21 @@ def test_numeric_peak_search_takes_few_one_omega_passes(monkeypatch):
 
 @pytest.mark.parametrize("theta", [-0.05, 0.0, 0.04])
 def test_the_sweep_of_a_numeric_sum_scan_refines_in_one_round(theta, monkeypatch):
-    # about half of the 128 sweep integrals split one panel each, all in one engine round; the splits of a
-    # family's shared panel evaluate it once
+    # about half of the 128 sweep integrals split one panel each, all in one engine round, each split on its own
+    # panels, though the splits of the family share a panel
     calls, sums = [], quadrature._sums
 
     def counted(fn, mid, half, owner, src, freq, x, row):
         calls.append((len(mid), len(freq)))
         return sums(fn, mid, half, owner, src, freq, x, row)
 
-    batches, g_values = [], probe._g_values
+    batches, passes, g_values = [], [], probe._g_values
 
     def logged(fn, theta, omegas, *rest):
         before = len(calls)
         out = g_values(fn, theta, omegas, *rest)
         batches.append(calls[before:])
+        passes.append(((fn, theta, omegas, *rest), out))
         return out
 
     monkeypatch.setattr(quadrature, "_sums", counted)
@@ -117,7 +118,13 @@ def test_the_sweep_of_a_numeric_sum_scan_refines_in_one_round(theta, monkeypatch
     assert blowup_scan(resolve("sum:a1=-1,c1=1,a2=-2,c2=2"), theta, g_source="numeric").detected
     # the seeding of 6 panels per integral, and one round
     (_, seeded), (panels, entries) = batches[0]
-    assert seeded == 3 * 128 * 6 and entries >= 4 * 60 and panels <= 12
+    assert seeded == 3 * 128 * 6 and entries >= 4 * 60 and panels == entries
+    # every value and est_error of the sweep has the bits of its one-omega pass at the same u
+    (fn, theta, omegas, budget, source, delta_min, u), (values, errors) = passes[0]
+    assert len(omegas) == 128
+    for k in range(128):
+        value, error = g_values(fn, theta, omegas[k : k + 1], budget, source, delta_min, u[k : k + 1])
+        assert (value.tobytes(), error.tobytes()) == (values[k : k + 1].tobytes(), errors[k : k + 1].tobytes())
 
 
 @pytest.mark.parametrize("g_source", ["oracle", "numeric"])
@@ -252,6 +259,10 @@ def test_probes_reject_directions_outside_the_sector():
         blowup_scan(make_exp(1), 2.0)
     with pytest.raises(ValueError, match=r"^theta=-2\.0 outside the sector"):
         radius_scan(rational_function(), -2.0, theta=-2.0, g_source="numeric")
+    # by name also where the default centre would take cmath.exp of an infinite theta
+    for theta in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^theta={theta} outside the sector"):
+            probe_report(make_exp(1), theta)
 
 
 def test_blowup_absent_for_entire_transform():

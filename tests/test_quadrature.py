@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,7 +285,7 @@ def test_taylor_table_matches_reference_derivatives():
         assert np.abs(table[c] - reference.real).max() <= 1e-14, c
 
 
-def _mpmath_moments(mpmath, x: float) -> np.ndarray:
+def _mpmath_moments(x: float) -> np.ndarray:
     """m_n(x) = 2 j_n(x) = 2 sqrt(pi / (2 x)) J_{n + 1/2}(x) for n < 16, at 40 digits; m_n(-x) = (-1)^n m_n(x)."""
     if x == 0.0:
         return 2.0 * (np.arange(16) == 0)
@@ -299,13 +300,12 @@ def _mpmath_moments(mpmath, x: float) -> np.ndarray:
 def test_moments_match_a_40_digit_reference():
     # the Taylor rows below |x| = 24 and the forward recurrence from there on, stable as n < 16 < |x|, up to
     # |x| = 1e8, for negative x and at multiples of pi, where sin(x) and with it m_0 nearly vanish
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(4)
     far = np.concatenate((rng.uniform(24.0, 60.0, 60), np.geomspace(60.0, 1e8, 30), np.pi * np.arange(8, 40, 3)))
     xs = np.concatenate((rng.uniform(0.0, 30.0, 120), EDGES, [0.0, 1e-8, 30.0], far, -far[::4]))
     got = quadrature._moments(xs)
     for x, row in zip(xs.tolist(), got):
-        assert np.abs(row - _mpmath_moments(mpmath, x)).max() <= 2e-15, x
+        assert np.abs(row - _mpmath_moments(x)).max() <= 2e-15, x
 
 
 def _grid_sums(fn, mid, half, owner, blocks):
@@ -579,11 +579,11 @@ def test_integrals_refined_in_rounds_get_their_results_alone():
         assert (alone.value, alone.est_error, alone.panels_used) == (values[k], errors[k], used[k])
 
 
-def test_a_round_is_one_sums_call_and_evaluates_a_shared_panel_once(monkeypatch):
+def test_a_round_is_one_sums_call_that_carries_each_split_on_its_own_panels(monkeypatch):
     calls, sums = [], quadrature._sums
 
     def counted(fn, mid, half, owner, src, freq, x, row):
-        calls.append((len(freq), set(zip(owner.tolist(), mid.tolist(), half.tolist())), len(mid)))
+        calls.append((src, len(freq), len(mid)))
         return sums(fn, mid, half, owner, src, freq, x, row)
 
     monkeypatch.setattr(quadrature, "_sums", counted)
@@ -591,11 +591,10 @@ def test_a_round_is_one_sums_call_and_evaluates_a_shared_panel_once(monkeypatch)
     # the seeding, then one call per round: as many rounds as the most splits, each with the four half-panels of
     # every split of the integrals still refining (6, 5, 3, 2 and 1 of them)
     assert len(calls) == 1 + 5
-    assert [entries for entries, _, _ in calls[1:]] == [4 * 6, 4 * 5, 4 * 3, 4 * 2, 4 * 1]
-    # no panel is evaluated twice in a round, and the family's splits of one panel evaluate it once: all three
-    # of its integrals split the same panel in rounds 3 and 4
-    assert all(len(distinct) == panels for _, distinct, panels in calls)
-    assert [panels for _, _, panels in calls[1:]] == [20, 16, 4, 4, 4]
+    assert [entries for _, entries, _ in calls[1:]] == [4 * 6, 4 * 5, 4 * 3, 4 * 2, 4 * 1]
+    # a round has no grid: each split evaluates F on its own four half-panels, also where all three integrals of
+    # the family split the same panel, in rounds 3 and 4
+    assert all(src is None and panels == entries for src, entries, panels in calls[1:])
 
 
 def test_a_family_on_its_grid_gets_the_results_of_each_integral_alone(monkeypatch):
